@@ -73,7 +73,6 @@ from .learners import (
     threshold_class,
     train_committee,
     train_erm,
-    train_voting_student,
     vote_count,
 )
 from .pipelines import (

@@ -30,8 +30,7 @@ from .harness import (
     ExperimentConfig,
     emit_report,
     parse_libsvm,
-    render_margin_csv,
-    render_trial_csv,
+    render_report,
     run_experiment,
 )
 from .learners import margin_distribution_report
@@ -224,22 +223,18 @@ def _summary_line(summary) -> str:
     )
 
 
-def _emit_rows(rows, render_csv, args) -> None:
+def _emit_rows(rows, args) -> None:
     fmt = args.format or "csv"
     if args.out:
         emit_report(rows, fmt, args.out)
-        return
-    if fmt == "csv":
-        sys.stdout.write(render_csv(rows))
     else:
-        payload = [r.as_row() if hasattr(r, "as_row") else r for r in rows]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(render_report(rows, fmt))
 
 
 def cmd_experiment(args) -> int:
     config = _build_config(args)
     summary, trials = run_experiment(config)
-    _emit_rows(trials, render_trial_csv, args)
+    _emit_rows(trials, args)
     print(_summary_line(summary), file=sys.stderr)
     return 0
 
@@ -298,7 +293,7 @@ def cmd_margins(args) -> int:
         rng,
         n_per_teacher=args.n_per_teacher,
     )
-    _emit_rows(rows, render_margin_csv, args)
+    _emit_rows(rows, args)
     return 0
 
 

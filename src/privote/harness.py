@@ -52,6 +52,7 @@ __all__ = [
     "estimate_teacher_error",
     "render_trial_csv",
     "render_margin_csv",
+    "render_report",
     "emit_report",
     "METHODS",
     "TRIAL_COLUMNS",
@@ -486,18 +487,34 @@ def _coerce_rows(reports) -> tuple[tuple[str, ...], list[dict]]:
     raise TypeError(f"cannot emit reports of type {type(first).__name__}")
 
 
-def emit_report(reports, format: str, path) -> Path:
-    """Write trial or margin records as CSV or JSON; byte-stable."""
+def _json_cell(value):
+    # JSON has no inf or nan; write them as the CSV cells do
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
+def render_report(reports, format: str) -> str:
+    """Trial or margin records as CSV or JSON text; byte-stable.
+
+    JSON is an array of objects in column order. Non-finite floats, such
+    as the epsilon of a non-private run, become the strings "inf", "-inf"
+    and "nan", matching the CSV cells, so the output is strict JSON.
+    """
     if not reports:
         raise ValueError("nothing to emit")
     if format not in ("csv", "json"):
         raise ValueError("format must be csv or json")
     columns, rows = _coerce_rows(reports)
     if format == "csv":
-        text = _render_csv(columns, rows)
-    else:
-        ordered = [{c: row[c] for c in columns} for row in rows]
-        text = json.dumps(ordered, indent=2) + "\n"
+        return _render_csv(columns, rows)
+    ordered = [{c: _json_cell(row[c]) for c in columns} for row in rows]
+    return json.dumps(ordered, indent=2, allow_nan=False) + "\n"
+
+
+def emit_report(reports, format: str, path) -> Path:
+    """Write trial or margin records as CSV or JSON (see render_report)."""
+    text = render_report(reports, format)
     out = Path(path)
     out.write_text(text, encoding="utf-8", newline="\n")
     return out

@@ -5,6 +5,13 @@ explicit finite hypothesis class backs the counterexample fixtures and the
 exact version-space machinery. Monte-Carlo estimators approximate the
 infinite-ensemble aggregate, the expected vote margin, and the high-margin
 failure mass of a data distribution.
+
+All linear training goes through one gradient-descent loop. A committee's
+K disjoint shards are stacked into one block-diagonal sparse matrix, so
+each step scores and differentiates every teacher with one pass over all
+rows; a lone fit (`train_erm`) is the one-block case. Each member comes
+out bit-for-bit equal to a separate fit of its shard, so batching changes
+no seeded output.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ __all__ = [
     "vote_count",
     "majority_label",
     "train_committee",
-    "train_voting_student",
     "estimate_infinite_ensemble",
     "estimate_expected_margin",
     "estimate_high_margin_nu",
@@ -146,58 +152,202 @@ def train_erm(
 ) -> LinearHypothesis:
     """Logistic-loss approximation of the 0-1 empirical risk minimizer.
 
-    Full-batch gradient descent from zero initialization with step 1/L,
-    where L bounds the logistic smoothness on this data, so the loss is
-    non-increasing across iterations. Deterministic for fixed inputs.
+    Full-batch gradient descent from zero initialization (or from `init`)
+    with step 1/L, where L bounds the logistic smoothness on this data, so
+    the loss is non-increasing across iterations. Deterministic for fixed
+    inputs; `rng` is unused. This is the one-block case of the loop that
+    trains a whole committee (see `_descend`), so a lone fit and a
+    committee member on the same rows are bit-for-bit equal.
+    """
+    return _descend([data], settings, [sample_weight], [init])[0]
+
+
+@dataclass
+class _BlockDesign:
+    """Labeled blocks stacked into one block-diagonal design.
+
+    Block i's rows hold its features in columns i*d..(i+1)*d, so `X @ w`
+    scores each row against its own block's weights and `XT @ coef`
+    gives each block's weight gradient. Within a row the nonzeros keep
+    their order, so the sparse kernels add the same terms in the same
+    order as they would on that block alone.
+    """
+
+    X: sp.csr_matrix
+    XT: sp.csc_matrix
+    signs: np.ndarray
+    wts: np.ndarray
+    signed_wts: np.ndarray
+    sizes: np.ndarray
+    bounds: list[tuple[int, int]]
+    runs: list[tuple[int, int, int]]  # (first row, blocks, rows per block)
+    step: np.ndarray
+    step_cols: np.ndarray
+
+    @classmethod
+    def stack(cls, blocks: list[Dataset], weights: list[np.ndarray], l2: float):
+        d = blocks[0].n_features
+        if len(blocks) == 1:
+            X = blocks[0].X
+        else:
+            indptr, indices, values = [np.zeros(1, dtype=np.int64)], [], []
+            nnz = 0
+            for i, blk in enumerate(blocks):
+                lo, hi = blk.X.indptr[0], blk.X.indptr[-1]
+                indptr.append(blk.X.indptr[1:] - lo + nnz)
+                indices.append(blk.X.indices[lo:hi] + i * d)
+                values.append(blk.X.data[lo:hi])
+                nnz += hi - lo
+            X = sp.csr_matrix(
+                (np.concatenate(values), np.concatenate(indices), np.concatenate(indptr)),
+                shape=(sum(len(blk) for blk in blocks), len(blocks) * d),
+            )
+        sizes = np.array([len(blk) for blk in blocks])
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # smoothness bound per block: rows augmented with the bias coordinate
+        row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
+        step = 1.0 / (0.25 * np.maximum.reduceat(row_sq, starts) + l2)
+        runs = []
+        for lo, size in zip(starts.tolist(), sizes.tolist()):
+            if runs and runs[-1][2] == size:
+                runs[-1][1] += 1
+            else:
+                runs.append([lo, 1, size])
+        signs = 2.0 * np.concatenate([blk.y for blk in blocks]) - 1.0
+        wts = np.concatenate(weights)
+        return cls(
+            X=X,
+            XT=X.T,
+            signs=signs,
+            wts=wts,
+            signed_wts=wts * signs,
+            sizes=sizes,
+            bounds=list(zip(starts.tolist(), ends.tolist())),
+            runs=[tuple(run) for run in runs],
+            step=step,
+            step_cols=np.repeat(step, d),
+        )
+
+    def block_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-block sums of a row vector, each rounded as `v[lo:hi].sum()`.
+
+        A run of equal-size blocks is summed as the rows of a 2-D view:
+        numpy sums each contiguous row pairwise, exactly as it sums the
+        1-D slice, so one call serves the run.
+        """
+        return np.concatenate(
+            [
+                v[lo : lo + count * size].reshape(count, size).sum(axis=1)
+                for lo, count, size in self.runs
+            ]
+        )
+
+
+def _descend(
+    blocks: list[Dataset],
+    settings: TrainerSettings | None = None,
+    sample_weights: list | None = None,
+    inits: list | None = None,
+) -> list[LinearHypothesis]:
+    """One gradient-descent loop that fits every block at once.
+
+    Each block is its own logistic-regression problem with its own step
+    1/L_k and its own `grad_tol` stop. Every step makes one product with
+    the block-diagonal design and one with its transpose, taken once
+    before the loop. A block whose gradient norm falls below `grad_tol`
+    keeps its weights and leaves the design; the others go on.
+
+    The result equals a separate fit of each block bit for bit: every
+    floating-point operation is the one a lone fit would make, in the
+    same order. Two places need care. A block's bias gradient is numpy's
+    pairwise sum over its contiguous slice (np.add.reduceat rounds
+    differently; see `_BlockDesign.block_sums`). And the stop test
+    confirms with np.dot every norm that an einsum pre-filter puts within
+    2x of `grad_tol`, because einsum also rounds differently in the last
+    place.
     """
     if settings is None:
         settings = TrainerSettings()
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if not data.labeled:
-        raise ValueError("training data must be labeled")
-    X = data.X
-    n, d = X.shape
-    signs = 2.0 * data.y - 1.0
-    if sample_weight is None:
-        wts = np.full(n, 1.0 / n)
-    else:
-        wts = np.asarray(sample_weight, dtype=float)
-        if wts.shape != (n,) or (wts < 0).any() or wts.sum() <= 0:
-            raise ValueError("sample_weight must be nonnegative with positive sum")
-        wts = wts / wts.sum()
+    K = len(blocks)
+    sample_weights = sample_weights or [None] * K
+    inits = inits or [None] * K
+    d = blocks[0].n_features
+    W = np.zeros((K, d))
+    b = np.zeros(K)
+    wts = []
+    for k, (data, weight, init) in enumerate(zip(blocks, sample_weights, inits)):
+        if len(data) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        if not data.labeled:
+            raise ValueError("training data must be labeled")
+        n = len(data)
+        if weight is None:
+            wts.append(np.full(n, 1.0 / n))
+        else:
+            weight = np.asarray(weight, dtype=float)
+            if weight.shape != (n,) or (weight < 0).any() or weight.sum() <= 0:
+                raise ValueError("sample_weight must be nonnegative with positive sum")
+            wts.append(weight / weight.sum())
+        if init is not None:
+            if init.weights.shape != (d,):
+                raise ValueError("warm-start hypothesis has the wrong dimension")
+            W[k] = init.weights
+            b[k] = init.bias
 
-    # smoothness bound: rows augmented with the bias coordinate
-    row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
-    L = 0.25 * float(row_sq.max()) + settings.l2
-    step = 1.0 / L
-
-    if init is None:
-        w = np.zeros(d)
-        b = 0.0
-    else:
-        if init.weights.shape != (d,):
-            raise ValueError("warm-start hypothesis has the wrong dimension")
-        w = init.weights.copy()
-        b = float(init.bias)
-    losses = [] if settings.track_loss else None
+    l2, tol = settings.l2, settings.grad_tol
+    curves = [[] for _ in range(K)] if settings.track_loss else None
+    live = np.arange(K)
+    design = _BlockDesign.stack(blocks, wts, l2)
+    w, c = W.ravel(), b.copy()
     for _ in range(settings.max_iter):
-        scores = signs * (np.asarray(X @ w).ravel() + b)
-        if losses is not None:
-            loss = float(np.dot(wts, np.logaddexp(0.0, -scores)))
-            loss += 0.5 * settings.l2 * (np.dot(w, w) + b * b)
-            losses.append(loss)
-        coef = wts * signs * expit(-scores)
-        grad_w = -(X.T @ coef) + settings.l2 * w
-        grad_b = -coef.sum() + settings.l2 * b
-        gnorm = np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
-        if gnorm < settings.grad_tol:
+        scores = design.signs * (design.X @ w + np.repeat(c, design.sizes))
+        if curves is not None:
+            losses = np.logaddexp(0.0, -scores)
+            for i, (lo, hi) in enumerate(design.bounds):
+                wi = w[i * d : (i + 1) * d]
+                loss = float(np.dot(design.wts[lo:hi], losses[lo:hi]))
+                loss += 0.5 * l2 * (np.dot(wi, wi) + c[i] * c[i])
+                curves[live[i]].append(loss)
+        coef = design.signed_wts * expit(-scores)
+        grad_w = -(design.XT @ coef) + l2 * w
+        grad_b = -design.block_sums(coef) + l2 * c
+        G = grad_w.reshape(-1, d)
+        near = np.sqrt(np.einsum("ij,ij->i", G, G) + grad_b * grad_b) < 2.0 * tol
+        done = [
+            i
+            for i in np.flatnonzero(near)
+            if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol
+        ]
+        if not done:
+            w -= design.step_cols * grad_w
+            c -= design.step * grad_b
+            continue
+        # the converged blocks keep their weights; the rest take this step
+        # and go on in a design without the converged ones
+        go = np.setdiff1d(np.arange(len(live)), done)
+        W[live] = w.reshape(-1, d)
+        b[live] = c
+        W[live[go]] -= design.step[go, None] * G[go]
+        b[live[go]] -= design.step[go] * grad_b[go]
+        live = live[go]
+        w, c = W[live].ravel(), b[live]
+        if not live.size:
             break
-        w -= step * grad_w
-        b -= step * grad_b
+        design = _BlockDesign.stack(
+            [blocks[k] for k in live], [wts[k] for k in live], l2
+        )
+    W[live] = w.reshape(-1, d)
+    b[live] = c
 
-    curve = None if losses is None else np.asarray(losses)
-    return LinearHypothesis(w, b, loss_curve=curve)
+    return [
+        LinearHypothesis(
+            W[k],
+            float(b[k]),
+            loss_curve=None if curves is None else np.asarray(curves[k]),
+        )
+        for k in range(K)
+    ]
 
 
 def empirical_error(h, data: Dataset) -> float:
@@ -275,19 +425,13 @@ def train_committee(
     rng: np.random.Generator,
     settings: TrainerSettings | None = None,
 ) -> Ensemble:
-    """K linear fits on disjoint random splits, combined by majority."""
-    parts = split_disjoint(data, K, rng)
-    return Ensemble([train_erm(p, settings, rng) for p in parts])
+    """K linear fits on disjoint random splits, combined by majority.
 
-
-def train_voting_student(
-    pseudo_labeled: Dataset,
-    K: int,
-    rng: np.random.Generator,
-    settings: TrainerSettings | None = None,
-) -> Ensemble:
-    """Split-and-vote student committee over pseudo-labeled data."""
-    return train_committee(pseudo_labeled, K, rng, settings)
+    All K fits run in one gradient-descent loop over the block-diagonal
+    stack of the splits; each member equals `train_erm` on its split bit
+    for bit.
+    """
+    return Ensemble(_descend(split_disjoint(data, K, rng), settings))
 
 
 @dataclass
@@ -477,7 +621,7 @@ def _dataset_margin_report(
     total = 0
     for _ in range(reps):
         for goal in (votes_a, votes_b):
-            ens = train_voting_student(train, K, rng)
+            ens = train_committee(train, K, rng)
             goal += ens.vote_ones(probes.X)
         total += K
     mean_a = votes_a / total

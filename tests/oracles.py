@@ -1,15 +1,19 @@
 """Independent oracles for the test suite.
 
 Everything in this module is computed from first principles: closed-form
-algebra, stdlib math, brute-force enumeration, or bisection root finding.
-Nothing here imports from privote, so agreement between the package and
-these functions is a genuine second opinion rather than a tautology.
+algebra, stdlib math, brute-force enumeration, bisection root finding, or
+a plain one-fit-at-a-time loop. Nothing here imports from privote, so
+agreement between the package and these functions is a genuine second
+opinion rather than a tautology.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+from scipy.special import expit
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +208,59 @@ def tnc_tail_mass(t: float, tau: float, c: float = 0.5) -> float:
         return 0.0
     radius = (t / c) ** (1.0 / q)
     return min(1.0, 2.0 * radius)
+
+
+# ---------------------------------------------------------------------------
+# Logistic-regression training, one fit at a time
+
+
+def reference_train_erm(data, settings, sample_weight=None, init=None):
+    """One full-batch gradient-descent fit, in its own loop.
+
+    This is privote's trainer as it was before committees were trained in
+    one batched loop; the batched trainer must match it bit for bit.
+    `data` has a CSR `X` and 0/1 labels `y`; `settings` has max_iter, l2,
+    grad_tol and track_loss; `init` has weights and bias. Returns
+    (weights, bias, loss_curve), the curve None unless track_loss.
+    """
+    X = data.X
+    n, d = X.shape
+    signs = 2.0 * data.y - 1.0
+    if sample_weight is None:
+        wts = np.full(n, 1.0 / n)
+    else:
+        wts = np.asarray(sample_weight, dtype=float)
+        wts = wts / wts.sum()
+
+    # smoothness bound: rows augmented with the bias coordinate
+    row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
+    L = 0.25 * float(row_sq.max()) + settings.l2
+    step = 1.0 / L
+
+    if init is None:
+        w = np.zeros(d)
+        b = 0.0
+    else:
+        w = init.weights.copy()
+        b = float(init.bias)
+    losses = [] if settings.track_loss else None
+    for _ in range(settings.max_iter):
+        scores = signs * (np.asarray(X @ w).ravel() + b)
+        if losses is not None:
+            loss = float(np.dot(wts, np.logaddexp(0.0, -scores)))
+            loss += 0.5 * settings.l2 * (np.dot(w, w) + b * b)
+            losses.append(loss)
+        coef = wts * signs * expit(-scores)
+        grad_w = -(X.T @ coef) + settings.l2 * w
+        grad_b = -coef.sum() + settings.l2 * b
+        gnorm = np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
+        if gnorm < settings.grad_tol:
+            break
+        w -= step * grad_w
+        b -= step * grad_b
+
+    curve = None if losses is None else np.asarray(losses)
+    return w, b, curve
 
 
 # ---------------------------------------------------------------------------

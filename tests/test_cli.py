@@ -137,3 +137,27 @@ def test_examples_subcommand(capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_private_json_is_strict(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth_n": 400, "trials": 2}))
+    argv = [
+        "psq", "--dataset", "realizable", "--config", str(cfg),
+        "--method", "PsqNoPrivacy", "--format", "json",
+    ]
+    assert main(argv) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    out = tmp_path / "rows.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    written = _strict_json(out.read_text())
+    assert printed == written
+    assert [row["epsilon"] for row in written] == ["inf", "inf"]
+    assert all(row["method"] == "PsqNoPrivacy" for row in written)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.sparse as sp
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -174,6 +175,80 @@ def test_committee_votes_match_member_loop():
     assert isinstance(vc, VoteCount)
     assert vc.total == 7 and vc.ones == ones[0]
     assert majority_label(ensemble, probe.X[0]) == int(2 * ones[0] >= 7)
+
+
+def _sparse_data(n, d, seed):
+    """Sparse rows, one-hot-like (0/1) for even seeds, real-valued for odd."""
+    rng = make_rng(seed)
+    X = sp.random(n, d, density=0.3, format="csr", random_state=seed)
+    if seed % 2 == 0:
+        X.data[:] = 1.0
+    return Dataset(X, rng.integers(0, 2, n))
+
+
+def _assert_matches_oracle(h, data, settings, sample_weight=None, init=None):
+    w, b, curve = oracles.reference_train_erm(data, settings, sample_weight, init)
+    assert np.array_equal(h.weights, w)
+    assert h.bias == b
+    if curve is None:
+        assert h.loss_curve is None
+    else:
+        assert np.array_equal(h.loss_curve, curve)
+
+
+def _assert_committee_matches_oracle(data, K, seed, settings):
+    """Every member equals a lone reference fit of its split_disjoint shard;
+    returns each member's number of recorded loss values."""
+    ensemble = train_committee(data, K, make_rng(seed), settings)
+    shards = split_disjoint(data, K, make_rng(seed))
+    assert ensemble.size == len(shards) == K
+    for member, shard in zip(ensemble.members, shards):
+        _assert_matches_oracle(member, shard, settings)
+    return [0 if m.loss_curve is None else len(m.loss_curve) for m in ensemble.members]
+
+
+@given(
+    st.integers(1, 400),
+    st.integers(1, 40),
+    st.integers(1, 25),
+    st.integers(0, 10_000),
+    st.integers(1, 30),
+    st.sampled_from([0.0, 0.05]),
+    st.booleans(),
+    st.sampled_from([1e-10, 1e-3, 5e-2]),
+)
+@example(60, 12, 8, 1, 30, 0.0, False, 1e-10)  # shards of 5 rows
+@example(401, 2, 10, 2, 20, 0.0, False, 1e-10)  # shards of 200 and 201 rows
+@example(300, 7, 12, 3, 25, 0.05, True, 1e-10)  # l2 > 0 with loss curves
+def test_committee_members_equal_lone_fits(n, K, d, seed, iters, l2, track, tol):
+    K = min(K, n)
+    settings = TrainerSettings(max_iter=iters, l2=l2, grad_tol=tol, track_loss=track)
+    _assert_committee_matches_oracle(_sparse_data(n, d, seed), K, seed, settings)
+
+
+def test_committee_members_stop_at_their_own_step():
+    settings = TrainerSettings(max_iter=60, grad_tol=5e-2, track_loss=True)
+    lengths = _assert_committee_matches_oracle(_sparse_data(200, 4, 4), 20, 4, settings)
+    # some teachers froze while others kept going
+    assert min(lengths) < max(lengths)
+
+
+@given(
+    st.integers(2, 300),
+    st.integers(1, 20),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.05]),
+    st.booleans(),
+)
+def test_train_erm_weights_and_init_equal_lone_fit(n, d, seed, l2, track):
+    data = _sparse_data(n, d, seed)
+    rng = make_rng(seed + 1)
+    weight = rng.random(n) * (rng.random(n) < 0.8)
+    weight[0] += n  # one heavy row, as in the active probe fits
+    init = LinearHypothesis(rng.normal(size=d), float(rng.normal()))
+    settings = TrainerSettings(max_iter=25, l2=l2, track_loss=track)
+    h = train_erm(data, settings, sample_weight=weight, init=init)
+    _assert_matches_oracle(h, data, settings, weight, init)
 
 
 def test_majority_tie_goes_to_one():
