@@ -9,30 +9,21 @@ families and experiment harness used to study when voting helps.
 """
 
 from .aggregation import (
+    ExactSession,
     GaussianSession,
-    Margin,
-    PseudoLabel,
     SessionExhausted,
     SvtSession,
     VoteCount,
     distance_to_instability,
-    gaussian_answer,
     margin,
-    session_privacy_report,
-    svt_answer,
     stability_release,
-    svt_generic,
     vote_majority,
 )
 from .dp_core import (
-    NoiseScale,
-    PrivacyAccount,
     PrivacyBudget,
     calibrate_gaussian_sigma,
     calibrate_svt_lambda,
     derive_seed,
-    dp_to_zcdp,
-    ex_post_epsilon,
     gaussian_composition_rho,
     make_rng,
     sample_gaussian,
@@ -61,19 +52,15 @@ from .learners import (
     FiniteHypothesisClass,
     LinearHypothesis,
     TrainerSettings,
-    empirical_disagreement,
     empirical_error,
     estimate_expected_margin,
     estimate_high_margin_nu,
     estimate_infinite_ensemble,
-    majority_label,
     margin_distribution_report,
-    predict,
     split_disjoint,
     threshold_class,
     train_committee,
     train_erm,
-    vote_count,
 )
 from .pipelines import (
     ActiveState,
@@ -87,14 +74,11 @@ from .pipelines import (
     compute_k_for_gaussian,
     compute_svt_params,
     pate_asq,
-    pate_asq_noiseless,
     pate_psq,
-    pate_psq_noiseless,
     run_active_learning,
     svt_works_params,
 )
 from .synthdata import (
-    DataGenerator,
     TncGenerator,
     VotingFailsFixture,
     VotingWinsGenerator,

@@ -1,11 +1,15 @@
 """Private labeling sessions over adaptive vote-count streams.
 
-Two session types answer "what does the ensemble say at x?" queries:
+Three session types answer "what does the ensemble say at x?" queries:
 
 * GaussianSession perturbs every vote count and pays for every answer.
 * SvtSession releases the exact majority only when the vote margin clears a
   noisy stability threshold, pays only for threshold crossings, and emits at
   most ``cutoff`` bottom (None) answers over its lifetime.
+* ExactSession releases the exact majority with no noise; it is the
+  non-private baseline and reports epsilon = inf.
+
+Each session's ``privacy_report()`` is the one place it states its cost.
 
 Sessions are strictly sequential single-owner state machines; the caller
 supplies the next query after seeing each answer.
@@ -31,19 +35,14 @@ from .dp_core import (
 
 __all__ = [
     "VoteCount",
-    "Margin",
-    "PseudoLabel",
     "SessionExhausted",
+    "ExactSession",
     "GaussianSession",
     "SvtSession",
     "margin",
     "distance_to_instability",
     "vote_majority",
-    "gaussian_answer",
-    "svt_answer",
-    "svt_generic",
     "stability_release",
-    "session_privacy_report",
 ]
 
 
@@ -63,26 +62,13 @@ class VoteCount:
             )
 
 
-class Margin(int):
-    """Absolute vote gap; an int constrained to be nonnegative.
-
-    Built from a VoteCount, it additionally shares the ensemble size's
-    parity and never exceeds it.
-    """
-
-    def __new__(cls, value):
-        if value < 0 or value != int(value):
-            raise ValueError("a margin is a nonnegative integer")
-        return super().__new__(cls, value)
-
-
-def margin(votes: VoteCount) -> Margin:
-    """Absolute vote gap |2*ones - total|.
+def margin(votes: VoteCount) -> int:
+    """Absolute vote gap |2*ones - total|, a nonnegative integer.
 
     One vote flip moves the margin by exactly 2, and the parity always
     matches the ensemble size.
     """
-    return Margin(abs(2 * votes.ones - votes.total))
+    return abs(2 * votes.ones - votes.total)
 
 
 def distance_to_instability(votes: VoteCount) -> int:
@@ -100,35 +86,22 @@ def vote_majority(votes: VoteCount) -> int:
     return int(votes.ones >= votes.total / 2)
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    """A released 0/1 label, or the bottom marker (value None).
-
-    Only stable-release sessions ever emit bottom; noisy-majority sessions
-    always answer.
-    """
-
-    value: int | None
-
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value not in (0, 1):
-            raise ValueError("released labels are 0 or 1")
-
-    @classmethod
-    def released(cls, value: int) -> "PseudoLabel":
-        return cls(int(value))
-
-    @classmethod
-    def bot(cls) -> "PseudoLabel":
-        return cls(None)
-
-    @property
-    def is_bot(self) -> bool:
-        return self.value is None
-
-
 class SessionExhausted(RuntimeError):
     """The session's query budget or unstable cutoff has been consumed."""
+
+
+class ExactSession:
+    """Non-private labeler: every answer is the exact vote majority.
+
+    It draws no noise and has no query budget; its report is
+    (epsilon, delta) = (inf, 0).
+    """
+
+    def answer(self, votes: VoteCount) -> int:
+        return vote_majority(votes)
+
+    def privacy_report(self) -> tuple[float, float]:
+        return math.inf, 0.0
 
 
 class GaussianSession:
@@ -250,56 +223,6 @@ class SvtSession:
     def privacy_report(self) -> tuple[float, float]:
         """The budgeted (epsilon, delta); depends only on cutoff and lambda."""
         return self.budget.epsilon, self.budget.delta
-
-
-def gaussian_answer(session: GaussianSession, votes: VoteCount) -> int:
-    """One noisy-majority label; spends one unit of the session budget."""
-    return session.answer(votes)
-
-
-def svt_answer(session: SvtSession, votes: VoteCount) -> PseudoLabel:
-    """One stable-release attempt, wrapped in the tagged label type."""
-    raw = session.answer(votes)
-    return PseudoLabel.bot() if raw is None else PseudoLabel.released(raw)
-
-
-def session_privacy_report(session) -> tuple[float, float]:
-    """(epsilon, delta) statement for either session type."""
-    report = getattr(session, "privacy_report", None)
-    if report is None:
-        raise TypeError(f"{type(session).__name__} is not a session")
-    return report()
-
-
-def svt_generic(
-    queries,
-    T: int,
-    w: float,
-    budget: PrivacyBudget,
-    rng: np.random.Generator,
-) -> list[bool]:
-    """Above-threshold over sensitivity-1 real queries with cutoff T.
-
-    Returns one boolean per processed query (True = above). Processing
-    stops once T below-threshold answers have been emitted, so the output
-    may be shorter than the input.
-    """
-    if T < 1:
-        raise ValueError("T must be positive")
-    lam = math.sqrt(32.0 * T * math.log(1.0 / budget.delta)) / budget.epsilon
-    noisy_w = w + sample_laplace(lam, rng)
-    out: list[bool] = []
-    below = 0
-    for q in queries:
-        if q + sample_laplace(2.0 * lam, rng) > noisy_w:
-            out.append(True)
-        else:
-            out.append(False)
-            below += 1
-            if below >= T:
-                break
-            noisy_w = w + sample_laplace(lam, rng)
-    return out
 
 
 def stability_release(

@@ -46,15 +46,19 @@ from .synthdata import (
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_io(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", help="LIBSVM file or generator name")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--out", help="output file (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"))
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    _add_io(sub)
     sub.add_argument("--method", help=f"one of {', '.join(METHODS)}")
     sub.add_argument("--epsilon", type=float)
     sub.add_argument("--delta", type=float)
     sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"))
     sub.add_argument("--config", help="JSON file mirroring ExperimentConfig")
     sub.add_argument(
         "--timing",
@@ -117,17 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     mar = subs.add_parser("margins", help="per-probe vote-margin estimates")
-    _add_common(mar)
+    _add_io(mar)
     mar.add_argument("--teachers", type=int, default=10, help="committee size")
     mar.add_argument("--probes", type=int, default=200)
     mar.add_argument("--reps", type=int, default=30)
     mar.add_argument("--n-per-teacher", type=int, default=100)
-    mar.add_argument("--n", type=int, help="synthetic sample size")
-    mar.add_argument("--tau", type=float)
-    mar.add_argument("--xi", type=float)
-    mar.add_argument("--flip", type=float)
-    mar.add_argument("--d", type=int)
-    mar.set_defaults(func=cmd_margins)
+    mar.add_argument("--n", type=int, default=2000, help="synthetic sample size")
+    mar.add_argument("--tau", type=float, default=0.5)
+    mar.add_argument("--xi", type=float, default=0.1)
+    mar.add_argument("--flip", type=float, default=0.1)
+    mar.add_argument("--d", type=int, default=5)
+    mar.set_defaults(func=cmd_margins, dataset="realizable", seed=0)
 
     exa = subs.add_parser("examples", help="the voting-fails and voting-wins fixtures")
     exa.add_argument("--seed", type=int, default=0)
@@ -270,19 +274,18 @@ def _rate_check(args) -> int:
 
 
 def cmd_margins(args) -> int:
-    rng = make_rng(args.seed or 0)
-    n = args.n or 2000
-    name = args.dataset or "realizable"
+    rng = make_rng(args.seed)
+    name = args.dataset
     if name == "tnc":
-        source = TncGenerator(args.tau if args.tau is not None else 0.5)
+        source = TncGenerator(args.tau)
     elif name == "voting_fails":
         source = VotingFailsFixture()
     elif name == "voting_wins":
-        source = gen_voting_wins(args.xi or 0.1, 1000, rng)
+        source = gen_voting_wins(args.xi, 1000, rng)
     elif name == "realizable":
-        source = gen_realizable(args.d or 5, n, rng)[0]
+        source = gen_realizable(args.d, args.n, rng)[0]
     elif name == "massart":
-        source = gen_massart(args.d or 5, n, args.flip or 0.1, rng)[0]
+        source = gen_massart(args.d, args.n, args.flip, rng)[0]
     else:
         source = parse_libsvm(name)
     rows = margin_distribution_report(

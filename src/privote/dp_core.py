@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 __all__ = [
     "PrivacyBudget",
-    "PrivacyAccount",
-    "NoiseScale",
     "make_rng",
     "derive_seed",
     "sample_laplace",
@@ -28,9 +25,7 @@ __all__ = [
     "calibrate_svt_lambda",
     "svt_threshold_w",
     "zcdp_to_dp",
-    "dp_to_zcdp",
     "gaussian_composition_rho",
-    "ex_post_epsilon",
 ]
 
 
@@ -57,37 +52,6 @@ class PrivacyBudget:
                 "aggregation sessions assume epsilon <= log(1/delta)",
                 stacklevel=2,
             )
-
-
-@dataclass
-class PrivacyAccount:
-    """Running zCDP ledger; rho is the exact sum of per-release increments."""
-
-    rho: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-
-    def spend(self, rho: float) -> None:
-        if rho < 0:
-            raise ValueError("cannot spend negative rho")
-        self.rho += rho
-
-    def epsilon_at(self, delta: float) -> float:
-        return zcdp_to_dp(self.rho, delta)
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    kind: Literal["laplace", "gaussian"]
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("laplace", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -205,13 +169,6 @@ def zcdp_to_dp(rho: float, delta: float) -> float:
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
-def dp_to_zcdp(epsilon: float) -> float:
-    """zCDP parameter implied by pure epsilon-DP."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return epsilon**2 / 2.0
-
-
 def gaussian_composition_rho(ell: int, sigma: float) -> float:
     """zCDP cost of ell sensitivity-1 Gaussian releases at noise sigma."""
     if ell < 0 or ell != int(ell):
@@ -219,8 +176,3 @@ def gaussian_composition_rho(ell: int, sigma: float) -> float:
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     return ell / (2.0 * sigma**2)
-
-
-def ex_post_epsilon(queries_answered: int, sigma: float, delta: float) -> float:
-    """Realized privacy loss after answering only part of a query budget."""
-    return zcdp_to_dp(gaussian_composition_rho(queries_answered, sigma), delta)

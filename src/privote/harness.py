@@ -26,16 +26,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dp_core import PrivacyBudget, derive_seed, make_rng
-from .learners import Dataset, TrainerSettings, empirical_error, train_erm
+from .learners import Dataset, empirical_error, train_erm
 from .pipelines import (
     AsqConfig,
     PsqConfig,
     RunReport,
     compute_svt_params,
     pate_asq,
-    pate_asq_noiseless,
     pate_psq,
-    pate_psq_noiseless,
 )
 from .synthdata import gen_massart, gen_realizable, gen_tnc
 
@@ -359,31 +357,32 @@ def _load_source(config: ExperimentConfig):
 def _run_trial(
     config: ExperimentConfig, data: Dataset, rng: np.random.Generator
 ) -> tuple[RunReport, float, float]:
-    """One pipeline run on a fresh split; returns (report, eps, delta)."""
+    """One pipeline run on a fresh split; returns (report, eps, delta).
+
+    Non-private methods run the same pipelines with no budget, so their
+    sessions release exact majorities; their rows state (inf, 0).
+    """
     split = split_protocol(data, config.fractions, rng)
     teacher, student, test = split.teacher, split.student, split.test
     K = config.K if config.K is not None else math.ceil(len(teacher) / 100)
     method = config.method
 
-    if not config.private:
-        if method == "PsqNoPrivacy":
-            _, report = pate_psq_noiseless(teacher, student, test, K, rng)
-        else:
-            dummy = PrivacyBudget(1.0, 1.0 / len(teacher))
-            cfg = AsqConfig(
-                K=K,
-                query_budget=max(1, round(config.query_fraction * len(student))),
-                budget=dummy,
-                gamma=config.gamma,
-            )
-            _, report = pate_asq_noiseless(teacher, student, test, cfg, rng)
-        return report, math.inf, 0.0
+    if config.private:
+        delta = config.delta if config.delta is not None else 1.0 / len(teacher)
+        budget = PrivacyBudget(config.epsilon, delta)
+        eps, delta = budget.epsilon, budget.delta
+    else:
+        budget = None
+        eps, delta = math.inf, 0.0
 
-    delta = config.delta if config.delta is not None else 1.0 / len(teacher)
-    budget = PrivacyBudget(config.epsilon, delta)
-    if method == "PsqGaussian":
-        cfg = PsqConfig(K=K, budget=budget, bot_policy=config.bot_policy)
-        _, report = pate_psq(teacher, student, test, cfg, rng)
+    if method in ("Asq", "AsqNoPrivacy"):
+        cfg = AsqConfig(
+            K=K,
+            query_budget=max(1, round(config.query_fraction * len(student))),
+            budget=budget,
+            gamma=config.gamma,
+        )
+        _, report = pate_asq(teacher, student, test, cfg, rng)
     elif method == "PsqSvt":
         if config.svt_T is not None:
             T = config.svt_T
@@ -398,15 +397,10 @@ def _run_trial(
             bot_policy=config.bot_policy,
         )
         _, report = pate_psq(teacher, student, test, cfg, rng)
-    else:  # Asq
-        cfg = AsqConfig(
-            K=K,
-            query_budget=max(1, round(config.query_fraction * len(student))),
-            budget=budget,
-            gamma=config.gamma,
-        )
-        _, report = pate_asq(teacher, student, test, cfg, rng)
-    return report, budget.epsilon, budget.delta
+    else:  # PsqGaussian, PsqNoPrivacy
+        cfg = PsqConfig(K=K, budget=budget, bot_policy=config.bot_policy)
+        _, report = pate_psq(teacher, student, test, cfg, rng)
+    return report, eps, delta
 
 
 def run_experiment(

@@ -22,8 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .aggregation import VoteCount, vote_majority
-
 __all__ = [
     "Dataset",
     "LinearHypothesis",
@@ -33,11 +31,7 @@ __all__ = [
     "threshold_class",
     "split_disjoint",
     "train_erm",
-    "predict",
     "empirical_error",
-    "empirical_disagreement",
-    "vote_count",
-    "majority_label",
     "train_committee",
     "estimate_infinite_ensemble",
     "estimate_expected_margin",
@@ -122,11 +116,6 @@ class LinearHypothesis:
         return (self.decision(X) >= 0.0).astype(np.int64)
 
 
-def predict(h: LinearHypothesis, x) -> int:
-    """Label of a single example (ties at the boundary go to 1)."""
-    return int(h.predict(x)[0])
-
-
 @dataclass(frozen=True)
 class TrainerSettings:
     """Full-batch gradient descent settings for the logistic surrogate."""
@@ -146,7 +135,6 @@ class TrainerSettings:
 def train_erm(
     data: Dataset,
     settings: TrainerSettings | None = None,
-    rng: np.random.Generator | None = None,
     sample_weight: np.ndarray | None = None,
     init: LinearHypothesis | None = None,
 ) -> LinearHypothesis:
@@ -154,10 +142,10 @@ def train_erm(
 
     Full-batch gradient descent from zero initialization (or from `init`)
     with step 1/L, where L bounds the logistic smoothness on this data, so
-    the loss is non-increasing across iterations. Deterministic for fixed
-    inputs; `rng` is unused. This is the one-block case of the loop that
-    trains a whole committee (see `_descend`), so a lone fit and a
-    committee member on the same rows are bit-for-bit equal.
+    the loss is non-increasing across iterations. The fit draws no
+    randomness. This is the one-block case of the loop that trains a whole
+    committee (see `_descend`), so a lone fit and a committee member on the
+    same rows are bit-for-bit equal.
     """
     return _descend([data], settings, [sample_weight], [init])[0]
 
@@ -359,13 +347,6 @@ def empirical_error(h, data: Dataset) -> float:
     return float(np.mean(h.predict(data.X) != data.y))
 
 
-def empirical_disagreement(h1, h2, data: Dataset) -> float:
-    """Fraction of examples where the two hypotheses differ."""
-    if len(data) == 0:
-        raise ValueError("empirical disagreement of an empty dataset is undefined")
-    return float(np.mean(h1.predict(data.X) != h2.predict(data.X)))
-
-
 def split_disjoint(
     data: Dataset, K: int, rng: np.random.Generator
 ) -> list[Dataset]:
@@ -406,17 +387,6 @@ class Ensemble:
         b = np.array([m.bias for m in self.members])
         scores = np.asarray(_as_csr(X) @ W) + b
         return (scores >= 0.0).sum(axis=1).astype(np.int64)
-
-
-def vote_count(ensemble: Ensemble, x) -> VoteCount:
-    """Vote tally of the ensemble at a single example."""
-    ones = int(ensemble.vote_ones(x)[0])
-    return VoteCount(ones, ensemble.size)
-
-
-def majority_label(ensemble: Ensemble, x) -> int:
-    """Majority prediction at x; exact ties go to 1."""
-    return vote_majority(vote_count(ensemble, x))
 
 
 def train_committee(

@@ -9,6 +9,10 @@ active (ASQ): a disagreement-based learner decides which points are worth
     one of its limited label queries, so the realized privacy loss tracks
     the number of labels actually requested.
 
+A config's budget picks the session. budget=None means exact majority: an
+ExactSession answers every query without noise, which is the non-private
+baseline, and the run reports epsilon = inf.
+
 Parameter-sizing helpers translate accuracy targets into the committee
 size K and the unstable-query cutoff T.
 """
@@ -22,13 +26,8 @@ from typing import Any, Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .aggregation import GaussianSession, SvtSession, VoteCount, vote_majority
-from .dp_core import (
-    PrivacyBudget,
-    calibrate_svt_lambda,
-    ex_post_epsilon,
-    make_rng,
-)
+from .aggregation import ExactSession, GaussianSession, SvtSession, VoteCount
+from .dp_core import PrivacyBudget, calibrate_svt_lambda, make_rng
 from .learners import (
     Dataset,
     FiniteHypothesisClass,
@@ -47,9 +46,7 @@ __all__ = [
     "LinearClassDescriptor",
     "FiniteClassDescriptor",
     "pate_psq",
-    "pate_psq_noiseless",
     "pate_asq",
-    "pate_asq_noiseless",
     "active_disagreement_test",
     "active_update_version_space",
     "run_active_learning",
@@ -81,7 +78,7 @@ class RunReport:
 @dataclass(frozen=True)
 class PsqConfig:
     K: int
-    budget: PrivacyBudget
+    budget: PrivacyBudget | None  # None: exact majority, no privacy
     mechanism: str = "gaussian"
     T: int | None = None
     bot_policy: str = "zero"
@@ -96,13 +93,15 @@ class PsqConfig:
             raise ValueError(f"bot_policy must be one of {BOT_POLICIES}")
         if self.mechanism == "svt" and (self.T is None or self.T < 1):
             raise ValueError("the svt mechanism needs a positive cutoff T")
+        if self.mechanism == "svt" and self.budget is None:
+            raise ValueError("the svt mechanism needs a privacy budget")
 
 
 @dataclass(frozen=True)
 class AsqConfig:
     K: int
     query_budget: int
-    budget: PrivacyBudget
+    budget: PrivacyBudget | None  # None: exact majority, no privacy
     gamma: float = 0.1
     c_prime: float = 1.0
     slack: float | None = None  # None: 1/|Q|, refreshed as Q grows
@@ -148,7 +147,8 @@ def pate_psq(
     Every pool point is pushed through the aggregation session in stream
     order. A stable-release session may refuse some answers and eventually
     halt; refused and post-halt points get bot_policy labels, and the
-    report records how many.
+    report records how many. With no budget every point gets the exact
+    majority label.
     """
     _require_pools(teacher_data, student_pool, test_data, config.K)
     rng = make_rng(rng)
@@ -156,7 +156,9 @@ def pate_psq(
     ones = ensemble.vote_ones(student_pool.X)
     m = len(student_pool)
 
-    if config.mechanism == "gaussian":
+    if config.budget is None:
+        session = ExactSession()
+    elif config.mechanism == "gaussian":
         session = GaussianSession.for_budget(m, config.budget, rng)
     else:
         session = SvtSession.for_budget(m, config.T, config.budget, rng)
@@ -177,37 +179,13 @@ def pate_psq(
         labels[i] = answer
 
     eps, _ = session.privacy_report()
-    student = train_erm(student_pool.with_labels(labels), config.trainer, rng)
+    student = train_erm(student_pool.with_labels(labels), config.trainer)
     report = RunReport(
         queries=queries,
         bots=bots,
         eps_ex_post=eps,
         accuracy=1.0 - empirical_error(student, test_data),
         halted_early=isinstance(session, SvtSession) and session.halted,
-    )
-    return student, report
-
-
-def pate_psq_noiseless(
-    teacher_data: Dataset,
-    student_pool: Dataset,
-    test_data: Dataset,
-    K: int,
-    rng: np.random.Generator | int | None = None,
-    trainer: TrainerSettings | None = None,
-) -> tuple[LinearHypothesis, RunReport]:
-    """Non-private baseline: exact majority labels for the whole pool."""
-    _require_pools(teacher_data, student_pool, test_data, K)
-    rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, K, rng, trainer)
-    ones = ensemble.vote_ones(student_pool.X)
-    labels = (2 * ones >= K).astype(np.int64)
-    student = train_erm(student_pool.with_labels(labels), trainer, rng)
-    report = RunReport(
-        queries=len(student_pool),
-        bots=0,
-        eps_ex_post=math.inf,
-        accuracy=1.0 - empirical_error(student, test_data),
     )
     return student, report
 
@@ -432,71 +410,38 @@ def pate_asq(
     The teacher committee sits behind a noisy-majority session calibrated
     for `query_budget` answers, so the privacy statement covers the worst
     case while the reported ex-post loss reflects the queries actually
-    made.
+    made. With no budget the committee's exact majority answers.
     """
     _require_pools(teacher_data, student_pool, test_data, config.K)
     rng = make_rng(rng)
     ensemble = train_committee(teacher_data, config.K, rng, config.trainer)
     ones = ensemble.vote_ones(student_pool.X)
-    session = GaussianSession.for_budget(config.query_budget, config.budget, rng)
+    if config.budget is None:
+        session = ExactSession()
+    else:
+        session = GaussianSession.for_budget(
+            config.query_budget, config.budget, rng
+        )
 
-    state = _drive_asq(
-        student_pool,
-        config,
-        lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
-    )
-    report = RunReport(
-        queries=state.c,
-        bots=0,
-        eps_ex_post=ex_post_epsilon(
-            session.answered, session.sigma, config.budget.delta
-        ),
-        accuracy=1.0 - empirical_error(state.hypothesis, test_data),
-    )
-    return state.hypothesis, report
-
-
-def pate_asq_noiseless(
-    teacher_data: Dataset,
-    student_pool: Dataset,
-    test_data: Dataset,
-    config: AsqConfig,
-    rng: np.random.Generator | int | None = None,
-) -> tuple[LinearHypothesis, RunReport]:
-    """Active baseline answered by the exact committee majority."""
-    _require_pools(teacher_data, student_pool, test_data, config.K)
-    rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng, config.trainer)
-    ones = ensemble.vote_ones(student_pool.X)
-
-    state = _drive_asq(
-        student_pool,
-        config,
-        lambda x, i: vote_majority(VoteCount(int(ones[i]), config.K)),
-    )
-    report = RunReport(
-        queries=state.c,
-        bots=0,
-        eps_ex_post=math.inf,
-        accuracy=1.0 - empirical_error(state.hypothesis, test_data),
-    )
-    return state.hypothesis, report
-
-
-def _drive_asq(student_pool: Dataset, config: AsqConfig, oracle) -> ActiveState:
     descriptor = LinearClassDescriptor(
         n_features=student_pool.n_features,
         settings=config.trainer or TrainerSettings(),
     )
-    stream = [student_pool.X[i] for i in range(len(student_pool))]
-    return run_active_learning(
+    state = run_active_learning(
         descriptor,
-        stream,
-        oracle,
+        [student_pool.X[i] for i in range(len(student_pool))],
+        lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
         config.query_budget,
         config.gamma,
         config.slack,
     )
+    report = RunReport(
+        queries=state.c,
+        bots=0,
+        eps_ex_post=session.privacy_report()[0],
+        accuracy=1.0 - empirical_error(state.hypothesis, test_data),
+    )
+    return state.hypothesis, report
 
 
 # ---------------------------------------------------------------------------

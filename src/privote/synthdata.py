@@ -16,7 +16,6 @@ from .dp_core import make_rng
 from .learners import Dataset, FiniteHypothesisClass, LinearHypothesis
 
 __all__ = [
-    "DataGenerator",
     "TncGenerator",
     "VotingFailsFixture",
     "VotingWinsGenerator",
@@ -26,9 +25,6 @@ __all__ = [
     "gen_voting_fails",
     "gen_voting_wins",
 ]
-
-GENERATOR_KINDS = ("realizable", "massart", "tnc", "voting_fails", "voting_wins")
-
 
 def _hidden_halfspace(d: int, rng: np.random.Generator) -> LinearHypothesis:
     w = rng.normal(size=d)
@@ -350,44 +346,3 @@ def gen_voting_wins(
     rng = make_rng(rng)
     truth = rng.integers(0, 2, size=domain_size).astype(np.int64)
     return VotingWinsGenerator(xi, truth)
-
-
-@dataclass(frozen=True)
-class DataGenerator:
-    """Named generator config, addressable from experiment files.
-
-    kind is one of realizable, massart, tnc, voting_fails, voting_wins;
-    parameters holds that kind's knobs (d, flip, tau, c, xi, domain_size).
-    """
-
-    kind: str
-    parameters: dict
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in GENERATOR_KINDS:
-            raise ValueError(
-                f"unknown generator kind {self.kind!r}; "
-                f"expected one of {GENERATOR_KINDS}"
-            )
-        p = self.parameters
-        if self.kind == "massart" and not (0.0 <= p.get("flip", 0.0) < 0.5):
-            raise ValueError("flip rate must lie in [0, 1/2)")
-        if self.kind == "tnc" and not (0.0 < p.get("tau", 1.0) <= 1.0):
-            raise ValueError("tau must lie in (0, 1]")
-        if self.kind == "voting_wins" and not (0.0 < p.get("xi", 0.1) < 0.5):
-            raise ValueError("xi must lie in (0, 1/2)")
-
-    def materialize(self, n: int | None = None):
-        """Build the generator's output; n is required for dataset kinds."""
-        rng = make_rng(self.seed)
-        p = self.parameters
-        if self.kind == "realizable":
-            return gen_realizable(p.get("d", 5), n, rng)
-        if self.kind == "massart":
-            return gen_massart(p.get("d", 5), n, p.get("flip", 0.1), rng)
-        if self.kind == "tnc":
-            return gen_tnc(p.get("tau", 1.0), n, rng, c=p.get("c", 0.5))
-        if self.kind == "voting_fails":
-            return gen_voting_fails()
-        return gen_voting_wins(p.get("xi", 0.1), p.get("domain_size", 1000), rng)

@@ -2,9 +2,14 @@
 
 Everything in this module is computed from first principles: closed-form
 algebra, stdlib math, brute-force enumeration, bisection root finding, or
-a plain one-fit-at-a-time loop. Nothing here imports from privote, so
-agreement between the package and these functions is a genuine second
-opinion rather than a tautology.
+a plain one-fit-at-a-time loop. Nothing at module level imports from
+privote, so agreement between the package and these functions is a
+genuine second opinion rather than a tautology.
+
+The exception is the two reference pipelines at the end. They are the
+non-private pipelines as they stood before exact-majority sessions, and
+they call privote's committee trainer, student fit and active loop; they
+pin that running the private pipelines with no budget changes nothing.
 """
 
 from __future__ import annotations
@@ -261,6 +266,78 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
 
     curve = None if losses is None else np.asarray(losses)
     return w, b, curve
+
+
+# ---------------------------------------------------------------------------
+# Non-private pipelines, before exact-majority sessions
+
+
+def reference_psq_noiseless(
+    teacher_data, student_pool, test_data, K, rng=None, trainer=None
+):
+    """Non-private baseline: exact majority labels for the whole pool."""
+    from privote.dp_core import make_rng
+    from privote.learners import empirical_error, train_committee, train_erm
+    from privote.pipelines import RunReport, _require_pools
+
+    _require_pools(teacher_data, student_pool, test_data, K)
+    rng = make_rng(rng)
+    ensemble = train_committee(teacher_data, K, rng, trainer)
+    ones = ensemble.vote_ones(student_pool.X)
+    labels = (2 * ones >= K).astype(np.int64)
+    student = train_erm(student_pool.with_labels(labels), trainer)
+    report = RunReport(
+        queries=len(student_pool),
+        bots=0,
+        eps_ex_post=math.inf,
+        accuracy=1.0 - empirical_error(student, test_data),
+    )
+    return student, report
+
+
+def reference_asq_noiseless(teacher_data, student_pool, test_data, config, rng=None):
+    """Active baseline answered by the exact committee majority."""
+    from privote.aggregation import VoteCount, vote_majority
+    from privote.dp_core import make_rng
+    from privote.learners import empirical_error, train_committee
+    from privote.pipelines import RunReport, _require_pools
+
+    _require_pools(teacher_data, student_pool, test_data, config.K)
+    rng = make_rng(rng)
+    ensemble = train_committee(teacher_data, config.K, rng, config.trainer)
+    ones = ensemble.vote_ones(student_pool.X)
+
+    state = _drive_asq(
+        student_pool,
+        config,
+        lambda x, i: vote_majority(VoteCount(int(ones[i]), config.K)),
+    )
+    report = RunReport(
+        queries=state.c,
+        bots=0,
+        eps_ex_post=math.inf,
+        accuracy=1.0 - empirical_error(state.hypothesis, test_data),
+    )
+    return state.hypothesis, report
+
+
+def _drive_asq(student_pool, config, oracle):
+    from privote.learners import TrainerSettings
+    from privote.pipelines import LinearClassDescriptor, run_active_learning
+
+    descriptor = LinearClassDescriptor(
+        n_features=student_pool.n_features,
+        settings=config.trainer or TrainerSettings(),
+    )
+    stream = [student_pool.X[i] for i in range(len(student_pool))]
+    return run_active_learning(
+        descriptor,
+        stream,
+        oracle,
+        config.query_budget,
+        config.gamma,
+        config.slack,
+    )
 
 
 # ---------------------------------------------------------------------------

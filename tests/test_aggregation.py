@@ -1,30 +1,24 @@
-"""Vote margins, stability distances, and the two aggregation sessions."""
+"""Vote margins, stability distances, and the three aggregation sessions."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from privote import (
+    ExactSession,
     GaussianSession,
-    Margin,
     PrivacyBudget,
-    PseudoLabel,
     SessionExhausted,
     SvtSession,
     VoteCount,
     distance_to_instability,
-    gaussian_answer,
     make_rng,
     margin,
     sample_laplace,
-    session_privacy_report,
     stability_release,
-    svt_answer,
-    svt_generic,
     vote_majority,
 )
 
@@ -45,12 +39,10 @@ def test_vote_count_validation():
 
 def test_margin_type_and_examples():
     m = margin(VoteCount(3, 5))
-    assert isinstance(m, Margin) and isinstance(m, int)
+    assert type(m) is int
     assert m == 1
     assert margin(VoteCount(0, 10)) == 10
     assert margin(VoteCount(5, 10)) == 0
-    with pytest.raises(ValueError):
-        Margin(-1)
 
 
 def test_distance_examples():
@@ -102,12 +94,17 @@ def test_tie_breaks_to_one():
     assert vote_majority(VoteCount(4, 6)) == 1
 
 
-def test_pseudo_label():
-    assert PseudoLabel.released(1).value == 1
-    assert PseudoLabel.bot().is_bot
-    assert not PseudoLabel.released(0).is_bot
-    with pytest.raises(ValueError):
-        PseudoLabel(2)
+# ---------------------------------------------------------------------------
+# Exact-majority sessions
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_exact_session_is_vote_majority(k):
+    session = ExactSession()
+    for votes in oracles.all_vote_vectors(k):
+        # no budget: every query in the enumeration is answered
+        assert session.answer(_vc(votes)) == oracles.brute_majority(list(votes))
+    assert session.privacy_report() == (math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +130,7 @@ def test_gaussian_tiny_noise_is_exact_majority():
 def test_gaussian_budget_exhaustion():
     session = GaussianSession(1.0, 3, 1e-5, make_rng(0))
     for _ in range(3):
-        gaussian_answer(session, VoteCount(1, 1))
+        session.answer(VoteCount(1, 1))
     with pytest.raises(SessionExhausted):
         session.answer(VoteCount(1, 1))
 
@@ -210,8 +207,7 @@ def test_svt_cutoff_halts_session():
     budget = PrivacyBudget(1.0, 1e-4)
     session = SvtSession(5.0, 1e9, 3, budget, make_rng(0))
     for _ in range(3):
-        out = svt_answer(session, VoteCount(1, 2))
-        assert out.is_bot
+        assert session.answer(VoteCount(1, 2)) is None
     assert session.halted
     with pytest.raises(SessionExhausted):
         session.answer(VoteCount(1, 2))
@@ -253,12 +249,6 @@ def test_svt_report_ignores_stable_count():
         a.answer(VoteCount(k, k))
     b.answer(VoteCount(k, k))
     assert a.privacy_report() == b.privacy_report() == (0.7, 1e-6)
-    assert session_privacy_report(a) == a.privacy_report()
-
-
-def test_session_report_dispatch_rejects_junk():
-    with pytest.raises(TypeError):
-        session_privacy_report(object())
 
 
 def test_svt_validation():
@@ -272,25 +262,7 @@ def test_svt_validation():
 
 
 # ---------------------------------------------------------------------------
-# Generic above-threshold and one-shot stability release
-
-
-def test_svt_generic_stops_after_T_below():
-    budget = PrivacyBudget(1.0, 1e-5)
-    out = svt_generic([0.0] * 500, 4, 1e6, budget, make_rng(3))
-    assert out == [False] * 4
-    out = svt_generic([1e9] * 50, 4, 10.0, budget, make_rng(3))
-    assert out == [True] * 50
-
-
-def test_svt_generic_mixed_stream():
-    budget = PrivacyBudget(2.0, 1e-5)
-    queries = [1e9, 0.0, 1e9, 0.0, 1e9, 0.0, 1e9, 1e9] + [0.0] * 10
-    out = svt_generic(queries, 3, 1e5, budget, make_rng(8))
-    # the third below-threshold answer (index 5) ends the run
-    assert out == [True, False, True, False, True, False]
-    with pytest.raises(ValueError):
-        svt_generic([], 0, 1.0, budget, make_rng(0))
+# One-shot stability release
 
 
 def test_stability_release_tails():

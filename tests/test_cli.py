@@ -126,6 +126,30 @@ def test_margins_subcommand(capsys):
     assert len(lines) == 7
 
 
+def test_margins_honors_explicit_zero_flip(capsys):
+    base = ["margins", "--dataset", "massart", "--probes", "6", "--reps", "3",
+            "--teachers", "5", "--n", "300", "--n-per-teacher", "20"]
+    outputs = []
+    for flip in ("0", "0.1"):
+        assert main(base + ["--flip", flip]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+    assert main(base) == 0  # the default flip rate is 0.1
+    assert capsys.readouterr().out == outputs[1]
+
+
+def test_margins_rejects_experiment_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["margins", "--epsilon", "1"])
+    assert exc.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+
+
+def test_margins_rejects_zero_dimension(capsys):
+    assert main(["margins", "--d", "0"]) == 1
+    assert "positive" in capsys.readouterr().err
+
+
 def test_examples_subcommand(capsys):
     code = main(["examples", "--reps", "3", "--domain", "500"])
     assert code == 0

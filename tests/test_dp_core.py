@@ -1,7 +1,5 @@
 """Noise calibration, accounting, and sampler correctness."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,14 +8,12 @@ from scipy import stats
 
 import oracles
 from privote import (
-    NoiseScale,
-    PrivacyAccount,
+    GaussianSession,
     PrivacyBudget,
+    VoteCount,
     calibrate_gaussian_sigma,
     calibrate_svt_lambda,
     derive_seed,
-    dp_to_zcdp,
-    ex_post_epsilon,
     gaussian_composition_rho,
     make_rng,
     sample_gaussian,
@@ -79,7 +75,6 @@ def test_svt_threshold_matches_formula():
 
 
 def test_zcdp_conversions():
-    assert dp_to_zcdp(2.0) == pytest.approx(2.0)
     assert zcdp_to_dp(0.3, 1e-5) == pytest.approx(oracles.zcdp_epsilon(0.3, 1e-5))
     assert zcdp_to_dp(0.0, 1e-5) == 0.0
 
@@ -89,9 +84,9 @@ def test_zcdp_conversions():
     delta=st.floats(1e-10, 1e-2),
 )
 def test_zcdp_round_trip_never_understates(eps, delta):
-    # eps^2/2 zCDP implies an (eps', delta) guarantee with eps' >= eps, so
-    # converting back can only grow the epsilon
-    back = zcdp_to_dp(dp_to_zcdp(eps), delta)
+    # eps-DP implies eps^2/2 zCDP, which implies an (eps', delta) guarantee
+    # with eps' >= eps, so converting back can only grow the epsilon
+    back = zcdp_to_dp(eps**2 / 2.0, delta)
     assert back >= eps - 1e-12
 
 
@@ -110,18 +105,25 @@ def test_calibration_residual_property(ell, eps, delta):
 def test_composition_and_ex_post():
     sigma = 28.0
     assert gaussian_composition_rho(163, sigma) == pytest.approx(163 / (2 * sigma**2))
-    assert ex_post_epsilon(0, sigma, 1e-5) == 0.0
-    vals = [ex_post_epsilon(q, sigma, 1e-5) for q in range(0, 50, 7)]
+
+    def ex_post(q):
+        return zcdp_to_dp(gaussian_composition_rho(q, sigma), 1e-5)
+
+    assert ex_post(0) == 0.0
+    vals = [ex_post(q) for q in range(0, 50, 7)]
     assert vals == sorted(vals)
-    assert ex_post_epsilon(10, sigma, 1e-5) == pytest.approx(
+    assert ex_post(10) == pytest.approx(
         oracles.zcdp_epsilon(10 / (2 * sigma**2), 1e-5)
     )
 
 
 def test_ex_post_at_budget_recovers_calibrated_epsilon():
     budget = PrivacyBudget(2.0, 1e-4)
-    sigma = calibrate_gaussian_sigma(163, budget)
-    assert ex_post_epsilon(163, sigma, budget.delta) == pytest.approx(2.0, rel=1e-9)
+    session = GaussianSession.for_budget(163, budget, make_rng(0))
+    for _ in range(163):
+        session.answer(VoteCount(1, 3))
+    eps, delta = session.privacy_report()
+    assert eps == pytest.approx(2.0, rel=1e-9) and delta == budget.delta
 
 
 def test_budget_validation():
@@ -135,26 +137,6 @@ def test_budget_validation():
         PrivacyBudget(1.0, 1.0)
     with pytest.warns(UserWarning):
         PrivacyBudget(50.0, 1e-5)
-
-
-def test_privacy_account_ledger():
-    acct = PrivacyAccount()
-    acct.spend(0.1)
-    acct.spend(0.25)
-    assert acct.rho == pytest.approx(0.35)
-    assert acct.epsilon_at(1e-5) == pytest.approx(oracles.zcdp_epsilon(0.35, 1e-5))
-    with pytest.raises(ValueError):
-        acct.spend(-0.1)
-    with pytest.raises(ValueError):
-        PrivacyAccount(-1.0)
-
-
-def test_noise_scale_validation():
-    NoiseScale("laplace", 1.0)
-    with pytest.raises(ValueError):
-        NoiseScale("cauchy", 1.0)
-    with pytest.raises(ValueError):
-        NoiseScale("gaussian", 0.0)
 
 
 def test_derive_seed_deterministic_and_spread():

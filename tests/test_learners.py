@@ -14,7 +14,6 @@ from privote import (
     LinearHypothesis,
     TrainerSettings,
     VoteCount,
-    empirical_disagreement,
     empirical_error,
     estimate_expected_margin,
     estimate_high_margin_nu,
@@ -22,15 +21,13 @@ from privote import (
     gen_realizable,
     gen_voting_fails,
     gen_voting_wins,
-    majority_label,
     make_rng,
     margin_distribution_report,
-    predict,
     split_disjoint,
     threshold_class,
     train_committee,
     train_erm,
-    vote_count,
+    vote_majority,
 )
 
 
@@ -63,7 +60,7 @@ def test_dataset_validation():
 
 def test_hypothesis_tie_goes_to_one():
     h = LinearHypothesis(np.zeros(3))
-    assert predict(h, np.zeros((1, 3))) == 1
+    assert h.predict(np.zeros((1, 3)))[0] == 1
     assert h.predict(np.zeros((5, 3))).tolist() == [1] * 5
 
 
@@ -140,12 +137,17 @@ def test_warm_start_and_weights():
     assert weighted.predict(data.X[0])[0] == data.y[0]
 
 
+def _disagreement(h1, h2, data):
+    # disagreement is h2's error on h1's labels
+    return empirical_error(h2, data.with_labels(h1.predict(data.X)))
+
+
 def test_empirical_error_and_disagreement():
     data = _random_data(100, 4, 13)
     h = train_erm(data)
     assert empirical_error(h, data.with_labels(h.predict(data.X))) == 0.0
     h2 = LinearHypothesis(-h.weights, -h.bias - 1.0)
-    d = empirical_disagreement(h, h2, data)
+    d = _disagreement(h, h2, data)
     assert 0.0 <= d <= 1.0
 
 
@@ -155,9 +157,9 @@ def test_disagreement_triangle_inequality(seed):
     data = Dataset(rng.normal(size=(60, 3)))
     hs = [LinearHypothesis(rng.normal(size=3), rng.normal()) for _ in range(3)]
     a, b, c = hs
-    dab = empirical_disagreement(a, b, data)
-    dbc = empirical_disagreement(b, c, data)
-    dac = empirical_disagreement(a, c, data)
+    dab = _disagreement(a, b, data)
+    dbc = _disagreement(b, c, data)
+    dac = _disagreement(a, c, data)
     assert dac <= dab + dbc + 1e-12
 
 
@@ -171,10 +173,9 @@ def test_committee_votes_match_member_loop():
     for member in ensemble.members:
         manual += member.predict(probe.X)
     assert np.array_equal(ones, manual)
-    vc = vote_count(ensemble, probe.X[0])
-    assert isinstance(vc, VoteCount)
+    vc = VoteCount(int(ensemble.vote_ones(probe.X[0])[0]), ensemble.size)
     assert vc.total == 7 and vc.ones == ones[0]
-    assert majority_label(ensemble, probe.X[0]) == int(2 * ones[0] >= 7)
+    assert vote_majority(vc) == int(2 * ones[0] >= 7)
 
 
 def _sparse_data(n, d, seed):
@@ -255,7 +256,8 @@ def test_majority_tie_goes_to_one():
     up = LinearHypothesis(np.array([0.0]), 1.0)
     down = LinearHypothesis(np.array([0.0]), -1.0)
     ensemble = Ensemble([up, down])
-    assert majority_label(ensemble, np.zeros((1, 1))) == 1
+    ones = int(ensemble.vote_ones(np.zeros((1, 1)))[0])
+    assert vote_majority(VoteCount(ones, ensemble.size)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from privote import (
     calibrate_gaussian_sigma,
     compute_k_for_gaussian,
     compute_svt_params,
+    gen_massart,
     gen_realizable,
     make_rng,
     pate_asq,
-    pate_asq_noiseless,
     pate_psq,
-    pate_psq_noiseless,
     run_active_learning,
     svt_works_params,
     threshold_class,
@@ -125,6 +124,8 @@ def test_psq_configs_validate():
     with pytest.raises(ValueError):
         PsqConfig(K=5, budget=budget, mechanism="svt")  # missing T
     with pytest.raises(ValueError):
+        PsqConfig(K=5, budget=None, mechanism="svt", T=3)  # svt needs a budget
+    with pytest.raises(ValueError):
         PsqConfig(K=5, budget=budget, bot_policy="ignore")
     with pytest.raises(ValueError):
         AsqConfig(K=5, query_budget=0, budget=budget)
@@ -148,7 +149,8 @@ def test_psq_matches_noiseless_when_budget_is_generous():
     # committee margins (~K/2) must dominate the noise scale sigma(m, eps)
     config = PsqConfig(K=30, budget=PrivacyBudget(8.0, 1e-4))
     _, noisy = pate_psq(teacher, pool, test, config, make_rng(33))
-    _, exact = pate_psq_noiseless(teacher, pool, test, 30, make_rng(33))
+    exact_config = PsqConfig(K=30, budget=None)
+    _, exact = pate_psq(teacher, pool, test, exact_config, make_rng(33))
     assert math.isinf(exact.eps_ex_post)
     assert abs(noisy.accuracy - exact.accuracy) <= 0.05
 
@@ -351,7 +353,8 @@ def test_asq_skips_duplicate_heavy_pools():
     assert report.bots == 0
     # at this scale the noisy labels are low-signal; utility is asserted on
     # the exact-majority variant, which shares the query-selection logic
-    _, exact = pate_asq_noiseless(teacher, pool, test, config, make_rng(43))
+    exact_config = dataclasses.replace(config, budget=None)
+    _, exact = pate_asq(teacher, pool, test, exact_config, make_rng(43))
     assert exact.accuracy >= 0.9
     assert exact.queries < 40
 
@@ -368,7 +371,42 @@ def test_asq_single_query_budget():
 def test_asq_noiseless_reports_infinite_loss():
     data, _ = gen_realizable(4, 300, make_rng(46))
     teacher, pool, test = _split_three(data, 200, 40, 60)
-    config = AsqConfig(K=8, query_budget=20, budget=PrivacyBudget(1.0, 1e-4))
-    _, report = pate_asq_noiseless(teacher, pool, test, config, make_rng(47))
+    config = AsqConfig(K=8, query_budget=20, budget=None)
+    _, report = pate_asq(teacher, pool, test, config, make_rng(47))
     assert math.isinf(report.eps_ex_post)
     assert report.queries <= 20
+
+
+# ---------------------------------------------------------------------------
+# No budget: exact-majority sessions
+
+
+def _assert_same_run(got, want):
+    (h, report), (h_ref, report_ref) = got, want
+    assert report == report_ref
+    assert np.array_equal(h.weights, h_ref.weights)
+    assert h.bias == h_ref.bias
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3))
+def test_psq_without_budget_matches_reference(seed):
+    # label noise and even committees make exact vote ties likely
+    data, _ = gen_massart(6, 900, 0.2, make_rng(100 + seed))
+    teacher, pool, test = _split_three(data, 600, 60, 240)
+    K = 10 + 2 * seed
+    config = PsqConfig(K=K, budget=None)
+    _assert_same_run(
+        pate_psq(teacher, pool, test, config, make_rng(seed)),
+        oracles.reference_psq_noiseless(teacher, pool, test, K, make_rng(seed)),
+    )
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3))
+def test_asq_without_budget_matches_reference(seed):
+    data, _ = gen_massart(4, 500, 0.2, make_rng(200 + seed))
+    teacher, pool, test = _split_three(data, 300, 50, 150)
+    config = AsqConfig(K=10, query_budget=25, budget=None)
+    _assert_same_run(
+        pate_asq(teacher, pool, test, config, make_rng(seed)),
+        oracles.reference_asq_noiseless(teacher, pool, test, config, make_rng(seed)),
+    )

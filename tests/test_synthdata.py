@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from privote import (
-    DataGenerator,
     TncGenerator,
     VotingFailsFixture,
     VotingWinsGenerator,
@@ -13,7 +12,6 @@ from privote import (
     gen_massart,
     gen_realizable,
     gen_tnc,
-    gen_voting_fails,
     gen_voting_wins,
     make_rng,
 )
@@ -196,29 +194,13 @@ def test_voting_wins_validation():
 
 
 # ---------------------------------------------------------------------------
-# Named generator configs
-
-
-def test_data_generator_dispatch():
-    gen = DataGenerator("realizable", {"d": 3}, seed=2)
-    data, h_star = gen.materialize(64)
-    assert len(data) == 64 and data.n_features == 3
-    again, _ = gen.materialize(64)
-    assert np.array_equal(data.y, again.y)
-
-    domain, labels, hclass = DataGenerator("voting_fails", {}).materialize()
-    assert len(domain) == 4 and hclass.n_members == 3
-
-    vw = DataGenerator("voting_wins", {"xi": 0.25, "domain_size": 40}).materialize()
-    assert vw.domain_size == 40 and vw.xi == 0.25
+# Generator parameters
 
 
 def test_data_generator_validation():
     with pytest.raises(ValueError):
-        DataGenerator("mystery", {})
+        gen_massart(5, 10, 0.7, make_rng(0))
     with pytest.raises(ValueError):
-        DataGenerator("massart", {"flip": 0.7})
+        TncGenerator(2.0)
     with pytest.raises(ValueError):
-        DataGenerator("tnc", {"tau": 2.0})
-    with pytest.raises(ValueError):
-        DataGenerator("voting_wins", {"xi": 0.9})
+        VotingWinsGenerator(0.9, np.zeros(3, dtype=int))
