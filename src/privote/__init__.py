@@ -61,6 +61,7 @@ from .learners import (
     threshold_class,
     train_committee,
     train_erm,
+    train_erm_batch,
 )
 from .pipelines import (
     ActiveState,

@@ -31,6 +31,7 @@ __all__ = [
     "threshold_class",
     "split_disjoint",
     "train_erm",
+    "train_erm_batch",
     "empirical_error",
     "train_committee",
     "estimate_infinite_ensemble",
@@ -45,6 +46,15 @@ def _as_csr(X) -> sp.csr_matrix:
         return X.tocsr()
     arr = np.atleast_2d(np.asarray(X, dtype=float))
     return sp.csr_matrix(arr)
+
+
+def _is_binary(a: np.ndarray) -> bool:
+    """Whether every entry equals 0 or 1.
+
+    Accepts exactly what `np.isin(a, (0, 1)).all()` accepts, without the
+    index arrays np.isin builds for integer input.
+    """
+    return bool(((a == 0) | (a == 1)).all())
 
 
 @dataclass
@@ -67,7 +77,7 @@ class Dataset:
                     f"labels shape {self.y.shape} does not match "
                     f"{self.X.shape[0]} examples"
                 )
-            if not np.isin(self.y, (0, 1)).all():
+            if not _is_binary(self.y):
                 raise ValueError("labels must be 0 or 1")
             self.y = self.y.astype(np.int64)
 
@@ -144,10 +154,10 @@ def train_erm(
     with step 1/L, where L bounds the logistic smoothness on this data, so
     the loss is non-increasing across iterations. The fit draws no
     randomness. This is the one-block case of the loop that trains a whole
-    committee (see `_descend`), so a lone fit and a committee member on the
-    same rows are bit-for-bit equal.
+    committee (see `train_erm_batch`), so a lone fit and a committee member
+    on the same rows are bit-for-bit equal.
     """
-    return _descend([data], settings, [sample_weight], [init])[0]
+    return train_erm_batch([data], settings, [sample_weight], [init])[0]
 
 
 @dataclass
@@ -166,9 +176,10 @@ class _BlockDesign:
     signs: np.ndarray
     wts: np.ndarray
     signed_wts: np.ndarray
-    sizes: np.ndarray
     bounds: list[tuple[int, int]]
-    runs: list[tuple[int, int, int]]  # (first row, blocks, rows per block)
+    # (first row, first block, blocks, rows per block) of each run of
+    # consecutive equal-size blocks
+    runs: list[tuple[int, int, int, int]]
     step: np.ndarray
     step_cols: np.ndarray
 
@@ -197,11 +208,11 @@ class _BlockDesign:
         row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
         step = 1.0 / (0.25 * np.maximum.reduceat(row_sq, starts) + l2)
         runs = []
-        for lo, size in zip(starts.tolist(), sizes.tolist()):
-            if runs and runs[-1][2] == size:
-                runs[-1][1] += 1
+        for i, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            if runs and runs[-1][3] == size:
+                runs[-1][2] += 1
             else:
-                runs.append([lo, 1, size])
+                runs.append([lo, i, 1, size])
         signs = 2.0 * np.concatenate([blk.y for blk in blocks]) - 1.0
         wts = np.concatenate(weights)
         return cls(
@@ -210,12 +221,17 @@ class _BlockDesign:
             signs=signs,
             wts=wts,
             signed_wts=wts * signs,
-            sizes=sizes,
             bounds=list(zip(starts.tolist(), ends.tolist())),
             runs=[tuple(run) for run in runs],
             step=step,
             step_cols=np.repeat(step, d),
         )
+
+    def add_block_values(self, v: np.ndarray, c: np.ndarray) -> None:
+        """Add c[i] to every row of block i, in place."""
+        for lo, first, count, size in self.runs:
+            rows = v[lo : lo + count * size].reshape(count, size)
+            rows += c[first : first + count, None]
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-block sums of a row vector, each rounded as `v[lo:hi].sum()`.
@@ -224,36 +240,37 @@ class _BlockDesign:
         numpy sums each contiguous row pairwise, exactly as it sums the
         1-D slice, so one call serves the run.
         """
-        return np.concatenate(
-            [
-                v[lo : lo + count * size].reshape(count, size).sum(axis=1)
-                for lo, count, size in self.runs
-            ]
-        )
+        sums = [
+            v[lo : lo + count * size].reshape(count, size).sum(axis=1)
+            for lo, _, count, size in self.runs
+        ]
+        return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
-def _descend(
+def train_erm_batch(
     blocks: list[Dataset],
     settings: TrainerSettings | None = None,
     sample_weights: list | None = None,
     inits: list | None = None,
 ) -> list[LinearHypothesis]:
-    """One gradient-descent loop that fits every block at once.
+    """`train_erm` of every block, all in one gradient-descent loop.
 
-    Each block is its own logistic-regression problem with its own step
-    1/L_k and its own `grad_tol` stop. Every step makes one product with
-    the block-diagonal design and one with its transpose, taken once
-    before the loop. A block whose gradient norm falls below `grad_tol`
-    keeps its weights and leaves the design; the others go on.
+    Block k is fit with `sample_weights[k]` and warm-started from
+    `inits[k]` (either list may be None, as may its entries). Each block
+    is its own logistic-regression problem with its own step 1/L_k and
+    its own `grad_tol` stop. Every step makes one product with the
+    block-diagonal design and one with its transpose, taken once before
+    the loop. A block whose gradient norm falls below `grad_tol` keeps
+    its weights and leaves the design; the others go on.
 
     The result equals a separate fit of each block bit for bit: every
-    floating-point operation is the one a lone fit would make, in the
-    same order. Two places need care. A block's bias gradient is numpy's
-    pairwise sum over its contiguous slice (np.add.reduceat rounds
-    differently; see `_BlockDesign.block_sums`). And the stop test
-    confirms with np.dot every norm that an einsum pre-filter puts within
-    2x of `grad_tol`, because einsum also rounds differently in the last
-    place.
+    floating-point operation that reaches the weights is the one a lone
+    fit would make, in the same order. Two places need care. A block's
+    bias gradient is numpy's pairwise sum over its contiguous slice
+    (np.add.reduceat rounds differently; see `_BlockDesign.block_sums`).
+    And the stop test confirms with np.dot every norm that an einsum
+    pre-filter puts within 2x of `grad_tol`, because einsum also rounds
+    differently in the last place.
     """
     if settings is None:
         settings = TrainerSettings()
@@ -289,7 +306,9 @@ def _descend(
     design = _BlockDesign.stack(blocks, wts, l2)
     w, c = W.ravel(), b.copy()
     for _ in range(settings.max_iter):
-        scores = design.signs * (design.X @ w + np.repeat(c, design.sizes))
+        scores = design.X @ w
+        design.add_block_values(scores, c)
+        scores *= design.signs
         if curves is not None:
             losses = np.logaddexp(0.0, -scores)
             for i, (lo, hi) in enumerate(design.bounds):
@@ -297,19 +316,29 @@ def _descend(
                 loss = float(np.dot(design.wts[lo:hi], losses[lo:hi]))
                 loss += 0.5 * l2 * (np.dot(wi, wi) + c[i] * c[i])
                 curves[live[i]].append(loss)
-        coef = design.signed_wts * expit(-scores)
-        grad_w = -(design.XT @ coef) + l2 * w
-        grad_b = -design.block_sums(coef) + l2 * c
+        coef = expit(np.negative(scores, out=scores), out=scores)
+        coef *= design.signed_wts
+        grad_w = np.negative(design.XT @ coef)
+        grad_b = np.negative(design.block_sums(coef))
+        # with l2 = 0 the penalty terms could only flip the sign of a zero
+        # gradient, which leaves every weight update unchanged
+        if l2:
+            grad_w += l2 * w
+            grad_b += l2 * c
         G = grad_w.reshape(-1, d)
         near = np.sqrt(np.einsum("ij,ij->i", G, G) + grad_b * grad_b) < 2.0 * tol
-        done = [
-            i
-            for i in np.flatnonzero(near)
-            if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol
-        ]
+        done = []
+        if near.any():
+            done = [
+                i
+                for i in np.flatnonzero(near)
+                if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol
+            ]
         if not done:
-            w -= design.step_cols * grad_w
-            c -= design.step * grad_b
+            grad_w *= design.step_cols
+            w -= grad_w
+            grad_b *= design.step
+            c -= grad_b
             continue
         # the converged blocks keep their weights; the rest take this step
         # and go on in a design without the converged ones
@@ -401,7 +430,7 @@ def train_committee(
     stack of the splits; each member equals `train_erm` on its split bit
     for bit.
     """
-    return Ensemble(_descend(split_disjoint(data, K, rng), settings))
+    return Ensemble(train_erm_batch(split_disjoint(data, K, rng), settings))
 
 
 @dataclass
@@ -414,9 +443,9 @@ class FiniteHypothesisClass:
         self.labels = np.asarray(self.labels)
         if self.labels.ndim != 2 or self.labels.shape[0] < 1:
             raise ValueError("labels must be a nonempty members-by-domain matrix")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not _is_binary(self.labels):
             raise ValueError("labels must be 0 or 1")
-        self.labels = self.labels.astype(np.int8)
+        self.labels = self.labels.astype(np.int8, copy=False)
 
     @property
     def n_members(self) -> int:

@@ -7,7 +7,10 @@ private aggregation session, and train a student on the result.
 passive (PSQ): every pool point is queried once, in stream order.
 active (ASQ): a disagreement-based learner decides which points are worth
     one of its limited label queries, so the realized privacy loss tracks
-    the number of labels actually requested.
+    the number of labels actually requested. For halfspaces its test
+    costs one batched gradient descent per stream point: the reference
+    fit on the queried set is carried over from the previous point (see
+    `LinearClassDescriptor`).
 
 A config's budget picks the session. budget=None means exact majority: an
 ExactSession answers every query without noise, which is the non-private
@@ -36,6 +39,7 @@ from .learners import (
     empirical_error,
     train_committee,
     train_erm,
+    train_erm_batch,
 )
 
 __all__ = [
@@ -116,6 +120,13 @@ class AsqConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.c_prime <= 0:
             raise ValueError("c_prime must be positive")
+        _check_slack(self.slack)
+
+
+def _check_slack(slack: float | None) -> None:
+    # NaN fails every comparison, so it would pass a plain `slack < 0`
+    if slack is not None and not slack >= 0:
+        raise ValueError("slack must be nonnegative (or None)")
 
 
 def _bot_label(policy: str, rng: np.random.Generator) -> int:
@@ -209,6 +220,18 @@ class ActiveState:
     c: int = 0  # label queries spent
     hypothesis: Any = None
     alive: np.ndarray | None = None  # finite classes: version-space mask
+    # the descriptor's work derived from xs, ys and hypothesis, kept for
+    # the next call; each descriptor checks it is current before use
+    memo: Any = field(default=None, repr=False, compare=False)
+
+
+@dataclass
+class _MistakeTally:
+    """Per-member mistake counts on the queried points `xs`, `ys`."""
+
+    xs: list
+    ys: list
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,12 +264,27 @@ class FiniteClassDescriptor:
         col = self.hclass.labels[state.alive, int(x)]
         return bool(col.min() != col.max())
 
+    def _mistakes(self, state: ActiveState) -> np.ndarray:
+        """Per-member mistakes on Q, counting only points added since the
+        last call; a Q changed other than by appending is counted anew."""
+        tally = state.memo
+        k = len(tally.xs) if isinstance(tally, _MistakeTally) else 0
+        if not (k and state.xs[:k] == tally.xs and state.ys[:k] == tally.ys):
+            zeros = np.zeros(self.hclass.n_members, dtype=np.int64)
+            tally, k = _MistakeTally([], [], zeros), 0
+        if len(state.xs) > k:
+            new_xs, new_ys = state.xs[k:], state.ys[k:]
+            tally = _MistakeTally(
+                tally.xs + new_xs,
+                tally.ys + new_ys,
+                tally.counts + self.hclass.mistake_counts(new_xs, new_ys),
+            )
+        state.memo = tally
+        return tally.counts
+
     def update(self, state: ActiveState, j: int, gamma: float) -> None:
         gamma_j = gamma / math.log2(2 * j) ** 2
-        if state.xs:
-            mistakes = self.hclass.mistake_counts(state.xs, state.ys)
-        else:
-            mistakes = np.zeros(self.hclass.n_members, dtype=np.int64)
+        mistakes = self._mistakes(state)
         best = int(mistakes[state.alive].min())
         base = self.c_prime * (
             self.vc_dim * math.log(self._theta_at(self.vc_dim / j))
@@ -268,15 +306,50 @@ class FiniteClassDescriptor:
         self.refit(state)
 
     def refit(self, state: ActiveState) -> None:
-        if state.xs:
-            mistakes = self.hclass.mistake_counts(state.xs, state.ys).astype(float)
-        else:
-            mistakes = np.zeros(self.hclass.n_members)
+        mistakes = self._mistakes(state).astype(float)
         mistakes[~state.alive] = np.inf
         state.hypothesis = int(np.argmin(mistakes))
 
     def predict(self, state: ActiveState, xs) -> np.ndarray:
         return self.hclass.predictions(state.hypothesis, xs)
+
+
+@dataclass
+class _ReferenceMemo:
+    """The reference fit on Q, and the two fits it may become next.
+
+    `base` is the probe-settings fit on `xs`, `ys` (stacked as `X`) from
+    `hypothesis`. `next_bases[y]` is the same fit on `xs + [x]`,
+    `ys + [y]` (stacked as `X_next`), where `x` is the point just probed.
+    """
+
+    hypothesis: LinearHypothesis
+    xs: list
+    ys: list
+    X: sp.csr_matrix
+    base: LinearHypothesis
+    x: Any
+    X_next: sp.csr_matrix
+    next_bases: list[LinearHypothesis]
+
+    def lookup(self, state: ActiveState):
+        """(stacked Q, reference fit) for the state, or None if this memo
+        does not cover its hypothesis, queried points and labels."""
+        k = len(self.xs)
+        if state.hypothesis is not self.hypothesis or not (
+            k <= len(state.xs) <= k + 1
+        ):
+            return None
+        if state.ys[:k] != self.ys or any(
+            a is not b for a, b in zip(state.xs, self.xs)
+        ):
+            return None
+        if len(state.xs) == k:
+            return self.X, self.base
+        y = state.ys[-1]
+        if state.xs[-1] is self.x and y in (0, 1):
+            return self.X_next, self.next_bases[int(y)]
+        return None
 
 
 @dataclass(frozen=True)
@@ -285,9 +358,21 @@ class LinearClassDescriptor:
 
     No explicit version space exists; a point counts as ambiguous when some
     near-optimal fit on the queried pool Q labels it opposite to the
-    current hypothesis. The probe fit pins the point's label with a heavy
-    sample weight and must stay within `slack` of the current empirical
-    error on Q.
+    current hypothesis. The reference is a fresh fit `base` on Q, warm
+    started from the current hypothesis. The probe fit pins the point's
+    label with a heavy sample weight, starts from `base`, and must stay
+    within `slack` of base's empirical error on Q.
+
+    The learner's next reference is known up to the answer: `base` itself
+    if the point is not queried, or the fit on Q plus the point labeled 0
+    or 1. So each probe is trained in one `train_erm_batch` call together
+    with those two fits, and the state's memo keeps them with the stacked
+    Q for the next call. That call reuses a memo only while the
+    hypothesis is the same object and Q and its labels are the memo's, or
+    those plus the probed point itself; after a refit (on the doubling
+    schedule) or any other change to the state it fits `base` alone.
+    Every fit is bit-for-bit the one a lone `train_erm` would make, so the
+    answers do not depend on the memo.
     """
 
     n_features: int
@@ -306,25 +391,43 @@ class LinearClassDescriptor:
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
         if math.isinf(slack) or not state.xs:
             return True
-        pool = self._pool(state)
-        # the reference is a fresh unconstrained optimum, not the possibly
-        # stale current hypothesis
-        base = train_erm(pool, self.probe_settings, init=state.hypothesis)
-        base_errors = int((base.predict(pool.X) != pool.y).sum())
+        y = np.asarray(state.ys)
+        memo = state.memo
+        hit = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
+        if hit is None:
+            pool = self._pool(state)
+            X = pool.X
+            # the reference is a fresh unconstrained optimum, not the
+            # possibly stale current hypothesis
+            base = train_erm(pool, self.probe_settings, init=state.hypothesis)
+        else:
+            X, base = hit
+        n = len(y)
+        base_errors = int((base.predict(X) != y).sum())
         forced = 1 - int(base.predict(x)[0])
-        probe = Dataset(
-            sp.vstack([pool.X, sp.csr_matrix(x)]),
-            np.append(pool.y, forced),
+        X_next = sp.vstack([X, sp.csr_matrix(x)])
+        weights = np.ones(n + 1)
+        weights[-1] = n + 1.0
+        h, *next_bases = train_erm_batch(
+            [Dataset(X_next, np.append(y, label)) for label in (forced, 0, 1)],
+            self.probe_settings,
+            [weights, None, None],
+            [base, state.hypothesis, state.hypothesis],
         )
-        weights = np.ones(len(probe))
-        weights[-1] = len(pool) + 1.0
-        h = train_erm(
-            probe, self.probe_settings, sample_weight=weights, init=base
+        state.memo = _ReferenceMemo(
+            state.hypothesis,
+            list(state.xs),
+            list(state.ys),
+            X,
+            base,
+            x,
+            X_next,
+            next_bases,
         )
         if int(h.predict(x)[0]) != forced:
             return False
-        probe_errors = int((h.predict(pool.X) != pool.y).sum())
-        return probe_errors <= base_errors + slack * len(pool)
+        probe_errors = int((h.predict(X) != y).sum())
+        return probe_errors <= base_errors + slack * n
 
     def update(self, state: ActiveState, j: int, gamma: float) -> None:
         self.refit(state)
@@ -379,6 +482,7 @@ def run_active_learning(
     """
     if query_budget < 1:
         raise ValueError("query_budget must be positive")
+    _check_slack(slack)
     state = descriptor.init_state()
     for i, x in enumerate(stream):
         j = i + 1
@@ -429,7 +533,9 @@ def pate_asq(
     )
     state = run_active_learning(
         descriptor,
-        [student_pool.X[i] for i in range(len(student_pool))],
+        # rows are sliced as the loop reaches them: it stops once the
+        # query budget is spent
+        (student_pool.X[i] for i in range(len(student_pool))),
         lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
         config.query_budget,
         config.gamma,

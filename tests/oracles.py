@@ -6,10 +6,14 @@ a plain one-fit-at-a-time loop. Nothing at module level imports from
 privote, so agreement between the package and these functions is a
 genuine second opinion rather than a tautology.
 
-The exception is the two reference pipelines at the end. They are the
-non-private pipelines as they stood before exact-majority sessions, and
-they call privote's committee trainer, student fit and active loop; they
-pin that running the private pipelines with no budget changes nothing.
+The exceptions are at the end. The linear active-learning descriptor
+is the one that fitted its reference and probe afresh at every stream
+point, before those fits were carried over and batched; it calls
+privote's trainer. The two reference pipelines are the non-private
+pipelines as they stood before exact-majority sessions, and they call
+privote's committee trainer, student fit and active loop driver (with the
+reference descriptor); they pin that running the private pipelines with
+no budget changes nothing.
 """
 
 from __future__ import annotations
@@ -269,6 +273,79 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
 
 
 # ---------------------------------------------------------------------------
+# Linear active learning, one fresh reference and probe fit per point
+
+
+class ReferenceLinearDescriptor:
+    """privote's LinearClassDescriptor as it was before its memo.
+
+    At every stream point it stacks the queried set Q, fits the reference
+    `base` on it from the current hypothesis, then fits the probe from
+    `base`, each with its own `train_erm` call. The memoised, batched
+    descriptor must make the same decisions and end with the same
+    hypothesis bit for bit.
+    """
+
+    kind = "linear"
+
+    def __init__(self, n_features, settings=None, probe_settings=None):
+        from privote.learners import TrainerSettings
+
+        self.n_features = n_features
+        self.settings = settings or TrainerSettings()
+        self.probe_settings = probe_settings or TrainerSettings(max_iter=150)
+
+    def init_state(self):
+        from privote.learners import LinearHypothesis
+        from privote.pipelines import ActiveState
+
+        h0 = LinearHypothesis(np.zeros(self.n_features), 0.0)
+        return ActiveState(descriptor=self, hypothesis=h0)
+
+    def _pool(self, state):
+        import scipy.sparse as sp
+        from privote.learners import Dataset
+
+        return Dataset(sp.vstack(state.xs), np.asarray(state.ys))
+
+    def disagreement(self, state, x, slack):
+        import scipy.sparse as sp
+        from privote.learners import Dataset, train_erm
+
+        if math.isinf(slack) or not state.xs:
+            return True
+        pool = self._pool(state)
+        base = train_erm(pool, self.probe_settings, init=state.hypothesis)
+        base_errors = int((base.predict(pool.X) != pool.y).sum())
+        forced = 1 - int(base.predict(x)[0])
+        probe = Dataset(
+            sp.vstack([pool.X, sp.csr_matrix(x)]),
+            np.append(pool.y, forced),
+        )
+        weights = np.ones(len(probe))
+        weights[-1] = len(pool) + 1.0
+        h = train_erm(probe, self.probe_settings, sample_weight=weights, init=base)
+        if int(h.predict(x)[0]) != forced:
+            return False
+        probe_errors = int((h.predict(pool.X) != pool.y).sum())
+        return probe_errors <= base_errors + slack * len(pool)
+
+    def update(self, state, j, gamma):
+        self.refit(state)
+
+    def refit(self, state):
+        from privote.learners import train_erm
+
+        if state.xs:
+            state.hypothesis = train_erm(
+                self._pool(state), self.settings, init=state.hypothesis
+            )
+
+    def predict(self, state, xs):
+        return state.hypothesis.predict(xs)
+
+
+# ---------------------------------------------------------------------------
 # Non-private pipelines, before exact-majority sessions
 
 
@@ -322,12 +399,10 @@ def reference_asq_noiseless(teacher_data, student_pool, test_data, config, rng=N
 
 
 def _drive_asq(student_pool, config, oracle):
-    from privote.learners import TrainerSettings
-    from privote.pipelines import LinearClassDescriptor, run_active_learning
+    from privote.pipelines import run_active_learning
 
-    descriptor = LinearClassDescriptor(
-        n_features=student_pool.n_features,
-        settings=config.trainer or TrainerSettings(),
+    descriptor = ReferenceLinearDescriptor(
+        student_pool.n_features, settings=config.trainer
     )
     stream = [student_pool.X[i] for i in range(len(student_pool))]
     return run_active_learning(

@@ -1,5 +1,7 @@
 """Datasets, ERM training, committees, and finite-class machinery."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -56,6 +58,53 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
+
+
+LABEL_CASES = [
+    np.array([0, 1, 1]),
+    np.array([0, 1], dtype=np.int8),
+    np.array([0, 1], dtype=np.uint8),
+    np.array([0.0, 1.0, -0.0]),
+    np.array([0, 1], dtype=np.float16),
+    np.array([True, False]),
+    np.array([Fraction(1, 1), 0], dtype=object),
+    np.array([], dtype=float),
+    np.array([0, 2]),
+    np.array([-1, 0]),
+    np.array([0.5, 1.0]),
+    np.array([1.0000000001, 0.0]),
+    np.array([np.nan, 1.0]),
+    np.array([np.inf, 0.0]),
+    np.array([1 + 1j, 0j]),
+    np.array(["0", "1"]),
+    np.array([b"1"]),
+    np.array([None, 1], dtype=object),
+    np.array(["1", 1], dtype=object),
+]
+
+
+@pytest.mark.parametrize("labels", LABEL_CASES, ids=lambda a: f"{a.dtype}:{a.tolist()}")
+def test_label_checks_accept_what_isin_accepts(labels):
+    accepted = bool(np.isin(labels, (0, 1)).all())
+    X = np.zeros((len(labels), 1))
+    if accepted:
+        assert np.array_equal(Dataset(X, labels).y, labels.astype(np.int64))
+    else:
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            Dataset(X, labels)
+    table = np.stack([labels, labels[::-1]]) if len(labels) else labels.reshape(1, 0)
+    if accepted and len(labels):
+        hclass = FiniteHypothesisClass(table)
+        assert hclass.labels.dtype == np.int8
+        assert np.array_equal(hclass.labels, table.astype(np.int8))
+    elif len(labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            FiniteHypothesisClass(table)
+
+
+def test_finite_class_keeps_int8_labels_without_a_copy():
+    labels = np.eye(3, dtype=np.int8)
+    assert FiniteHypothesisClass(labels).labels is labels
 
 
 def test_hypothesis_tie_goes_to_one():

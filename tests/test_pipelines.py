@@ -6,14 +6,18 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+import privote.pipelines
 from privote import (
     AsqConfig,
     Dataset,
     FiniteClassDescriptor,
     FiniteHypothesisClass,
     LinearClassDescriptor,
+    LinearHypothesis,
     PrivacyBudget,
     PsqConfig,
     RunReport,
@@ -30,6 +34,7 @@ from privote import (
     run_active_learning,
     svt_works_params,
     threshold_class,
+    TrainerSettings,
 )
 
 
@@ -129,6 +134,22 @@ def test_psq_configs_validate():
         PsqConfig(K=5, budget=budget, bot_policy="ignore")
     with pytest.raises(ValueError):
         AsqConfig(K=5, query_budget=0, budget=budget)
+
+
+@pytest.mark.parametrize("slack", (-0.1, -math.inf, math.nan))
+def test_asq_rejects_negative_or_nan_slack(slack):
+    budget = PrivacyBudget(1.0, 1e-5)
+    with pytest.raises(ValueError, match="slack"):
+        AsqConfig(K=5, query_budget=3, budget=budget, slack=slack)
+    desc = LinearClassDescriptor(n_features=2)
+    with pytest.raises(ValueError, match="slack"):
+        run_active_learning(desc, [], lambda x, i: 0, 3, 0.1, slack=slack)
+
+
+def test_asq_accepts_none_zero_and_infinite_slack():
+    budget = PrivacyBudget(1.0, 1e-5)
+    for slack in (None, 0.0, 0.25, math.inf):
+        assert AsqConfig(K=5, query_budget=3, budget=budget, slack=slack).slack == slack
 
 
 def test_psq_gaussian_end_to_end():
@@ -336,6 +357,134 @@ def test_linear_disagreement_respects_duplicates():
     slack = 1.0 / len(state.xs)
     assert not active_disagreement_test(state, probe_dup, slack)
     assert active_disagreement_test(state, probe_new, slack)
+
+
+def test_finite_tally_recounts_queries_changed_between_updates():
+    labels = np.array([[1, 1, 1, 1], [0, 0, 0, 0]])
+    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels))
+    state = desc.init_state()
+    state.xs, state.ys = [0, 1], [0, 0]
+    active_update_version_space(state, 2, gamma=0.9)
+    assert state.alive.all()
+    # rewrite the queried set instead of extending it
+    state.xs, state.ys = [2, 3, 2], [1, 1, 1]
+    active_update_version_space(state, 4, gamma=0.9)
+    fresh = desc.init_state()
+    fresh.xs, fresh.ys = [2, 3, 2], [1, 1, 1]
+    active_update_version_space(fresh, 4, gamma=0.9)
+    assert state.alive.tolist() == fresh.alive.tolist() == [True, False]
+    assert state.hypothesis == fresh.hypothesis == 0
+
+
+# ---------------------------------------------------------------------------
+# Linear active loop against the per-point reference
+
+
+def _linear_stream(seed, n, d, n_protos, flip):
+    """Rows copied from a few prototypes, labeled by a hidden halfspace
+    with label noise, so the stream holds duplicates the loop can skip."""
+    rng = make_rng(seed)
+    protos = rng.integers(-1, 2, size=(n_protos, d)).astype(float)
+    truth = (protos @ rng.normal(size=d) >= 0).astype(np.int64)
+    ids = rng.integers(0, n_protos, size=n)
+    noisy = rng.random(n) < flip
+    labels = np.where(noisy, 1 - truth[ids], truth[ids])
+    X = sp.csr_matrix(protos[ids])
+    return [X[i] for i in range(n)], labels
+
+
+def _run_recorded(descriptor, stream, labels, budget, slack):
+    asked = []
+
+    def oracle(x, i):
+        asked.append(i)
+        return int(labels[i])
+
+    state = run_active_learning(descriptor, stream, oracle, budget, 0.1, slack)
+    return state, asked
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    d=st.integers(1, 4),
+    n_protos=st.integers(1, 6),
+    flip=st.sampled_from((0.0, 0.2)),
+    budget=st.integers(1, 30),
+    slack=st.sampled_from((None, 0.0, 0.1, 0.5, math.inf)),
+    tol=st.sampled_from((1e-10, 1e-3, 5e-2)),
+)
+def test_linear_active_loop_matches_per_point_reference(
+    seed, n, d, n_protos, flip, budget, slack, tol
+):
+    stream, labels = _linear_stream(seed, n, d, n_protos, flip)
+    fit = TrainerSettings(max_iter=40, grad_tol=tol)
+    probe = TrainerSettings(max_iter=30, grad_tol=tol)
+    got, got_asked = _run_recorded(
+        LinearClassDescriptor(d, settings=fit, probe_settings=probe),
+        stream, labels, budget, slack,
+    )
+    want, want_asked = _run_recorded(
+        oracles.ReferenceLinearDescriptor(d, settings=fit, probe_settings=probe),
+        stream, labels, budget, slack,
+    )
+    assert got_asked == want_asked
+    assert got.ys == want.ys and got.c == want.c and got.j == want.j
+    assert np.array_equal(got.hypothesis.weights, want.hypothesis.weights)
+    assert got.hypothesis.bias == want.hypothesis.bias
+
+
+def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
+    lone_fits = []
+    real_train_erm = privote.pipelines.train_erm
+
+    def counting_train_erm(*args, **kwargs):
+        lone_fits.append(1)
+        return real_train_erm(*args, **kwargs)
+
+    monkeypatch.setattr(privote.pipelines, "train_erm", counting_train_erm)
+    stream, labels = _linear_stream(7, 12, 3, 5, 0.2)
+    desc = LinearClassDescriptor(3, probe_settings=TrainerSettings(max_iter=30))
+    ref = oracles.ReferenceLinearDescriptor(3, probe_settings=desc.probe_settings)
+    state = desc.init_state()
+    state.xs, state.ys = stream[:3], [int(y) for y in labels[:3]]
+
+    def probe(x, reused):
+        before = len(lone_fits)
+        got = desc.disagreement(state, x, 0.1)
+        assert len(lone_fits) == before + (0 if reused else 1)
+        assert got == ref.disagreement(state, x, 0.1)
+
+    probe(stream[3], reused=False)
+    probe(stream[4], reused=True)  # stream[3] was not queried: same Q
+    # the loop's own change: the point just probed is queried, either label
+    state.xs.append(stream[4])
+    state.ys.append(0)
+    probe(stream[5], reused=True)
+    state.xs.append(stream[5])
+    state.ys.append(1)
+    probe(stream[6], reused=True)
+    # a queried point other than the one just probed
+    state.xs.append(stream[7])
+    state.ys.append(1)
+    probe(stream[8], reused=False)
+    outside_changes = [
+        lambda: state.xs.__setitem__(0, stream[0].copy()),  # equal, not the same
+        lambda: state.ys.__setitem__(1, 1 - state.ys[1]),
+        lambda: setattr(state, "hypothesis", LinearHypothesis(np.ones(3), 0.5)),
+        lambda: (state.xs.pop(), state.ys.pop()),
+    ]
+    for change in outside_changes:
+        probe(stream[8], reused=True)
+        change()
+        probe(stream[9], reused=False)
+    # the probed point queried with a label that is not 0 or 1: no
+    # candidate matches, and the lone fit rejects the label
+    probe(stream[8], reused=True)
+    state.xs.append(stream[8])
+    state.ys.append(2)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        desc.disagreement(state, stream[9], 0.1)
 
 
 # ---------------------------------------------------------------------------
