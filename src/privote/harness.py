@@ -20,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -91,69 +92,208 @@ def _open_text(path):
 # accepted label spellings; 2 covers datasets published with {1, 2} classes
 _LABEL_MAP = {1.0: 1, -1.0: 0, 0.0: 0, 2.0: 0}
 
+# size hint, in characters, of the block of lines converted in one pass;
+# larger blocks convert no faster and hold more token strings at once
+_BLOCK_CHARS = 1 << 18
+# leading tokens of a block sampled to decide whether to deduplicate it
+_SAMPLE = 1024
+# feature indices become column counts, which scipy keeps in int64
+_MAX_INDEX = np.iinfo(np.int64).max
+
 
 def parse_libsvm(path) -> Dataset:
     """Read `label idx:val ...` lines into a sparse dataset.
 
-    Labels {+1, 1} map to 1 and {-1, 0, 2} to 0. Feature indices are
-    1-based in the file, strictly increasing within a line, and stored
-    0-based. Anything after '#' on a line is a comment.
+    Labels {+1, 1} map to 1 and {-1, 0, 2} to 0, in any spelling `float`
+    reads as one of those values. Feature indices are 1-based in the
+    file, in `int` spelling, strictly increasing within a line, at most
+    2**63 - 1, and stored 0-based; values are finite, in `float`
+    spelling. Anything after '#' on a line is a comment, and blank lines
+    are skipped. `.gz` and `.bz2` files are decompressed on the fly. The
+    first error in file order raises `LibsvmParseError` naming its line.
+
+    Lines are read in blocks of about 256k characters. In a block that
+    repeats its tokens, as one-hot data does, each distinct `idx:val`
+    token is converted once. Indices are checked with array operations,
+    and only the first line that fails them is re-read token by token, to
+    name its first bad token.
     """
     labels: list[int] = []
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = -1
+    counts: list[int] = []  # features per example
+    indices: list[np.ndarray] = []  # per block, 1-based
+    values: list[np.ndarray] = []
+    first_lineno = 1  # of the current block
 
     with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                label_value = float(tokens[0])
-            except ValueError:
-                raise LibsvmParseError(
-                    f"line {lineno}: unreadable label {tokens[0]!r}"
-                ) from None
-            label = _LABEL_MAP.get(label_value)
-            if label is None:
-                raise LibsvmParseError(
-                    f"line {lineno}: unknown label value {tokens[0]}"
-                )
-            previous = 0
-            for token in tokens[1:]:
-                idx_str, _, val_str = token.partition(":")
+        while lines := fh.readlines(_BLOCK_CHARS):
+            features: list[str] = []
+            rows: list[int] = []  # each example's position in `lines`
+            row_counts: list[int] = []
+            label_error = None
+            for i, raw in enumerate(lines):
+                tokens = raw.split("#", 1)[0].split()
+                if not tokens:
+                    continue
                 try:
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError:
-                    raise LibsvmParseError(
-                        f"line {lineno}: malformed feature {token!r}"
-                    ) from None
-                if idx < 1:
-                    raise LibsvmParseError(
-                        f"line {lineno}: feature index {idx} is not positive"
-                    )
-                if idx <= previous:
-                    raise LibsvmParseError(
-                        f"line {lineno}: feature index {idx} does not increase"
-                    )
-                previous = idx
-                indices.append(idx - 1)
-                values.append(val)
-                max_index = max(max_index, idx - 1)
-            labels.append(label)
-            indptr.append(len(indices))
+                    label = _read_label(first_lineno + i, tokens[0])
+                except LibsvmParseError as exc:
+                    # raised once the lines before it are checked
+                    label_error = exc
+                    break
+                labels.append(label)
+                rows.append(i)
+                row_counts.append(len(tokens) - 1)
+                del tokens[0]
+                features += tokens
+
+            block_idx, block_val, bad = _convert_block(features, row_counts)
+            if bad >= 0:
+                i = rows[bad]
+                tokens = lines[i].split("#", 1)[0].split()
+                _check_features(first_lineno + i, tokens[1:])
+                raise AssertionError(f"line {first_lineno + i} passed its re-check")
+            if label_error is not None:
+                raise label_error
+            counts += row_counts
+            indices.append(block_idx)
+            values.append(block_val)
+            first_lineno += len(lines)
 
     if not labels:
         raise LibsvmParseError("no examples found")
+    col = np.concatenate(indices) - 1
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     X = sp.csr_matrix(
-        (np.asarray(values), np.asarray(indices), np.asarray(indptr)),
-        shape=(len(labels), max_index + 1),
+        (np.concatenate(values), col, indptr),
+        shape=(len(labels), int(col.max()) + 1 if col.size else 0),
     )
     return Dataset(X, np.asarray(labels))
+
+
+def _read_label(lineno: int, token: str) -> int:
+    try:
+        value = float(token)
+    except ValueError:
+        raise LibsvmParseError(
+            f"line {lineno}: unreadable label {token!r}"
+        ) from None
+    label = _LABEL_MAP.get(value)
+    if label is None:
+        raise LibsvmParseError(f"line {lineno}: unknown label value {token}")
+    return label
+
+
+def _check_features(lineno: int, tokens) -> None:
+    """Raise at the first bad `idx:val` token of one line, if any."""
+    previous = 0
+    for token in tokens:
+        idx_str, _, val_str = token.partition(":")
+        try:
+            idx = int(idx_str)
+            val = float(val_str)
+        except ValueError:
+            raise LibsvmParseError(
+                f"line {lineno}: malformed feature {token!r}"
+            ) from None
+        if not math.isfinite(val):
+            raise LibsvmParseError(
+                f"line {lineno}: non-finite feature value {token!r}"
+            )
+        if idx < 1:
+            raise LibsvmParseError(
+                f"line {lineno}: feature index {idx} is not positive"
+            )
+        if idx > _MAX_INDEX:
+            raise LibsvmParseError(
+                f"line {lineno}: feature index {idx} is too large"
+            )
+        if idx <= previous:
+            raise LibsvmParseError(
+                f"line {lineno}: feature index {idx} does not increase"
+            )
+        previous = idx
+
+
+def _bad_token(token: str) -> bool:
+    try:
+        _check_features(0, (token,))
+    except LibsvmParseError:
+        return True
+    return False
+
+
+def _one_colon_each(joined: str, n: int) -> bool:
+    """Whether each of the n newline-separated tokens has exactly one ':'."""
+    text = np.frombuffer(joined.encode(), dtype=np.uint8)
+    colons = np.flatnonzero(text == ord(":"))
+    if len(colons) != n:
+        return False
+    newlines = np.flatnonzero(text == ord("\n"))
+    return bool((colons[:-1] < newlines).all() and (colons[1:] > newlines).all())
+
+
+def _convert_tokens(tokens: list[str]):
+    """1-based indices and values of `idx:val` tokens, plus a mask of the
+    tokens `_check_features` rejects on their own.
+
+    With a bad token among them the values are None and a bad token's
+    index is 1, so that the increase test can still run.
+    """
+    n = len(tokens)
+    joined = "\n".join(tokens)
+    if _one_colon_each(joined, n):
+        parts = joined.replace(":", "\n").split("\n")
+        try:
+            # an index above _MAX_INDEX overflows int64 here
+            idx = np.fromiter(map(int, parts[0::2]), np.int64, n)
+            val = np.fromiter(map(float, parts[1::2]), np.float64, n)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return idx, val, (idx < 1) | ~np.isfinite(val)
+    bad = np.fromiter(map(_bad_token, tokens), bool, n)
+    idx = np.fromiter(
+        (1 if b else int(t.partition(":")[0]) for b, t in zip(bad, tokens)),
+        np.int64,
+        n,
+    )
+    return idx, None, bad
+
+
+def _convert_block(tokens: list[str], counts: list[int]):
+    """1-based indices and values of a block's feature tokens.
+
+    `counts` splits `tokens` into examples. When the block repeats its
+    tokens (half or fewer of its first `_SAMPLE` are distinct), each
+    distinct token is converted once and the results are gathered
+    through per-token codes. The third item is the first example that
+    `_check_features` rejects, or -1.
+    """
+    n = len(tokens)
+    if not n:
+        return np.zeros(0, np.int64), np.zeros(0, np.float64), -1
+    sample = tokens[:_SAMPLE]
+    if 2 * len(set(sample)) <= len(sample):
+        distinct = list(dict.fromkeys(tokens))
+        code_of = dict(zip(distinct, range(len(distinct))))
+        codes = np.fromiter(map(code_of.__getitem__, tokens), np.intp, n)
+        idx, val, bad = _convert_tokens(distinct)
+        idx, bad = idx[codes], bad[codes]
+        if val is not None:
+            val = val[codes]
+    else:
+        idx, val, bad = _convert_tokens(tokens)
+    ends = np.cumsum(counts)
+    failed = np.zeros(n, dtype=bool)
+    # an index not above its predecessor, except where an example starts
+    np.less_equal(idx[1:], idx[:-1], out=failed[1:])
+    failed[ends[ends < n]] = False
+    failed |= bad
+    if not failed.any():
+        return idx, val, -1
+    first = int(np.argmax(failed))
+    return None, None, int(np.searchsorted(ends, first, side="right"))
 
 
 def write_libsvm(data: Dataset, path) -> None:

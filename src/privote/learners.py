@@ -435,9 +435,17 @@ def train_committee(
 
 @dataclass
 class FiniteHypothesisClass:
-    """Explicit class over a finite domain: one row of labels per member."""
+    """Explicit class over a finite domain: one row of labels per member.
+
+    `by_point` holds the same labels domain-major (row x is every
+    member's label of point x), so that reading one point, or a sample
+    of points, reads contiguous memory. It is a view when `labels` is the
+    transpose of a C-ordered array, as `threshold_class` builds it, and a
+    copy otherwise; `labels` must not be modified afterwards.
+    """
 
     labels: np.ndarray
+    by_point: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels)
@@ -446,6 +454,7 @@ class FiniteHypothesisClass:
         if not _is_binary(self.labels):
             raise ValueError("labels must be 0 or 1")
         self.labels = self.labels.astype(np.int8, copy=False)
+        self.by_point = np.ascontiguousarray(self.labels.T)
 
     @property
     def n_members(self) -> int:
@@ -462,7 +471,7 @@ class FiniteHypothesisClass:
         """Per-member number of errors on a sample of (domain index, label)."""
         xs = np.asarray(xs)
         ys = np.asarray(ys)
-        return (self.labels[:, xs] != ys).sum(axis=1)
+        return (self.by_point[xs].T != ys).sum(axis=1)
 
     def erm(
         self,
@@ -500,8 +509,10 @@ def threshold_class(points) -> FiniteHypothesisClass:
         raise ValueError("need at least one point")
     ranks = np.argsort(np.argsort(xs, kind="stable"), kind="stable")
     # member k labels point i with 1 iff rank(i) >= k
-    members = np.arange(n + 1)[:, None]
-    return FiniteHypothesisClass((ranks[None, :] >= members).astype(np.int8))
+    members = np.arange(n + 1)
+    # built domain-major, so that `by_point` needs no transposing copy
+    by_point = (ranks[:, None] >= members[None, :]).astype(np.int8)
+    return FiniteHypothesisClass(by_point.T)
 
 
 # ---------------------------------------------------------------------------

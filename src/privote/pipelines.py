@@ -261,7 +261,7 @@ class FiniteClassDescriptor:
         return ActiveState(descriptor=self, hypothesis=0, alive=alive)
 
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
-        col = self.hclass.labels[state.alive, int(x)]
+        col = self.hclass.by_point[int(x)][state.alive]
         return bool(col.min() != col.max())
 
     def _mistakes(self, state: ActiveState) -> np.ndarray:

@@ -6,7 +6,9 @@ a plain one-fit-at-a-time loop. Nothing at module level imports from
 privote, so agreement between the package and these functions is a
 genuine second opinion rather than a tautology.
 
-The exceptions are at the end. The linear active-learning descriptor
+The exceptions are at the end. The LIBSVM reader is privote's as it
+was before it converted tokens in bulk; it uses privote's file opener,
+label table, error type and Dataset. The linear active-learning descriptor
 is the one that fitted its reference and probe afresh at every stream
 point, before those fits were carried over and batched; it calls
 privote's trainer. The two reference pipelines are the non-private
@@ -413,6 +415,80 @@ def _drive_asq(student_pool, config, oracle):
         config.gamma,
         config.slack,
     )
+
+
+# ---------------------------------------------------------------------------
+# LIBSVM reading, one token at a time
+
+
+def reference_parse_libsvm(path):
+    """privote's LIBSVM reader as it was before bulk conversion.
+
+    Read `label idx:val ...` lines into a sparse dataset.
+
+    Labels {+1, 1} map to 1 and {-1, 0, 2} to 0. Feature indices are
+    1-based in the file, strictly increasing within a line, and stored
+    0-based. Anything after '#' on a line is a comment.
+    """
+    import scipy.sparse as sp
+    from privote.harness import _LABEL_MAP, LibsvmParseError, _open_text
+    from privote.learners import Dataset
+
+    labels: list[int] = []
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    max_index = -1
+
+    with _open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            try:
+                label_value = float(tokens[0])
+            except ValueError:
+                raise LibsvmParseError(
+                    f"line {lineno}: unreadable label {tokens[0]!r}"
+                ) from None
+            label = _LABEL_MAP.get(label_value)
+            if label is None:
+                raise LibsvmParseError(
+                    f"line {lineno}: unknown label value {tokens[0]}"
+                )
+            previous = 0
+            for token in tokens[1:]:
+                idx_str, _, val_str = token.partition(":")
+                try:
+                    idx = int(idx_str)
+                    val = float(val_str)
+                except ValueError:
+                    raise LibsvmParseError(
+                        f"line {lineno}: malformed feature {token!r}"
+                    ) from None
+                if idx < 1:
+                    raise LibsvmParseError(
+                        f"line {lineno}: feature index {idx} is not positive"
+                    )
+                if idx <= previous:
+                    raise LibsvmParseError(
+                        f"line {lineno}: feature index {idx} does not increase"
+                    )
+                previous = idx
+                indices.append(idx - 1)
+                values.append(val)
+                max_index = max(max_index, idx - 1)
+            labels.append(label)
+            indptr.append(len(indices))
+
+    if not labels:
+        raise LibsvmParseError("no examples found")
+    X = sp.csr_matrix(
+        (np.asarray(values), np.asarray(indices), np.asarray(indptr)),
+        shape=(len(labels), max_index + 1),
+    )
+    return Dataset(X, np.asarray(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,18 @@ import bz2
 import gzip
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
+from privote import harness
 from privote import (
     ExperimentConfig,
     LibsvmParseError,
@@ -61,6 +68,11 @@ def test_parse_libsvm_values_and_labels(tmp_path):
         ("1 3:1 2:1", "does not increase"),
         ("1 3:1 3:2", "does not increase"),
         ("1 0:1", "not positive"),
+        ("1 1:nan", "non-finite feature value '1:nan'"),
+        ("1 1:2 2:-inf", "non-finite feature value '2:-inf'"),
+        ("1 1:1e999", "non-finite feature value '1:1e999'"),
+        ("1 99999999999999999999:1", "feature index 99999999999999999999 is too large"),
+        ("1 9223372036854775808:1", "is too large"),
     ],
 )
 def test_parse_libsvm_errors_name_the_line(tmp_path, line, fragment):
@@ -104,6 +116,144 @@ def test_libsvm_round_trip(tmp_path):
     out2 = tmp_path / "rewritten2.txt"
     write_libsvm(second, out2)
     assert out.read_text() == out2.read_text()
+
+
+def test_parse_libsvm_largest_index(tmp_path):
+    f = tmp_path / "wide.txt"
+    f.write_text("1 9223372036854775807:2\n")
+    data = parse_libsvm(f)
+    assert data.n_features == 2**63 - 1
+    assert data.X.indices.tolist() == [2**63 - 2]
+
+
+def test_parse_libsvm_first_error_across_blocks(tmp_path):
+    """Each block is checked before the next is read, and an unreadable
+    label waits for the feature checks of the lines above it."""
+    good = "".join(f"+1 {i}:1 {i + 1}:0.5\n" for i in range(1, 40))
+    f = tmp_path / "late.txt"
+    f.write_text(good + "1 2:1 2:1\n" + good + "x 1:1\n")
+    g = tmp_path / "label.txt"
+    g.write_text(good + "1 2:1 3:nan\nx 1:1\n")
+    with mock.patch.object(harness, "_BLOCK_CHARS", 64):
+        with pytest.raises(LibsvmParseError, match="^line 40: feature index 2 does"):
+            parse_libsvm(f)
+        with pytest.raises(LibsvmParseError, match="^line 40: non-finite"):
+            parse_libsvm(g)
+        g.write_text(good + "1 2:1 3:4\nx 1:1\n")
+        with pytest.raises(LibsvmParseError, match="^line 41: unreadable label 'x'"):
+            parse_libsvm(g)
+
+
+def _spell_index(draw, idx: int) -> str:
+    digits = str(idx).zfill(draw(st.integers(0, 3)) + len(str(idx)))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    return draw(st.sampled_from(["", "", "+"])) + digits
+
+
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.3e}"),
+    st.sampled_from(["1", "1.0", "-0.0", "0", "1_0.5", ".5", "-1E-3"]),
+)
+# about one token in 60 has a value rejected on purpose, and one line in
+# 15 an index at or past the ends of the accepted range
+_ODD = st.integers(0, 59).map(lambda k: k == 0)
+_ODD_LINE = st.integers(0, 14).map(lambda k: k == 0)
+_ODD_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e999", "NaN"])
+_ODD_INDEX = st.sampled_from([0, -1, 2**63 - 1, 2**63, 10**20])
+_GAP = st.sampled_from([" ", " ", "\t", "\x0b", "\x0c", "  "])
+
+
+@st.composite
+def libsvm_texts(draw) -> str:
+    """LIBSVM text with the spellings the format allows, a few that it
+    does not, and random one-character corruptions."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["example"] * 5 + ["blank", "comment"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["#", "# note", "  # 1 2:3"]))
+        else:
+            idxs = draw(st.lists(st.integers(1, 30), max_size=6))
+            if draw(_ODD_LINE):
+                idxs.append(draw(_ODD_INDEX))
+            if not draw(_ODD_LINE):
+                idxs = sorted(set(idxs))
+            parts = [draw(st.sampled_from(["+1", "-1", "1", "0", "2", "1.0"]))]
+            parts += [
+                _spell_index(draw, i) + ":" + draw(_ODD_VALUE if odd else _VALUE)
+                for i, odd in zip(idxs, draw(st.lists(_ODD, min_size=len(idxs))))
+            ]
+            line = parts[0]
+            for part in parts[1:]:
+                line += draw(_GAP) + part
+            line += draw(st.sampled_from(["", "", " ", "\t", " # tail"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    text = "".join(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if not text:
+            break
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(list(":#+-._e0 9\t\n\r\x0bx")))
+        cut = draw(st.sampled_from([0, 1]))  # insert, or replace
+        text = text[:at] + char + text[at + cut:]
+    return text
+
+
+def _outcome(parse, path):
+    try:
+        data = parse(path)
+    except Exception as exc:  # the reference raises OverflowError too
+        return type(exc), str(exc)
+    X = data.X
+    arrays = (X.data, X.indices, X.indptr, data.y)
+    return X.shape, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _first_line(message: str) -> int:
+    return int(re.match(r"line (\d+):", message).group(1))
+
+
+@given(
+    libsvm_texts(),
+    st.sampled_from([1, 64, 1 << 20]),
+    st.sampled_from([0, 1, 1024]),
+)
+@example("1 1:1\n-1 2:1\n", 1 << 20, 0)
+@example("1 1:2:3 4\n", 1 << 20, 1)  # colons off by one twice
+@example("1 2:1 1:1\n", 1 << 20, 0)
+@example("1 1:1 2:1\n-1 2:1 1:1\n", 1 << 20, 1)
+@example("1 1:nan\n-1 0:1\n", 1 << 20, 0)
+@example("1 1:1\n-1 99999999999999999999:1\n", 1 << 20, 1024)
+def test_parse_libsvm_matches_reference(text, block_chars, sample):
+    """Same arrays, dtypes and errors as the token-at-a-time reader.
+
+    Blocks of 1 and 64 characters split the text across many blocks;
+    a `_SAMPLE` of 0 always converts distinct tokens through codes, 1
+    never does. The exceptions are the two inputs rejected on purpose:
+    non-finite values and indices above 2**63 - 1. Where those fail, the
+    reference must accept the file or fail no earlier.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = Path(tmp) / "d.txt"
+        plain.write_bytes(text.encode())
+        (Path(tmp) / "d.txt.gz").write_bytes(gzip.compress(text.encode()))
+        (Path(tmp) / "d.txt.bz2").write_bytes(bz2.compress(text.encode()))
+        expected = _outcome(oracles.reference_parse_libsvm, plain)
+        with mock.patch.multiple(harness, _BLOCK_CHARS=block_chars, _SAMPLE=sample):
+            for name in ("d.txt", "d.txt.gz", "d.txt.bz2"):
+                got = _outcome(parse_libsvm, Path(tmp) / name)
+                if got[0] is LibsvmParseError and (
+                    "non-finite" in got[1] or "is too large" in got[1]
+                ):
+                    if expected[0] is LibsvmParseError:
+                        assert _first_line(expected[1]) >= _first_line(got[1])
+                    continue
+                assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,39 @@ def test_finite_disagreement_region_is_exact():
     assert not active_disagreement_test(state, 3, slack=0.0)  # 0.1 is settled
 
 
+@given(
+    st.integers(1, 12),
+    st.integers(1, 15),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+def test_finite_reads_match_plain_expressions(members, domain, transposed, seed):
+    """The domain-major reads give the member-major expressions' answers,
+    for classes built either way round (threshold_class builds them
+    transposed)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=(members, domain))
+    if transposed:
+        labels = np.ascontiguousarray(labels.T).T
+    hclass = FiniteHypothesisClass(labels)
+    desc = FiniteClassDescriptor(hclass)
+    state = desc.init_state()
+    plain = labels.astype(np.int8)
+    for _ in range(20):
+        state.alive = rng.random(members) < rng.random()
+        state.alive[rng.integers(members)] = True
+        x = int(rng.integers(domain))
+        col = plain[state.alive, x]
+        assert desc.disagreement(state, x, 0.0) == bool(col.min() != col.max())
+        xs = rng.integers(domain, size=rng.integers(1, 2 * domain + 1))
+        ys = rng.integers(0, 3, size=len(xs))  # 2 is wrong for every member
+        expected = (plain[:, xs] != ys).sum(axis=1)
+        for args in ((xs, ys), (xs.tolist(), ys.tolist())):
+            got = hclass.mistake_counts(*args)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
 def test_update_keeps_low_mistake_members():
     labels = np.array(
         [
