@@ -14,9 +14,7 @@ from .aggregation import (
     SessionExhausted,
     SvtSession,
     VoteCount,
-    distance_to_instability,
     margin,
-    stability_release,
     vote_majority,
 )
 from .dp_core import (
@@ -40,7 +38,6 @@ from .harness import (
     emit_report,
     estimate_teacher_error,
     parse_libsvm,
-    render_margin_csv,
     render_trial_csv,
     run_experiment,
     split_protocol,
@@ -53,9 +50,6 @@ from .learners import (
     LinearHypothesis,
     TrainerSettings,
     empirical_error,
-    estimate_expected_margin,
-    estimate_high_margin_nu,
-    estimate_infinite_ensemble,
     margin_distribution_report,
     split_disjoint,
     threshold_class,
@@ -70,14 +64,12 @@ from .pipelines import (
     LinearClassDescriptor,
     PsqConfig,
     RunReport,
-    active_disagreement_test,
     active_update_version_space,
     compute_k_for_gaussian,
     compute_svt_params,
     pate_asq,
     pate_psq,
     run_active_learning,
-    svt_works_params,
 )
 from .synthdata import (
     TncGenerator,
@@ -86,7 +78,6 @@ from .synthdata import (
     gen_massart,
     gen_realizable,
     gen_tnc,
-    gen_voting_fails,
     gen_voting_wins,
 )
 

@@ -40,9 +40,7 @@ __all__ = [
     "GaussianSession",
     "SvtSession",
     "margin",
-    "distance_to_instability",
     "vote_majority",
-    "stability_release",
 ]
 
 
@@ -223,24 +221,3 @@ class SvtSession:
     def privacy_report(self) -> tuple[float, float]:
         """The budgeted (epsilon, delta); depends only on cutoff and lambda."""
         return self.budget.epsilon, self.budget.delta
-
-
-def stability_release(
-    value,
-    dist: int,
-    gamma_threshold: float,
-    epsilon: float,
-    rng: np.random.Generator,
-):
-    """Release `value` iff its stability distance clears a noisy threshold.
-
-    The caller certifies that `dist` is the true distance to instability of
-    the function that produced `value`. Returns the value or None.
-    """
-    if dist < 0:
-        raise ValueError("dist must be nonnegative")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if dist + sample_laplace(1.0 / epsilon, rng) > gamma_threshold:
-        return value
-    return None

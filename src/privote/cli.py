@@ -28,20 +28,14 @@ from .dp_core import (
 from .harness import (
     METHODS,
     ExperimentConfig,
+    _load_source,
     emit_report,
-    parse_libsvm,
     render_report,
     run_experiment,
 )
 from .learners import margin_distribution_report
 from .pipelines import compute_k_for_gaussian, compute_svt_params
-from .synthdata import (
-    TncGenerator,
-    VotingFailsFixture,
-    gen_massart,
-    gen_realizable,
-    gen_voting_wins,
-)
+from .synthdata import TncGenerator, VotingFailsFixture, gen_voting_wins
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
@@ -282,12 +276,8 @@ def cmd_margins(args) -> int:
         source = VotingFailsFixture()
     elif name == "voting_wins":
         source = gen_voting_wins(args.xi, 1000, rng)
-    elif name == "realizable":
-        source = gen_realizable(args.d, args.n, rng)[0]
-    elif name == "massart":
-        source = gen_massart(args.d, args.n, args.flip, rng)[0]
     else:
-        source = parse_libsvm(name)
+        source = _load_source(name, args.n, {"d": args.d, "flip": args.flip})(rng)
     rows = margin_distribution_report(
         source,
         args.teachers,

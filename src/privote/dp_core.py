@@ -118,6 +118,8 @@ def calibrate_gaussian_sigma(ell: int, budget: PrivacyBudget) -> float:
 
     i.e. the zCDP cost of ell sensitivity-1 Gaussian releases converted to
     (epsilon, delta)-DP. A residual back-substitution guards the algebra.
+    If rounding puts the cost of ell answers, as a session reports it,
+    above epsilon, sigma is raised one ulp at a time until it is not.
     """
     _check_ell(ell)
     eps, delta = budget.epsilon, budget.delta
@@ -130,6 +132,8 @@ def calibrate_gaussian_sigma(ell: int, budget: PrivacyBudget) -> float:
         raise ArithmeticError(
             f"calibration residual {residual:.3e} exceeds 1e-9"
         )
+    while zcdp_to_dp(gaussian_composition_rho(ell, sigma), delta) > eps:
+        sigma = math.nextafter(sigma, math.inf)
     return sigma
 
 

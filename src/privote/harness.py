@@ -50,7 +50,6 @@ __all__ = [
     "run_experiment",
     "estimate_teacher_error",
     "render_trial_csv",
-    "render_margin_csv",
     "render_report",
     "emit_report",
     "METHODS",
@@ -80,13 +79,17 @@ class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message names the offending line."""
 
 
-def _open_text(path):
+def _open_bytes(path):
     p = str(path)
     if p.endswith(".bz2"):
-        return io.TextIOWrapper(bz2.open(p, "rb"), encoding="utf-8")
+        return bz2.open(p, "rb")
     if p.endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(p, "rb"), encoding="utf-8")
-    return open(p, "r", encoding="utf-8")
+        return gzip.open(p, "rb")
+    return open(p, "rb")
+
+
+def _open_text(path):
+    return io.TextIOWrapper(_open_bytes(path), encoding="utf-8")
 
 
 # accepted label spellings; 2 covers datasets published with {1, 2} classes
@@ -125,7 +128,7 @@ def parse_libsvm(path) -> Dataset:
     first_lineno = 1  # of the current block
 
     with _open_text(path) as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
+        while lines := _read_block(fh, path, first_lineno):
             features: list[str] = []
             rows: list[int] = []  # each example's position in `lines`
             row_counts: list[int] = []
@@ -169,6 +172,36 @@ def parse_libsvm(path) -> Dataset:
         shape=(len(labels), int(col.max()) + 1 if col.size else 0),
     )
     return Dataset(X, np.asarray(labels))
+
+
+def _read_block(fh, path, first_lineno: int) -> list[str]:
+    """The next block of lines from `fh`, which starts at `first_lineno`.
+
+    On a byte that is not UTF-8 the text reader fails before it hands over
+    the lines ahead of it, so those are re-read from the bytes, split at
+    \\n, \\r\\n or \\r as the reader splits them, and checked first.
+    """
+    try:
+        return fh.readlines(_BLOCK_CHARS)
+    except UnicodeDecodeError:
+        with _open_bytes(path) as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = exc.start
+        else:  # the file has changed since
+            raise
+    text = data[:bad].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    for lineno in range(first_lineno, len(lines)):
+        tokens = lines[lineno - 1].split("#", 1)[0].split()
+        if tokens:
+            _read_label(lineno, tokens[0])
+            _check_features(lineno, tokens[1:])
+    raise LibsvmParseError(
+        f"line {len(lines)}: byte {data[bad]:#04x} is not valid UTF-8"
+    )
 
 
 def _read_label(lineno: int, token: str) -> int:
@@ -321,9 +354,6 @@ class Split:
     test: Dataset
     student_labels: np.ndarray
 
-    def __iter__(self):
-        return iter((self.teacher, self.student, self.test))
-
 
 def split_protocol(data: Dataset, fractions, rng) -> Split:
     """Disjoint random split into (teacher, unlabeled student, test).
@@ -408,7 +438,7 @@ class TrialReport:
     wall_ms: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps_ex_post > self.epsilon * (1 + 1e-9):
+        if self.eps_ex_post > self.epsilon:
             raise ValueError("realized privacy loss exceeds the budget")
         if not (0.0 <= self.accuracy <= 1.0):
             raise ValueError("accuracy must lie in [0, 1]")
@@ -470,25 +500,26 @@ def estimate_teacher_error(
     return empirical_error(teacher, holdout)
 
 
-def _load_source(config: ExperimentConfig):
-    """Returns a per-trial dataset factory; real files parse once."""
-    name = config.dataset
-    p = config.generator_params
+def _load_source(name: str, n: int, params: dict):
+    """Per-trial dataset factory for a generator name or a LIBSVM file.
+
+    Generators draw n fresh examples from the trial's rng, with their
+    parameters read from `params`; a file is parsed once, here.
+    """
     if name in SYNTH_DATASETS:
-        n = config.synth_n
 
         def factory(rng):
             if name == "realizable":
-                return gen_realizable(p.get("d", 5), n, rng)[0]
+                return gen_realizable(params.get("d", 5), n, rng)[0]
             if name == "massart":
-                return gen_massart(p.get("d", 5), n, p.get("flip", 0.1), rng)[0]
-            return gen_tnc(p.get("tau", 1.0), n, rng, c=p.get("c", 0.5))[0]
+                flip = params.get("flip", 0.1)
+                return gen_massart(params.get("d", 5), n, flip, rng)[0]
+            return gen_tnc(params.get("tau", 1.0), n, rng, c=params.get("c", 0.5))[0]
 
         return factory
     if not Path(name).exists():
         raise FileNotFoundError(
-            f"dataset {name!r} is neither a readable file nor one of "
-            f"{SYNTH_DATASETS}"
+            f"dataset {name!r} is neither a readable file nor a generator name"
         )
     parsed = parse_libsvm(name)
     return lambda rng: parsed
@@ -547,7 +578,7 @@ def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[SummaryReport, list[TrialReport]]:
     """The repeat protocol: fresh derived-seed split and run per trial."""
-    factory = _load_source(config)
+    factory = _load_source(config.dataset, config.synth_n, config.generator_params)
     trials: list[TrialReport] = []
     for t in range(config.trials):
         seed = derive_seed(config.seed, t)
@@ -606,10 +637,6 @@ def _render_csv(columns, rows: list[dict]) -> str:
 
 def render_trial_csv(trials: list[TrialReport]) -> str:
     return _render_csv(TRIAL_COLUMNS, [t.as_row() for t in trials])
-
-
-def render_margin_csv(rows: list[dict]) -> str:
-    return _render_csv(MARGIN_COLUMNS, rows)
 
 
 def _coerce_rows(reports) -> tuple[tuple[str, ...], list[dict]]:

@@ -1,10 +1,8 @@
-"""Hypotheses, ERM training, ensembles, and population estimators.
+"""Hypotheses, ERM training, ensembles, and vote-margin reports.
 
 Linear models with sparse features carry the real-data experiments; an
 explicit finite hypothesis class backs the counterexample fixtures and the
-exact version-space machinery. Monte-Carlo estimators approximate the
-infinite-ensemble aggregate, the expected vote margin, and the high-margin
-failure mass of a data distribution.
+exact version-space machinery.
 
 All linear training goes through one gradient-descent loop. A committee's
 K disjoint shards are stacked into one block-diagonal sparse matrix, so
@@ -34,9 +32,6 @@ __all__ = [
     "train_erm_batch",
     "empirical_error",
     "train_committee",
-    "estimate_infinite_ensemble",
-    "estimate_expected_margin",
-    "estimate_high_margin_nu",
     "margin_distribution_report",
 ]
 
@@ -464,32 +459,15 @@ class FiniteHypothesisClass:
     def domain_size(self) -> int:
         return self.labels.shape[1]
 
-    def predictions(self, member: int, xs) -> np.ndarray:
-        return self.labels[member, np.asarray(xs)]
-
     def mistake_counts(self, xs, ys) -> np.ndarray:
         """Per-member number of errors on a sample of (domain index, label)."""
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         return (self.by_point[xs].T != ys).sum(axis=1)
 
-    def erm(
-        self,
-        xs,
-        ys,
-        rng: np.random.Generator | None = None,
-        randomize_ties: bool = False,
-    ) -> int:
-        """Index of an empirical-risk minimizer.
-
-        Ties go to the lowest index by default; with randomize_ties the
-        winner is uniform over the argmin set (rng required).
-        """
+    def erm(self, xs, ys, rng: np.random.Generator) -> int:
+        """Index of an empirical-risk minimizer, uniform over the argmin set."""
         counts = self.mistake_counts(xs, ys)
-        if not randomize_ties:
-            return int(np.argmin(counts))
-        if rng is None:
-            raise ValueError("randomized tie-breaking needs an rng")
         priority = rng.random(self.n_members)
         best = counts == counts.min()
         cand = np.flatnonzero(best)
@@ -516,12 +494,11 @@ def threshold_class(points) -> FiniteHypothesisClass:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo estimators of population quantities
+# Vote-margin reports
 #
 # A "distribution" here is any object with
 #   sample_xy(n, rng) -> (xs, ys)          a fresh labeled sample
 #   fit(xs, ys, rng)  -> callable          a teacher trained on that sample
-# and, where an estimator needs them,
 #   probe_points(count, rng) -> xs          fresh probe inputs
 #   optimal_labels(xs) -> np.ndarray        reference-classifier labels
 # Probes use the distribution's native batch form (index arrays for finite
@@ -539,47 +516,6 @@ def _probe_means(dist, n: int, probes, reps: int, rng) -> np.ndarray:
         preds = np.asarray(teacher(probes), dtype=float)
         total = preds if total is None else total + preds
     return total / reps
-
-
-def estimate_infinite_ensemble(
-    dist, n_per_teacher: int, x, reps: int, rng: np.random.Generator
-) -> tuple[int, float]:
-    """Limit-ensemble label at a single probe, plus the vote-for-1 rate.
-
-    Trains `reps` independent teachers on fresh n-point samples; the label
-    is 1 iff the mean prediction reaches 1/2. `x` is a length-one probe
-    batch in the distribution's native form.
-    """
-    p = float(_probe_means(dist, n_per_teacher, x, reps, rng)[0])
-    return int(p >= 0.5), p
-
-
-def estimate_expected_margin(
-    dist, n: int, x, reps: int, rng: np.random.Generator
-) -> float:
-    """Estimated |P(teacher votes 1 at x) - 1/2| for n-sample teachers."""
-    p = float(_probe_means(dist, n, x, reps, rng)[0])
-    return abs(p - 0.5)
-
-
-def estimate_high_margin_nu(
-    dist,
-    n: int,
-    xi: float,
-    probe_count: int,
-    reps: int,
-    rng: np.random.Generator,
-) -> float:
-    """Estimated failure mass of the margin condition at level xi.
-
-    Returns the fraction of probe points whose estimated expected margin is
-    at most xi (the mass NOT exceeding the margin requirement).
-    """
-    if not (0.0 < xi < 0.5):
-        raise ValueError("xi must lie in (0, 1/2)")
-    probes = dist.probe_points(probe_count, rng)
-    means = _probe_means(dist, n, probes, reps, rng)
-    return float(np.mean(np.abs(means - 0.5) <= xi))
 
 
 def margin_distribution_report(

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .aggregation import ExactSession, GaussianSession, SvtSession, VoteCount
-from .dp_core import PrivacyBudget, calibrate_svt_lambda, make_rng
+from .dp_core import PrivacyBudget, make_rng
 from .learners import (
     Dataset,
     FiniteHypothesisClass,
@@ -51,12 +51,10 @@ __all__ = [
     "FiniteClassDescriptor",
     "pate_psq",
     "pate_asq",
-    "active_disagreement_test",
     "active_update_version_space",
     "run_active_learning",
     "compute_k_for_gaussian",
     "compute_svt_params",
-    "svt_works_params",
 ]
 
 MECHANISMS = ("gaussian", "svt")
@@ -86,7 +84,6 @@ class PsqConfig:
     mechanism: str = "gaussian"
     T: int | None = None
     bot_policy: str = "zero"
-    trainer: TrainerSettings | None = None
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -107,9 +104,7 @@ class AsqConfig:
     query_budget: int
     budget: PrivacyBudget | None  # None: exact majority, no privacy
     gamma: float = 0.1
-    c_prime: float = 1.0
     slack: float | None = None  # None: 1/|Q|, refreshed as Q grows
-    trainer: TrainerSettings | None = None
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -118,8 +113,6 @@ class AsqConfig:
             raise ValueError("query_budget must be positive")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        if self.c_prime <= 0:
-            raise ValueError("c_prime must be positive")
         _check_slack(self.slack)
 
 
@@ -163,7 +156,7 @@ def pate_psq(
     """
     _require_pools(teacher_data, student_pool, test_data, config.K)
     rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng, config.trainer)
+    ensemble = train_committee(teacher_data, config.K, rng)
     ones = ensemble.vote_ones(student_pool.X)
     m = len(student_pool)
 
@@ -190,7 +183,7 @@ def pate_psq(
         labels[i] = answer
 
     eps, _ = session.privacy_report()
-    student = train_erm(student_pool.with_labels(labels), config.trainer)
+    student = train_erm(student_pool.with_labels(labels))
     report = RunReport(
         queries=queries,
         bots=bots,
@@ -247,8 +240,6 @@ class FiniteClassDescriptor:
     vc_dim: int = 1
     theta: float | Callable[[float], float] = 2.0
     c_prime: float = 1.0
-
-    kind = "finite"
 
     def _theta_at(self, arg: float) -> float:
         value = self.theta(arg) if callable(self.theta) else self.theta
@@ -309,9 +300,6 @@ class FiniteClassDescriptor:
         mistakes = self._mistakes(state).astype(float)
         mistakes[~state.alive] = np.inf
         state.hypothesis = int(np.argmin(mistakes))
-
-    def predict(self, state: ActiveState, xs) -> np.ndarray:
-        return self.hclass.predictions(state.hypothesis, xs)
 
 
 @dataclass
@@ -379,8 +367,6 @@ class LinearClassDescriptor:
     settings: TrainerSettings = TrainerSettings()
     probe_settings: TrainerSettings = TrainerSettings(max_iter=150)
 
-    kind = "linear"
-
     def init_state(self) -> ActiveState:
         h0 = LinearHypothesis(np.zeros(self.n_features), 0.0)
         return ActiveState(descriptor=self, hypothesis=h0)
@@ -438,19 +424,6 @@ class LinearClassDescriptor:
                 self._pool(state), self.settings, init=state.hypothesis
             )
 
-    def predict(self, state: ActiveState, xs) -> np.ndarray:
-        return state.hypothesis.predict(xs)
-
-
-def active_disagreement_test(state: ActiveState, x, slack: float) -> bool:
-    """Would labeling x tell the learner anything it cannot infer?
-
-    Exact for finite classes (some two live members split on x); for
-    linear classes the constrained-refit surrogate decides. Infinite slack
-    degenerates to passive learning: everything is ambiguous.
-    """
-    return state.descriptor.disagreement(state, x, slack)
-
 
 def active_update_version_space(state: ActiveState, j: int, gamma: float) -> ActiveState:
     """Shrink the version space at stream position j (a power of two).
@@ -476,9 +449,10 @@ def run_active_learning(
 ) -> ActiveState:
     """Drive the disagreement learner down a fixed stream.
 
-    oracle(x, i) supplies a label for stream element i on request; calls
-    are made only inside the disagreement region and stop once the budget
-    is spent. The final hypothesis is refit on everything queried.
+    oracle(x, i) labels stream element i on request, only where
+    `descriptor.disagreement` finds x ambiguous (with infinite slack,
+    everywhere: passive learning), until the budget is spent. The final
+    hypothesis is refit on everything queried.
     """
     if query_budget < 1:
         raise ValueError("query_budget must be positive")
@@ -490,7 +464,7 @@ def run_active_learning(
         effective_slack = (
             slack if slack is not None else 1.0 / max(1, len(state.xs))
         )
-        if active_disagreement_test(state, x, effective_slack):
+        if descriptor.disagreement(state, x, effective_slack):
             state.ys.append(oracle(x, i))
             state.xs.append(x)
             state.c += 1
@@ -518,7 +492,7 @@ def pate_asq(
     """
     _require_pools(teacher_data, student_pool, test_data, config.K)
     rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng, config.trainer)
+    ensemble = train_committee(teacher_data, config.K, rng)
     ones = ensemble.vote_ones(student_pool.X)
     if config.budget is None:
         session = ExactSession()
@@ -527,12 +501,8 @@ def pate_asq(
             config.query_budget, config.budget, rng
         )
 
-    descriptor = LinearClassDescriptor(
-        n_features=student_pool.n_features,
-        settings=config.trainer or TrainerSettings(),
-    )
     state = run_active_learning(
-        descriptor,
+        LinearClassDescriptor(student_pool.n_features),
         # rows are sliced as the loop reaches them: it stops once the
         # query budget is spent
         (student_pool.X[i] for i in range(len(student_pool))),
@@ -603,43 +573,5 @@ def compute_svt_params(
         * math.log(4.0 * m * T / min(delta, beta / 2.0))
         * math.sqrt(T * math.log(2.0 / delta))
         / eps
-    )
-    return T, K
-
-
-def svt_works_params(
-    m: int,
-    nu: float,
-    xi: float,
-    gamma: float,
-    budget: PrivacyBudget,
-) -> tuple[int, int]:
-    """(T, K) sized from distributional margins instead of teacher error.
-
-    nu bounds the mass of points whose expected vote margin is below xi;
-    with these parameters a stable-release session finishes all m rounds
-    with probability at least 1 - gamma.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not (0.0 <= nu < 1.0):
-        raise ValueError("nu must lie in [0, 1)")
-    if not (0.0 < xi < 0.5):
-        raise ValueError("xi must lie in (0, 1/2)")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    log3g = math.log(3.0 / gamma)
-    T = math.ceil(nu * m + math.sqrt(2.0 * nu * m * log3g) + 2.0 * log3g / 3.0)
-    T = max(T, 1)
-    lam = calibrate_svt_lambda(T, budget)
-    log_alive = math.log(3.0 * m / gamma)
-    K = math.ceil(
-        max(
-            2.0 * log_alive / xi**2,
-            3.0
-            * lam
-            * (math.log(4.0 * m / budget.delta) + log_alive)
-            / xi,
-        )
     )
     return T, K

@@ -22,7 +22,6 @@ __all__ = [
     "gen_realizable",
     "gen_massart",
     "gen_tnc",
-    "gen_voting_fails",
     "gen_voting_wins",
 ]
 
@@ -270,7 +269,7 @@ class VotingFailsFixture:
         return xs, np.ones(n, dtype=np.int64)
 
     def fit(self, xs, ys, rng: np.random.Generator):
-        member = self.hypothesis_class.erm(xs, ys, rng, randomize_ties=True)
+        member = self.hypothesis_class.erm(xs, ys, rng)
         row = self.member_labels[member]
         return lambda probes: row[np.asarray(probes)]
 
@@ -279,12 +278,6 @@ class VotingFailsFixture:
 
     def optimal_labels(self, xs) -> np.ndarray:
         return np.ones(len(np.asarray(xs)), dtype=np.int64)
-
-
-def gen_voting_fails() -> tuple[np.ndarray, np.ndarray, FiniteHypothesisClass]:
-    """The exact 4-point counterexample: (domain, labels, class)."""
-    fx = VotingFailsFixture()
-    return fx.domain, fx.true_labels, fx.hypothesis_class
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,6 @@ def laplace_cdf(x: float, scale: float) -> float:
     return 1.0 - 0.5 * math.exp(-x / scale)
 
 
-def laplace_tail_above(a: float, scale: float) -> float:
-    """P(Lap(scale) > a)."""
-    return 1.0 - laplace_cdf(a, scale)
-
-
 def gaussian_cdf(x: float, sigma: float) -> float:
     return 0.5 * (1.0 + math.erf(x / (sigma * math.sqrt(2.0))))
 
@@ -288,8 +283,6 @@ class ReferenceLinearDescriptor:
     hypothesis bit for bit.
     """
 
-    kind = "linear"
-
     def __init__(self, n_features, settings=None, probe_settings=None):
         from privote.learners import TrainerSettings
 
@@ -343,17 +336,12 @@ class ReferenceLinearDescriptor:
                 self._pool(state), self.settings, init=state.hypothesis
             )
 
-    def predict(self, state, xs):
-        return state.hypothesis.predict(xs)
-
 
 # ---------------------------------------------------------------------------
 # Non-private pipelines, before exact-majority sessions
 
 
-def reference_psq_noiseless(
-    teacher_data, student_pool, test_data, K, rng=None, trainer=None
-):
+def reference_psq_noiseless(teacher_data, student_pool, test_data, K, rng=None):
     """Non-private baseline: exact majority labels for the whole pool."""
     from privote.dp_core import make_rng
     from privote.learners import empirical_error, train_committee, train_erm
@@ -361,10 +349,10 @@ def reference_psq_noiseless(
 
     _require_pools(teacher_data, student_pool, test_data, K)
     rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, K, rng, trainer)
+    ensemble = train_committee(teacher_data, K, rng)
     ones = ensemble.vote_ones(student_pool.X)
     labels = (2 * ones >= K).astype(np.int64)
-    student = train_erm(student_pool.with_labels(labels), trainer)
+    student = train_erm(student_pool.with_labels(labels))
     report = RunReport(
         queries=len(student_pool),
         bots=0,
@@ -383,7 +371,7 @@ def reference_asq_noiseless(teacher_data, student_pool, test_data, config, rng=N
 
     _require_pools(teacher_data, student_pool, test_data, config.K)
     rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng, config.trainer)
+    ensemble = train_committee(teacher_data, config.K, rng)
     ones = ensemble.vote_ones(student_pool.X)
 
     state = _drive_asq(
@@ -403,9 +391,7 @@ def reference_asq_noiseless(teacher_data, student_pool, test_data, config, rng=N
 def _drive_asq(student_pool, config, oracle):
     from privote.pipelines import run_active_learning
 
-    descriptor = ReferenceLinearDescriptor(
-        student_pool.n_features, settings=config.trainer
-    )
+    descriptor = ReferenceLinearDescriptor(student_pool.n_features)
     stream = [student_pool.X[i] for i in range(len(student_pool))]
     return run_active_learning(
         descriptor,

@@ -14,13 +14,12 @@ from privote import (
     SessionExhausted,
     SvtSession,
     VoteCount,
-    distance_to_instability,
     make_rng,
     margin,
     sample_laplace,
-    stability_release,
     vote_majority,
 )
+from privote.aggregation import distance_to_instability
 
 
 def _vc(votes):
@@ -259,33 +258,3 @@ def test_svt_validation():
         SvtSession(1.0, -1.0, 1, budget, make_rng(0))
     with pytest.raises(ValueError):
         SvtSession(1.0, 1.0, 0, budget, make_rng(0))
-
-
-# ---------------------------------------------------------------------------
-# One-shot stability release
-
-
-def test_stability_release_tails():
-    eps, gamma = 1.0, 10.0
-    n = 4_000
-    rng = make_rng(21)
-    deep = sum(
-        stability_release("x", 60, gamma, eps, rng) is not None for _ in range(n)
-    )
-    assert deep == n
-    rng = make_rng(22)
-    # dist == gamma: released iff the Laplace draw is positive
-    half = sum(
-        stability_release("x", 10, gamma, eps, rng) is not None for _ in range(n)
-    )
-    assert half / n == pytest.approx(0.5, abs=4 * oracles.binomial_se(0.5, n))
-    rng = make_rng(23)
-    low = sum(
-        stability_release("x", 0, gamma, eps, rng) is not None for _ in range(n)
-    )
-    expect = oracles.laplace_tail_above(gamma, 1.0 / eps)
-    assert low / n <= expect + 4 * oracles.binomial_se(expect, n) + 1e-3
-    with pytest.raises(ValueError):
-        stability_release("x", -1, gamma, eps, rng)
-    with pytest.raises(ValueError):
-        stability_release("x", 1, gamma, 0.0, rng)

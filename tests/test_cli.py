@@ -4,8 +4,18 @@ import json
 
 import pytest
 
-from privote import PrivacyBudget, calibrate_gaussian_sigma
+from privote import (
+    PrivacyBudget,
+    calibrate_gaussian_sigma,
+    gen_massart,
+    gen_realizable,
+    make_rng,
+    margin_distribution_report,
+    parse_libsvm,
+    write_libsvm,
+)
 from privote.cli import build_parser, main
+from privote.harness import render_report
 
 
 def test_calibrate_prints_sigma_and_k(capsys):
@@ -136,6 +146,39 @@ def test_margins_honors_explicit_zero_flip(capsys):
     assert outputs[0] != outputs[1]
     assert main(base) == 0  # the default flip rate is 0.1
     assert capsys.readouterr().out == outputs[1]
+
+
+_MARGIN_FLAGS = ["--probes", "6", "--reps", "2", "--teachers", "3", "--seed", "5"]
+
+
+def _direct_margins(source_of):
+    """The margins CSV from a source built straight from the generator."""
+    rng = make_rng(5)
+    rows = margin_distribution_report(source_of(rng), 3, 6, 2, rng)
+    return render_report(rows, "csv")
+
+
+def test_margins_dataset_sources_match_their_generators(tmp_path, capsys):
+    libsvm = tmp_path / "d.svm"
+    write_libsvm(gen_realizable(4, 300, make_rng(8))[0], libsvm)
+    cases = [
+        (["--dataset", "realizable"], lambda rng: gen_realizable(5, 2000, rng)[0]),
+        (["--dataset", "realizable", "--d", "3", "--n", "400"],
+         lambda rng: gen_realizable(3, 400, rng)[0]),
+        (["--dataset", "massart"], lambda rng: gen_massart(5, 2000, 0.1, rng)[0]),
+        (["--dataset", "massart", "--flip", "0", "--n", "400"],
+         lambda rng: gen_massart(5, 400, 0.0, rng)[0]),
+        (["--dataset", str(libsvm)], lambda rng: parse_libsvm(libsvm)),
+    ]
+    for flags, source_of in cases:
+        assert main(["margins", *flags, *_MARGIN_FLAGS]) == 0
+        assert capsys.readouterr().out == _direct_margins(source_of), flags
+
+
+def test_margins_missing_file_names_the_path(tmp_path, capsys):
+    missing = tmp_path / "no-such-file.svm"
+    assert main(["margins", "--dataset", str(missing)]) == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_margins_rejects_experiment_flags(capsys):

@@ -45,6 +45,17 @@ def test_gaussian_sigma_matches_bisection(ell, eps, delta):
     assert sigma == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("ell", (10, 49, 100, 163, 240, 1000))
+@pytest.mark.parametrize("eps", (0.5, 1.0, 2.0, 4.0))
+def test_calibrated_session_never_reports_above_budget(ell, eps):
+    """Rounding in the closed form must not put the report of ell answers
+    even one ulp over epsilon."""
+    session = GaussianSession.for_budget(ell, PrivacyBudget(eps, 1e-5), make_rng(0))
+    for _ in range(ell):
+        session.answer(VoteCount(1, 2))
+    assert session.privacy_report()[0] <= eps
+
+
 def test_sigma_monotone_in_ell_and_epsilon():
     budget = PrivacyBudget(1.0, 1e-6)
     sigmas = [calibrate_gaussian_sigma(ell, budget) for ell in (1, 5, 50, 500)]

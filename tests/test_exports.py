@@ -1,0 +1,80 @@
+"""The public names of the package, pinned so that a name is only added or
+removed on purpose."""
+
+import types
+
+import privote
+
+EXPORTS = [
+    "ActiveState",
+    "AsqConfig",
+    "Dataset",
+    "Ensemble",
+    "ExactSession",
+    "ExperimentConfig",
+    "FiniteClassDescriptor",
+    "FiniteHypothesisClass",
+    "GaussianSession",
+    "LibsvmParseError",
+    "LinearClassDescriptor",
+    "LinearHypothesis",
+    "PrivacyBudget",
+    "PsqConfig",
+    "RunReport",
+    "SessionExhausted",
+    "Split",
+    "SummaryReport",
+    "SvtSession",
+    "TncGenerator",
+    "TrainerSettings",
+    "TrialReport",
+    "VoteCount",
+    "VotingFailsFixture",
+    "VotingWinsGenerator",
+    "active_update_version_space",
+    "calibrate_gaussian_sigma",
+    "calibrate_svt_lambda",
+    "compute_k_for_gaussian",
+    "compute_svt_params",
+    "derive_seed",
+    "emit_report",
+    "empirical_error",
+    "estimate_teacher_error",
+    "gaussian_composition_rho",
+    "gen_massart",
+    "gen_realizable",
+    "gen_tnc",
+    "gen_voting_wins",
+    "make_rng",
+    "margin",
+    "margin_distribution_report",
+    "parse_libsvm",
+    "pate_asq",
+    "pate_psq",
+    "render_trial_csv",
+    "run_active_learning",
+    "run_experiment",
+    "sample_gaussian",
+    "sample_laplace",
+    "split_disjoint",
+    "split_protocol",
+    "svt_threshold_w",
+    "threshold_class",
+    "train_committee",
+    "train_erm",
+    "train_erm_batch",
+    "vote_majority",
+    "write_libsvm",
+    "zcdp_to_dp",
+]
+
+
+def test_exports_are_pinned():
+    public = sorted(
+        name
+        for name in dir(privote)
+        if not name.startswith("_")
+        # submodules appear once anything imports them
+        and not isinstance(getattr(privote, name), types.ModuleType)
+    )
+    assert public == EXPORTS

@@ -26,7 +26,6 @@ from privote import (
     gen_realizable,
     make_rng,
     parse_libsvm,
-    render_margin_csv,
     render_trial_csv,
     run_experiment,
     split_protocol,
@@ -142,6 +141,47 @@ def test_parse_libsvm_first_error_across_blocks(tmp_path):
         g.write_text(good + "1 2:1 3:4\nx 1:1\n")
         with pytest.raises(LibsvmParseError, match="^line 41: unreadable label 'x'"):
             parse_libsvm(g)
+
+
+def _write_variants(tmp_path, data: bytes):
+    plain = tmp_path / "d.txt"
+    plain.write_bytes(data)
+    (tmp_path / "d.txt.gz").write_bytes(gzip.compress(data))
+    (tmp_path / "d.txt.bz2").write_bytes(bz2.compress(data))
+    return [plain, tmp_path / "d.txt.gz", tmp_path / "d.txt.bz2"]
+
+
+def test_parse_libsvm_rejects_non_utf8(tmp_path):
+    for path in _write_variants(tmp_path, b"1 1:1\n1 2:\xe9\n"):
+        with pytest.raises(LibsvmParseError, match="^line 2: byte 0xe9 is not"):
+            parse_libsvm(path)
+
+
+def test_parse_libsvm_non_utf8_counts_lines_as_the_reader_does(tmp_path):
+    """Lines end at \\n, \\r\\n and \\r only: a form feed is blank space
+    within a line, and U+0085 is part of a comment."""
+    data = b"1 1:1\r\n-1 2:1\r1 1:1\x0c2:1 # \xc2\x85 note\n1 3:\xff\n"
+    for path in _write_variants(tmp_path, data):
+        with pytest.raises(LibsvmParseError, match="^line 4: byte 0xff is not"):
+            parse_libsvm(path)
+
+
+def test_parse_libsvm_error_above_bad_byte_wins(tmp_path):
+    """A bad line above the bad byte is reported, whether it shares the
+    bad byte's block or an earlier block was read before it."""
+    good = "".join(f"+1 {i}:1 {i + 1}:0.5\n" for i in range(1, 40)).encode()
+    cases = [
+        (b"1 1:1\n1 2:x\n1 \xe9\n", "^line 2: malformed feature '2:x'"),
+        (b"1 1:1\nx 1:1\n1 \xe9\n", "^line 2: unreadable label 'x'"),
+        (good + b"1 2:1 2:1\n" + good + b"\xe9\n", "^line 40: feature index 2 does"),
+        (good + b"1 2:1 3:1\n" + good + b"\xe9\n", "^line 80: byte 0xe9"),
+    ]
+    for block_chars in (64, 1 << 18):
+        with mock.patch.object(harness, "_BLOCK_CHARS", block_chars):
+            for data, message in cases:
+                for path in _write_variants(tmp_path, data):
+                    with pytest.raises(LibsvmParseError, match=message):
+                        parse_libsvm(path)
 
 
 def _spell_index(draw, idx: int) -> str:
@@ -264,7 +304,7 @@ def test_split_protocol_sizes_mushroom_shape():
     n = 8124
     data = gen_realizable(2, n, make_rng(0))[0]
     split = split_protocol(data, (0.8, 0.02, 0.18), make_rng(1))
-    teacher, student, test = split
+    teacher, student, test = split.teacher, split.student, split.test
     assert len(teacher) == 6499
     assert len(student) == 163
     assert len(test) == 1462
@@ -440,7 +480,7 @@ def test_emit_margin_rows(tmp_path):
         {"probe_id": 0, "delta_hat": 0.25, "delta_hstar": 0.5},
         {"probe_id": 1, "delta_hat": 0.0, "delta_hstar": 0.125},
     ]
-    text = render_margin_csv(rows)
+    text = harness.render_report(rows, "csv")
     assert text.startswith("probe_id,delta_hat,delta_hstar\n")
     assert "0,0.25,0.5" in text
     out = emit_report(rows, "csv", tmp_path / "m.csv")

@@ -21,7 +21,6 @@ from privote import (
     PrivacyBudget,
     PsqConfig,
     RunReport,
-    active_disagreement_test,
     active_update_version_space,
     calibrate_gaussian_sigma,
     compute_k_for_gaussian,
@@ -32,7 +31,6 @@ from privote import (
     pate_asq,
     pate_psq,
     run_active_learning,
-    svt_works_params,
     threshold_class,
     TrainerSettings,
 )
@@ -101,19 +99,6 @@ def test_compute_svt_params():
         compute_svt_params(10, 1.5, 0.05, budget)
     with pytest.raises(ValueError):
         compute_svt_params(10, 0.0, 1.0, budget)
-
-
-def test_svt_works_params():
-    budget = PrivacyBudget(1.0, 1e-5)
-    T, K = svt_works_params(1000, 0.0, 0.2, 0.1, budget)
-    assert T >= 1 and K >= 1
-    T_nu, _ = svt_works_params(1000, 0.05, 0.2, 0.1, budget)
-    assert T_nu > T
-    _, K_tight = svt_works_params(1000, 0.0, 0.05, 0.1, budget)
-    assert K_tight > K
-    for bad in ((1000, 1.0, 0.2, 0.1), (1000, 0.0, 0.6, 0.1), (1000, 0.0, 0.2, 1.5)):
-        with pytest.raises(ValueError):
-            svt_works_params(*bad, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +210,8 @@ def test_finite_disagreement_region_is_exact():
     state.xs, state.ys = [0, 1], [0, 1]
     # exact version space: members consistent with (0.2 -> 0, 0.8 -> 1)
     state.alive = hclass.mistake_counts(state.xs, state.ys) == 0
-    assert active_disagreement_test(state, 2, slack=0.0)  # 0.5 is contested
-    assert not active_disagreement_test(state, 3, slack=0.0)  # 0.1 is settled
+    assert state.descriptor.disagreement(state, 2, slack=0.0)  # 0.5 is contested
+    assert not state.descriptor.disagreement(state, 3, slack=0.0)  # 0.1 is settled
 
 
 @given(
@@ -348,7 +333,7 @@ def test_truth_survives_elimination():
             gamma=0.25,
         )
         assert state.alive[k_star]
-        preds = desc.predict(state, list(range(256)))
+        preds = hclass.labels[state.hypothesis, list(range(256))]
         assert np.mean(preds != truth) <= 0.02
 
 
@@ -388,8 +373,8 @@ def test_linear_disagreement_respects_duplicates():
     probe_dup = sp.csr_matrix(np.eye(3)[0])
     probe_new = sp.csr_matrix(np.eye(3)[2])
     slack = 1.0 / len(state.xs)
-    assert not active_disagreement_test(state, probe_dup, slack)
-    assert active_disagreement_test(state, probe_new, slack)
+    assert not state.descriptor.disagreement(state, probe_dup, slack)
+    assert state.descriptor.disagreement(state, probe_new, slack)
 
 
 def test_finite_tally_recounts_queries_changed_between_updates():
