@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 METHODS = ("PsqGaussian", "PsqSvt", "Asq", "PsqNoPrivacy", "AsqNoPrivacy")
-SYNTH_DATASETS = ("realizable", "massart", "tnc")
 
 TRIAL_COLUMNS = (
     "dataset",
@@ -386,9 +385,11 @@ class ExperimentConfig:
     """Everything one repeated experiment needs, JSON-mirrorable.
 
     dataset is a LIBSVM file path or a synthetic generator name
-    (realizable, massart, tnc). delta=None defers to 1/(teacher pool
-    size) per trial; K=None sizes the committee at one teacher per
-    hundred sensitive points.
+    (realizable, massart, tnc). generator_params may hold only keys the
+    generator reads (realizable: d; massart: d, flip; tnc: tau, c); a
+    file reads none. delta=None defers to 1/(teacher pool size) per
+    trial; K=None sizes the committee at one teacher per hundred
+    sensitive points.
     """
 
     dataset: str
@@ -400,10 +401,8 @@ class ExperimentConfig:
     fractions: tuple[float, float, float] = (0.8, 0.02, 0.18)
     K: int | None = None
     query_fraction: float = 0.3
-    bot_policy: str = "zero"
     gamma: float = 0.1
     svt_T: int | None = None
-    svt_beta: float = 0.05
     synth_n: int = 4000
     generator_params: dict = field(default_factory=dict)
     record_timing: bool = False
@@ -417,6 +416,14 @@ class ExperimentConfig:
             raise ValueError("query_fraction must lie in (0, 1]")
         if self.synth_n < 10:
             raise ValueError("synth_n is too small to split")
+        unread = set(self.generator_params) - set(
+            _GENERATOR_PARAMS.get(self.dataset, ())
+        )
+        if unread:
+            raise ValueError(
+                f"generator_params {sorted(unread)} are not read "
+                f"by dataset {self.dataset!r}"
+            )
 
     @property
     def private(self) -> bool:
@@ -500,13 +507,22 @@ def estimate_teacher_error(
     return empirical_error(teacher, holdout)
 
 
+# each generator's name and the generator_params keys it reads; a LIBSVM
+# file reads none
+_GENERATOR_PARAMS = {
+    "realizable": ("d",),
+    "massart": ("d", "flip"),
+    "tnc": ("tau", "c"),
+}
+
+
 def _load_source(name: str, n: int, params: dict):
     """Per-trial dataset factory for a generator name or a LIBSVM file.
 
     Generators draw n fresh examples from the trial's rng, with their
     parameters read from `params`; a file is parsed once, here.
     """
-    if name in SYNTH_DATASETS:
+    if name in _GENERATOR_PARAMS:
 
         def factory(rng):
             if name == "realizable":
@@ -559,17 +575,11 @@ def _run_trial(
             T = config.svt_T
         else:
             err = estimate_teacher_error(teacher, K, rng)
-            T, _ = compute_svt_params(len(student), err, config.svt_beta, budget)
-        cfg = PsqConfig(
-            K=K,
-            budget=budget,
-            mechanism="svt",
-            T=T,
-            bot_policy=config.bot_policy,
-        )
+            T, _ = compute_svt_params(len(student), err, 0.05, budget)
+        cfg = PsqConfig(K=K, budget=budget, mechanism="svt", T=T)
         _, report = pate_psq(teacher, student, test, cfg, rng)
     else:  # PsqGaussian, PsqNoPrivacy
-        cfg = PsqConfig(K=K, budget=budget, bot_policy=config.bot_policy)
+        cfg = PsqConfig(K=K, budget=budget)
         _, report = pate_psq(teacher, student, test, cfg, rng)
     return report, eps, delta
 

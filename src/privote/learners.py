@@ -7,9 +7,11 @@ exact version-space machinery.
 All linear training goes through one gradient-descent loop. A committee's
 K disjoint shards are stacked into one block-diagonal sparse matrix, so
 each step scores and differentiates every teacher with one pass over all
-rows; a lone fit (`train_erm`) is the one-block case. Each member comes
-out bit-for-bit equal to a separate fit of its shard, so batching changes
-no seeded output.
+rows; a lone fit (`train_erm`) is the one-block case. The design is
+built once per fit; a teacher that converges early keeps the weights of
+its stop step while the others go on. Each member comes out bit-for-bit
+equal to a separate fit of its shard, so batching changes no seeded
+output.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class LinearHypothesis:
 
     weights: np.ndarray
     bias: float = 0.0
-    loss_curve: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
@@ -128,7 +129,6 @@ class TrainerSettings:
     max_iter: int = 500
     l2: float = 0.0
     grad_tol: float = 1e-10
-    track_loss: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
@@ -169,9 +169,7 @@ class _BlockDesign:
     X: sp.csr_matrix
     XT: sp.csc_matrix
     signs: np.ndarray
-    wts: np.ndarray
     signed_wts: np.ndarray
-    bounds: list[tuple[int, int]]
     # (first row, first block, blocks, rows per block) of each run of
     # consecutive equal-size blocks
     runs: list[tuple[int, int, int, int]]
@@ -197,8 +195,7 @@ class _BlockDesign:
                 shape=(sum(len(blk) for blk in blocks), len(blocks) * d),
             )
         sizes = np.array([len(blk) for blk in blocks])
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
+        starts = np.cumsum(sizes) - sizes
         # smoothness bound per block: rows augmented with the bias coordinate
         row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
         step = 1.0 / (0.25 * np.maximum.reduceat(row_sq, starts) + l2)
@@ -209,14 +206,11 @@ class _BlockDesign:
             else:
                 runs.append([lo, i, 1, size])
         signs = 2.0 * np.concatenate([blk.y for blk in blocks]) - 1.0
-        wts = np.concatenate(weights)
         return cls(
             X=X,
             XT=X.T,
             signs=signs,
-            wts=wts,
-            signed_wts=wts * signs,
-            bounds=list(zip(starts.tolist(), ends.tolist())),
+            signed_wts=np.concatenate(weights) * signs,
             runs=[tuple(run) for run in runs],
             step=step,
             step_cols=np.repeat(step, d),
@@ -253,10 +247,12 @@ def train_erm_batch(
     Block k is fit with `sample_weights[k]` and warm-started from
     `inits[k]` (either list may be None, as may its entries). Each block
     is its own logistic-regression problem with its own step 1/L_k and
-    its own `grad_tol` stop. Every step makes one product with the
-    block-diagonal design and one with its transpose, taken once before
-    the loop. A block whose gradient norm falls below `grad_tol` keeps
-    its weights and leaves the design; the others go on.
+    its own `grad_tol` stop. The block-diagonal design and its transpose
+    are built once per call, and every step makes one product with each.
+    A block whose gradient norm falls below `grad_tol` has its weights
+    and bias recorded at that step. It stays in the design, where no
+    other block sees it, and the loop ends once every block has stopped,
+    or after `max_iter` steps.
 
     The result equals a separate fit of each block bit for bit: every
     floating-point operation that reaches the weights is the one a lone
@@ -296,21 +292,14 @@ def train_erm_batch(
             b[k] = init.bias
 
     l2, tol = settings.l2, settings.grad_tol
-    curves = [[] for _ in range(K)] if settings.track_loss else None
-    live = np.arange(K)
     design = _BlockDesign.stack(blocks, wts, l2)
-    w, c = W.ravel(), b.copy()
+    # w is a copy: W keeps each converged block's weights from its stop step
+    w, c = W.flatten(), b.copy()
+    done = np.zeros(K, dtype=bool)
     for _ in range(settings.max_iter):
         scores = design.X @ w
         design.add_block_values(scores, c)
         scores *= design.signs
-        if curves is not None:
-            losses = np.logaddexp(0.0, -scores)
-            for i, (lo, hi) in enumerate(design.bounds):
-                wi = w[i * d : (i + 1) * d]
-                loss = float(np.dot(design.wts[lo:hi], losses[lo:hi]))
-                loss += 0.5 * l2 * (np.dot(wi, wi) + c[i] * c[i])
-                curves[live[i]].append(loss)
         coef = expit(np.negative(scores, out=scores), out=scores)
         coef *= design.signed_wts
         grad_w = np.negative(design.XT @ coef)
@@ -322,44 +311,21 @@ def train_erm_batch(
             grad_b += l2 * c
         G = grad_w.reshape(-1, d)
         near = np.sqrt(np.einsum("ij,ij->i", G, G) + grad_b * grad_b) < 2.0 * tol
-        done = []
         if near.any():
-            done = [
-                i
-                for i in np.flatnonzero(near)
-                if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol
-            ]
-        if not done:
-            grad_w *= design.step_cols
-            w -= grad_w
-            grad_b *= design.step
-            c -= grad_b
-            continue
-        # the converged blocks keep their weights; the rest take this step
-        # and go on in a design without the converged ones
-        go = np.setdiff1d(np.arange(len(live)), done)
-        W[live] = w.reshape(-1, d)
-        b[live] = c
-        W[live[go]] -= design.step[go, None] * G[go]
-        b[live[go]] -= design.step[go] * grad_b[go]
-        live = live[go]
-        w, c = W[live].ravel(), b[live]
-        if not live.size:
-            break
-        design = _BlockDesign.stack(
-            [blocks[k] for k in live], [wts[k] for k in live], l2
-        )
-    W[live] = w.reshape(-1, d)
-    b[live] = c
-
-    return [
-        LinearHypothesis(
-            W[k],
-            float(b[k]),
-            loss_curve=None if curves is None else np.asarray(curves[k]),
-        )
-        for k in range(K)
-    ]
+            for i in np.flatnonzero(near & ~done):
+                if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol:
+                    done[i] = True
+                    W[i] = w[i * d : (i + 1) * d]
+                    b[i] = c[i]
+            if done.all():
+                break
+        grad_w *= design.step_cols
+        w -= grad_w
+        grad_b *= design.step
+        c -= grad_b
+    W[~done] = w.reshape(-1, d)[~done]
+    b[~done] = c[~done]
+    return [LinearHypothesis(W[k], float(b[k])) for k in range(K)]
 
 
 def empirical_error(h, data: Dataset) -> float:

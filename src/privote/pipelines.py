@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 MECHANISMS = ("gaussian", "svt")
-BOT_POLICIES = ("zero", "coinflip")
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class RunReport:
 
     queries counts interactions with the aggregation session; bots counts
     pool points that never received a released label (refusals plus any
-    points after an early halt) and were filled in by policy instead.
+    points after an early halt) and were labeled 0 instead.
     """
 
     queries: int
@@ -83,15 +82,12 @@ class PsqConfig:
     budget: PrivacyBudget | None  # None: exact majority, no privacy
     mechanism: str = "gaussian"
     T: int | None = None
-    bot_policy: str = "zero"
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError("K must be positive")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"mechanism must be one of {MECHANISMS}")
-        if self.bot_policy not in BOT_POLICIES:
-            raise ValueError(f"bot_policy must be one of {BOT_POLICIES}")
         if self.mechanism == "svt" and (self.T is None or self.T < 1):
             raise ValueError("the svt mechanism needs a positive cutoff T")
         if self.mechanism == "svt" and self.budget is None:
@@ -104,7 +100,6 @@ class AsqConfig:
     query_budget: int
     budget: PrivacyBudget | None  # None: exact majority, no privacy
     gamma: float = 0.1
-    slack: float | None = None  # None: 1/|Q|, refreshed as Q grows
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -113,19 +108,6 @@ class AsqConfig:
             raise ValueError("query_budget must be positive")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        _check_slack(self.slack)
-
-
-def _check_slack(slack: float | None) -> None:
-    # NaN fails every comparison, so it would pass a plain `slack < 0`
-    if slack is not None and not slack >= 0:
-        raise ValueError("slack must be nonnegative (or None)")
-
-
-def _bot_label(policy: str, rng: np.random.Generator) -> int:
-    if policy == "coinflip":
-        return int(rng.integers(0, 2))
-    return 0
 
 
 def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Dataset, K: int) -> None:
@@ -150,8 +132,8 @@ def pate_psq(
 
     Every pool point is pushed through the aggregation session in stream
     order. A stable-release session may refuse some answers and eventually
-    halt; refused and post-halt points get bot_policy labels, and the
-    report records how many. With no budget every point gets the exact
+    halt; refused and post-halt points are labeled 0, and the report
+    records how many. With no budget every point gets the exact
     majority label.
     """
     _require_pools(teacher_data, student_pool, test_data, config.K)
@@ -167,7 +149,7 @@ def pate_psq(
     else:
         session = SvtSession.for_budget(m, config.T, config.budget, rng)
 
-    labels = np.empty(m, dtype=np.int64)
+    labels = np.zeros(m, dtype=np.int64)  # bots keep label 0
     queries = 0
     bots = 0
     for i in range(m):
@@ -179,8 +161,8 @@ def pate_psq(
             queries += 1
         if answer is None:
             bots += 1
-            answer = _bot_label(config.bot_policy, rng)
-        labels[i] = answer
+        else:
+            labels[i] = answer
 
     eps, _ = session.privacy_report()
     student = train_erm(student_pool.with_labels(labels))
@@ -231,21 +213,13 @@ class _MistakeTally:
 class FiniteClassDescriptor:
     """Exact version-space bookkeeping over an explicit finite class.
 
-    theta is the disagreement-coefficient surrogate: a constant, or a
-    callable evaluated at d/j (and at the empirical noise level for the
-    second-order term).
+    At each update a member is dropped once its mistakes on Q exceed the
+    best live member's by more than base + sqrt(best * base), where
+    base = log 2 + log(1/gamma_j): the tolerance for VC dimension 1 with
+    disagreement coefficient 2.
     """
 
     hclass: FiniteHypothesisClass
-    vc_dim: int = 1
-    theta: float | Callable[[float], float] = 2.0
-    c_prime: float = 1.0
-
-    def _theta_at(self, arg: float) -> float:
-        value = self.theta(arg) if callable(self.theta) else self.theta
-        if value <= 1.0:
-            raise ValueError("theta must exceed 1")
-        return float(value)
 
     def init_state(self) -> ActiveState:
         alive = np.ones(self.hclass.n_members, dtype=bool)
@@ -277,22 +251,9 @@ class FiniteClassDescriptor:
         gamma_j = gamma / math.log2(2 * j) ** 2
         mistakes = self._mistakes(state)
         best = int(mistakes[state.alive].min())
-        base = self.c_prime * (
-            self.vc_dim * math.log(self._theta_at(self.vc_dim / j))
-            + math.log(1.0 / gamma_j)
-        )
-        if best > 0:
-            noise_rate = best / j
-            second = self.c_prime * math.sqrt(
-                best
-                * (
-                    self.vc_dim * math.log(self._theta_at(noise_rate))
-                    + math.log(1.0 / gamma_j)
-                )
-            )
-        else:
-            second = 0.0
-        tolerance = base + second
+        # log(theta) + log(1/gamma_j) at VC dimension 1 and theta = 2
+        base = math.log(2.0) + math.log(1.0 / gamma_j)
+        tolerance = base + math.sqrt(best * base)
         state.alive &= mistakes - best <= tolerance
         self.refit(state)
 
@@ -451,12 +412,15 @@ def run_active_learning(
 
     oracle(x, i) labels stream element i on request, only where
     `descriptor.disagreement` finds x ambiguous (with infinite slack,
-    everywhere: passive learning), until the budget is spent. The final
-    hypothesis is refit on everything queried.
+    everywhere: passive learning), until the budget is spent. slack=None
+    uses 1/|Q|, refreshed as Q grows. The final hypothesis is refit on
+    everything queried.
     """
     if query_budget < 1:
         raise ValueError("query_budget must be positive")
-    _check_slack(slack)
+    # NaN fails every comparison, so it would pass a plain `slack < 0`
+    if slack is not None and not slack >= 0:
+        raise ValueError("slack must be nonnegative (or None)")
     state = descriptor.init_state()
     for i, x in enumerate(stream):
         j = i + 1
@@ -509,7 +473,6 @@ def pate_asq(
         lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
         config.query_budget,
         config.gamma,
-        config.slack,
     )
     report = RunReport(
         queries=state.c,

@@ -225,9 +225,9 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
 
     This is privote's trainer as it was before committees were trained in
     one batched loop; the batched trainer must match it bit for bit.
-    `data` has a CSR `X` and 0/1 labels `y`; `settings` has max_iter, l2,
-    grad_tol and track_loss; `init` has weights and bias. Returns
-    (weights, bias, loss_curve), the curve None unless track_loss.
+    `data` has a CSR `X` and 0/1 labels `y`; `settings` has max_iter, l2
+    and grad_tol; `init` has weights and bias. Returns (weights, bias,
+    steps), where steps counts the updates made before the loop stopped.
     """
     X = data.X
     n, d = X.shape
@@ -249,13 +249,9 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
     else:
         w = init.weights.copy()
         b = float(init.bias)
-    losses = [] if settings.track_loss else None
+    steps = 0
     for _ in range(settings.max_iter):
         scores = signs * (np.asarray(X @ w).ravel() + b)
-        if losses is not None:
-            loss = float(np.dot(wts, np.logaddexp(0.0, -scores)))
-            loss += 0.5 * settings.l2 * (np.dot(w, w) + b * b)
-            losses.append(loss)
         coef = wts * signs * expit(-scores)
         grad_w = -(X.T @ coef) + settings.l2 * w
         grad_b = -coef.sum() + settings.l2 * b
@@ -264,9 +260,8 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
             break
         w -= step * grad_w
         b -= step * grad_b
-
-    curve = None if losses is None else np.asarray(losses)
-    return w, b, curve
+        steps += 1
+    return w, b, steps
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +394,6 @@ def _drive_asq(student_pool, config, oracle):
         oracle,
         config.query_budget,
         config.gamma,
-        config.slack,
     )
 
 

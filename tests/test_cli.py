@@ -87,10 +87,18 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "mystery": 1}))
-    code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
+    # "mystery" never existed; the others are removed fields
+    for key in ("mystery", "bot_policy", "svt_beta"):
+        cfg.write_text(json.dumps({"synth_n": 400, key: 1}))
+        code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
+        assert code == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_parameter_the_generator_ignores(capsys):
+    code = main(["simulate", "--dataset", "tnc", "--d", "3", "--n", "400"])
     assert code == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "['d'] are not read by dataset 'tnc'" in capsys.readouterr().err
 
 
 def test_psq_rejects_active_method(capsys):

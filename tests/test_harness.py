@@ -360,6 +360,21 @@ def test_experiment_config_validation():
     assert ExperimentConfig(dataset="realizable", method="Asq").private
 
 
+def test_experiment_config_rejects_unread_generator_params(tmp_path):
+    ExperimentConfig("massart", "Asq", generator_params={"d": 3, "flip": 0.2})
+    ExperimentConfig("tnc", "Asq", generator_params={"tau": 0.5, "c": 0.3})
+    cases = [
+        ("massart", {"flp": 0.45}, "flp"),  # a typo, not the flip rate
+        ("realizable", {"d": 3, "flip": 0.1}, "flip"),
+        ("tnc", {"d": 3}, "d"),
+        (str(tmp_path / "d.svm"), {"d": 3}, "d"),  # files read no parameters
+    ]
+    for dataset, params, key in cases:
+        message = f"['{key}'] are not read by dataset {dataset!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(dataset, "Asq", generator_params=params)
+
+
 def test_trial_report_validation():
     kwargs = dict(
         dataset="d", method="Asq", epsilon=1.0, delta=1e-5,
