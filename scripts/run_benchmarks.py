@@ -44,14 +44,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    print("dataset,method,epsilon,mean_accuracy,halfwidth,mean_queries")
-    for name, method, epsilon in RUNS:
-        path = find_dataset(name)
+    paths = {name: find_dataset(name) for name, _, _ in RUNS}
+    for name, path in paths.items():
         if path is None:
             print(
                 f"# data/{name} not found, skipping (see docs/datasets.md)",
                 file=sys.stderr,
             )
+    print("dataset,method,epsilon,mean_accuracy,halfwidth,mean_queries")
+    for name, method, epsilon in RUNS:
+        path = paths[name]
+        if path is None:
             continue
         config = ExperimentConfig(
             dataset=str(path),

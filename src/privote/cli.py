@@ -28,6 +28,7 @@ from .dp_core import (
 from .harness import (
     METHODS,
     ExperimentConfig,
+    _GENERATOR_PARAMS,
     _load_source,
     emit_report,
     render_report,
@@ -38,6 +39,12 @@ from .pipelines import compute_k_for_gaussian, compute_svt_params
 from .synthdata import TncGenerator, VotingFailsFixture, gen_voting_wins
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+# the generator flags of `privote margins`, with their defaults
+_MARGIN_DEFAULTS = {"n": 2000, "d": 5, "flip": 0.1, "tau": 0.5, "xi": 0.1}
+# the flags each distribution reads; realizable and massart read --n and
+# their generator parameters, and a LIBSVM file reads none
+_MARGIN_FLAGS = {"tnc": ("tau",), "voting_fails": (), "voting_wins": ("xi",)}
 
 
 def _add_io(sub: argparse.ArgumentParser) -> None:
@@ -120,12 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     mar.add_argument("--probes", type=int, default=200)
     mar.add_argument("--reps", type=int, default=30)
     mar.add_argument("--n-per-teacher", type=int, default=100)
-    mar.add_argument("--n", type=int, default=2000, help="synthetic sample size")
-    mar.add_argument("--tau", type=float, default=0.5)
-    mar.add_argument("--xi", type=float, default=0.1)
-    mar.add_argument("--flip", type=float, default=0.1)
-    mar.add_argument("--d", type=int, default=5)
-    mar.set_defaults(func=cmd_margins, dataset="realizable", seed=0)
+    for flag, default in _MARGIN_DEFAULTS.items():
+        mar.add_argument(
+            f"--{flag}",
+            type=type(default),
+            help=f"default {default}; only for the sources that read it",
+        )
+    mar.set_defaults(
+        func=cmd_margins, dataset="realizable", seed=0, usage_error=mar.error
+    )
 
     exa = subs.add_parser("examples", help="the voting-fails and voting-wins fixtures")
     exa.add_argument("--seed", type=int, default=0)
@@ -268,16 +278,27 @@ def _rate_check(args) -> int:
 
 
 def cmd_margins(args) -> int:
-    rng = make_rng(args.seed)
     name = args.dataset
+    if name in _MARGIN_FLAGS:
+        reads = _MARGIN_FLAGS[name]
+    else:
+        params = _GENERATOR_PARAMS.get(name)
+        reads = () if params is None else ("n", *params)
+    given = {f: getattr(args, f) for f in _MARGIN_DEFAULTS}
+    given = {f: v for f, v in given.items() if v is not None}
+    ignored = [f"--{f}" for f in given if f not in reads]
+    if ignored:
+        args.usage_error(f"source {name!r} does not read {', '.join(ignored)}")
+    value = {**_MARGIN_DEFAULTS, **given}
+    rng = make_rng(args.seed)
     if name == "tnc":
-        source = TncGenerator(args.tau)
+        source = TncGenerator(value["tau"])
     elif name == "voting_fails":
         source = VotingFailsFixture()
     elif name == "voting_wins":
-        source = gen_voting_wins(args.xi, 1000, rng)
+        source = gen_voting_wins(value["xi"], 1000, rng)
     else:
-        source = _load_source(name, args.n, {"d": args.d, "flip": args.flip})(rng)
+        source = _load_source(name, value["n"], value)(rng)
     rows = margin_distribution_report(
         source,
         args.teachers,

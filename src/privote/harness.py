@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dp_core import PrivacyBudget, derive_seed, make_rng
-from .learners import Dataset, empirical_error, train_erm
+from .learners import COMMITTEE_SETTINGS, Dataset, empirical_error, train_erm
 from .pipelines import (
     AsqConfig,
     PsqConfig,
@@ -492,8 +492,9 @@ def estimate_teacher_error(
 ) -> float:
     """Expected single-teacher error, measured on a 10% holdout.
 
-    Trains one committee-sized fit on the remaining data and scores it,
-    approximating E[Err] for a teacher trained on n/K points.
+    Trains one committee-sized fit, with the committee's settings, on the
+    remaining data and scores it, approximating E[Err] for a teacher
+    trained on n/K points.
     """
     n = len(teacher_data)
     n_holdout = max(1, round(0.1 * n))
@@ -503,7 +504,7 @@ def estimate_teacher_error(
     holdout = teacher_data.subset(perm[:n_holdout])
     rest = perm[n_holdout:]
     chunk = rest[: max(1, len(rest) // K)]
-    teacher = train_erm(teacher_data.subset(chunk))
+    teacher = train_erm(teacher_data.subset(chunk), COMMITTEE_SETTINGS)
     return empirical_error(teacher, holdout)
 
 

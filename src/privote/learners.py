@@ -4,14 +4,14 @@ Linear models with sparse features carry the real-data experiments; an
 explicit finite hypothesis class backs the counterexample fixtures and the
 exact version-space machinery.
 
-All linear training goes through one gradient-descent loop. A committee's
-K disjoint shards are stacked into one block-diagonal sparse matrix, so
-each step scores and differentiates every teacher with one pass over all
-rows; a lone fit (`train_erm`) is the one-block case. The design is
-built once per fit; a teacher that converges early keeps the weights of
-its stop step while the others go on. Each member comes out bit-for-bit
-equal to a separate fit of its shard, so batching changes no seeded
-output.
+All linear training goes through one accelerated-descent loop (Nesterov
+momentum). A committee's K disjoint shards are stacked into one
+block-diagonal sparse matrix, so each step scores and differentiates
+every teacher with one pass over all rows; a lone fit (`train_erm`) is
+the one-block case. The design is built once per fit; a teacher that
+converges early keeps the point of its stop step while the others go on.
+Each member comes out bit-for-bit equal to a separate fit of its shard,
+so batching changes no seeded output.
 """
 
 from __future__ import annotations
@@ -124,9 +124,14 @@ class LinearHypothesis:
 
 @dataclass(frozen=True)
 class TrainerSettings:
-    """Full-batch gradient descent settings for the logistic surrogate."""
+    """Accelerated full-batch descent settings for the logistic surrogate.
 
-    max_iter: int = 500
+    The default 50 steps serve the student and the active loop's refits;
+    the committee trains with `COMMITTEE_SETTINGS` and the active probes
+    with `LinearClassDescriptor.probe_settings`.
+    """
+
+    max_iter: int = 50
     l2: float = 0.0
     grad_tol: float = 1e-10
 
@@ -137,6 +142,10 @@ class TrainerSettings:
             raise ValueError("l2 must be nonnegative")
 
 
+# what `train_committee` trains each teacher with unless told otherwise
+COMMITTEE_SETTINGS = TrainerSettings(max_iter=100)
+
+
 def train_erm(
     data: Dataset,
     settings: TrainerSettings | None = None,
@@ -145,12 +154,14 @@ def train_erm(
 ) -> LinearHypothesis:
     """Logistic-loss approximation of the 0-1 empirical risk minimizer.
 
-    Full-batch gradient descent from zero initialization (or from `init`)
-    with step 1/L, where L bounds the logistic smoothness on this data, so
-    the loss is non-increasing across iterations. The fit draws no
-    randomness. This is the one-block case of the loop that trains a whole
-    committee (see `train_erm_batch`), so a lone fit and a committee member
-    on the same rows are bit-for-bit equal.
+    Full-batch accelerated descent (Nesterov momentum k/(k+3) at step k)
+    from zero initialization (or from `init`) with step 1/L, where L
+    bounds the logistic smoothness on this data. The loss need not fall
+    at every step, but after k steps it is within 2L||x_0 - x*||^2/(k+1)^2
+    of its minimum. The fit draws no randomness. This is the one-block
+    case of the loop that trains a whole committee (see
+    `train_erm_batch`), so a lone fit and a committee member on the same
+    rows are bit-for-bit equal.
     """
     return train_erm_batch([data], settings, [sample_weight], [init])[0]
 
@@ -242,17 +253,21 @@ def train_erm_batch(
     sample_weights: list | None = None,
     inits: list | None = None,
 ) -> list[LinearHypothesis]:
-    """`train_erm` of every block, all in one gradient-descent loop.
+    """`train_erm` of every block, all in one accelerated-descent loop.
 
     Block k is fit with `sample_weights[k]` and warm-started from
     `inits[k]` (either list may be None, as may its entries). Each block
     is its own logistic-regression problem with its own step 1/L_k and
-    its own `grad_tol` stop. The block-diagonal design and its transpose
-    are built once per call, and every step makes one product with each.
-    A block whose gradient norm falls below `grad_tol` has its weights
-    and bias recorded at that step. It stays in the design, where no
-    other block sees it, and the loop ends once every block has stopped,
-    or after `max_iter` steps.
+    its own `grad_tol` stop. Step k (from 0) takes the gradient at the
+    extrapolated point y = x_k + beta_k (x_k - x_{k-1}), with
+    beta_k = k/(k+3) and x_{-1} = x_0, and moves to
+    x_{k+1} = y - g(y)/L_k (Nesterov 1983; Beck & Teboulle 2009). The
+    block-diagonal design and its transpose are built once per call, and
+    every step makes one product with each. A block whose gradient norm
+    at y falls below `grad_tol` has y recorded as its weights and bias.
+    It stays in the design, where no other block sees it, and the loop
+    ends once every block has stopped, or after `max_iter` steps with
+    x_{max_iter}.
 
     The result equals a separate fit of each block bit for bit: every
     floating-point operation that reaches the weights is the one a lone
@@ -293,36 +308,50 @@ def train_erm_batch(
 
     l2, tol = settings.l2, settings.grad_tol
     design = _BlockDesign.stack(blocks, wts, l2)
-    # w is a copy: W keeps each converged block's weights from its stop step
+    # (w, c) is x_k and (w_prev, c_prev) is x_{k-1}; W and b keep each
+    # converged block's point from its stop step
     w, c = W.flatten(), b.copy()
+    w_prev, c_prev = w.copy(), c.copy()
     done = np.zeros(K, dtype=bool)
-    for _ in range(settings.max_iter):
-        scores = design.X @ w
-        design.add_block_values(scores, c)
+    for k in range(settings.max_iter):
+        # the extrapolated point y = x + beta * (x - x_prev), built in
+        # x_prev's buffer, which then takes x_{k+1}
+        beta = k / (k + 3)
+        yw = np.subtract(w, w_prev, out=w_prev)
+        yw *= beta
+        yw += w
+        yc = np.subtract(c, c_prev, out=c_prev)
+        yc *= beta
+        yc += c
+        scores = design.X @ yw
+        design.add_block_values(scores, yc)
         scores *= design.signs
         coef = expit(np.negative(scores, out=scores), out=scores)
         coef *= design.signed_wts
-        grad_w = np.negative(design.XT @ coef)
+        grad_w = design.XT @ coef
+        np.negative(grad_w, out=grad_w)
         grad_b = np.negative(design.block_sums(coef))
         # with l2 = 0 the penalty terms could only flip the sign of a zero
         # gradient, which leaves every weight update unchanged
         if l2:
-            grad_w += l2 * w
-            grad_b += l2 * c
+            grad_w += l2 * yw
+            grad_b += l2 * yc
         G = grad_w.reshape(-1, d)
         near = np.sqrt(np.einsum("ij,ij->i", G, G) + grad_b * grad_b) < 2.0 * tol
         if near.any():
             for i in np.flatnonzero(near & ~done):
                 if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol:
                     done[i] = True
-                    W[i] = w[i * d : (i + 1) * d]
-                    b[i] = c[i]
+                    W[i] = yw[i * d : (i + 1) * d]
+                    b[i] = yc[i]
             if done.all():
                 break
         grad_w *= design.step_cols
-        w -= grad_w
+        yw -= grad_w
         grad_b *= design.step
-        c -= grad_b
+        yc -= grad_b
+        w_prev, w = w, yw
+        c_prev, c = c, yc
     W[~done] = w.reshape(-1, d)[~done]
     b[~done] = c[~done]
     return [LinearHypothesis(W[k], float(b[k])) for k in range(K)]
@@ -383,11 +412,11 @@ def train_committee(
     data: Dataset,
     K: int,
     rng: np.random.Generator,
-    settings: TrainerSettings | None = None,
+    settings: TrainerSettings = COMMITTEE_SETTINGS,
 ) -> Ensemble:
     """K linear fits on disjoint random splits, combined by majority.
 
-    All K fits run in one gradient-descent loop over the block-diagonal
+    All K fits run in one accelerated-descent loop over the block-diagonal
     stack of the splits; each member equals `train_erm` on its split bit
     for bit.
     """

@@ -8,7 +8,7 @@ passive (PSQ): every pool point is queried once, in stream order.
 active (ASQ): a disagreement-based learner decides which points are worth
     one of its limited label queries, so the realized privacy loss tracks
     the number of labels actually requested. For halfspaces its test
-    costs one batched gradient descent per stream point: the reference
+    costs one batched accelerated descent per stream point: the reference
     fit on the queried set is carried over from the previous point (see
     `LinearClassDescriptor`).
 
@@ -319,14 +319,17 @@ class LinearClassDescriptor:
     Q for the next call. That call reuses a memo only while the
     hypothesis is the same object and Q and its labels are the memo's, or
     those plus the probed point itself; after a refit (on the doubling
-    schedule) or any other change to the state it fits `base` alone.
+    schedule) or any other change to the state it fits `base` alone. At
+    a power-of-two stream position `state.j` the refit right after
+    replaces the hypothesis, so the probe is trained alone there and the
+    memo is cleared.
     Every fit is bit-for-bit the one a lone `train_erm` would make, so the
     answers do not depend on the memo.
     """
 
     n_features: int
     settings: TrainerSettings = TrainerSettings()
-    probe_settings: TrainerSettings = TrainerSettings(max_iter=150)
+    probe_settings: TrainerSettings = TrainerSettings(max_iter=15)
 
     def init_state(self) -> ActiveState:
         h0 = LinearHypothesis(np.zeros(self.n_features), 0.0)
@@ -355,22 +358,28 @@ class LinearClassDescriptor:
         X_next = sp.vstack([X, sp.csr_matrix(x)])
         weights = np.ones(n + 1)
         weights[-1] = n + 1.0
+        # a refit follows at a power-of-two position and replaces the
+        # hypothesis, so the two next-reference fits would go unused
+        j = state.j
+        labels = (forced,) if j >= 1 and j & (j - 1) == 0 else (forced, 0, 1)
         h, *next_bases = train_erm_batch(
-            [Dataset(X_next, np.append(y, label)) for label in (forced, 0, 1)],
+            [Dataset(X_next, np.append(y, label)) for label in labels],
             self.probe_settings,
-            [weights, None, None],
-            [base, state.hypothesis, state.hypothesis],
+            [weights, None, None][: len(labels)],
+            [base, state.hypothesis, state.hypothesis][: len(labels)],
         )
-        state.memo = _ReferenceMemo(
-            state.hypothesis,
-            list(state.xs),
-            list(state.ys),
-            X,
-            base,
-            x,
-            X_next,
-            next_bases,
-        )
+        state.memo = None
+        if next_bases:
+            state.memo = _ReferenceMemo(
+                state.hypothesis,
+                list(state.xs),
+                list(state.ys),
+                X,
+                base,
+                x,
+                X_next,
+                next_bases,
+            )
         if int(h.predict(x)[0]) != forced:
             return False
         probe_errors = int((h.predict(X) != y).sum())

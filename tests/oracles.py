@@ -221,13 +221,16 @@ def tnc_tail_mass(t: float, tau: float, c: float = 0.5) -> float:
 
 
 def reference_train_erm(data, settings, sample_weight=None, init=None):
-    """One full-batch gradient-descent fit, in its own loop.
+    """One full-batch accelerated-descent fit, in its own loop.
 
-    This is privote's trainer as it was before committees were trained in
-    one batched loop; the batched trainer must match it bit for bit.
-    `data` has a CSR `X` and 0/1 labels `y`; `settings` has max_iter, l2
-    and grad_tol; `init` has weights and bias. Returns (weights, bias,
-    steps), where steps counts the updates made before the loop stopped.
+    This is privote's trainer as one fit at a time, written straight from
+    the method: step k (from 0) takes the gradient at
+    y = x_k + k/(k+3) (x_k - x_{k-1}), with x_{-1} = x_0, and moves to
+    y - g(y)/L; it stops at y once the gradient norm there is below
+    grad_tol. The batched trainer must match it bit for bit. `data` has a
+    CSR `X` and 0/1 labels `y`; `settings` has max_iter, l2 and grad_tol;
+    `init` has weights and bias. Returns (weights, bias, steps), where
+    steps counts the updates made before the loop stopped.
     """
     X = data.X
     n, d = X.shape
@@ -249,19 +252,21 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
     else:
         w = init.weights.copy()
         b = float(init.bias)
-    steps = 0
-    for _ in range(settings.max_iter):
-        scores = signs * (np.asarray(X @ w).ravel() + b)
+    w_prev, b_prev = w, b
+    for k in range(settings.max_iter):
+        beta = k / (k + 3)
+        yw = w + beta * (w - w_prev)
+        yb = b + beta * (b - b_prev)
+        scores = signs * (np.asarray(X @ yw).ravel() + yb)
         coef = wts * signs * expit(-scores)
-        grad_w = -(X.T @ coef) + settings.l2 * w
-        grad_b = -coef.sum() + settings.l2 * b
+        grad_w = -(X.T @ coef) + settings.l2 * yw
+        grad_b = -coef.sum() + settings.l2 * yb
         gnorm = np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
         if gnorm < settings.grad_tol:
-            break
-        w -= step * grad_w
-        b -= step * grad_b
-        steps += 1
-    return w, b, steps
+            return yw, yb, k
+        w_prev, w = w, yw - step * grad_w
+        b_prev, b = b, yb - step * grad_b
+    return w, b, settings.max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ class ReferenceLinearDescriptor:
 
         self.n_features = n_features
         self.settings = settings or TrainerSettings()
-        self.probe_settings = probe_settings or TrainerSettings(max_iter=150)
+        self.probe_settings = probe_settings or TrainerSettings(max_iter=15)
 
     def init_state(self):
         from privote.learners import LinearHypothesis

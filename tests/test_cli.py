@@ -196,6 +196,29 @@ def test_margins_rejects_experiment_flags(capsys):
     assert "--epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, ignored",
+    [
+        ("realizable", ["--flip", "0.4", "--tau", "0.9", "--xi", "0.2"]),
+        ("massart", ["--tau", "0.9"]),
+        ("tnc", ["--n", "300", "--d", "3", "--flip", "0.2"]),
+        ("voting_wins", ["--tau", "0.9"]),
+        ("voting_fails", ["--xi", "0.2"]),
+        ("file", ["--n", "300", "--d", "3"]),
+    ],
+)
+def test_margins_rejects_flags_the_source_ignores(tmp_path, capsys, source, ignored):
+    if source == "file":
+        source = str(tmp_path / "d.svm")
+        write_libsvm(gen_realizable(4, 300, make_rng(8))[0], source)
+    with pytest.raises(SystemExit) as exc:
+        main(["margins", "--dataset", source, *ignored, *_MARGIN_FLAGS])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(source) in err
+    assert all(flag in err for flag in ignored[::2]), err
+
+
 def test_margins_rejects_zero_dimension(capsys):
     assert main(["margins", "--d", "0"]) == 1
     assert "positive" in capsys.readouterr().err

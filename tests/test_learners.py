@@ -7,6 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import expit
 
 import oracles
 from privote import (
@@ -137,14 +139,29 @@ def test_split_disjoint_singletons():
     assert all(len(p) == 1 for p in parts)
 
 
-def test_train_erm_loss_is_nonincreasing():
-    data = _random_data(200, 6, 11)
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_train_erm_meets_the_accelerated_rate(seed):
+    # F(x_k) - F* <= 2 L ||x_0 - x*||^2 / (k+1)^2 (Beck & Teboulle 2009;
+    # Su, Boyd & Candes 2016); the loss itself need not fall at every step
+    data = _random_data(200, 6, seed)
+    A = np.hstack([data.X.toarray(), np.ones((len(data), 1))])
     signs = 2.0 * data.y - 1.0
-    curve = []
-    for iters in range(1, 121):
-        h = train_erm(data, TrainerSettings(max_iter=iters))
-        curve.append(np.mean(np.logaddexp(0.0, -signs * h.decision(data.X))))
-    assert np.all(np.diff(curve) <= 1e-12)
+
+    def loss(x):
+        return np.mean(np.logaddexp(0.0, -signs * (A @ x)))
+
+    def grad(x):
+        return A.T @ (-signs * expit(-signs * (A @ x))) / len(data)
+
+    opt = minimize(loss, np.zeros(A.shape[1]), jac=grad, method="BFGS",
+                   options={"gtol": 1e-12})
+    assert np.linalg.norm(grad(opt.x)) < 1e-7
+    L = 0.25 * float((A * A).sum(axis=1).max())
+    radius = float(opt.x @ opt.x)  # x_0 = 0
+    for k in range(1, 121):
+        h = train_erm(data, TrainerSettings(max_iter=k))
+        gap = loss(np.append(h.weights, h.bias)) - opt.fun
+        assert gap <= 2.0 * L * radius / (k + 1) ** 2, k
 
 
 def test_train_erm_learns_separable_data():
@@ -263,7 +280,10 @@ def _assert_committee_matches_oracle(data, K, seed, settings):
     st.sampled_from([0.0, 0.05]),
     st.sampled_from([1e-10, 1e-3, 5e-2]),
 )
+@example(7, 7, 5, 4, 30, 0.0, 1e-10)  # shards of 1 row
+@example(21, 7, 6, 5, 30, 0.05, 1e-10)  # shards of 3 rows, l2 > 0
 @example(60, 12, 8, 1, 30, 0.0, 1e-10)  # shards of 5 rows
+@example(300, 3, 20, 6, 100, 0.0, 1e-10)  # the committee's 100 steps
 @example(401, 2, 10, 2, 20, 0.0, 1e-10)  # shards of 200 and 201 rows
 @example(300, 7, 12, 3, 25, 0.05, 1e-10)  # l2 > 0
 def test_committee_members_equal_lone_fits(n, K, d, seed, iters, l2, tol):

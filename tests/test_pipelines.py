@@ -500,6 +500,30 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
         desc.disagreement(state, stream[9], 0.1)
 
 
+def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
+    # at a power-of-two position the refit replaces the hypothesis, so the
+    # two next-reference fits would be thrown away
+    calls = []
+    real_batch = privote.pipelines.train_erm_batch
+
+    def counting_batch(blocks, *args):
+        calls[-1][1].append(len(blocks))
+        return real_batch(blocks, *args)
+
+    class Recording(LinearClassDescriptor):
+        def disagreement(self, state, x, slack):
+            calls.append((state.j, []))
+            return super().disagreement(state, x, slack)
+
+    monkeypatch.setattr(privote.pipelines, "train_erm_batch", counting_batch)
+    stream, labels = _linear_stream(3, 12, 3, 5, 0.2)
+    _run_recorded(Recording(3), stream, labels, 12, None)
+    blocks = dict(calls)
+    assert sorted(blocks) == list(range(1, 13))
+    assert [blocks[j] for j in (1, 2, 4, 8)] == [[], [1], [1], [1]]
+    assert all(blocks[j] == [3] for j in (3, 5, 6, 7, 9, 10, 11, 12))
+
+
 # ---------------------------------------------------------------------------
 # Active pipeline
 
