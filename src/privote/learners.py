@@ -5,10 +5,11 @@ explicit finite hypothesis class backs the counterexample fixtures and the
 exact version-space machinery.
 
 All linear training goes through one accelerated-descent loop (Nesterov
-momentum). A committee's K disjoint shards are stacked into one
-block-diagonal sparse matrix, so each step scores and differentiates
-every teacher with one pass over all rows; a lone fit (`train_erm`) is
-the one-block case. The design is built once per fit; a teacher that
+momentum). A committee's K disjoint shards are one row permutation of
+the teacher pool, laid out as one block-diagonal sparse matrix with a
+bias column per block, so each step scores and differentiates every
+teacher with one pass over all rows; a lone fit (`train_erm`) is the
+one-block case. The design is built once per fit; a teacher that
 converges early keeps the point of its stop step while the others go on.
 Each member comes out bit-for-bit equal to a separate fit of its shard,
 so batching changes no seeded output.
@@ -67,6 +68,12 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.X = _as_csr(self.X)
+        # the step bound squares stored entries one by one, which is right
+        # only without duplicates, and skips zeros as X.multiply(X) did
+        if not (self.X.has_canonical_format and self.X.data.all()):
+            self.X = self.X.copy()
+            self.X.sum_duplicates()
+            self.X.eliminate_zeros()
         if self.y is not None:
             self.y = np.asarray(self.y)
             if self.y.shape != (self.X.shape[0],):
@@ -168,70 +175,63 @@ def train_erm(
 
 @dataclass
 class _BlockDesign:
-    """Labeled blocks stacked into one block-diagonal design.
+    """Labeled blocks of rows as one block-diagonal design.
 
-    Block i's rows hold its features in columns i*d..(i+1)*d, so `X @ w`
-    scores each row against its own block's weights and `XT @ coef`
-    gives each block's weight gradient. Within a row the nonzeros keep
-    their order, so the sparse kernels add the same terms in the same
-    order as they would on that block alone.
+    Block i owns the d + 1 columns from i*(d+1): its features, then a
+    bias column of ones that ends each of its rows. Rows keep their
+    entries' order, so `X @ x` adds the same terms in the same order as
+    a lone fit's `X @ w + b`, the bias last, and `XT @ coef` gives each
+    block's weight gradient; its bias entries are sums in row order,
+    which `block_sums` replaces with pairwise ones. The labels' signs
+    enter negated, so that product is the gradient itself: negation
+    commutes with IEEE rounding.
     """
 
     X: sp.csr_matrix
     XT: sp.csc_matrix
-    signs: np.ndarray
-    signed_wts: np.ndarray
-    # (first row, first block, blocks, rows per block) of each run of
-    # consecutive equal-size blocks
-    runs: list[tuple[int, int, int, int]]
-    step: np.ndarray
+    neg_signs: np.ndarray
+    neg_wts: np.ndarray
+    # (first row, blocks, rows per block) of each run of equal-size blocks
+    runs: list[tuple[int, int, int]]
     step_cols: np.ndarray
 
     @classmethod
-    def stack(cls, blocks: list[Dataset], weights: list[np.ndarray], l2: float):
-        d = blocks[0].n_features
-        if len(blocks) == 1:
-            X = blocks[0].X
-        else:
-            indptr, indices, values = [np.zeros(1, dtype=np.int64)], [], []
-            nnz = 0
-            for i, blk in enumerate(blocks):
-                lo, hi = blk.X.indptr[0], blk.X.indptr[-1]
-                indptr.append(blk.X.indptr[1:] - lo + nnz)
-                indices.append(blk.X.indices[lo:hi] + i * d)
-                values.append(blk.X.data[lo:hi])
-                nnz += hi - lo
-            X = sp.csr_matrix(
-                (np.concatenate(values), np.concatenate(indices), np.concatenate(indptr)),
-                shape=(sum(len(blk) for blk in blocks), len(blocks) * d),
-            )
-        sizes = np.array([len(blk) for blk in blocks])
+    def build(cls, X: sp.csr_matrix, sizes: np.ndarray, y, wts, l2: float):
+        """The design of a canonical CSR whose rows are block 0's sizes[0]
+        rows, then block 1's, and so on; y and wts follow the rows."""
+        (n, d), nnz, K = X.shape, X.nnz, len(sizes)
+        counts = np.diff(X.indptr)
         starts = np.cumsum(sizes) - sizes
-        # smoothness bound per block: rows augmented with the bias coordinate
-        row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
+        # smoothness bound per block, rows augmented with the bias coordinate;
+        # squares summed by reduceat, as X.multiply(X).sum(axis=1) sums them
+        row_sq = np.ones(n)
+        rows = np.flatnonzero(counts)
+        row_sq[rows] += np.add.reduceat(X.data * X.data, X.indptr[rows])
         step = 1.0 / (0.25 * np.maximum.reduceat(row_sq, starts) + l2)
-        runs = []
-        for i, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-            if runs and runs[-1][3] == size:
-                runs[-1][2] += 1
-            else:
-                runs.append([lo, i, 1, size])
-        signs = 2.0 * np.concatenate([blk.y for blk in blocks]) - 1.0
+        # row r's entries move r places on, and its bias entry follows them
+        first_col = np.arange(K).repeat(sizes) * (d + 1)
+        row_of = np.arange(n).repeat(counts)
+        at = row_of + np.arange(nnz)
+        # 32-bit where they fit, as scipy would cast them anyway
+        index_type = np.int32 if max(nnz + n, K * (d + 1)) < 2**31 else np.int64
+        indptr = (X.indptr + np.arange(n + 1)).astype(index_type)
+        indices = np.empty(nnz + n, dtype=index_type)
+        indices[at] = X.indices + first_col[row_of]
+        indices[indptr[1:] - 1] = first_col + d
+        data = np.ones(nnz + n)
+        data[at] = X.data
+        X = sp.csr_matrix((data, indices, indptr), shape=(n, K * (d + 1)))
+        firsts = np.flatnonzero(np.diff(sizes, prepend=0))
+        runs = zip(starts[firsts], np.diff(firsts, append=K), sizes[firsts])
+        neg_signs = 1.0 - 2.0 * y
         return cls(
             X=X,
             XT=X.T,
-            signs=signs,
-            signed_wts=np.concatenate(weights) * signs,
-            runs=[tuple(run) for run in runs],
-            step=step,
-            step_cols=np.repeat(step, d),
+            neg_signs=neg_signs,
+            neg_wts=wts * neg_signs,
+            runs=[tuple(map(int, run)) for run in runs],
+            step_cols=step.repeat(d + 1),
         )
-
-    def add_block_values(self, v: np.ndarray, c: np.ndarray) -> None:
-        """Add c[i] to every row of block i, in place."""
-        for lo, first, count, size in self.runs:
-            rows = v[lo : lo + count * size].reshape(count, size)
-            rows += c[first : first + count, None]
 
     def block_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-block sums of a row vector, each rounded as `v[lo:hi].sum()`.
@@ -242,9 +242,67 @@ class _BlockDesign:
         """
         sums = [
             v[lo : lo + count * size].reshape(count, size).sum(axis=1)
-            for lo, _, count, size in self.runs
+            for lo, count, size in self.runs
         ]
         return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+    def descend(self, W: np.ndarray, settings: TrainerSettings):
+        """The fits from the rows of W, each a block's weights, then its
+        bias; W ends up holding the final points."""
+        K, width = W.shape
+        d = width - 1
+        l2, tol = settings.l2, settings.grad_tol
+        # x is x_k and x_prev is x_{k-1}; W keeps each converged block's
+        # point from its stop step
+        x = W.flatten()
+        x_prev = x.copy()
+        done = np.zeros(K, dtype=bool)
+        for k in range(settings.max_iter):
+            # the extrapolated point y = x + beta * (x - x_prev), built in
+            # x_prev's buffer, which then takes x_{k+1}
+            beta = k / (k + 3)
+            y = np.subtract(x, x_prev, out=x_prev)
+            y *= beta
+            y += x
+            scores = self.X @ y
+            scores *= self.neg_signs
+            coef = expit(scores, out=scores)
+            coef *= self.neg_wts
+            grad = self.XT @ coef
+            G = grad.reshape(K, width)
+            G[:, d] = self.block_sums(coef)
+            # with l2 = 0 the penalty term could only flip the sign of a
+            # zero gradient, which leaves every update unchanged
+            if l2:
+                grad += l2 * y
+            near = np.sqrt(np.einsum("ij,ij->i", G, G)) < 2.0 * tol
+            if near.any():
+                for i in np.flatnonzero(near & ~done):
+                    g = G[i, :d]
+                    if np.sqrt(np.dot(g, g) + G[i, d] * G[i, d]) < tol:
+                        done[i] = True
+                        W[i] = y[i * width : (i + 1) * width]
+                if done.all():
+                    break
+            grad *= self.step_cols
+            y -= grad
+            x_prev, x = x, y
+        W[~done] = x.reshape(K, width)[~done]
+        return [LinearHypothesis(W[k, :d], float(W[k, d])) for k in range(K)]
+
+
+def _stack_rows(mats) -> sp.csr_matrix:
+    """The rows of equally wide matrices, one after another, as one CSR."""
+    mats = [_as_csr(m) for m in mats]
+    if len(mats) == 1:
+        return mats[0]
+    starts = np.cumsum([0] + [m.nnz for m in mats])
+    ends = [m.indptr[1:] + lo for m, lo in zip(mats, starts)]
+    indptr = np.concatenate([np.zeros(1, dtype=starts.dtype), *ends])
+    data = np.concatenate([m.data for m in mats])
+    indices = np.concatenate([m.indices for m in mats])
+    shape = (len(indptr) - 1, mats[0].shape[1])
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def train_erm_batch(
@@ -262,21 +320,22 @@ def train_erm_batch(
     extrapolated point y = x_k + beta_k (x_k - x_{k-1}), with
     beta_k = k/(k+3) and x_{-1} = x_0, and moves to
     x_{k+1} = y - g(y)/L_k (Nesterov 1983; Beck & Teboulle 2009). The
-    block-diagonal design and its transpose are built once per call, and
-    every step makes one product with each. A block whose gradient norm
-    at y falls below `grad_tol` has y recorded as its weights and bias.
-    It stays in the design, where no other block sees it, and the loop
-    ends once every block has stopped, or after `max_iter` steps with
-    x_{max_iter}.
+    iterate is one vector of each block's weights and then its bias, the
+    columns of the `_BlockDesign` built once per call from the blocks'
+    rows; every step makes one product with the design and one with its
+    transpose. A block whose gradient norm at y falls below `grad_tol`
+    has y recorded as its weights and bias. It stays in the design, where
+    no other block sees it, and the loop ends once every block has
+    stopped, or after `max_iter` steps with x_{max_iter}.
 
     The result equals a separate fit of each block bit for bit: every
     floating-point operation that reaches the weights is the one a lone
-    fit would make, in the same order. Two places need care. A block's
+    fit would make, in the same order. Three places need care. A block's
     bias gradient is numpy's pairwise sum over its contiguous slice
-    (np.add.reduceat rounds differently; see `_BlockDesign.block_sums`).
-    And the stop test confirms with np.dot every norm that an einsum
-    pre-filter puts within 2x of `grad_tol`, because einsum also rounds
-    differently in the last place.
+    (np.add.reduceat rounds differently; see `_BlockDesign.block_sums`),
+    while L_k sums each row's squares with reduceat. And the stop test
+    confirms with np.dot every norm that an einsum pre-filter puts
+    within 2x of `grad_tol`, because einsum rounds differently too.
     """
     if settings is None:
         settings = TrainerSettings()
@@ -284,8 +343,7 @@ def train_erm_batch(
     sample_weights = sample_weights or [None] * K
     inits = inits or [None] * K
     d = blocks[0].n_features
-    W = np.zeros((K, d))
-    b = np.zeros(K)
+    W = np.zeros((K, d + 1))
     wts = []
     for k, (data, weight, init) in enumerate(zip(blocks, sample_weights, inits)):
         if len(data) == 0:
@@ -303,58 +361,13 @@ def train_erm_batch(
         if init is not None:
             if init.weights.shape != (d,):
                 raise ValueError("warm-start hypothesis has the wrong dimension")
-            W[k] = init.weights
-            b[k] = init.bias
-
-    l2, tol = settings.l2, settings.grad_tol
-    design = _BlockDesign.stack(blocks, wts, l2)
-    # (w, c) is x_k and (w_prev, c_prev) is x_{k-1}; W and b keep each
-    # converged block's point from its stop step
-    w, c = W.flatten(), b.copy()
-    w_prev, c_prev = w.copy(), c.copy()
-    done = np.zeros(K, dtype=bool)
-    for k in range(settings.max_iter):
-        # the extrapolated point y = x + beta * (x - x_prev), built in
-        # x_prev's buffer, which then takes x_{k+1}
-        beta = k / (k + 3)
-        yw = np.subtract(w, w_prev, out=w_prev)
-        yw *= beta
-        yw += w
-        yc = np.subtract(c, c_prev, out=c_prev)
-        yc *= beta
-        yc += c
-        scores = design.X @ yw
-        design.add_block_values(scores, yc)
-        scores *= design.signs
-        coef = expit(np.negative(scores, out=scores), out=scores)
-        coef *= design.signed_wts
-        grad_w = design.XT @ coef
-        np.negative(grad_w, out=grad_w)
-        grad_b = np.negative(design.block_sums(coef))
-        # with l2 = 0 the penalty terms could only flip the sign of a zero
-        # gradient, which leaves every weight update unchanged
-        if l2:
-            grad_w += l2 * yw
-            grad_b += l2 * yc
-        G = grad_w.reshape(-1, d)
-        near = np.sqrt(np.einsum("ij,ij->i", G, G) + grad_b * grad_b) < 2.0 * tol
-        if near.any():
-            for i in np.flatnonzero(near & ~done):
-                if np.sqrt(np.dot(G[i], G[i]) + grad_b[i] * grad_b[i]) < tol:
-                    done[i] = True
-                    W[i] = yw[i * d : (i + 1) * d]
-                    b[i] = yc[i]
-            if done.all():
-                break
-        grad_w *= design.step_cols
-        yw -= grad_w
-        grad_b *= design.step
-        yc -= grad_b
-        w_prev, w = w, yw
-        c_prev, c = c, yc
-    W[~done] = w.reshape(-1, d)[~done]
-    b[~done] = c[~done]
-    return [LinearHypothesis(W[k], float(b[k])) for k in range(K)]
+            W[k, :d] = init.weights
+            W[k, d] = init.bias
+    X = _stack_rows([data.X for data in blocks])
+    sizes = np.array([len(data) for data in blocks])
+    y = np.concatenate([data.y for data in blocks])
+    design = _BlockDesign.build(X, sizes, y, np.concatenate(wts), settings.l2)
+    return design.descend(W, settings)
 
 
 def empirical_error(h, data: Dataset) -> float:
@@ -366,24 +379,22 @@ def empirical_error(h, data: Dataset) -> float:
     return float(np.mean(h.predict(data.X) != data.y))
 
 
-def split_disjoint(
-    data: Dataset, K: int, rng: np.random.Generator
-) -> list[Dataset]:
-    """Random partition into K parts with sizes differing by at most one."""
-    n = len(data)
+def _part_sizes(n: int, K: int) -> np.ndarray:
+    """The sizes of K parts of n examples, larger first, at most one apart."""
     if K < 1 or K != int(K):
         raise ValueError("K must be a positive integer")
     if K > n:
         raise ValueError(f"cannot split {n} examples into {K} parts")
-    perm = rng.permutation(n)
-    base, rem = divmod(n, K)
-    parts = []
-    start = 0
-    for k in range(K):
-        size = base + (1 if k < rem else 0)
-        parts.append(data.subset(perm[start : start + size]))
-        start += size
-    return parts
+    sizes = np.full(int(K), n // K)
+    sizes[: n % K] += 1
+    return sizes
+
+
+def split_disjoint(data: Dataset, K: int, rng: np.random.Generator) -> list[Dataset]:
+    """Random partition into K parts with sizes differing by at most one."""
+    sizes = _part_sizes(len(data), K)
+    perm = rng.permutation(len(data))
+    return [data.subset(part) for part in np.split(perm, np.cumsum(sizes)[:-1])]
 
 
 @dataclass
@@ -416,11 +427,17 @@ def train_committee(
 ) -> Ensemble:
     """K linear fits on disjoint random splits, combined by majority.
 
-    All K fits run in one accelerated-descent loop over the block-diagonal
-    stack of the splits; each member equals `train_erm` on its split bit
-    for bit.
+    The splits are `split_disjoint`'s with the same rng, cut from one
+    permutation of the rows; all K fits run in one accelerated-descent
+    loop. Each member equals `train_erm` on its split bit for bit.
     """
-    return Ensemble(train_erm_batch(split_disjoint(data, K, rng), settings))
+    sizes = _part_sizes(len(data), K)
+    if not data.labeled:
+        raise ValueError("training data must be labeled")
+    rows = data.subset(rng.permutation(len(data)))
+    wts = (1.0 / sizes).repeat(sizes)
+    design = _BlockDesign.build(rows.X, sizes, rows.y, wts, settings.l2)
+    return Ensemble(design.descend(np.zeros((K, data.n_features + 1)), settings))
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .learners import (
     FiniteHypothesisClass,
     LinearHypothesis,
     TrainerSettings,
+    _stack_rows,
     empirical_error,
     train_committee,
     train_erm,
@@ -193,6 +194,7 @@ class ActiveState:
     ys: list = field(default_factory=list)
     j: int = 0  # stream position, 1-based
     c: int = 0  # label queries spent
+    query_budget: int | None = None  # set by run_active_learning
     hypothesis: Any = None
     alive: np.ndarray | None = None  # finite classes: version-space mask
     # the descriptor's work derived from xs, ys and hypothesis, kept for
@@ -269,7 +271,8 @@ class _ReferenceMemo:
 
     `base` is the probe-settings fit on `xs`, `ys` (stacked as `X`) from
     `hypothesis`. `next_bases[y]` is the same fit on `xs + [x]`,
-    `ys + [y]` (stacked as `X_next`), where `x` is the point just probed.
+    `ys + [y]` (stacked as `X_next`), where `x` is the point just probed;
+    it is empty where querying `x` would end the run.
     """
 
     hypothesis: LinearHypothesis
@@ -296,7 +299,7 @@ class _ReferenceMemo:
         if len(state.xs) == k:
             return self.X, self.base
         y = state.ys[-1]
-        if state.xs[-1] is self.x and y in (0, 1):
+        if state.xs[-1] is self.x and y in (0, 1) and self.next_bases:
             return self.X_next, self.next_bases[int(y)]
         return None
 
@@ -322,7 +325,8 @@ class LinearClassDescriptor:
     schedule) or any other change to the state it fits `base` alone. At
     a power-of-two stream position `state.j` the refit right after
     replaces the hypothesis, so the probe is trained alone there and the
-    memo is cleared.
+    memo is cleared. It is trained alone, too, where a query would spend
+    `state.query_budget` and end the run; the memo then keeps `base`.
     Every fit is bit-for-bit the one a lone `train_erm` would make, so the
     answers do not depend on the memo.
     """
@@ -336,7 +340,7 @@ class LinearClassDescriptor:
         return ActiveState(descriptor=self, hypothesis=h0)
 
     def _pool(self, state: ActiveState) -> Dataset:
-        return Dataset(sp.vstack(state.xs), np.asarray(state.ys))
+        return Dataset(_stack_rows(state.xs), np.asarray(state.ys))
 
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
         if math.isinf(slack) or not state.xs:
@@ -355,13 +359,16 @@ class LinearClassDescriptor:
         n = len(y)
         base_errors = int((base.predict(X) != y).sum())
         forced = 1 - int(base.predict(x)[0])
-        X_next = sp.vstack([X, sp.csr_matrix(x)])
+        X_next = _stack_rows([X, x])
         weights = np.ones(n + 1)
         weights[-1] = n + 1.0
         # a refit follows at a power-of-two position and replaces the
-        # hypothesis, so the two next-reference fits would go unused
+        # hypothesis, and a query that spends the budget ends the run, so
+        # the two next-reference fits would go unused
         j = state.j
-        labels = (forced,) if j >= 1 and j & (j - 1) == 0 else (forced, 0, 1)
+        refits = j >= 1 and j & (j - 1) == 0
+        last = state.c + 1 == state.query_budget
+        labels = (forced,) if refits or last else (forced, 0, 1)
         h, *next_bases = train_erm_batch(
             [Dataset(X_next, np.append(y, label)) for label in labels],
             self.probe_settings,
@@ -369,7 +376,7 @@ class LinearClassDescriptor:
             [base, state.hypothesis, state.hypothesis][: len(labels)],
         )
         state.memo = None
-        if next_bases:
+        if not refits:
             state.memo = _ReferenceMemo(
                 state.hypothesis,
                 list(state.xs),
@@ -431,6 +438,7 @@ def run_active_learning(
     if slack is not None and not slack >= 0:
         raise ValueError("slack must be nonnegative (or None)")
     state = descriptor.init_state()
+    state.query_budget = query_budget
     for i, x in enumerate(stream):
         j = i + 1
         state.j = j
@@ -474,11 +482,15 @@ def pate_asq(
             config.query_budget, config.budget, rng
         )
 
+    X, d = student_pool.X, student_pool.n_features
     state = run_active_learning(
-        LinearClassDescriptor(student_pool.n_features),
-        # rows are sliced as the loop reaches them: it stops once the
-        # query budget is spent
-        (student_pool.X[i] for i in range(len(student_pool))),
+        LinearClassDescriptor(d),
+        # rows are cut as the loop reaches them: it stops once the query
+        # budget is spent
+        (
+            sp.csr_matrix((X.data[a:b], X.indices[a:b], [0, b - a]), shape=(1, d))
+            for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())
+        ),
         lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
         config.query_budget,
         config.gamma,

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +260,26 @@ def test_non_private_json_is_strict(tmp_path, capsys):
     assert printed == written
     assert [row["epsilon"] for row in written] == ["inf", "inf"]
     assert all(row["method"] == "PsqNoPrivacy" for row in written)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("psq --dataset realizable --trials 2 --seed 7",
+         "psq_realizable_trials2_seed7.csv"),
+        ("asq --dataset massart --trials 2 --seed 7",
+         "asq_massart_trials2_seed7.csv"),
+    ],
+)
+def test_seeded_runs_print_the_committed_csv(capsys, argv, name):
+    """Two seeded runs print their committed trial CSVs byte for byte.
+
+    The files under tests/data are the output of `privote <argv>`. A
+    change that alters seeded outputs on purpose regenerates them with
+    those commands and says so in CHANGES.md; no other change may.
+    """
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -286,6 +286,9 @@ def _assert_committee_matches_oracle(data, K, seed, settings):
 @example(300, 3, 20, 6, 100, 0.0, 1e-10)  # the committee's 100 steps
 @example(401, 2, 10, 2, 20, 0.0, 1e-10)  # shards of 200 and 201 rows
 @example(300, 7, 12, 3, 25, 0.05, 1e-10)  # l2 > 0
+@example(40, 4, 1, 8, 30, 0.0, 1e-10)  # d = 1: most rows have no features
+@example(50, 1, 6, 3, 30, 0.0, 1e-10)  # K = 1
+@example(60, 3, 40, 1, 30, 0.0, 1e-10)  # a row's squares sum differently in order
 def test_committee_members_equal_lone_fits(n, K, d, seed, iters, l2, tol):
     K = min(K, n)
     settings = TrainerSettings(max_iter=iters, l2=l2, grad_tol=tol)
@@ -305,6 +308,8 @@ def test_committee_members_stop_at_their_own_step():
     st.integers(0, 10_000),
     st.sampled_from([0.0, 0.05]),
 )
+@example(40, 1, 8, 0.0)  # d = 1: most rows have no features
+@example(30, 40, 7, 0.0)  # a row's squares sum differently in order
 def test_train_erm_weights_and_init_equal_lone_fit(n, d, seed, l2):
     data = _sparse_data(n, d, seed)
     rng = make_rng(seed + 1)
@@ -314,6 +319,34 @@ def test_train_erm_weights_and_init_equal_lone_fit(n, d, seed, l2):
     settings = TrainerSettings(max_iter=25, l2=l2)
     h = train_erm(data, settings, sample_weight=weight, init=init)
     _assert_matches_oracle(h, data, settings, weight, init)
+
+
+def test_duplicate_entries_fit_like_their_sums():
+    # rows stored with repeated and unsorted columns and a stored zero, as
+    # a hand-built CSR may hold them
+    rng = make_rng(9)
+    n, d = 30, 6
+    indptr = np.arange(0, 4 * n + 1, 4)
+    cols = rng.integers(0, d, 4 * n)
+    vals = rng.normal(size=4 * n)
+    vals[5] = 0.0
+    X = sp.csr_matrix((vals, cols, indptr), shape=(n, d))
+    assert not X.has_canonical_format
+    stored = X.data.copy(), X.indices.copy()
+    canonical = X.copy()
+    canonical.sum_duplicates()
+    canonical.eliminate_zeros()
+    y = rng.integers(0, 2, n)
+    data = Dataset(X, y)
+    # the caller's matrix is left as it was
+    assert np.array_equal(X.data, stored[0]) and np.array_equal(X.indices, stored[1])
+    assert data.X.has_canonical_format and data.X.data.all()
+    assert (data.X != canonical).nnz == 0
+    settings = TrainerSettings(max_iter=30)
+    h = train_erm(data, settings)
+    _assert_matches_oracle(h, Dataset(canonical, y), settings)
+    # a canonical matrix is taken as it is
+    assert Dataset(canonical, y).X is canonical
 
 
 def test_majority_tie_goes_to_one():

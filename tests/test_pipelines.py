@@ -501,27 +501,53 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
 
 
 def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
-    # at a power-of-two position the refit replaces the hypothesis, so the
-    # two next-reference fits would be thrown away
+    # at a power-of-two position the refit replaces the hypothesis, and a
+    # query that spends the budget ends the run, so at either point the two
+    # next-reference fits would be thrown away
     calls = []
+    probing = []  # the stream position of the probe in progress, if any
+    fresh_bases = []  # positions whose probe fit its reference from scratch
     real_batch = privote.pipelines.train_erm_batch
+    real_erm = privote.pipelines.train_erm
 
     def counting_batch(blocks, *args):
         calls[-1][1].append(len(blocks))
         return real_batch(blocks, *args)
 
+    def counting_erm(*args, **kwargs):
+        fresh_bases.extend(probing)
+        return real_erm(*args, **kwargs)
+
     class Recording(LinearClassDescriptor):
         def disagreement(self, state, x, slack):
             calls.append((state.j, []))
-            return super().disagreement(state, x, slack)
+            probing.append(state.j)
+            try:
+                return super().disagreement(state, x, slack)
+            finally:
+                probing.pop()
 
     monkeypatch.setattr(privote.pipelines, "train_erm_batch", counting_batch)
+    monkeypatch.setattr(privote.pipelines, "train_erm", counting_erm)
     stream, labels = _linear_stream(3, 12, 3, 5, 0.2)
     _run_recorded(Recording(3), stream, labels, 12, None)
     blocks = dict(calls)
     assert sorted(blocks) == list(range(1, 13))
     assert [blocks[j] for j in (1, 2, 4, 8)] == [[], [1], [1], [1]]
     assert all(blocks[j] == [3] for j in (3, 5, 6, 7, 9, 10, 11, 12))
+
+    # five queries: the fifth label is asked at j = 8, and the points at
+    # j = 6 and 7 would have spent the budget but were not queried
+    calls.clear()
+    fresh_bases.clear()
+    stream, labels = _linear_stream(6, 40, 3, 5, 0.2)
+    state, asked = _run_recorded(Recording(3), stream, labels, 5, None)
+    assert state.c == 5 and asked[3:] == [4, 7]
+    blocks = dict(calls)
+    assert sorted(blocks) == list(range(1, 9))
+    assert [blocks[j] for j in (5, 6, 7, 8)] == [[3], [1], [1], [1]]
+    # j = 6 and 7 each start from the reference kept by the probe before
+    assert not {6, 7} & set(fresh_bases)
 
 
 # ---------------------------------------------------------------------------
