@@ -9,10 +9,12 @@ momentum). A committee's K disjoint shards are one row permutation of
 the teacher pool, laid out as one block-diagonal sparse matrix with a
 bias column per block, so each step scores and differentiates every
 teacher with one pass over all rows; a lone fit (`train_erm`) is the
-one-block case. The design is built once per fit; a teacher that
-converges early keeps the point of its stop step while the others go on.
-Each member comes out bit-for-bit equal to a separate fit of its shard,
-so batching changes no seeded output.
+one-block case. The design is built once per fit as raw CSR arrays, and
+each step runs scipy's `csr_matvec` and `csc_matvec` kernels on them
+into buffers allocated once per fit; a teacher that converges early
+keeps the point of its stop step while the others go on. Each member
+comes out bit-for-bit equal to a separate fit of its shard, so batching
+changes no seeded output.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
+
+# private to scipy, whose `X @ v` is np.zeros then one of these calls; used to
+# skip ~7 us of dispatch per product (test_matvec_equals_scipy_products pins them)
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 __all__ = [
     "Dataset",
@@ -68,6 +74,10 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.X = _as_csr(self.X)
+        # scipy leaves column indices unchecked; the kernels would run past arrays
+        cols, d = self.X.indices, self.X.shape[1]
+        if self.X.nnz and not 0 <= cols.min() <= cols.max() < d:
+            raise ValueError(f"column indices must lie in [0, {d})")
         # the step bound squares stored entries one by one, which is right
         # only without duplicates, and skips zeros as X.multiply(X) did
         if not (self.X.has_canonical_format and self.X.data.all()):
@@ -173,40 +183,53 @@ def train_erm(
     return train_erm_batch([data], settings, [sample_weight], [init])[0]
 
 
+def _matvec(shape, csr, v, out, transpose=False):
+    """scipy's `X @ v` (`X.T @ v` if transpose) into out, bit for bit, where
+    X is the CSR of this shape whose (indptr, indices, data) are csr."""
+    out.fill(0.0)
+    if transpose:
+        csc_matvec(shape[1], shape[0], *csr, v, out)
+    else:
+        csr_matvec(shape[0], shape[1], *csr, v, out)
+
+
 @dataclass
 class _BlockDesign:
     """Labeled blocks of rows as one block-diagonal design.
 
     Block i owns the d + 1 columns from i*(d+1): its features, then a
-    bias column of ones that ends each of its rows. Rows keep their
-    entries' order, so `X @ x` adds the same terms in the same order as
-    a lone fit's `X @ w + b`, the bias last, and `XT @ coef` gives each
-    block's weight gradient; its bias entries are sums in row order,
-    which `block_sums` replaces with pairwise ones. The labels' signs
-    enter negated, so that product is the gradient itself: negation
-    commutes with IEEE rounding.
+    bias column of ones that ends each of its rows. The design is its
+    shape and raw CSR arrays of one index dtype; no scipy matrix. Rows
+    keep their entries' order, so `_matvec` of x adds the same terms in
+    the same order as a lone fit's `X @ w + b`, the bias last, and the
+    transposed `_matvec` of coef gives each block's weight gradient; its
+    bias entries are sums in row order, which `descend` replaces with
+    pairwise ones. The labels' signs enter negated, so that product is
+    the gradient itself: negation commutes with IEEE rounding.
     """
 
-    X: sp.csr_matrix
-    XT: sp.csc_matrix
+    shape: tuple[int, int]
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
     neg_signs: np.ndarray
     neg_wts: np.ndarray
-    # (first row, blocks, rows per block) of each run of equal-size blocks
-    runs: list[tuple[int, int, int]]
+    # (first block, first row, blocks, rows per block) of each equal-size run
+    runs: list[tuple[int, int, int, int]]
     step_cols: np.ndarray
 
     @classmethod
-    def build(cls, X: sp.csr_matrix, sizes: np.ndarray, y, wts, l2: float):
-        """The design of a canonical CSR whose rows are block 0's sizes[0]
-        rows, then block 1's, and so on; y and wts follow the rows."""
-        (n, d), nnz, K = X.shape, X.nnz, len(sizes)
-        counts = np.diff(X.indptr)
+    def build(cls, mats, sizes: np.ndarray, y, wts, l2: float):
+        """The design of equally wide canonical CSRs whose rows, one after
+        another, are block 0's sizes[0] rows, then block 1's, and so on;
+        y and wts follow the rows."""
+        ptr, cols, vals = _row_arrays(mats)
+        n, d, nnz, K = len(ptr) - 1, mats[0].shape[1], len(vals), len(sizes)
+        counts = np.diff(ptr)
         starts = np.cumsum(sizes) - sizes
         # smoothness bound per block, rows augmented with the bias coordinate;
         # squares summed by reduceat, as X.multiply(X).sum(axis=1) sums them
         row_sq = np.ones(n)
-        rows = np.flatnonzero(counts)
-        row_sq[rows] += np.add.reduceat(X.data * X.data, X.indptr[rows])
+        filled = np.flatnonzero(counts)
+        row_sq[filled] += np.add.reduceat(vals * vals, ptr[filled])
         step = 1.0 / (0.25 * np.maximum.reduceat(row_sq, starts) + l2)
         # row r's entries move r places on, and its bias entry follows them
         first_col = np.arange(K).repeat(sizes) * (d + 1)
@@ -214,37 +237,23 @@ class _BlockDesign:
         at = row_of + np.arange(nnz)
         # 32-bit where they fit, as scipy would cast them anyway
         index_type = np.int32 if max(nnz + n, K * (d + 1)) < 2**31 else np.int64
-        indptr = (X.indptr + np.arange(n + 1)).astype(index_type)
+        indptr = (ptr + np.arange(n + 1)).astype(index_type)
         indices = np.empty(nnz + n, dtype=index_type)
-        indices[at] = X.indices + first_col[row_of]
+        indices[at] = cols + first_col[row_of]
         indices[indptr[1:] - 1] = first_col + d
         data = np.ones(nnz + n)
-        data[at] = X.data
-        X = sp.csr_matrix((data, indices, indptr), shape=(n, K * (d + 1)))
+        data[at] = vals
         firsts = np.flatnonzero(np.diff(sizes, prepend=0))
-        runs = zip(starts[firsts], np.diff(firsts, append=K), sizes[firsts])
+        runs = zip(firsts, starts[firsts], np.diff(firsts, append=K), sizes[firsts])
         neg_signs = 1.0 - 2.0 * y
         return cls(
-            X=X,
-            XT=X.T,
+            shape=(n, K * (d + 1)),
+            csr=(indptr, indices, data),
             neg_signs=neg_signs,
             neg_wts=wts * neg_signs,
             runs=[tuple(map(int, run)) for run in runs],
             step_cols=step.repeat(d + 1),
         )
-
-    def block_sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-block sums of a row vector, each rounded as `v[lo:hi].sum()`.
-
-        A run of equal-size blocks is summed as the rows of a 2-D view:
-        numpy sums each contiguous row pairwise, exactly as it sums the
-        1-D slice, so one call serves the run.
-        """
-        sums = [
-            v[lo : lo + count * size].reshape(count, size).sum(axis=1)
-            for lo, count, size in self.runs
-        ]
-        return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
     def descend(self, W: np.ndarray, settings: TrainerSettings):
         """The fits from the rows of W, each a block's weights, then its
@@ -256,6 +265,16 @@ class _BlockDesign:
         # point from its stop step
         x = W.flatten()
         x_prev = x.copy()
+        scores = np.empty(self.shape[0])
+        grad = np.empty(self.shape[1])
+        G = grad.reshape(K, width)
+        # a run of equal-size blocks sums its coefficients as the rows of a
+        # 2-D view into its bias gradients: numpy sums each contiguous row
+        # pairwise, exactly as it sums the 1-D slice coef[lo:hi]
+        bias_sums = [
+            (scores[lo : lo + count * size].reshape(count, size), G[i : i + count, d])
+            for i, lo, count, size in self.runs
+        ]
         done = np.zeros(K, dtype=bool)
         for k in range(settings.max_iter):
             # the extrapolated point y = x + beta * (x - x_prev), built in
@@ -264,13 +283,13 @@ class _BlockDesign:
             y = np.subtract(x, x_prev, out=x_prev)
             y *= beta
             y += x
-            scores = self.X @ y
+            _matvec(self.shape, self.csr, y, scores)
             scores *= self.neg_signs
             coef = expit(scores, out=scores)
             coef *= self.neg_wts
-            grad = self.XT @ coef
-            G = grad.reshape(K, width)
-            G[:, d] = self.block_sums(coef)
+            _matvec(self.shape, self.csr, coef, grad, transpose=True)
+            for rows, sums in bias_sums:
+                np.add.reduce(rows, axis=1, out=sums)
             # with l2 = 0 the penalty term could only flip the sign of a
             # zero gradient, which leaves every update unchanged
             if l2:
@@ -291,16 +310,23 @@ class _BlockDesign:
         return [LinearHypothesis(W[k, :d], float(W[k, d])) for k in range(K)]
 
 
+def _row_arrays(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices and data of the rows of CSRs, one after another."""
+    if len(mats) == 1:
+        return mats[0].indptr, mats[0].indices, mats[0].data
+    starts = np.cumsum([0] + [m.nnz for m in mats])
+    ends = [m.indptr[1:] + lo for m, lo in zip(mats, starts)]
+    indptr = np.concatenate([np.zeros(1, dtype=starts.dtype), *ends])
+    indices = np.concatenate([m.indices for m in mats])
+    return indptr, indices, np.concatenate([m.data for m in mats])
+
+
 def _stack_rows(mats) -> sp.csr_matrix:
     """The rows of equally wide matrices, one after another, as one CSR."""
     mats = [_as_csr(m) for m in mats]
     if len(mats) == 1:
         return mats[0]
-    starts = np.cumsum([0] + [m.nnz for m in mats])
-    ends = [m.indptr[1:] + lo for m, lo in zip(mats, starts)]
-    indptr = np.concatenate([np.zeros(1, dtype=starts.dtype), *ends])
-    data = np.concatenate([m.data for m in mats])
-    indices = np.concatenate([m.indices for m in mats])
+    indptr, indices, data = _row_arrays(mats)
     shape = (len(indptr) - 1, mats[0].shape[1])
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
@@ -321,21 +347,25 @@ def train_erm_batch(
     beta_k = k/(k+3) and x_{-1} = x_0, and moves to
     x_{k+1} = y - g(y)/L_k (Nesterov 1983; Beck & Teboulle 2009). The
     iterate is one vector of each block's weights and then its bias, the
-    columns of the `_BlockDesign` built once per call from the blocks'
-    rows; every step makes one product with the design and one with its
-    transpose. A block whose gradient norm at y falls below `grad_tol`
-    has y recorded as its weights and bias. It stays in the design, where
-    no other block sees it, and the loop ends once every block has
-    stopped, or after `max_iter` steps with x_{max_iter}.
+    columns of the `_BlockDesign` built once per call straight from the
+    blocks' CSR arrays. Every step runs scipy's `csr_matvec` kernel for
+    the product with the design and `csc_matvec` for the one with its
+    transpose, each into a buffer allocated once per call and zeroed
+    before the kernel adds into it. A block whose gradient norm at y
+    falls below `grad_tol` has y recorded as its weights and bias. It
+    stays in the design, where no other block sees it, and the loop ends
+    once every block has stopped, or after `max_iter` steps with
+    x_{max_iter}.
 
     The result equals a separate fit of each block bit for bit: every
     floating-point operation that reaches the weights is the one a lone
     fit would make, in the same order. Three places need care. A block's
-    bias gradient is numpy's pairwise sum over its contiguous slice
-    (np.add.reduceat rounds differently; see `_BlockDesign.block_sums`),
-    while L_k sums each row's squares with reduceat. And the stop test
-    confirms with np.dot every norm that an einsum pre-filter puts
-    within 2x of `grad_tol`, because einsum rounds differently too.
+    bias gradient is numpy's pairwise sum over its contiguous slice,
+    taken through 2-D views built once per call (np.add.reduceat rounds
+    differently; see `_BlockDesign.descend`), while L_k sums each row's
+    squares with reduceat. And the stop test confirms with np.dot every
+    norm that an einsum pre-filter puts within 2x of `grad_tol`, because
+    einsum rounds differently too.
     """
     if settings is None:
         settings = TrainerSettings()
@@ -350,23 +380,27 @@ def train_erm_batch(
             raise ValueError("cannot train on an empty dataset")
         if not data.labeled:
             raise ValueError("training data must be labeled")
+        if data.n_features != d:
+            raise ValueError(f"block {k} has {data.n_features} features, block 0 {d}")
         n = len(data)
         if weight is None:
             wts.append(np.full(n, 1.0 / n))
         else:
             weight = np.asarray(weight, dtype=float)
-            if weight.shape != (n,) or (weight < 0).any() or weight.sum() <= 0:
+            total = weight.sum()
+            # a NaN or inf weight makes the sum NaN or inf
+            if weight.shape != (n,) or (weight < 0).any() or not 0 < total < np.inf:
                 raise ValueError("sample_weight must be nonnegative with positive sum")
-            wts.append(weight / weight.sum())
+            wts.append(weight / total)
         if init is not None:
             if init.weights.shape != (d,):
                 raise ValueError("warm-start hypothesis has the wrong dimension")
             W[k, :d] = init.weights
             W[k, d] = init.bias
-    X = _stack_rows([data.X for data in blocks])
+    mats = [data.X for data in blocks]
     sizes = np.array([len(data) for data in blocks])
     y = np.concatenate([data.y for data in blocks])
-    design = _BlockDesign.build(X, sizes, y, np.concatenate(wts), settings.l2)
+    design = _BlockDesign.build(mats, sizes, y, np.concatenate(wts), settings.l2)
     return design.descend(W, settings)
 
 
@@ -436,7 +470,7 @@ def train_committee(
         raise ValueError("training data must be labeled")
     rows = data.subset(rng.permutation(len(data)))
     wts = (1.0 / sizes).repeat(sizes)
-    design = _BlockDesign.build(rows.X, sizes, rows.y, wts, settings.l2)
+    design = _BlockDesign.build([rows.X], sizes, rows.y, wts, settings.l2)
     return Ensemble(design.descend(np.zeros((K, data.n_features + 1)), settings))
 
 

@@ -27,8 +27,10 @@ from privote import (
     threshold_class,
     train_committee,
     train_erm,
+    train_erm_batch,
     vote_majority,
 )
+from privote.learners import _matvec
 
 
 def _random_data(n, d, seed, labeled=True):
@@ -56,6 +58,11 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
+    # scipy takes a hand-built CSR's column indices unchecked
+    for col in (3, -1):
+        X = sp.csr_matrix(([1.0, 2.0], [col, 1], [0, 1, 2]), shape=(2, 3))
+        with pytest.raises(ValueError, match=r"column indices must lie in \[0, 3\)"):
+            Dataset(X, np.array([0, 1]))
 
 
 LABEL_CASES = [
@@ -182,11 +189,50 @@ def test_train_erm_deterministic():
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
+@pytest.mark.filterwarnings("error")
 def test_train_erm_validation():
     with pytest.raises(ValueError):
         train_erm(_random_data(10, 2, 0, labeled=False))
     with pytest.raises(ValueError):
         train_erm(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+    # non-finite weights fail before the descent, without a RuntimeWarning
+    for bad in (np.nan, np.inf):
+        weight = np.ones(10)
+        weight[3] = bad
+        with pytest.raises(ValueError, match="sample_weight must be nonnegative"):
+            train_erm(_random_data(10, 2, 0), sample_weight=weight)
+
+
+@pytest.mark.parametrize("width", [5, 2])
+def test_train_erm_batch_rejects_blocks_of_another_width(width):
+    # a wider block's columns would land on the next block's or past the end
+    y = np.array([0, 1, 1])
+    blocks = [Dataset(np.eye(3), y), Dataset(np.eye(3, width, width - 3), y)]
+    with pytest.raises(ValueError, match=f"block 1 has {width} features, block 0 3"):
+        train_erm_batch(blocks)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([np.int32, np.int64]))
+def test_matvec_equals_scipy_products(seed, index_type):
+    # the descent calls scipy's private csr_matvec and csc_matvec kernels;
+    # a scipy that changes them must fail here rather than move the fits
+    rng = make_rng(seed)
+    n, d = (int(v) for v in rng.integers(1, 30, 2))
+    A = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+    A[rng.random(n) < 0.3] = 0.0  # empty rows
+    X = sp.csr_matrix(A)
+    X.data[rng.random(X.nnz) < 0.1] = -0.0  # stored signed zeros
+    assert X.has_canonical_format
+    csr = tuple(a.astype(index_type) for a in (X.indptr, X.indices)) + (X.data,)
+    for transpose, M in ((False, X), (True, X.T)):
+        v = rng.normal(size=M.shape[1])
+        v[rng.random(len(v)) < 0.3] = -0.0
+        # the buffer holds the previous step's values, signed zeros among them
+        out = np.where(rng.random(M.shape[0]) < 0.5, -0.0, rng.normal(size=M.shape[0]))
+        _matvec((n, d), csr, v, out, transpose)
+        want = M @ v
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 def test_warm_start_and_weights():
@@ -289,6 +335,7 @@ def _assert_committee_matches_oracle(data, K, seed, settings):
 @example(40, 4, 1, 8, 30, 0.0, 1e-10)  # d = 1: most rows have no features
 @example(50, 1, 6, 3, 30, 0.0, 1e-10)  # K = 1
 @example(60, 3, 40, 1, 30, 0.0, 1e-10)  # a row's squares sum differently in order
+@example(200, 20, 4, 4, 60, 0.05, 5e-2)  # l2 > 0 and members stopping at 2-6 steps
 def test_committee_members_equal_lone_fits(n, K, d, seed, iters, l2, tol):
     K = min(K, n)
     settings = TrainerSettings(max_iter=iters, l2=l2, grad_tol=tol)
