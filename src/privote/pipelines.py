@@ -333,7 +333,7 @@ class LinearClassDescriptor:
 
     n_features: int
     settings: TrainerSettings = TrainerSettings()
-    probe_settings: TrainerSettings = TrainerSettings(max_iter=15)
+    probe_settings: TrainerSettings = TrainerSettings(max_iter=10)
 
     def init_state(self) -> ActiveState:
         h0 = LinearHypothesis(np.zeros(self.n_features), 0.0)

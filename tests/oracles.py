@@ -24,6 +24,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 
@@ -241,9 +242,20 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
         wts = np.asarray(sample_weight, dtype=float)
         wts = wts / wts.sum()
 
-    # smoothness bound: rows augmented with the bias coordinate
+    # smoothness bound, rows augmented with the bias coordinate: the least
+    # of the largest squared row norm and four Collatz-Wielandt ratios
+    # max_i (Av)_i / v_i over v_i > 0 of A = |X|^T diag(wts) |X|, from
+    # v = 1, each step moving to v = Av / max(Av)
     row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
-    L = 0.25 * float(row_sq.max()) + settings.l2
+    absX = sp.hstack([abs(X), np.ones((n, 1))], format="csr")
+    bound = float(row_sq.max())
+    v = np.ones(d + 1)
+    for _ in range(4):
+        u = absX.T @ (wts * (absX @ v))
+        pos = v > 0
+        bound = min(bound, float((u[pos] / v[pos]).max()))
+        v = u / u.max()
+    L = 0.25 * bound + settings.l2
     step = 1.0 / L
 
     if init is None:
@@ -288,7 +300,7 @@ class ReferenceLinearDescriptor:
 
         self.n_features = n_features
         self.settings = settings or TrainerSettings()
-        self.probe_settings = probe_settings or TrainerSettings(max_iter=15)
+        self.probe_settings = probe_settings or TrainerSettings(max_iter=10)
 
     def init_state(self):
         from privote.learners import LinearHypothesis
@@ -298,13 +310,11 @@ class ReferenceLinearDescriptor:
         return ActiveState(descriptor=self, hypothesis=h0)
 
     def _pool(self, state):
-        import scipy.sparse as sp
         from privote.learners import Dataset
 
         return Dataset(sp.vstack(state.xs), np.asarray(state.ys))
 
     def disagreement(self, state, x, slack):
-        import scipy.sparse as sp
         from privote.learners import Dataset, train_erm
 
         if math.isinf(slack) or not state.xs:
@@ -415,7 +425,6 @@ def reference_parse_libsvm(path):
     1-based in the file, strictly increasing within a line, and stored
     0-based. Anything after '#' on a line is a comment.
     """
-    import scipy.sparse as sp
     from privote.harness import _LABEL_MAP, LibsvmParseError, _open_text
     from privote.learners import Dataset
 

@@ -30,7 +30,7 @@ from privote import (
     train_erm_batch,
     vote_majority,
 )
-from privote.learners import _matvec
+from privote.learners import _BlockDesign, _matvec
 
 
 def _random_data(n, d, seed, labeled=True):
@@ -118,6 +118,15 @@ def test_hypothesis_tie_goes_to_one():
     assert h.predict(np.zeros((5, 3))).tolist() == [1] * 5
 
 
+def test_prediction_rejects_columns_past_the_weights():
+    # the product would read past the weights rather than fail
+    X = sp.csr_matrix(([1.0], [50_000], [0, 1]), shape=(1, 3))
+    h = LinearHypothesis(np.ones(3))
+    for call in (h.decision, h.predict, Ensemble([h]).vote_ones):
+        with pytest.raises(ValueError, match=r"column indices must lie in \[0, 3\)"):
+            call(X)
+
+
 def test_prediction_scale_invariance():
     data = _random_data(50, 4, 3, labeled=False)
     h = LinearHypothesis(np.array([1.0, -2.0, 0.5, 3.0]), bias=0.25)
@@ -149,7 +158,9 @@ def test_split_disjoint_singletons():
 @pytest.mark.parametrize("seed", [3, 5, 11])
 def test_train_erm_meets_the_accelerated_rate(seed):
     # F(x_k) - F* <= 2 L ||x_0 - x*||^2 / (k+1)^2 (Beck & Teboulle 2009;
-    # Su, Boyd & Candes 2016); the loss itself need not fall at every step
+    # Su, Boyd & Candes 2016); the loss itself need not fall at every step.
+    # L is the smoothness lambda_max(A^T A/n)/4 itself, not the trainer's
+    # bound on it, which on these mixed-sign rows is about 4 times larger
     data = _random_data(200, 6, seed)
     A = np.hstack([data.X.toarray(), np.ones((len(data), 1))])
     signs = 2.0 * data.y - 1.0
@@ -163,7 +174,7 @@ def test_train_erm_meets_the_accelerated_rate(seed):
     opt = minimize(loss, np.zeros(A.shape[1]), jac=grad, method="BFGS",
                    options={"gtol": 1e-12})
     assert np.linalg.norm(grad(opt.x)) < 1e-7
-    L = 0.25 * float((A * A).sum(axis=1).max())
+    L = 0.25 * float(np.linalg.eigvalsh(A.T @ A / len(data)).max())
     radius = float(opt.x @ opt.x)  # x_0 = 0
     for k in range(1, 121):
         h = train_erm(data, TrainerSettings(max_iter=k))
@@ -233,6 +244,69 @@ def test_matvec_equals_scipy_products(seed, index_type):
         want = M @ v
         assert np.array_equal(out, want)
         assert np.array_equal(np.signbit(out), np.signbit(want))
+
+
+@st.composite
+def _bound_cases(draw):
+    """K blocks of rows with negative values, empty rows and columns,
+    duplicate rows, and zero and heavy sample weights."""
+    K, d = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    sizes = np.array(draw(st.lists(st.integers(1, 15), min_size=K, max_size=K)))
+    rng = make_rng(draw(st.integers(0, 10_000)))
+    n = int(sizes.sum())
+    A = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+    A[rng.random(n) < 0.2] = 0.0
+    A[:, rng.random(d) < 0.2] = 0.0
+    copies = np.flatnonzero(rng.random(n) < 0.3)
+    A[copies] = A[rng.integers(0, n, len(copies))]
+    wts = rng.random(n) * (rng.random(n) < 0.7)
+    wts[np.cumsum(sizes) - 1] += rng.choice([1.0, 100.0 * n], K)
+    return sp.csr_matrix(A), sizes, wts
+
+
+def _one_hot_shard(n, fields, seed):
+    """n rows that each set one column per field, as a9a's one-hot census
+    fields do, with skewed frequencies within each field."""
+    rng = make_rng(seed)
+    cols = np.stack([
+        start + rng.choice(card, n, p=rng.dirichlet(np.full(card, 0.6)))
+        for start, card in zip(np.cumsum(fields) - fields, fields)
+    ], axis=1)
+    rows = np.arange(n).repeat(len(fields))
+    X = sp.csr_matrix((np.ones(cols.size), (rows, cols.ravel())), (n, sum(fields)))
+    return X, np.array([n]), np.ones(n)
+
+
+# a9a's 14 one-hot fields, 123 columns
+_A9A_FIELDS = (5, 8, 5, 16, 5, 7, 14, 6, 5, 2, 2, 2, 5, 41)
+
+
+@given(_bound_cases(), st.sampled_from([0.0, 0.05]), st.just(None))
+# a9a-like teacher shard: the bound lies within 1% of the smoothness, where
+# the row norms alone give more than twice it
+@example(_one_hot_shard(100, _A9A_FIELDS, 1), 0.0, 0.01)
+# a negative entry, where |X| and X differ (d = 1, K = 1)
+@example((sp.csr_matrix([[-2.0]]), np.array([1]), np.ones(1)), 0.0, None)
+def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, l2, within):
+    # per block, 0.25 lambda_max(X^T diag(w) X) <= L - l2 <= 0.25 max row
+    # norm^2, X with its bias column; the eigenvalue is dense, hence the
+    # relative slack of 1e-12 on both sides
+    X, sizes, wts = case
+    starts = np.cumsum(sizes) - sizes
+    wts = wts / np.add.reduceat(wts, starts).repeat(sizes)
+    y = np.zeros(len(wts))
+    design = _BlockDesign.build([Dataset(X).X], sizes, y, wts, l2)
+    d = X.shape[1]
+    A = np.hstack([X.toarray(), np.ones((X.shape[0], 1))])
+    for k, (lo, size) in enumerate(zip(starts, sizes)):
+        B, w = A[lo : lo + size], wts[lo : lo + size]
+        smooth = 0.25 * np.linalg.eigvalsh(B.T @ (w[:, None] * B)).max()
+        rows = 0.25 * (B * B).sum(axis=1).max()
+        L = 1.0 / design.step_cols[k * (d + 1)]
+        assert smooth + l2 <= L * (1 + 1e-12)
+        assert L <= (rows + l2) * (1 + 1e-12)
+        if within is not None:
+            assert L - l2 <= (1 + within) * smooth
 
 
 def test_warm_start_and_weights():
@@ -329,7 +403,7 @@ def _assert_committee_matches_oracle(data, K, seed, settings):
 @example(7, 7, 5, 4, 30, 0.0, 1e-10)  # shards of 1 row
 @example(21, 7, 6, 5, 30, 0.05, 1e-10)  # shards of 3 rows, l2 > 0
 @example(60, 12, 8, 1, 30, 0.0, 1e-10)  # shards of 5 rows
-@example(300, 3, 20, 6, 100, 0.0, 1e-10)  # the committee's 100 steps
+@example(300, 3, 20, 6, 100, 0.0, 1e-10)  # 100 steps, more than the committee's 70
 @example(401, 2, 10, 2, 20, 0.0, 1e-10)  # shards of 200 and 201 rows
 @example(300, 7, 12, 3, 25, 0.05, 1e-10)  # l2 > 0
 @example(40, 4, 1, 8, 30, 0.0, 1e-10)  # d = 1: most rows have no features
