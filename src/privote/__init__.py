@@ -36,7 +36,6 @@ from .harness import (
     SummaryReport,
     TrialReport,
     emit_report,
-    estimate_teacher_error,
     parse_libsvm,
     render_trial_csv,
     run_experiment,
@@ -48,7 +47,6 @@ from .learners import (
     Ensemble,
     FiniteHypothesisClass,
     LinearHypothesis,
-    TrainerSettings,
     empirical_error,
     margin_distribution_report,
     split_disjoint,

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dp_core import PrivacyBudget, derive_seed, make_rng
-from .learners import COMMITTEE_SETTINGS, Dataset, empirical_error, train_erm
+from .learners import Dataset
 from .pipelines import (
     AsqConfig,
     PsqConfig,
@@ -48,7 +48,6 @@ __all__ = [
     "TrialReport",
     "SummaryReport",
     "run_experiment",
-    "estimate_teacher_error",
     "render_trial_csv",
     "render_report",
     "emit_report",
@@ -389,7 +388,9 @@ class ExperimentConfig:
     generator reads (realizable: d; massart: d, flip; tnc: tau, c); a
     file reads none. delta=None defers to 1/(teacher pool size) per
     trial; K=None sizes the committee at one teacher per hundred
-    sensitive points.
+    sensitive points. svt_T=None gives PsqSvt the public cutoff
+    `compute_svt_params(student pool size, 0.0, 0.05, budget)`, which
+    reads nothing of the sensitive data.
     """
 
     dataset: str
@@ -487,27 +488,6 @@ def _halfwidth(values: np.ndarray) -> float:
     return float(1.96 * values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def estimate_teacher_error(
-    teacher_data: Dataset, K: int, rng: np.random.Generator
-) -> float:
-    """Expected single-teacher error, measured on a 10% holdout.
-
-    Trains one committee-sized fit, with the committee's settings, on the
-    remaining data and scores it, approximating E[Err] for a teacher
-    trained on n/K points.
-    """
-    n = len(teacher_data)
-    n_holdout = max(1, round(0.1 * n))
-    if n - n_holdout < 1:
-        raise ValueError("teacher pool too small to hold out from")
-    perm = make_rng(rng).permutation(n)
-    holdout = teacher_data.subset(perm[:n_holdout])
-    rest = perm[n_holdout:]
-    chunk = rest[: max(1, len(rest) // K)]
-    teacher = train_erm(teacher_data.subset(chunk), COMMITTEE_SETTINGS)
-    return empirical_error(teacher, holdout)
-
-
 # each generator's name and the generator_params keys it reads; a LIBSVM
 # file reads none
 _GENERATOR_PARAMS = {
@@ -572,11 +552,11 @@ def _run_trial(
         )
         _, report = pate_asq(teacher, student, test, cfg, rng)
     elif method == "PsqSvt":
-        if config.svt_T is not None:
-            T = config.svt_T
-        else:
-            err = estimate_teacher_error(teacher, K, rng)
-            T, _ = compute_svt_params(len(student), err, 0.05, budget)
+        T = config.svt_T
+        if T is None:
+            # the public rule `privote calibrate` prints: sized for error-free
+            # teachers, so T reads nothing of the sensitive pool
+            T, _ = compute_svt_params(len(student), 0.0, 0.05, budget)
         cfg = PsqConfig(K=K, budget=budget, mechanism="svt", T=T)
         _, report = pate_psq(teacher, student, test, cfg, rng)
     else:  # PsqGaussian, PsqNoPrivacy

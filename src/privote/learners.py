@@ -11,10 +11,10 @@ bias column per block, so each step scores and differentiates every
 teacher with one pass over all rows; a lone fit (`train_erm`) is the
 one-block case. The design is built once per fit as raw CSR arrays, and
 each step runs scipy's `csr_matvec` and `csc_matvec` kernels on them
-into buffers allocated once per fit; a teacher that converges early
-keeps the point of its stop step while the others go on. Each member
-comes out bit-for-bit equal to a separate fit of its shard, so batching
-changes no seeded output.
+into buffers allocated once per fit. Every fit runs exactly its step
+count: 70 for a committee (`COMMITTEE_STEPS`), 35 by default otherwise.
+Each member comes out bit-for-bit equal to a separate fit of its shard,
+so batching changes no seeded output.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 __all__ = [
     "Dataset",
     "LinearHypothesis",
-    "TrainerSettings",
     "Ensemble",
     "FiniteHypothesisClass",
     "threshold_class",
@@ -140,51 +139,29 @@ class LinearHypothesis:
         return (self.decision(X) >= 0.0).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class TrainerSettings:
-    """Accelerated full-batch descent settings for the logistic surrogate.
-
-    The default 35 steps serve the student and the active loop's refits;
-    the committee trains with `COMMITTEE_SETTINGS` (70 steps) and the
-    active probes with `LinearClassDescriptor.probe_settings` (10). Each
-    fit steps by 1/L, where L is found from the data (see
-    `train_erm_batch`) plus `l2`.
-    """
-
-    max_iter: int = 35
-    l2: float = 0.0
-    grad_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
-
-
-# what `train_committee` trains each teacher with unless told otherwise
-COMMITTEE_SETTINGS = TrainerSettings(max_iter=70)
+# the steps `train_committee` gives each teacher unless told otherwise
+COMMITTEE_STEPS = 70
 
 
 def train_erm(
     data: Dataset,
-    settings: TrainerSettings | None = None,
+    steps: int = 35,
     sample_weight: np.ndarray | None = None,
     init: LinearHypothesis | None = None,
 ) -> LinearHypothesis:
     """Logistic-loss approximation of the 0-1 empirical risk minimizer.
 
-    Full-batch accelerated descent (Nesterov momentum k/(k+3) at step k)
-    from zero initialization (or from `init`) with step 1/L, where L
-    bounds the logistic smoothness on this data, found by four
-    Collatz-Wielandt power steps and capped by the largest squared row
-    norm (see `train_erm_batch`). The loss need not fall at every step,
-    but after k steps it is within 2L||x_0 - x*||^2/(k+1)^2 of its
-    minimum. The fit draws no randomness. This is the one-block case of
-    the loop that trains a whole committee, so a lone fit and a
+    `steps` steps of full-batch accelerated descent (Nesterov momentum
+    k/(k+3) at step k) from zero initialization (or from `init`) with
+    step 1/L, where L bounds the logistic smoothness on this data, found
+    by four Collatz-Wielandt power steps and capped by the largest
+    squared row norm (see `train_erm_batch`). The loss need not fall at
+    every step, but after k steps it is within 2L||x_0 - x*||^2/(k+1)^2
+    of its minimum. The fit draws no randomness. This is the one-block
+    case of the loop that trains a whole committee, so a lone fit and a
     committee member on the same rows are bit-for-bit equal.
     """
-    return train_erm_batch([data], settings, [sample_weight], [init])[0]
+    return train_erm_batch([data], steps, [sample_weight], [init])[0]
 
 
 def _matvec(shape, csr, v, out, transpose=False):
@@ -246,9 +223,10 @@ class _BlockDesign:
     pairwise ones. The labels' signs enter negated, so that product is
     the gradient itself: negation commutes with IEEE rounding.
 
-    `build` sets each block's step to 1/L_k, L_k = l2 plus a quarter of
-    the least of the largest squared row norm and `_smoothness_bound`,
-    which runs `_matvec` on the same arrays, data taken by absolute value.
+    `build` sets each block's step to 1/L_k, L_k a quarter of the least
+    of the largest squared row norm and `_smoothness_bound`, which runs
+    `_matvec` on the same arrays, data taken by absolute value. `descend`
+    runs a given number of steps on every block; no block stops early.
     """
 
     shape: tuple[int, int]
@@ -260,7 +238,7 @@ class _BlockDesign:
     step_cols: np.ndarray
 
     @classmethod
-    def build(cls, mats, sizes: np.ndarray, y, wts, l2: float):
+    def build(cls, mats, sizes: np.ndarray, y, wts):
         """The design of equally wide canonical CSRs whose rows, one after
         another, are block 0's sizes[0] rows, then block 1's, and so on;
         y and wts follow the rows."""
@@ -299,17 +277,17 @@ class _BlockDesign:
             neg_signs=neg_signs,
             neg_wts=wts * neg_signs,
             runs=[tuple(map(int, run)) for run in runs],
-            step_cols=(1.0 / (0.25 * bound + l2)).repeat(d + 1),
+            step_cols=(1.0 / (0.25 * bound)).repeat(d + 1),
         )
 
-    def descend(self, W: np.ndarray, settings: TrainerSettings):
-        """The fits from the rows of W, each a block's weights, then its
-        bias; W ends up holding the final points."""
+    def descend(self, W: np.ndarray, steps: int):
+        """The fits after `steps` steps from the rows of W, each a block's
+        weights, then its bias."""
+        if steps < 1 or steps != int(steps):
+            raise ValueError("steps must be a positive integer")
         K, width = W.shape
         d = width - 1
-        l2, tol = settings.l2, settings.grad_tol
-        # x is x_k and x_prev is x_{k-1}; W keeps each converged block's
-        # point from its stop step
+        # x is x_k and x_prev is x_{k-1}
         x = W.flatten()
         x_prev = x.copy()
         scores = np.empty(self.shape[0])
@@ -322,8 +300,7 @@ class _BlockDesign:
             (scores[lo : lo + count * size].reshape(count, size), G[i : i + count, d])
             for i, lo, count, size in self.runs
         ]
-        done = np.zeros(K, dtype=bool)
-        for k in range(settings.max_iter):
+        for k in range(int(steps)):
             # the extrapolated point y = x + beta * (x - x_prev), built in
             # x_prev's buffer, which then takes x_{k+1}
             beta = k / (k + 3)
@@ -337,24 +314,11 @@ class _BlockDesign:
             _matvec(self.shape, self.csr, coef, grad, transpose=True)
             for rows, sums in bias_sums:
                 np.add.reduce(rows, axis=1, out=sums)
-            # with l2 = 0 the penalty term could only flip the sign of a
-            # zero gradient, which leaves every update unchanged
-            if l2:
-                grad += l2 * y
-            near = np.sqrt(np.einsum("ij,ij->i", G, G)) < 2.0 * tol
-            if near.any():
-                for i in np.flatnonzero(near & ~done):
-                    g = G[i, :d]
-                    if np.sqrt(np.dot(g, g) + G[i, d] * G[i, d]) < tol:
-                        done[i] = True
-                        W[i] = y[i * width : (i + 1) * width]
-                if done.all():
-                    break
             grad *= self.step_cols
             y -= grad
             x_prev, x = x, y
-        W[~done] = x.reshape(K, width)[~done]
-        return [LinearHypothesis(W[k, :d], float(W[k, d])) for k in range(K)]
+        final = x.reshape(K, width)
+        return [LinearHypothesis(final[k, :d], float(final[k, d])) for k in range(K)]
 
 
 def _row_arrays(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,7 +345,7 @@ def _stack_rows(mats) -> sp.csr_matrix:
 
 def train_erm_batch(
     blocks: list[Dataset],
-    settings: TrainerSettings | None = None,
+    steps: int = 35,
     sample_weights: list | None = None,
     inits: list | None = None,
 ) -> list[LinearHypothesis]:
@@ -389,9 +353,9 @@ def train_erm_batch(
 
     Block k is fit with `sample_weights[k]` and warm-started from
     `inits[k]` (either list may be None, as may its entries). Each block
-    is its own logistic-regression problem with its own step 1/L_k and
-    its own `grad_tol` stop. L_k - l2 is a quarter of an upper bound on
-    the largest eigenvalue of X_k^T diag(w_k) X_k, X_k the block's rows
+    is its own logistic-regression problem with its own step 1/L_k, and
+    every block runs all `steps` steps. L_k is a quarter of an upper
+    bound on the largest eigenvalue of X_k^T diag(w_k) X_k, X_k the block's rows
     with a bias column of ones and w_k its normalized weights: the least
     of the largest squared row norm and the ratios max_i (Av)_i / v_i of
     four power steps v <- Av / max(Av) from v = 1, A = |X_k|^T diag(w_k)
@@ -408,26 +372,17 @@ def train_erm_batch(
     blocks' CSR arrays. Every step runs scipy's `csr_matvec` kernel for
     the product with the design and `csc_matvec` for the one with its
     transpose, each into a buffer allocated once per call and zeroed
-    before the kernel adds into it. A block whose gradient norm at y
-    falls below `grad_tol` has y recorded as its weights and bias. It
-    stays in the design, where no other block sees it, and the loop ends
-    once every block has stopped, or after `max_iter` steps with
-    x_{max_iter}.
+    before the kernel adds into it. The fit is x_{steps}.
 
     The result equals a separate fit of each block bit for bit: every
     floating-point operation that reaches the weights is the one a lone
-    fit would make, in the same order. Three places need care. A block's
+    fit would make, in the same order. Two places need care. A block's
     bias gradient is numpy's pairwise sum over its contiguous slice,
     taken through 2-D views built once per call (np.add.reduceat rounds
     differently; see `_BlockDesign.descend`), while L_k sums each row's
     squares with reduceat, and its power steps sum in row order through
-    the same kernels and take maxima and quotients within the block. And
-    the stop test confirms with np.dot every norm that an einsum
-    pre-filter puts within 2x of `grad_tol`, because einsum rounds
-    differently too.
+    the same kernels and take maxima and quotients within the block.
     """
-    if settings is None:
-        settings = TrainerSettings()
     K = len(blocks)
     sample_weights = sample_weights or [None] * K
     inits = inits or [None] * K
@@ -459,8 +414,8 @@ def train_erm_batch(
     mats = [data.X for data in blocks]
     sizes = np.array([len(data) for data in blocks])
     y = np.concatenate([data.y for data in blocks])
-    design = _BlockDesign.build(mats, sizes, y, np.concatenate(wts), settings.l2)
-    return design.descend(W, settings)
+    design = _BlockDesign.build(mats, sizes, y, np.concatenate(wts))
+    return design.descend(W, steps)
 
 
 def empirical_error(h, data: Dataset) -> float:
@@ -516,7 +471,7 @@ def train_committee(
     data: Dataset,
     K: int,
     rng: np.random.Generator,
-    settings: TrainerSettings = COMMITTEE_SETTINGS,
+    steps: int = COMMITTEE_STEPS,
 ) -> Ensemble:
     """K linear fits on disjoint random splits, combined by majority.
 
@@ -529,8 +484,8 @@ def train_committee(
         raise ValueError("training data must be labeled")
     rows = data.subset(rng.permutation(len(data)))
     wts = (1.0 / sizes).repeat(sizes)
-    design = _BlockDesign.build([rows.X], sizes, rows.y, wts, settings.l2)
-    return Ensemble(design.descend(np.zeros((K, data.n_features + 1)), settings))
+    design = _BlockDesign.build([rows.X], sizes, rows.y, wts)
+    return Ensemble(design.descend(np.zeros((K, data.n_features + 1)), steps))
 
 
 @dataclass

@@ -30,12 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .aggregation import ExactSession, GaussianSession, SvtSession, VoteCount
-from .dp_core import PrivacyBudget, make_rng
+from .dp_core import PrivacyBudget, calibrate_gaussian_sigma, make_rng
 from .learners import (
     Dataset,
     FiniteHypothesisClass,
     LinearHypothesis,
-    TrainerSettings,
     _stack_rows,
     empirical_error,
     train_committee,
@@ -269,7 +268,7 @@ class FiniteClassDescriptor:
 class _ReferenceMemo:
     """The reference fit on Q, and the two fits it may become next.
 
-    `base` is the probe-settings fit on `xs`, `ys` (stacked as `X`) from
+    `base` is the `probe_steps` fit on `xs`, `ys` (stacked as `X`) from
     `hypothesis`. `next_bases[y]` is the same fit on `xs + [x]`,
     `ys + [y]` (stacked as `X_next`), where `x` is the point just probed;
     it is empty where querying `x` would end the run.
@@ -313,7 +312,8 @@ class LinearClassDescriptor:
     current hypothesis. The reference is a fresh fit `base` on Q, warm
     started from the current hypothesis. The probe fit pins the point's
     label with a heavy sample weight, starts from `base`, and must stay
-    within `slack` of base's empirical error on Q.
+    within `slack` of base's empirical error on Q. The reference and
+    probe fits take `probe_steps` descent steps, the refits `steps`.
 
     The learner's next reference is known up to the answer: `base` itself
     if the point is not queried, or the fit on Q plus the point labeled 0
@@ -332,8 +332,8 @@ class LinearClassDescriptor:
     """
 
     n_features: int
-    settings: TrainerSettings = TrainerSettings()
-    probe_settings: TrainerSettings = TrainerSettings(max_iter=10)
+    steps: int = 35
+    probe_steps: int = 10
 
     def init_state(self) -> ActiveState:
         h0 = LinearHypothesis(np.zeros(self.n_features), 0.0)
@@ -353,7 +353,7 @@ class LinearClassDescriptor:
             X = pool.X
             # the reference is a fresh unconstrained optimum, not the
             # possibly stale current hypothesis
-            base = train_erm(pool, self.probe_settings, init=state.hypothesis)
+            base = train_erm(pool, self.probe_steps, init=state.hypothesis)
         else:
             X, base = hit
         n = len(y)
@@ -371,7 +371,7 @@ class LinearClassDescriptor:
         labels = (forced,) if refits or last else (forced, 0, 1)
         h, *next_bases = train_erm_batch(
             [Dataset(X_next, np.append(y, label)) for label in labels],
-            self.probe_settings,
+            self.probe_steps,
             [weights, None, None][: len(labels)],
             [base, state.hypothesis, state.hypothesis][: len(labels)],
         )
@@ -398,7 +398,7 @@ class LinearClassDescriptor:
     def refit(self, state: ActiveState) -> None:
         if state.xs:
             state.hypothesis = train_erm(
-                self._pool(state), self.settings, init=state.hypothesis
+                self._pool(state), self.steps, init=state.hypothesis
             )
 
 
@@ -511,18 +511,15 @@ def pate_asq(
 def compute_k_for_gaussian(m_or_ell: int, budget: PrivacyBudget, n: int) -> int:
     """Committee size for noisy-majority labeling of m queries.
 
-    Equals ceil(6 * sigma * sqrt(2 log 2n)) for the sigma that spends the
-    budget over m answers; sized so realized vote margins beat the noise
-    on every query simultaneously, with n the per-teacher sample size.
+    Equals ceil(6 * sigma * sqrt(2 log 2n)) for the sigma of
+    `calibrate_gaussian_sigma`, which spends the budget over m answers;
+    sized so realized vote margins beat the noise on every query
+    simultaneously, with n the per-teacher sample size.
     """
-    m = int(m_or_ell)
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    eps, delta = budget.epsilon, budget.delta
-    inner = math.sqrt(m * math.log(1.0 / delta)) + math.sqrt(
-        m * math.log(1.0 / delta) + eps * m
-    )
-    return math.ceil(6.0 * math.sqrt(math.log(2.0 * n)) * inner / eps)
+    if n < 1:
+        raise ValueError("n must be positive")
+    sigma = calibrate_gaussian_sigma(m_or_ell, budget)
+    return math.ceil(6.0 * sigma * math.sqrt(2.0 * math.log(2.0 * n)))
 
 
 def compute_svt_params(

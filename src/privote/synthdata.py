@@ -97,27 +97,6 @@ class TncGenerator:
         x = np.asarray(x, dtype=float)
         return 0.5 + np.sign(x - 0.5) * self.margin(x)
 
-    @property
-    def tail_exponent(self) -> float:
-        """Exponent alpha in P(margin <= t) <= C t^alpha."""
-        if self.tau == 1.0:
-            return np.inf
-        return self.tau / (1.0 - self.tau)
-
-    @property
-    def tail_constant(self) -> float:
-        if self.tau == 1.0:
-            return 1.0
-        return 2.0 / self.c ** (1.0 / self.q)
-
-    def tail_mass(self, t: float) -> float:
-        """Exact P(margin(x) <= t)."""
-        if t < 0:
-            return 0.0
-        if self.tau == 1.0:
-            return 1.0 if t >= min(0.5, self.c) else 0.0
-        return min(1.0, 2.0 * (min(t, 0.5) / self.c) ** (1.0 / self.q))
-
     def excess_error(self, t: float) -> float:
         """Exact excess risk of the threshold classifier 1(x >= t)."""
         u = abs(min(max(t, 0.0), 1.0) - 0.5)
@@ -131,16 +110,6 @@ class TncGenerator:
         if u > u_star:
             total += u - u_star
         return total
-
-    def bayes_error(self) -> float:
-        """E[min(eta, 1 - eta)], available in closed form."""
-        if self.tau == 1.0:
-            return 0.5 - min(0.5, self.c)
-        q = self.q
-        u_star = min(0.5, (0.5 / self.c) ** (1.0 / q))
-        integral = self.c * u_star ** (q + 1.0) / (q + 1.0)
-        integral += 0.5 * (0.5 - u_star)
-        return 0.5 - 2.0 * integral
 
     def sample_xy(
         self, n: int, rng: np.random.Generator

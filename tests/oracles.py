@@ -221,17 +221,15 @@ def tnc_tail_mass(t: float, tau: float, c: float = 0.5) -> float:
 # Logistic-regression training, one fit at a time
 
 
-def reference_train_erm(data, settings, sample_weight=None, init=None):
+def reference_train_erm(data, steps, sample_weight=None, init=None):
     """One full-batch accelerated-descent fit, in its own loop.
 
     This is privote's trainer as one fit at a time, written straight from
-    the method: step k (from 0) takes the gradient at
-    y = x_k + k/(k+3) (x_k - x_{k-1}), with x_{-1} = x_0, and moves to
-    y - g(y)/L; it stops at y once the gradient norm there is below
-    grad_tol. The batched trainer must match it bit for bit. `data` has a
-    CSR `X` and 0/1 labels `y`; `settings` has max_iter, l2 and grad_tol;
-    `init` has weights and bias. Returns (weights, bias, steps), where
-    steps counts the updates made before the loop stopped.
+    the method: each of `steps` steps, step k counted from 0, takes the
+    gradient at y = x_k + k/(k+3) (x_k - x_{k-1}), with x_{-1} = x_0, and
+    moves to y - g(y)/L. The batched trainer must match it bit for bit.
+    `data` has a CSR `X` and 0/1 labels `y`; `init` has weights and bias.
+    Returns (weights, bias).
     """
     X = data.X
     n, d = X.shape
@@ -255,8 +253,7 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
         pos = v > 0
         bound = min(bound, float((u[pos] / v[pos]).max()))
         v = u / u.max()
-    L = 0.25 * bound + settings.l2
-    step = 1.0 / L
+    step = 1.0 / (0.25 * bound)
 
     if init is None:
         w = np.zeros(d)
@@ -265,20 +262,17 @@ def reference_train_erm(data, settings, sample_weight=None, init=None):
         w = init.weights.copy()
         b = float(init.bias)
     w_prev, b_prev = w, b
-    for k in range(settings.max_iter):
+    for k in range(steps):
         beta = k / (k + 3)
         yw = w + beta * (w - w_prev)
         yb = b + beta * (b - b_prev)
         scores = signs * (np.asarray(X @ yw).ravel() + yb)
         coef = wts * signs * expit(-scores)
-        grad_w = -(X.T @ coef) + settings.l2 * yw
-        grad_b = -coef.sum() + settings.l2 * yb
-        gnorm = np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
-        if gnorm < settings.grad_tol:
-            return yw, yb, k
+        grad_w = -(X.T @ coef)
+        grad_b = -coef.sum()
         w_prev, w = w, yw - step * grad_w
         b_prev, b = b, yb - step * grad_b
-    return w, b, settings.max_iter
+    return w, b
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +289,10 @@ class ReferenceLinearDescriptor:
     hypothesis bit for bit.
     """
 
-    def __init__(self, n_features, settings=None, probe_settings=None):
-        from privote.learners import TrainerSettings
-
+    def __init__(self, n_features, steps=35, probe_steps=10):
         self.n_features = n_features
-        self.settings = settings or TrainerSettings()
-        self.probe_settings = probe_settings or TrainerSettings(max_iter=10)
+        self.steps = steps
+        self.probe_steps = probe_steps
 
     def init_state(self):
         from privote.learners import LinearHypothesis
@@ -320,7 +312,7 @@ class ReferenceLinearDescriptor:
         if math.isinf(slack) or not state.xs:
             return True
         pool = self._pool(state)
-        base = train_erm(pool, self.probe_settings, init=state.hypothesis)
+        base = train_erm(pool, self.probe_steps, init=state.hypothesis)
         base_errors = int((base.predict(pool.X) != pool.y).sum())
         forced = 1 - int(base.predict(x)[0])
         probe = Dataset(
@@ -329,7 +321,7 @@ class ReferenceLinearDescriptor:
         )
         weights = np.ones(len(probe))
         weights[-1] = len(pool) + 1.0
-        h = train_erm(probe, self.probe_settings, sample_weight=weights, init=base)
+        h = train_erm(probe, self.probe_steps, sample_weight=weights, init=base)
         if int(h.predict(x)[0]) != forced:
             return False
         probe_errors = int((h.predict(pool.X) != pool.y).sum())
@@ -343,7 +335,7 @@ class ReferenceLinearDescriptor:
 
         if state.xs:
             state.hypothesis = train_erm(
-                self._pool(state), self.settings, init=state.hypothesis
+                self._pool(state), self.steps, init=state.hypothesis
             )
 
 

@@ -272,6 +272,8 @@ GOLDEN = Path(__file__).parent / "data"
          "psq_realizable_trials2_seed7.csv"),
         ("asq --dataset massart --trials 2 --seed 7",
          "asq_massart_trials2_seed7.csv"),
+        ("psq --dataset realizable --method PsqSvt --trials 2 --seed 7",
+         "psq_svt_realizable_trials2_seed7.csv"),
     ],
 )
 def test_seeded_runs_print_the_committed_csv(capsys, argv, name):

@@ -26,7 +26,6 @@ EXPORTS = [
     "SummaryReport",
     "SvtSession",
     "TncGenerator",
-    "TrainerSettings",
     "TrialReport",
     "VoteCount",
     "VotingFailsFixture",
@@ -39,7 +38,6 @@ EXPORTS = [
     "derive_seed",
     "emit_report",
     "empirical_error",
-    "estimate_teacher_error",
     "gaussian_composition_rho",
     "gen_massart",
     "gen_realizable",

@@ -19,10 +19,12 @@ from privote import harness
 from privote import (
     ExperimentConfig,
     LibsvmParseError,
+    PrivacyBudget,
+    RunReport,
     SummaryReport,
     TrialReport,
+    compute_svt_params,
     emit_report,
-    estimate_teacher_error,
     gen_realizable,
     make_rng,
     parse_libsvm,
@@ -338,12 +340,6 @@ def test_split_protocol_determinism_and_validation():
         split_protocol(data.without_labels(), (0.6, 0.2, 0.2), make_rng(0))
 
 
-def test_estimate_teacher_error_range():
-    data = gen_realizable(4, 300, make_rng(5))[0]
-    err = estimate_teacher_error(data, 4, make_rng(6))
-    assert 0.0 <= err <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # Experiment configs and reports
 
@@ -444,6 +440,38 @@ def test_run_experiment_asq_counts_queries():
     for t in trials:
         assert 1 <= t.queries <= 4  # half of the 8-point student pool
         assert t.eps_ex_post <= 1.0 + 1e-9
+
+
+def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
+    # T is not charged to the budget, so it must not depend on the
+    # sensitive pool: true teacher labels and coin flips get the same T
+    cutoffs = []
+
+    def spy(teacher, student, test, cfg, rng):
+        cutoffs.append(cfg.T)
+        return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
+
+    monkeypatch.setattr(harness, "pate_psq", spy)
+    data = gen_realizable(4, 1000, make_rng(5))[0]
+    n_teacher = 800  # floor(0.8 n)
+    # split_protocol's permutation is the first draw of its rng
+    teacher_rows = make_rng(6).permutation(len(data))[:n_teacher]
+    y = data.y.copy()
+    y[teacher_rows] = make_rng(7).integers(0, 2, n_teacher)
+    noisy = data.with_labels(y)
+    config = _quick_config(method="PsqSvt", epsilon=1.0)
+    a = split_protocol(data, config.fractions, make_rng(6))
+    b = split_protocol(noisy, config.fractions, make_rng(6))
+    assert np.array_equal(a.student_labels, b.student_labels)
+    assert np.array_equal(a.test.y, b.test.y)
+    assert not np.array_equal(a.teacher.y, b.teacher.y)
+    for source in (data, noisy):
+        harness._run_trial(config, source, make_rng(6))
+    budget = PrivacyBudget(1.0, 1.0 / n_teacher)
+    public, _ = compute_svt_params(len(a.student), 0.0, 0.05, budget)
+    assert cutoffs == [public, public]
+    harness._run_trial(_quick_config(method="PsqSvt", svt_T=5), noisy, make_rng(6))
+    assert cutoffs[-1] == 5
 
 
 def test_run_experiment_wraps_trial_failures():

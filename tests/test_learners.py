@@ -16,7 +16,6 @@ from privote import (
     Ensemble,
     FiniteHypothesisClass,
     LinearHypothesis,
-    TrainerSettings,
     VoteCount,
     empirical_error,
     gen_realizable,
@@ -177,7 +176,7 @@ def test_train_erm_meets_the_accelerated_rate(seed):
     L = 0.25 * float(np.linalg.eigvalsh(A.T @ A / len(data)).max())
     radius = float(opt.x @ opt.x)  # x_0 = 0
     for k in range(1, 121):
-        h = train_erm(data, TrainerSettings(max_iter=k))
+        h = train_erm(data, k)
         gap = loss(np.append(h.weights, h.bias)) - opt.fun
         assert gap <= 2.0 * L * radius / (k + 1) ** 2, k
 
@@ -212,6 +211,11 @@ def test_train_erm_validation():
         weight[3] = bad
         with pytest.raises(ValueError, match="sample_weight must be nonnegative"):
             train_erm(_random_data(10, 2, 0), sample_weight=weight)
+    for steps in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            train_erm(_random_data(10, 2, 0), steps)
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            train_committee(_random_data(10, 2, 0), 2, make_rng(0), steps)
 
 
 @pytest.mark.parametrize("width", [5, 2])
@@ -281,21 +285,21 @@ def _one_hot_shard(n, fields, seed):
 _A9A_FIELDS = (5, 8, 5, 16, 5, 7, 14, 6, 5, 2, 2, 2, 5, 41)
 
 
-@given(_bound_cases(), st.sampled_from([0.0, 0.05]), st.just(None))
+@given(_bound_cases(), st.just(None))
 # a9a-like teacher shard: the bound lies within 1% of the smoothness, where
 # the row norms alone give more than twice it
-@example(_one_hot_shard(100, _A9A_FIELDS, 1), 0.0, 0.01)
+@example(_one_hot_shard(100, _A9A_FIELDS, 1), 0.01)
 # a negative entry, where |X| and X differ (d = 1, K = 1)
-@example((sp.csr_matrix([[-2.0]]), np.array([1]), np.ones(1)), 0.0, None)
-def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, l2, within):
-    # per block, 0.25 lambda_max(X^T diag(w) X) <= L - l2 <= 0.25 max row
+@example((sp.csr_matrix([[-2.0]]), np.array([1]), np.ones(1)), None)
+def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, within):
+    # per block, 0.25 lambda_max(X^T diag(w) X) <= L <= 0.25 max row
     # norm^2, X with its bias column; the eigenvalue is dense, hence the
     # relative slack of 1e-12 on both sides
     X, sizes, wts = case
     starts = np.cumsum(sizes) - sizes
     wts = wts / np.add.reduceat(wts, starts).repeat(sizes)
     y = np.zeros(len(wts))
-    design = _BlockDesign.build([Dataset(X).X], sizes, y, wts, l2)
+    design = _BlockDesign.build([Dataset(X).X], sizes, y, wts)
     d = X.shape[1]
     A = np.hstack([X.toarray(), np.ones((X.shape[0], 1))])
     for k, (lo, size) in enumerate(zip(starts, sizes)):
@@ -303,16 +307,16 @@ def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, l2, with
         smooth = 0.25 * np.linalg.eigvalsh(B.T @ (w[:, None] * B)).max()
         rows = 0.25 * (B * B).sum(axis=1).max()
         L = 1.0 / design.step_cols[k * (d + 1)]
-        assert smooth + l2 <= L * (1 + 1e-12)
-        assert L <= (rows + l2) * (1 + 1e-12)
+        assert smooth <= L * (1 + 1e-12)
+        assert L <= rows * (1 + 1e-12)
         if within is not None:
-            assert L - l2 <= (1 + within) * smooth
+            assert L <= (1 + within) * smooth
 
 
 def test_warm_start_and_weights():
     data = _random_data(60, 4, 9)
-    base = train_erm(data, TrainerSettings(max_iter=30))
-    warm = train_erm(data, TrainerSettings(max_iter=30), init=base)
+    base = train_erm(data, 30)
+    warm = train_erm(data, 30, init=base)
     assert not np.array_equal(base.weights, np.zeros(4))
     assert warm.weights.shape == (4,)
     w = np.ones(len(data))
@@ -371,24 +375,10 @@ def _sparse_data(n, d, seed):
     return Dataset(X, rng.integers(0, 2, n))
 
 
-def _assert_matches_oracle(h, data, settings, sample_weight=None, init=None):
-    """h equals the reference fit; returns the reference's step count."""
-    w, b, steps = oracles.reference_train_erm(data, settings, sample_weight, init)
+def _assert_matches_oracle(h, data, steps, sample_weight=None, init=None):
+    w, b = oracles.reference_train_erm(data, steps, sample_weight, init)
     assert np.array_equal(h.weights, w)
     assert h.bias == b
-    return steps
-
-
-def _assert_committee_matches_oracle(data, K, seed, settings):
-    """Every member equals a lone reference fit of its split_disjoint shard;
-    returns each reference fit's step count."""
-    ensemble = train_committee(data, K, make_rng(seed), settings)
-    shards = split_disjoint(data, K, make_rng(seed))
-    assert ensemble.size == len(shards) == K
-    return [
-        _assert_matches_oracle(member, shard, settings)
-        for member, shard in zip(ensemble.members, shards)
-    ]
 
 
 @given(
@@ -397,49 +387,39 @@ def _assert_committee_matches_oracle(data, K, seed, settings):
     st.integers(1, 25),
     st.integers(0, 10_000),
     st.integers(1, 30),
-    st.sampled_from([0.0, 0.05]),
-    st.sampled_from([1e-10, 1e-3, 5e-2]),
 )
-@example(7, 7, 5, 4, 30, 0.0, 1e-10)  # shards of 1 row
-@example(21, 7, 6, 5, 30, 0.05, 1e-10)  # shards of 3 rows, l2 > 0
-@example(60, 12, 8, 1, 30, 0.0, 1e-10)  # shards of 5 rows
-@example(300, 3, 20, 6, 100, 0.0, 1e-10)  # 100 steps, more than the committee's 70
-@example(401, 2, 10, 2, 20, 0.0, 1e-10)  # shards of 200 and 201 rows
-@example(300, 7, 12, 3, 25, 0.05, 1e-10)  # l2 > 0
-@example(40, 4, 1, 8, 30, 0.0, 1e-10)  # d = 1: most rows have no features
-@example(50, 1, 6, 3, 30, 0.0, 1e-10)  # K = 1
-@example(60, 3, 40, 1, 30, 0.0, 1e-10)  # a row's squares sum differently in order
-@example(200, 20, 4, 4, 60, 0.05, 5e-2)  # l2 > 0 and members stopping at 2-6 steps
-def test_committee_members_equal_lone_fits(n, K, d, seed, iters, l2, tol):
+@example(7, 7, 5, 4, 30)  # shards of 1 row
+@example(21, 7, 6, 5, 30)  # shards of 3 rows
+@example(60, 12, 8, 1, 30)  # shards of 5 rows
+@example(300, 3, 20, 6, 100)  # 100 steps, more than the committee's 70
+@example(401, 2, 10, 2, 20)  # shards of 200 and 201 rows
+@example(300, 7, 12, 3, 25)  # shards of 43 and 42 rows
+@example(40, 4, 1, 8, 30)  # d = 1: most rows have no features
+@example(50, 1, 6, 3, 30)  # K = 1
+@example(60, 3, 40, 1, 30)  # a row's squares sum differently in order
+@example(200, 20, 4, 4, 60)  # 20 one-hot-like shards of 10 rows
+def test_committee_members_equal_lone_fits(n, K, d, seed, steps):
+    # every member equals a lone reference fit of its split_disjoint shard
     K = min(K, n)
-    settings = TrainerSettings(max_iter=iters, l2=l2, grad_tol=tol)
-    _assert_committee_matches_oracle(_sparse_data(n, d, seed), K, seed, settings)
+    data = _sparse_data(n, d, seed)
+    ensemble = train_committee(data, K, make_rng(seed), steps)
+    shards = split_disjoint(data, K, make_rng(seed))
+    assert ensemble.size == len(shards) == K
+    for member, shard in zip(ensemble.members, shards):
+        _assert_matches_oracle(member, shard, steps)
 
 
-def test_committee_members_stop_at_their_own_step():
-    settings = TrainerSettings(max_iter=60, grad_tol=5e-2)
-    steps = _assert_committee_matches_oracle(_sparse_data(200, 4, 4), 20, 4, settings)
-    # some teachers stopped while others kept going
-    assert min(steps) < max(steps)
-
-
-@given(
-    st.integers(2, 300),
-    st.integers(1, 20),
-    st.integers(0, 10_000),
-    st.sampled_from([0.0, 0.05]),
-)
-@example(40, 1, 8, 0.0)  # d = 1: most rows have no features
-@example(30, 40, 7, 0.0)  # a row's squares sum differently in order
-def test_train_erm_weights_and_init_equal_lone_fit(n, d, seed, l2):
+@given(st.integers(2, 300), st.integers(1, 20), st.integers(0, 10_000))
+@example(40, 1, 8)  # d = 1: most rows have no features
+@example(30, 40, 7)  # a row's squares sum differently in order
+def test_train_erm_weights_and_init_equal_lone_fit(n, d, seed):
     data = _sparse_data(n, d, seed)
     rng = make_rng(seed + 1)
     weight = rng.random(n) * (rng.random(n) < 0.8)
     weight[0] += n  # one heavy row, as in the active probe fits
     init = LinearHypothesis(rng.normal(size=d), float(rng.normal()))
-    settings = TrainerSettings(max_iter=25, l2=l2)
-    h = train_erm(data, settings, sample_weight=weight, init=init)
-    _assert_matches_oracle(h, data, settings, weight, init)
+    h = train_erm(data, 25, sample_weight=weight, init=init)
+    _assert_matches_oracle(h, data, 25, weight, init)
 
 
 def test_duplicate_entries_fit_like_their_sums():
@@ -463,9 +443,8 @@ def test_duplicate_entries_fit_like_their_sums():
     assert np.array_equal(X.data, stored[0]) and np.array_equal(X.indices, stored[1])
     assert data.X.has_canonical_format and data.X.data.all()
     assert (data.X != canonical).nnz == 0
-    settings = TrainerSettings(max_iter=30)
-    h = train_erm(data, settings)
-    _assert_matches_oracle(h, Dataset(canonical, y), settings)
+    h = train_erm(data, 30)
+    _assert_matches_oracle(h, Dataset(canonical, y), 30)
     # a canonical matrix is taken as it is
     assert Dataset(canonical, y).X is canonical
 

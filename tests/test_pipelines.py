@@ -32,7 +32,6 @@ from privote import (
     pate_psq,
     run_active_learning,
     threshold_class,
-    TrainerSettings,
 )
 
 
@@ -58,16 +57,18 @@ def _onehot_clusters(n, n_patterns, seed):
 # Parameter sizing
 
 
-@pytest.mark.parametrize("m", (10, 163, 1000))
-@pytest.mark.parametrize("eps", (0.5, 1.0, 2.0))
-@pytest.mark.parametrize("n", (100, 6499))
+@pytest.mark.parametrize("m", (10, 163, 1000, 1, 49, 240, 10**5))
+@pytest.mark.parametrize("eps", (0.5, 1.0, 2.0, 0.05, 8.0))
+@pytest.mark.parametrize("n", (100, 6499, 1, 10**6))
 def test_k_for_gaussian_identity(m, eps, n):
     budget = PrivacyBudget(eps, 1e-5)
     K = compute_k_for_gaussian(m, budget, n)
     sigma = calibrate_gaussian_sigma(m, budget)
-    alt = 6.0 * sigma * math.sqrt(2.0 * math.log(2.0 * n))
-    assert K == math.ceil(alt - 1e-9) or K == math.ceil(alt)
-    assert abs(K - alt) <= 1.0
+    assert K == math.ceil(6.0 * sigma * math.sqrt(2.0 * math.log(2.0 * n)))
+    # the same K as with the zCDP sigma written out in closed form
+    a = m * math.log(1.0 / 1e-5)
+    inner = math.sqrt(a) + math.sqrt(a + eps * m)
+    assert K == math.ceil(6.0 * math.sqrt(math.log(2.0 * n)) * inner / eps)
 
 
 def test_k_for_gaussian_epsilon_scaling():
@@ -425,20 +426,17 @@ def _run_recorded(descriptor, stream, labels, budget, slack):
     flip=st.sampled_from((0.0, 0.2)),
     budget=st.integers(1, 30),
     slack=st.sampled_from((None, 0.0, 0.1, 0.5, math.inf)),
-    tol=st.sampled_from((1e-10, 1e-3, 5e-2)),
 )
 def test_linear_active_loop_matches_per_point_reference(
-    seed, n, d, n_protos, flip, budget, slack, tol
+    seed, n, d, n_protos, flip, budget, slack
 ):
     stream, labels = _linear_stream(seed, n, d, n_protos, flip)
-    fit = TrainerSettings(max_iter=40, grad_tol=tol)
-    probe = TrainerSettings(max_iter=30, grad_tol=tol)
     got, got_asked = _run_recorded(
-        LinearClassDescriptor(d, settings=fit, probe_settings=probe),
+        LinearClassDescriptor(d, steps=40, probe_steps=30),
         stream, labels, budget, slack,
     )
     want, want_asked = _run_recorded(
-        oracles.ReferenceLinearDescriptor(d, settings=fit, probe_settings=probe),
+        oracles.ReferenceLinearDescriptor(d, steps=40, probe_steps=30),
         stream, labels, budget, slack,
     )
     assert got_asked == want_asked
@@ -457,8 +455,8 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
 
     monkeypatch.setattr(privote.pipelines, "train_erm", counting_train_erm)
     stream, labels = _linear_stream(7, 12, 3, 5, 0.2)
-    desc = LinearClassDescriptor(3, probe_settings=TrainerSettings(max_iter=30))
-    ref = oracles.ReferenceLinearDescriptor(3, probe_settings=desc.probe_settings)
+    desc = LinearClassDescriptor(3, probe_steps=30)
+    ref = oracles.ReferenceLinearDescriptor(3, probe_steps=desc.probe_steps)
     state = desc.init_state()
     state.xs, state.ys = stream[:3], [int(y) for y in labels[:3]]
 

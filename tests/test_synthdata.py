@@ -62,19 +62,6 @@ def test_tnc_closed_forms_match_oracle(tau):
         assert gen.excess_error(t) == pytest.approx(
             oracles.tnc_excess(t, tau), abs=1e-12
         )
-    for level in (0.01, 0.1, 0.3, 0.5):
-        assert gen.tail_mass(level) == pytest.approx(
-            oracles.tnc_tail_mass(level, tau), abs=1e-12
-        )
-
-
-def test_tnc_tail_bound_is_polynomial():
-    gen = TncGenerator(0.5)
-    alpha, C = gen.tail_exponent, gen.tail_constant
-    assert alpha == pytest.approx(1.0)
-    for t in (0.01, 0.05, 0.2, 0.4):
-        assert gen.tail_mass(t) <= C * t**alpha + 1e-12
-    assert TncGenerator(1.0).tail_exponent == np.inf
 
 
 def test_tnc_empirical_margin_mass():
@@ -84,7 +71,7 @@ def test_tnc_empirical_margin_mass():
     margins = gen.margin(xs)
     for t in (0.05, 0.15, 0.3):
         emp = float(np.mean(margins <= t))
-        exact = gen.tail_mass(t)
+        exact = oracles.tnc_tail_mass(t, 0.5)
         assert abs(emp - exact) < 4 * oracles.binomial_se(exact, 100_000)
 
 
@@ -96,15 +83,6 @@ def test_tnc_eta_and_labels():
     hard = TncGenerator(1.0)
     xs, ys = hard.sample_xy(5_000, make_rng(13))
     assert np.array_equal(ys, (xs >= 0.5).astype(int))
-
-
-def test_tnc_bayes_error():
-    gen = TncGenerator(0.5)
-    rng = make_rng(14)
-    xs = rng.random(200_000)
-    mc = float(np.mean(np.minimum(gen.eta(xs), 1.0 - gen.eta(xs))))
-    assert gen.bayes_error() == pytest.approx(mc, abs=0.003)
-    assert TncGenerator(1.0).bayes_error() == 0.0
 
 
 def _brute_threshold_errors(xs, ys):
