@@ -9,16 +9,21 @@ momentum). A committee's K disjoint shards are one row permutation of
 the teacher pool, laid out as one block-diagonal sparse matrix with a
 bias column per block, so each step scores and differentiates every
 teacher with one pass over all rows; a lone fit (`train_erm`) is the
-one-block case. The design is built once per fit as raw CSR arrays, and
-each step runs scipy's `csr_matvec` and `csc_matvec` kernels on them
-into buffers allocated once per fit. Every fit runs exactly its step
-count: 70 for a committee (`COMMITTEE_STEPS`), 35 by default otherwise.
-Each member comes out bit-for-bit equal to a separate fit of its shard,
-so batching changes no seeded output.
+one-block case. Fits that share their rows and differ in labels,
+weights or start (the active learner's probes) are instead B columns
+of the iterate over one copy of the rows (`_train_columns`). The design
+is built once per fit as raw CSR arrays, and each step runs scipy's
+`csr_matvec` and `csc_matvec` kernels on them, or `csr_matvecs` and
+`csc_matvecs` for B > 1, into buffers allocated once per fit. Every fit
+runs exactly its step count: 70 for a committee (`COMMITTEE_STEPS`), 35
+by default otherwise. Each member or column comes out bit-for-bit equal
+to a separate fit of its own rows and labels, so batching changes no
+seeded output.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +32,7 @@ from scipy.special import expit
 
 # private to scipy, whose `X @ v` is np.zeros then one of these calls; used to
 # skip ~7 us of dispatch per product (test_matvec_equals_scipy_products pins them)
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 __all__ = [
     "Dataset",
@@ -55,6 +60,17 @@ def _as_csr(X) -> sp.csr_matrix:
     return X
 
 
+def _canonical(X) -> sp.csr_matrix:
+    """X as a CSR with checked column indices, sorted within each row,
+    with no duplicate and no stored zero; X itself when it is one."""
+    X = _as_csr(X)
+    if not (X.has_canonical_format and X.data.all()):
+        X = X.copy()
+        X.sum_duplicates()
+        X.eliminate_zeros()
+    return X
+
+
 def _is_binary(a: np.ndarray) -> bool:
     """Whether every entry equals 0 or 1.
 
@@ -76,14 +92,10 @@ class Dataset:
     y: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.X = _as_csr(self.X)
         # the step bound squares stored entries, and takes their absolute
         # values, one by one, which is right only without duplicates, and
         # skips zeros as X.multiply(X) did
-        if not (self.X.has_canonical_format and self.X.data.all()):
-            self.X = self.X.copy()
-            self.X.sum_duplicates()
-            self.X.eliminate_zeros()
+        self.X = _canonical(self.X)
         if self.y is not None:
             self.y = np.asarray(self.y)
             if self.y.shape != (self.X.shape[0],):
@@ -166,12 +178,18 @@ def train_erm(
 
 def _matvec(shape, csr, v, out, transpose=False):
     """scipy's `X @ v` (`X.T @ v` if transpose) into out, bit for bit, where
-    X is the CSR of this shape whose (indptr, indices, data) are csr."""
+    X is the CSR of this shape whose (indptr, indices, data) are csr.
+
+    v and out are vectors or C-ordered matrices of B columns. One column
+    runs the single-vector kernel, more run the multi-vector one, which
+    adds each column's terms in the same order."""
     out.fill(0.0)
-    if transpose:
-        csc_matvec(shape[1], shape[0], *csr, v, out)
+    rows, cols = shape[::-1] if transpose else shape
+    if v.ndim == 1 or v.shape[1] == 1:
+        (csc_matvec if transpose else csr_matvec)(rows, cols, *csr, v, out)
     else:
-        csr_matvec(shape[0], shape[1], *csr, v, out)
+        kernel = csc_matvecs if transpose else csr_matvecs
+        kernel(rows, cols, v.shape[1], *csr, v, out)
 
 
 # Collatz-Wielandt steps behind each block's smoothness bound
@@ -179,39 +197,122 @@ _BOUND_ITERS = 4
 
 
 def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
-    """Per block of the design (shape, csr), K blocks wide, the least of
-    `_BOUND_ITERS` upper bounds on lambda_max(X^T diag(wts) X), X the
-    block's rows.
+    """Per block of the design (shape, csr), K blocks wide, and per column
+    of wts (rows by B), the least of `_BOUND_ITERS` upper bounds on
+    lambda_max(X^T diag(w) X), X the block's rows and w the column's
+    weights on them; a K by B array.
 
-    A = |X|^T diag(wts) |X| is nonnegative and lambda_max(X^T diag(wts) X)
+    A = |X|^T diag(w) |X| is nonnegative and lambda_max(X^T diag(w) X)
     <= lambda_max(A) <= max_i (Av)_i / v_i for every v > 0 on A's support
     (Collatz-Wielandt). From v = 1, each of `_BOUND_ITERS` steps takes
     u = Av and that ratio over the v_i > 0, then v = u / max(u): a power
     step, so the ratio tends to lambda_max(A). The bias column keeps each
     block's max(u) positive. Products, max and division stay inside a
-    block's rows and columns, so a block's bound is the same alone or in
-    a committee, bit for bit.
+    block's rows and columns and a column of wts, so a bound is the same
+    alone or batched, bit for bit.
     """
     abs_csr = (csr[0], csr[1], np.abs(csr[2]))
-    Xv = np.empty(shape[0])
-    u = np.empty(shape[1])
-    U = u.reshape(K, -1)
-    v = np.ones(shape[1])
+    B = wts.shape[1]
+    # one column at a time through the one-vector kernels, on buffers
+    # ordered by column, block and coordinate: down the rows of a
+    # rows-by-B array numpy reduces and broadcasts with an inner loop of
+    # length B, up to 40 times slower on wide designs
+    col_wts = np.ascontiguousarray(wts.T)
+    Xv = np.empty((B, shape[0]))
+    u = np.empty((B, shape[1]))
+    v = np.ones((B, shape[1]))
+    U, V = u.reshape(B, K, -1), v.reshape(B, K, -1)
+    ratios = np.empty_like(U)
     bound = np.inf
     for _ in range(_BOUND_ITERS):
-        _matvec(shape, abs_csr, v, Xv)
-        Xv *= wts
-        _matvec(shape, abs_csr, Xv, u, transpose=True)
-        V = v.reshape(K, -1)
-        ratios = np.divide(U, V, out=np.zeros_like(U), where=V > 0)
-        bound = np.minimum(bound, ratios.max(axis=1))
-        v = (U / U.max(axis=1, keepdims=True)).ravel()
-    return bound
+        for b in range(B):
+            _matvec(shape, abs_csr, v[b], Xv[b])
+        Xv *= col_wts
+        for b in range(B):
+            _matvec(shape, abs_csr, Xv[b], u[b], transpose=True)
+        ratios.fill(0.0)
+        np.divide(U, V, out=ratios, where=V > 0)
+        bound = np.minimum(bound, ratios.max(axis=2))
+        np.divide(U, U.max(axis=2, keepdims=True), out=V)
+    return bound.T
+
+
+def _index_type(entries: int, width: int):
+    """32-bit indices where they fit, as scipy would cast them anyway."""
+    return np.int32 if max(entries, width) < 2**31 else np.int64
+
+
+def _bias_layout(ptr, cols, vals, first_col, d: int, width: int):
+    """The raw CSR arrays of rows (ptr, cols, vals) of d columns, row r's
+    entries moved to start at column first_col[r] and followed by a bias
+    entry of 1 at column first_col[r] + d, and each row's squared norm
+    with that bias entry."""
+    n, nnz = len(ptr) - 1, len(vals)
+    counts = np.diff(ptr)
+    # squares summed by reduceat, as X.multiply(X).sum(axis=1)
+    row_sq = np.ones(n)
+    filled = np.flatnonzero(counts)
+    row_sq[filled] += np.add.reduceat(vals * vals, ptr[filled])
+    # row r's entries move r places on, and its bias entry follows them
+    row_of = np.arange(n).repeat(counts)
+    at = row_of + np.arange(nnz)
+    index_type = _index_type(nnz + n, width)
+    indptr = (ptr + np.arange(n + 1)).astype(index_type)
+    indices = np.empty(nnz + n, dtype=index_type)
+    indices[at] = cols + first_col[row_of]
+    indices[indptr[1:] - 1] = first_col + d
+    data = np.ones(nnz + n)
+    data[at] = vals
+    return (indptr, indices, data), row_sq
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Canonical rows of d features, each ended by a bias entry of 1 in
+    column d, as raw CSR arrays: the one-block layout of `_BlockDesign`.
+    `row_max` is the largest squared row norm, bias included."""
+
+    shape: tuple[int, int]
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
+    row_max: float
+
+    @classmethod
+    def of(cls, X: sp.csr_matrix) -> "_Rows":
+        """The rows of a canonical CSR, such as a `Dataset`'s."""
+        n, d = X.shape
+        zero = np.zeros(n, dtype=int)
+        csr, row_sq = _bias_layout(X.indptr, X.indices, X.data, zero, d, d + 1)
+        return cls((n, d + 1), csr, float(row_sq.max(initial=0.0)))
+
+    def grow(self, x: sp.csr_matrix) -> "_Rows":
+        """These rows, then the one row of a canonical CSR x: the arrays
+        that `of` builds from both stacked, without rebuilding these."""
+        (ptr, cols, vals), (n, width) = self.csr, self.shape
+        # x's squares summed by reduceat, as `_bias_layout` sums each row's
+        sq = 1.0 + np.add.reduceat(x.data * x.data, [0])[0] if x.nnz else 1.0
+        index_type = _index_type(len(vals) + x.nnz + 1, width)
+        return _Rows(
+            (n + 1, width),
+            (
+                np.append(ptr, ptr[-1] + x.nnz + 1).astype(index_type, copy=False),
+                np.concatenate([cols, x.indices, [width - 1]]).astype(index_type),
+                np.concatenate([vals, x.data, [1.0]]),
+            ),
+            max(self.row_max, sq),
+        )
+
+    def scores(self, h: "LinearHypothesis") -> np.ndarray:
+        """h's decision on every row: `X @ h.weights + h.bias` bit for bit,
+        the bias entry adding b last."""
+        out = np.empty(self.shape[0])
+        _matvec(self.shape, self.csr, np.append(h.weights, h.bias), out)
+        return out
 
 
 @dataclass
 class _BlockDesign:
-    """Labeled blocks of rows as one block-diagonal design.
+    """Labeled blocks of rows as one block-diagonal design, with B label
+    and weight columns fit side by side.
 
     Block i owns the d + 1 columns from i*(d+1): its features, then a
     bias column of ones that ends each of its rows. The design is its
@@ -221,12 +322,13 @@ class _BlockDesign:
     transposed `_matvec` of coef gives each block's weight gradient; its
     bias entries are sums in row order, which `descend` replaces with
     pairwise ones. The labels' signs enter negated, so that product is
-    the gradient itself: negation commutes with IEEE rounding.
+    the gradient itself: negation commutes with IEEE rounding. Every
+    per-row array is rows by B, every per-column one columns by B.
 
-    `build` sets each block's step to 1/L_k, L_k a quarter of the least
-    of the largest squared row norm and `_smoothness_bound`, which runs
-    `_matvec` on the same arrays, data taken by absolute value. `descend`
-    runs a given number of steps on every block; no block stops early.
+    `of` sets each block's and column's step to 1/L, L a quarter of the
+    least of the block's largest squared row norm and `_smoothness_bound`,
+    which runs `_matvec` on the same arrays, data taken by absolute value.
+    `descend` runs a given number of steps on every fit; none stops early.
     """
 
     shape: tuple[int, int]
@@ -239,65 +341,66 @@ class _BlockDesign:
 
     @classmethod
     def build(cls, mats, sizes: np.ndarray, y, wts):
-        """The design of equally wide canonical CSRs whose rows, one after
-        another, are block 0's sizes[0] rows, then block 1's, and so on;
-        y and wts follow the rows."""
+        """The one-column design of equally wide canonical CSRs whose rows,
+        one after another, are block 0's sizes[0] rows, then block 1's, and
+        so on; y and wts follow the rows."""
         ptr, cols, vals = _row_arrays(mats)
-        n, d, nnz, K = len(ptr) - 1, mats[0].shape[1], len(vals), len(sizes)
-        counts = np.diff(ptr)
-        starts = np.cumsum(sizes) - sizes
-        # the row-norm bound per block, rows augmented with the bias
-        # coordinate; squares summed by reduceat, as X.multiply(X).sum(axis=1)
-        row_sq = np.ones(n)
-        filled = np.flatnonzero(counts)
-        row_sq[filled] += np.add.reduceat(vals * vals, ptr[filled])
-        # row r's entries move r places on, and its bias entry follows them
+        n, d, K = len(ptr) - 1, mats[0].shape[1], len(sizes)
         first_col = np.arange(K).repeat(sizes) * (d + 1)
-        row_of = np.arange(n).repeat(counts)
-        at = row_of + np.arange(nnz)
-        # 32-bit where they fit, as scipy would cast them anyway
-        index_type = np.int32 if max(nnz + n, K * (d + 1)) < 2**31 else np.int64
-        indptr = (ptr + np.arange(n + 1)).astype(index_type)
-        indices = np.empty(nnz + n, dtype=index_type)
-        indices[at] = cols + first_col[row_of]
-        indices[indptr[1:] - 1] = first_col + d
-        data = np.ones(nnz + n)
-        data[at] = vals
-        del row_of, at  # room for the bound's copy of |data|
-        firsts = np.flatnonzero(np.diff(sizes, prepend=0))
-        runs = zip(firsts, starts[firsts], np.diff(firsts, append=K), sizes[firsts])
-        neg_signs = 1.0 - 2.0 * y
-        shape, csr = (n, K * (d + 1)), (indptr, indices, data)
+        csr, row_sq = _bias_layout(ptr, cols, vals, first_col, d, K * (d + 1))
+        del first_col  # room for the bound's copy of |data|
+        row_max = np.maximum.reduceat(row_sq, np.cumsum(sizes) - sizes)
+        return cls.of((n, K * (d + 1)), csr, row_max, sizes, y[:, None], wts[:, None])
+
+    @classmethod
+    def of(cls, shape, csr, row_max, sizes: np.ndarray, Y, wts):
+        """The design on a block layout (shape, csr) with blocks of these
+        sizes and largest squared row norms row_max, fit to the label and
+        weight columns Y and wts, rows by B."""
+        K = len(sizes)
+        runs, first, lo = [], 0, 0
+        for size, blocks in itertools.groupby(sizes.tolist()):
+            count = len(list(blocks))
+            runs.append((first, lo, count, size))
+            first, lo = first + count, lo + count * size
+        neg_signs = 1.0 - 2.0 * Y
         bound = np.minimum(
-            np.maximum.reduceat(row_sq, starts), _smoothness_bound(shape, csr, wts, K)
+            np.reshape(row_max, (K, 1)), _smoothness_bound(shape, csr, wts, K)
         )
         return cls(
             shape=shape,
             csr=csr,
             neg_signs=neg_signs,
             neg_wts=wts * neg_signs,
-            runs=[tuple(map(int, run)) for run in runs],
-            step_cols=(1.0 / (0.25 * bound)).repeat(d + 1),
+            runs=runs,
+            step_cols=(1.0 / (0.25 * bound)).repeat(shape[1] // K, axis=0),
         )
 
     def descend(self, W: np.ndarray, steps: int):
-        """The fits after `steps` steps from the rows of W, each a block's
-        weights, then its bias."""
+        """The fits after `steps` steps from the columns of W, each the
+        weights, then the bias, of every block in turn; block-major."""
         if steps < 1 or steps != int(steps):
             raise ValueError("steps must be a positive integer")
-        K, width = W.shape
-        d = width - 1
+        (n, width), B = self.shape, W.shape[1]
+        K = sum(count for _, _, count, _ in self.runs)
+        d = width // K - 1
         # x is x_k and x_prev is x_{k-1}
-        x = W.flatten()
+        x = W.astype(float)
         x_prev = x.copy()
-        scores = np.empty(self.shape[0])
-        grad = np.empty(self.shape[1])
-        G = grad.reshape(K, width)
-        # a run of equal-size blocks sums its coefficients as the rows of a
-        # 2-D view into its bias gradients: numpy sums each contiguous row
-        # pairwise, exactly as it sums the 1-D slice coef[lo:hi]
+        scores = np.empty((n, B))
+        grad = np.empty((width, B))
+        G = grad.reshape(K, d + 1, B)
+        # a run of equal-size blocks sums each column's coefficients as the
+        # rows of a 3-D view into its bias gradients: numpy sums each
+        # contiguous row pairwise, exactly as it sums the 1-D slice
+        # coef[lo:hi]; with B > 1, the view is of a contiguous copy, as a
+        # strided sum down a column of coef would round differently
+        coef_t = scores.T if B == 1 else np.empty((B, n))
         bias_sums = [
-            (scores[lo : lo + count * size].reshape(count, size), G[i : i + count, d])
+            (
+                coef_t[:, lo : lo + count * size].reshape(B, count, size),
+                G[i : i + count, d].T,
+            )
             for i, lo, count, size in self.runs
         ]
         for k in range(int(steps)):
@@ -312,13 +415,19 @@ class _BlockDesign:
             coef = expit(scores, out=scores)
             coef *= self.neg_wts
             _matvec(self.shape, self.csr, coef, grad, transpose=True)
+            if B > 1:
+                np.copyto(coef_t, coef.T)
             for rows, sums in bias_sums:
-                np.add.reduce(rows, axis=1, out=sums)
+                np.add.reduce(rows, axis=2, out=sums)
             grad *= self.step_cols
             y -= grad
             x_prev, x = x, y
-        final = x.reshape(K, width)
-        return [LinearHypothesis(final[k, :d], float(final[k, d])) for k in range(K)]
+        final = x.reshape(K, d + 1, B)
+        return [
+            LinearHypothesis(final[k, :d, b], float(final[k, d, b]))
+            for k in range(K)
+            for b in range(B)
+        ]
 
 
 def _row_arrays(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,7 +487,7 @@ def train_erm_batch(
     floating-point operation that reaches the weights is the one a lone
     fit would make, in the same order. Two places need care. A block's
     bias gradient is numpy's pairwise sum over its contiguous slice,
-    taken through 2-D views built once per call (np.add.reduceat rounds
+    taken through views built once per call (np.add.reduceat rounds
     differently; see `_BlockDesign.descend`), while L_k sums each row's
     squares with reduceat, and its power steps sum in row order through
     the same kernels and take maxima and quotients within the block.
@@ -387,8 +496,7 @@ def train_erm_batch(
     sample_weights = sample_weights or [None] * K
     inits = inits or [None] * K
     d = blocks[0].n_features
-    W = np.zeros((K, d + 1))
-    wts = []
+    wts, starts = [], []
     for k, (data, weight, init) in enumerate(zip(blocks, sample_weights, inits)):
         if len(data) == 0:
             raise ValueError("cannot train on an empty dataset")
@@ -396,26 +504,60 @@ def train_erm_batch(
             raise ValueError("training data must be labeled")
         if data.n_features != d:
             raise ValueError(f"block {k} has {data.n_features} features, block 0 {d}")
-        n = len(data)
-        if weight is None:
-            wts.append(np.full(n, 1.0 / n))
-        else:
-            weight = np.asarray(weight, dtype=float)
-            total = weight.sum()
-            # a NaN or inf weight makes the sum NaN or inf
-            if weight.shape != (n,) or (weight < 0).any() or not 0 < total < np.inf:
-                raise ValueError("sample_weight must be nonnegative with positive sum")
-            wts.append(weight / total)
-        if init is not None:
-            if init.weights.shape != (d,):
-                raise ValueError("warm-start hypothesis has the wrong dimension")
-            W[k, :d] = init.weights
-            W[k, d] = init.bias
+        w, start = _fit_start(len(data), d, weight, init)
+        wts.append(w)
+        starts.append(start)
     mats = [data.X for data in blocks]
     sizes = np.array([len(data) for data in blocks])
     y = np.concatenate([data.y for data in blocks])
     design = _BlockDesign.build(mats, sizes, y, np.concatenate(wts))
-    return design.descend(W, steps)
+    return design.descend(np.concatenate(starts)[:, None], steps)
+
+
+def _fit_start(n: int, d: int, weight, init) -> tuple[np.ndarray, np.ndarray]:
+    """A fit's weights on its n rows, normalized (uniform if weight is
+    None), and its starting weights then bias (zero if init is None)."""
+    if weight is None:
+        wts = np.full(n, 1.0 / n)
+    else:
+        weight = np.asarray(weight, dtype=float)
+        total = weight.sum()
+        # a NaN or inf weight makes the sum NaN or inf
+        if weight.shape != (n,) or (weight < 0).any() or not 0 < total < np.inf:
+            raise ValueError("sample_weight must be nonnegative with positive sum")
+        wts = weight / total
+    start = np.zeros(d + 1)
+    if init is not None:
+        if init.weights.shape != (d,):
+            raise ValueError("warm-start hypothesis has the wrong dimension")
+        start[:d] = init.weights
+        start[d] = init.bias
+    return wts, start
+
+
+def _train_columns(
+    rows: _Rows, labels: list, steps: int, sample_weights: list, inits: list
+) -> list[LinearHypothesis]:
+    """`train_erm` on the same rows once per label array, all in one
+    accelerated-descent loop: fit b takes labels[b], sample_weights[b]
+    and inits[b] (either entry may be None).
+
+    The fits are the columns of the iterate of one `_BlockDesign` over a
+    single copy of the rows, and each equals a lone `train_erm` of its
+    column bit for bit (see `train_erm_batch`). With more than one
+    column, every step runs scipy's multi-vector kernels `csr_matvecs`
+    and `csc_matvecs`, which add each column's terms in the order of the
+    single-vector ones.
+    """
+    n, d = rows.shape[0], rows.shape[1] - 1
+    Y = np.stack(labels, axis=1)
+    if not _is_binary(Y):
+        raise ValueError("labels must be 0 or 1")
+    wts, starts = zip(*(_fit_start(n, d, w, h) for w, h in zip(sample_weights, inits)))
+    design = _BlockDesign.of(
+        rows.shape, rows.csr, rows.row_max, np.array([n]), Y, np.stack(wts, axis=1)
+    )
+    return design.descend(np.stack(starts, axis=1), steps)
 
 
 def empirical_error(h, data: Dataset) -> float:
@@ -485,7 +627,7 @@ def train_committee(
     rows = data.subset(rng.permutation(len(data)))
     wts = (1.0 / sizes).repeat(sizes)
     design = _BlockDesign.build([rows.X], sizes, rows.y, wts)
-    return Ensemble(design.descend(np.zeros((K, data.n_features + 1)), steps))
+    return Ensemble(design.descend(np.zeros((K * (data.n_features + 1), 1)), steps))
 
 
 @dataclass

@@ -8,8 +8,9 @@ passive (PSQ): every pool point is queried once, in stream order.
 active (ASQ): a disagreement-based learner decides which points are worth
     one of its limited label queries, so the realized privacy loss tracks
     the number of labels actually requested. For halfspaces its test
-    costs one batched accelerated descent per stream point: the reference
-    fit on the queried set is carried over from the previous point (see
+    costs one accelerated descent per stream point, three fits side by
+    side on the queried set plus the point: the reference fit and the
+    queried set's rows are carried over from the previous point (see
     `LinearClassDescriptor`).
 
 A config's budget picks the session. budget=None means exact majority: an
@@ -35,11 +36,13 @@ from .learners import (
     Dataset,
     FiniteHypothesisClass,
     LinearHypothesis,
+    _canonical,
+    _Rows,
     _stack_rows,
+    _train_columns,
     empirical_error,
     train_committee,
     train_erm,
-    train_erm_batch,
 )
 
 __all__ = [
@@ -268,23 +271,24 @@ class FiniteClassDescriptor:
 class _ReferenceMemo:
     """The reference fit on Q, and the two fits it may become next.
 
-    `base` is the `probe_steps` fit on `xs`, `ys` (stacked as `X`) from
-    `hypothesis`. `next_bases[y]` is the same fit on `xs + [x]`,
-    `ys + [y]` (stacked as `X_next`), where `x` is the point just probed;
-    it is empty where querying `x` would end the run.
+    `base` is the `probe_steps` fit on `xs`, `ys` (laid out as `rows`)
+    from `hypothesis`. `next_bases[y]` is the same fit on `xs + [x]`,
+    `ys + [y]` (laid out as `rows_next`, `rows` grown by x's row), where
+    `x` is the point just probed; it is empty where querying `x` would
+    end the run.
     """
 
     hypothesis: LinearHypothesis
     xs: list
     ys: list
-    X: sp.csr_matrix
+    rows: _Rows
     base: LinearHypothesis
     x: Any
-    X_next: sp.csr_matrix
+    rows_next: _Rows
     next_bases: list[LinearHypothesis]
 
     def lookup(self, state: ActiveState):
-        """(stacked Q, reference fit) for the state, or None if this memo
+        """(Q's rows, reference fit) for the state, or None if this memo
         does not cover its hypothesis, queried points and labels."""
         k = len(self.xs)
         if state.hypothesis is not self.hypothesis or not (
@@ -296,10 +300,10 @@ class _ReferenceMemo:
         ):
             return None
         if len(state.xs) == k:
-            return self.X, self.base
+            return self.rows, self.base
         y = state.ys[-1]
         if state.xs[-1] is self.x and y in (0, 1) and self.next_bases:
-            return self.X_next, self.next_bases[int(y)]
+            return self.rows_next, self.next_bases[int(y)]
         return None
 
 
@@ -317,18 +321,22 @@ class LinearClassDescriptor:
 
     The learner's next reference is known up to the answer: `base` itself
     if the point is not queried, or the fit on Q plus the point labeled 0
-    or 1. So each probe is trained in one `train_erm_batch` call together
-    with those two fits, and the state's memo keeps them with the stacked
-    Q for the next call. That call reuses a memo only while the
-    hypothesis is the same object and Q and its labels are the memo's, or
-    those plus the probed point itself; after a refit (on the doubling
-    schedule) or any other change to the state it fits `base` alone. At
-    a power-of-two stream position `state.j` the refit right after
-    replaces the hypothesis, so the probe is trained alone there and the
-    memo is cleared. It is trained alone, too, where a query would spend
+    or 1. So each probe is trained together with those two fits, as three
+    label and weight columns of one descent over a single copy of the rows
+    of Q and the point, and the state's memo keeps them with Q's rows for
+    the next call, which grows them by its own point's row. That call
+    reuses a memo only while the hypothesis is the same object and Q and
+    its labels are the memo's, or those plus the probed point itself;
+    after a refit (on the doubling schedule) or any other change to the
+    state it lays out Q afresh and fits `base` alone. At a power-of-two
+    stream position `state.j` the refit right after replaces the
+    hypothesis, so the probe is trained alone there and the memo is
+    cleared. It is trained alone, too, where a query would spend
     `state.query_budget` and end the run; the memo then keeps `base`.
-    Every fit is bit-for-bit the one a lone `train_erm` would make, so the
-    answers do not depend on the memo.
+    The predictions of `base` and of the probe on Q and the point are one
+    product with those rows each, their bias column giving `X @ w + b`.
+    Every fit and prediction is bit-for-bit the one a lone `train_erm`
+    and `predict` would make, so the answers do not depend on the memo.
     """
 
     n_features: int
@@ -345,21 +353,29 @@ class LinearClassDescriptor:
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
         if math.isinf(slack) or not state.xs:
             return True
+        # the stream point is checked once, here; the memo keeps x itself,
+        # which the loop appends to Q
+        row = _canonical(x)
+        if row.shape != (1, self.n_features):
+            raise ValueError(
+                f"a stream point must be 1 x {self.n_features}, not {row.shape}"
+            )
         y = np.asarray(state.ys)
         memo = state.memo
         hit = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
         if hit is None:
             pool = self._pool(state)
-            X = pool.X
+            rows = _Rows.of(pool.X)
             # the reference is a fresh unconstrained optimum, not the
             # possibly stale current hypothesis
             base = train_erm(pool, self.probe_steps, init=state.hypothesis)
         else:
-            X, base = hit
+            rows, base = hit
         n = len(y)
-        base_errors = int((base.predict(X) != y).sum())
-        forced = 1 - int(base.predict(x)[0])
-        X_next = _stack_rows([X, x])
+        rows_next = rows.grow(row)
+        base_ones = rows_next.scores(base) >= 0.0
+        base_errors = int((base_ones[:n] != y).sum())
+        forced = 1 - int(base_ones[n])
         weights = np.ones(n + 1)
         weights[-1] = n + 1.0
         # a refit follows at a power-of-two position and replaces the
@@ -369,8 +385,9 @@ class LinearClassDescriptor:
         refits = j >= 1 and j & (j - 1) == 0
         last = state.c + 1 == state.query_budget
         labels = (forced,) if refits or last else (forced, 0, 1)
-        h, *next_bases = train_erm_batch(
-            [Dataset(X_next, np.append(y, label)) for label in labels],
+        h, *next_bases = _train_columns(
+            rows_next,
+            [np.append(y, label) for label in labels],
             self.probe_steps,
             [weights, None, None][: len(labels)],
             [base, state.hypothesis, state.hypothesis][: len(labels)],
@@ -381,15 +398,16 @@ class LinearClassDescriptor:
                 state.hypothesis,
                 list(state.xs),
                 list(state.ys),
-                X,
+                rows,
                 base,
                 x,
-                X_next,
+                rows_next,
                 next_bases,
             )
-        if int(h.predict(x)[0]) != forced:
+        probe_ones = rows_next.scores(h) >= 0.0
+        if int(probe_ones[n]) != forced:
             return False
-        probe_errors = int((h.predict(X) != y).sum())
+        probe_errors = int((probe_ones[:n] != y).sum())
         return probe_errors <= base_errors + slack * n
 
     def update(self, state: ActiveState, j: int, gamma: float) -> None:

@@ -29,7 +29,7 @@ from privote import (
     train_erm_batch,
     vote_majority,
 )
-from privote.learners import _BlockDesign, _matvec
+from privote.learners import _BlockDesign, _matvec, _Rows, _train_columns
 
 
 def _random_data(n, d, seed, labeled=True):
@@ -229,8 +229,9 @@ def test_train_erm_batch_rejects_blocks_of_another_width(width):
 
 @given(st.integers(0, 10_000), st.sampled_from([np.int32, np.int64]))
 def test_matvec_equals_scipy_products(seed, index_type):
-    # the descent calls scipy's private csr_matvec and csc_matvec kernels;
-    # a scipy that changes them must fail here rather than move the fits
+    # the descent calls scipy's private csr_matvec and csc_matvec kernels,
+    # and csr_matvecs and csc_matvecs for several columns at once; a scipy
+    # that changes them must fail here rather than move the fits
     rng = make_rng(seed)
     n, d = (int(v) for v in rng.integers(1, 30, 2))
     A = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
@@ -248,6 +249,17 @@ def test_matvec_equals_scipy_products(seed, index_type):
         want = M @ v
         assert np.array_equal(out, want)
         assert np.array_equal(np.signbit(out), np.signbit(want))
+        # each of B columns adds its terms as the one-vector product does
+        B = int(rng.integers(2, 5))
+        V = rng.normal(size=(M.shape[1], B))
+        V[rng.random(V.shape) < 0.3] = -0.0
+        out = np.where(rng.random((M.shape[0], B)) < 0.5, -0.0, 1.0)
+        _matvec((n, d), csr, V, out, transpose)
+        assert np.array_equal(out, M @ V)
+        for b in range(B):
+            want = M @ V[:, b]
+            assert np.array_equal(out[:, b], want)
+            assert np.array_equal(np.signbit(out[:, b]), np.signbit(want))
 
 
 @st.composite
@@ -420,6 +432,48 @@ def test_train_erm_weights_and_init_equal_lone_fit(n, d, seed):
     init = LinearHypothesis(rng.normal(size=d), float(rng.normal()))
     h = train_erm(data, 25, sample_weight=weight, init=init)
     _assert_matches_oracle(h, data, 25, weight, init)
+
+
+@st.composite
+def _column_cases(draw):
+    """Rows of mixed signs with empty and duplicate rows, and B label and
+    weight columns: a heavy last weight, zero weights, distinct inits."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 12))
+    B = draw(st.integers(1, 3))
+    rng = make_rng(draw(st.integers(0, 10_000)))
+    A = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+    A[rng.random(n) < 0.2] = 0.0
+    copies = np.flatnonzero(rng.random(n) < 0.3)
+    A[copies] = A[rng.integers(0, n, len(copies))]
+    labels = [rng.integers(0, 2, n) for _ in range(B)]
+    weights = []
+    for _ in range(B):
+        if rng.random() < 0.3:
+            weights.append(None)
+        else:
+            w = rng.random(n) * (rng.random(n) < 0.8)
+            w[-1] += rng.choice([1.0, n + 1.0, 100.0 * n])
+            weights.append(w)
+    inits = [
+        None if rng.random() < 0.3
+        else LinearHypothesis(rng.normal(size=d), float(rng.normal()))
+        for _ in range(B)
+    ]
+    return Dataset(A).X, labels, weights, inits
+
+
+@given(_column_cases(), st.integers(1, 30))
+def test_column_fits_equal_lone_fits(case, steps):
+    # the active probe fits three label and weight columns over one copy
+    # of the rows; each must be the lone fit of its column, bit for bit
+    X, labels, weights, inits = case
+    fits = _train_columns(_Rows.of(X), labels, steps, weights, inits)
+    assert len(fits) == len(labels)
+    for h, y, w, init in zip(fits, labels, weights, inits):
+        lone = train_erm(Dataset(X, y), steps, sample_weight=w, init=init)
+        assert np.array_equal(h.weights, lone.weights)
+        assert np.array_equal(np.signbit(h.weights), np.signbit(lone.weights))
+        assert h.bias == lone.bias
 
 
 def test_duplicate_entries_fit_like_their_sums():

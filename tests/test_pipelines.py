@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import privote.pipelines
+from privote.learners import _Rows, _stack_rows
 from privote import (
     AsqConfig,
     Dataset,
@@ -445,6 +446,41 @@ def test_linear_active_loop_matches_per_point_reference(
     assert got.hypothesis.bias == want.hypothesis.bias
 
 
+def _assert_memo_rows_fresh(state, x):
+    # the memo's rows of Q and of Q plus x, grown a row per stream point,
+    # are the arrays a fresh layout of the stacked rows gives
+    memo = state.memo
+    if memo is None:
+        return
+    for rows, xs in ((memo.rows, state.xs), (memo.rows_next, state.xs + [x])):
+        fresh = _Rows.of(Dataset(_stack_rows(xs)).X)
+        assert rows.shape == fresh.shape
+        for got, want in zip(rows.csr, fresh.csr):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert rows.row_max == fresh.row_max
+
+
+class _CheckedDescriptor(LinearClassDescriptor):
+    def disagreement(self, state, x, slack):
+        answer = super().disagreement(state, x, slack)
+        if not (math.isinf(slack) or not state.xs):
+            _assert_memo_rows_fresh(state, x)
+        return answer
+
+
+@pytest.mark.parametrize("pool", ["linear", "one-hot"])
+def test_linear_memo_grows_the_rows_it_would_build(pool):
+    if pool == "linear":
+        stream, labels = _linear_stream(5, 60, 4, 6, 0.2)
+        d = 4
+    else:
+        data = _onehot_clusters(80, 12, seed=3)
+        stream, labels, d = [data.X[i] for i in range(len(data))], data.y, 12
+    state, asked = _run_recorded(_CheckedDescriptor(d), stream, labels, 40, None)
+    assert len(asked) > 5
+
+
 def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
     lone_fits = []
     real_train_erm = privote.pipelines.train_erm
@@ -464,6 +500,7 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
         before = len(lone_fits)
         got = desc.disagreement(state, x, 0.1)
         assert len(lone_fits) == before + (0 if reused else 1)
+        _assert_memo_rows_fresh(state, x)
         assert got == ref.disagreement(state, x, 0.1)
 
     probe(stream[3], reused=False)
@@ -505,12 +542,12 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     calls = []
     probing = []  # the stream position of the probe in progress, if any
     fresh_bases = []  # positions whose probe fit its reference from scratch
-    real_batch = privote.pipelines.train_erm_batch
+    real_columns = privote.pipelines._train_columns
     real_erm = privote.pipelines.train_erm
 
-    def counting_batch(blocks, *args):
-        calls[-1][1].append(len(blocks))
-        return real_batch(blocks, *args)
+    def counting_columns(rows, labels, *args):
+        calls[-1][1].append(len(labels))
+        return real_columns(rows, labels, *args)
 
     def counting_erm(*args, **kwargs):
         fresh_bases.extend(probing)
@@ -525,14 +562,14 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
             finally:
                 probing.pop()
 
-    monkeypatch.setattr(privote.pipelines, "train_erm_batch", counting_batch)
+    monkeypatch.setattr(privote.pipelines, "_train_columns", counting_columns)
     monkeypatch.setattr(privote.pipelines, "train_erm", counting_erm)
     stream, labels = _linear_stream(3, 12, 3, 5, 0.2)
     _run_recorded(Recording(3), stream, labels, 12, None)
-    blocks = dict(calls)
-    assert sorted(blocks) == list(range(1, 13))
-    assert [blocks[j] for j in (1, 2, 4, 8)] == [[], [1], [1], [1]]
-    assert all(blocks[j] == [3] for j in (3, 5, 6, 7, 9, 10, 11, 12))
+    columns = dict(calls)
+    assert sorted(columns) == list(range(1, 13))
+    assert [columns[j] for j in (1, 2, 4, 8)] == [[], [1], [1], [1]]
+    assert all(columns[j] == [3] for j in (3, 5, 6, 7, 9, 10, 11, 12))
 
     # five queries: the fifth label is asked at j = 8, and the points at
     # j = 6 and 7 would have spent the budget but were not queried
@@ -541,11 +578,52 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     stream, labels = _linear_stream(6, 40, 3, 5, 0.2)
     state, asked = _run_recorded(Recording(3), stream, labels, 5, None)
     assert state.c == 5 and asked[3:] == [4, 7]
-    blocks = dict(calls)
-    assert sorted(blocks) == list(range(1, 9))
-    assert [blocks[j] for j in (5, 6, 7, 8)] == [[3], [1], [1], [1]]
+    columns = dict(calls)
+    assert sorted(columns) == list(range(1, 9))
+    assert [columns[j] for j in (5, 6, 7, 8)] == [[3], [1], [1], [1]]
     # j = 6 and 7 each start from the reference kept by the probe before
     assert not {6, 7} & set(fresh_bases)
+
+
+def _non_canonical(x, rng):
+    """x stored with each entry split in two, unsorted, with stored zeros."""
+    n_entries = x.nnz
+    parts = rng.random(n_entries)
+    data = np.concatenate([x.data * parts, x.data * (1.0 - parts), np.zeros(2)])
+    cols = np.concatenate([x.indices, x.indices, rng.integers(0, x.shape[1], 2)])
+    order = rng.permutation(len(data))
+    return sp.csr_matrix(
+        (data[order], cols[order], [0, len(data)]), shape=x.shape
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), slack=st.sampled_from((None, 0.0, 0.1)))
+def test_linear_stream_points_count_as_their_canonical_form(seed, slack):
+    # a stream point is summed, sorted and stripped of zeros where it
+    # enters, so it gives the answers its canonical twin gives
+    stream, labels = _linear_stream(seed, 30, 3, 5, 0.2)
+    rng = make_rng(seed)
+    raw = [_non_canonical(x, rng) for x in stream]
+    twins = [Dataset(x).X for x in raw]
+    assert all(x.nnz > twin.nnz for x, twin in zip(raw, twins))
+    got, got_asked = _run_recorded(LinearClassDescriptor(3), raw, labels, 20, slack)
+    want, want_asked = _run_recorded(LinearClassDescriptor(3), twins, labels, 20, slack)
+    assert got_asked == want_asked
+    assert np.array_equal(got.hypothesis.weights, want.hypothesis.weights)
+    assert got.hypothesis.bias == want.hypothesis.bias
+
+
+def test_linear_stream_point_past_the_features_fails():
+    stream, labels = _linear_stream(2, 5, 3, 4, 0.0)
+    desc = LinearClassDescriptor(3)
+    state = desc.init_state()
+    state.xs, state.ys = stream[:2], [int(y) for y in labels[:2]]
+    # scipy leaves a hand-built CSR's column indices unchecked
+    past = sp.csr_matrix((np.ones(1), np.array([7]), [0, 1]), shape=(1, 3))
+    wider = sp.csr_matrix((np.ones(1), np.array([3]), [0, 1]), shape=(1, 4))
+    for x in (past, wider):
+        with pytest.raises(ValueError):
+            desc.disagreement(state, x, 0.1)
 
 
 # ---------------------------------------------------------------------------
