@@ -53,7 +53,6 @@ from .learners import (
     threshold_class,
     train_committee,
     train_erm,
-    train_erm_batch,
 )
 from .pipelines import (
     ActiveState,

@@ -9,21 +9,27 @@ momentum). A committee's K disjoint shards are one row permutation of
 the teacher pool, laid out as one block-diagonal sparse matrix with a
 bias column per block, so each step scores and differentiates every
 teacher with one pass over all rows; a lone fit (`train_erm`) is the
-one-block case. Fits that share their rows and differ in labels,
-weights or start (the active learner's probes) are instead B columns
-of the iterate over one copy of the rows (`_train_columns`). The design
-is built once per fit as raw CSR arrays, and each step runs scipy's
-`csr_matvec` and `csc_matvec` kernels on them, or `csr_matvecs` and
-`csc_matvecs` for B > 1, into buffers allocated once per fit. Every fit
-runs exactly its step count: 70 for a committee (`COMMITTEE_STEPS`), 35
-by default otherwise. Each member or column comes out bit-for-bit equal
-to a separate fit of its own rows and labels, so batching changes no
+one-block case. A committee whose design holds at least
+`_SPLIT_ENTRIES` entries, on a host with two usable CPUs, is cut into
+two halves of contiguous blocks, and the second half descends in a
+worker thread while the calling thread descends the first. Fits that
+share their rows and differ in labels, weights or start (the active
+learner's probes) are instead B columns of the iterate over one copy of
+the rows (`_train_columns`). The design is built once per fit as raw
+CSR arrays, and each step runs scipy's `csr_matvec` and `csc_matvec`
+kernels on them, or `csr_matvecs` and `csc_matvecs` for B > 1, into
+buffers allocated once per fit. Every fit runs exactly its step count:
+70 for a committee (`COMMITTEE_STEPS`), 35 by default otherwise. Each
+member or column comes out bit-for-bit equal to a separate fit of its
+own rows and labels, so batching, and the two-part split, change no
 seeded output.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +48,6 @@ __all__ = [
     "threshold_class",
     "split_disjoint",
     "train_erm",
-    "train_erm_batch",
     "empirical_error",
     "train_committee",
     "margin_distribution_report",
@@ -163,17 +168,50 @@ def train_erm(
 ) -> LinearHypothesis:
     """Logistic-loss approximation of the 0-1 empirical risk minimizer.
 
-    `steps` steps of full-batch accelerated descent (Nesterov momentum
-    k/(k+3) at step k) from zero initialization (or from `init`) with
-    step 1/L, where L bounds the logistic smoothness on this data, found
-    by four Collatz-Wielandt power steps and capped by the largest
-    squared row norm (see `train_erm_batch`). The loss need not fall at
-    every step, but after k steps it is within 2L||x_0 - x*||^2/(k+1)^2
-    of its minimum. The fit draws no randomness. This is the one-block
-    case of the loop that trains a whole committee, so a lone fit and a
-    committee member on the same rows are bit-for-bit equal.
+    `steps` steps of full-batch accelerated descent from zero
+    initialization (or from `init`), weighting the rows by
+    `sample_weight` normalized to sum 1 (uniform if None). Step k (from
+    0) takes the gradient at the extrapolated point y = x_k + beta_k
+    (x_k - x_{k-1}), with beta_k = k/(k+3) and x_{-1} = x_0, and moves to
+    x_{k+1} = y - g(y)/L (Nesterov 1983; Beck & Teboulle 2009). The loss
+    need not fall at every step, but after k steps it is within
+    2L||x_0 - x*||^2/(k+1)^2 of its minimum. The fit draws no randomness.
+
+    L is a quarter of an upper bound on the largest eigenvalue of
+    X^T diag(w) X, X the rows with a bias column of ones and w the
+    normalized weights: the least of the largest squared row norm and the
+    ratios max_i (Av)_i / v_i of four power steps v <- Av / max(Av) from
+    v = 1, A = |X|^T diag(w) |X| (Collatz-Wielandt). On one-hot rows it
+    comes within 0.1% of the eigenvalue, where the row norms alone give
+    about twice it; on rows of mixed signs |X| can make it looser.
+
+    The iterate is the weights, then the bias, of a one-block
+    `_BlockDesign` built from the rows' CSR arrays. Every step runs
+    scipy's `csr_matvec` kernel for the product with the design and
+    `csc_matvec` for the one with its transpose, each into a buffer
+    allocated once per fit and zeroed before the kernel adds into it.
+
+    A committee member (`train_committee`) or a column of the active
+    probe (`_train_columns`) on the same rows equals this fit bit for
+    bit: every floating-point operation that reaches its weights is the
+    one this fit makes, in the same order. Two places need care. The bias
+    gradient is numpy's pairwise sum over a block's contiguous slice,
+    taken through views built once per fit (np.add.reduceat rounds
+    differently; see `_BlockDesign.descend`), while L sums each row's
+    squares with reduceat, and its power steps sum in row order through
+    the same kernels and take maxima and quotients within the block.
     """
-    return train_erm_batch([data], steps, [sample_weight], [init])[0]
+    if len(data) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if not data.labeled:
+        raise ValueError("training data must be labeled")
+    X = data.X
+    wts = _fit_weights(len(data), sample_weight)
+    start = _fit_start(data.n_features, init)
+    design = _BlockDesign.build(
+        (X.indptr, X.indices, X.data), X.shape[1], np.array([len(data)]), data.y, wts
+    )
+    return design.descend(start[:, None], steps)[0]
 
 
 def _matvec(shape, csr, v, out, transpose=False):
@@ -340,12 +378,13 @@ class _BlockDesign:
     step_cols: np.ndarray
 
     @classmethod
-    def build(cls, mats, sizes: np.ndarray, y, wts):
-        """The one-column design of equally wide canonical CSRs whose rows,
-        one after another, are block 0's sizes[0] rows, then block 1's, and
-        so on; y and wts follow the rows."""
-        ptr, cols, vals = _row_arrays(mats)
-        n, d, K = len(ptr) - 1, mats[0].shape[1], len(sizes)
+    def build(cls, csr, d: int, sizes: np.ndarray, y, wts):
+        """The one-column design of canonical rows of d features, given
+        as raw CSR arrays csr (indptr from 0, indices, data), that are
+        block 0's sizes[0] rows, then block 1's, and so on; y and wts
+        follow the rows."""
+        ptr, cols, vals = csr
+        n, K = len(ptr) - 1, len(sizes)
         first_col = np.arange(K).repeat(sizes) * (d + 1)
         csr, row_sq = _bias_layout(ptr, cols, vals, first_col, d, K * (d + 1))
         del first_col  # room for the bound's copy of |data|
@@ -353,10 +392,12 @@ class _BlockDesign:
         return cls.of((n, K * (d + 1)), csr, row_max, sizes, y[:, None], wts[:, None])
 
     @classmethod
-    def of(cls, shape, csr, row_max, sizes: np.ndarray, Y, wts):
+    def of(cls, shape, csr, row_max, sizes: np.ndarray, Y, wts, weight_of=None):
         """The design on a block layout (shape, csr) with blocks of these
-        sizes and largest squared row norms row_max, fit to the label and
-        weight columns Y and wts, rows by B."""
+        sizes and largest squared row norms row_max, fit to the label
+        columns Y, rows by B. Column b is weighted by column weight_of[b]
+        of wts, rows by at most B (by column b if weight_of is None), and
+        each block's step bound is computed once per column of wts."""
         K = len(sizes)
         runs, first, lo = [], 0, 0
         for size, blocks in itertools.groupby(sizes.tolist()):
@@ -367,6 +408,8 @@ class _BlockDesign:
         bound = np.minimum(
             np.reshape(row_max, (K, 1)), _smoothness_bound(shape, csr, wts, K)
         )
+        if weight_of is not None:
+            wts, bound = wts[:, weight_of], bound[:, weight_of]
         return cls(
             shape=shape,
             csr=csr,
@@ -430,109 +473,43 @@ class _BlockDesign:
         ]
 
 
-def _row_arrays(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, indices and data of the rows of CSRs, one after another."""
-    if len(mats) == 1:
-        return mats[0].indptr, mats[0].indices, mats[0].data
-    starts = np.cumsum([0] + [m.nnz for m in mats])
-    ends = [m.indptr[1:] + lo for m, lo in zip(mats, starts)]
-    indptr = np.concatenate([np.zeros(1, dtype=starts.dtype), *ends])
-    indices = np.concatenate([m.indices for m in mats])
-    return indptr, indices, np.concatenate([m.data for m in mats])
-
-
 def _stack_rows(mats) -> sp.csr_matrix:
     """The rows of equally wide sparse matrices, one after another, as one
     CSR. Column indices are left to the `Dataset` that takes the result."""
     mats = [m.tocsr() for m in mats]
     if len(mats) == 1:
         return mats[0]
-    indptr, indices, data = _row_arrays(mats)
+    starts = np.cumsum([0] + [m.nnz for m in mats])
+    ends = [m.indptr[1:] + lo for m, lo in zip(mats, starts)]
+    indptr = np.concatenate([np.zeros(1, dtype=starts.dtype), *ends])
+    indices = np.concatenate([m.indices for m in mats])
+    data = np.concatenate([m.data for m in mats])
     shape = (len(indptr) - 1, mats[0].shape[1])
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def train_erm_batch(
-    blocks: list[Dataset],
-    steps: int = 35,
-    sample_weights: list | None = None,
-    inits: list | None = None,
-) -> list[LinearHypothesis]:
-    """`train_erm` of every block, all in one accelerated-descent loop.
-
-    Block k is fit with `sample_weights[k]` and warm-started from
-    `inits[k]` (either list may be None, as may its entries). Each block
-    is its own logistic-regression problem with its own step 1/L_k, and
-    every block runs all `steps` steps. L_k is a quarter of an upper
-    bound on the largest eigenvalue of X_k^T diag(w_k) X_k, X_k the block's rows
-    with a bias column of ones and w_k its normalized weights: the least
-    of the largest squared row norm and the ratios max_i (Av)_i / v_i of
-    four power steps v <- Av / max(Av) from v = 1, A = |X_k|^T diag(w_k)
-    |X_k| (Collatz-Wielandt). On one-hot rows it comes within 0.1% of the
-    eigenvalue, where the row norms alone give about twice it; on rows
-    of mixed signs |X_k| can make it looser.
-
-    Step k (from 0) takes the gradient at the extrapolated point
-    y = x_k + beta_k (x_k - x_{k-1}), with beta_k = k/(k+3) and
-    x_{-1} = x_0, and moves to x_{k+1} = y - g(y)/L_k (Nesterov 1983;
-    Beck & Teboulle 2009). The
-    iterate is one vector of each block's weights and then its bias, the
-    columns of the `_BlockDesign` built once per call straight from the
-    blocks' CSR arrays. Every step runs scipy's `csr_matvec` kernel for
-    the product with the design and `csc_matvec` for the one with its
-    transpose, each into a buffer allocated once per call and zeroed
-    before the kernel adds into it. The fit is x_{steps}.
-
-    The result equals a separate fit of each block bit for bit: every
-    floating-point operation that reaches the weights is the one a lone
-    fit would make, in the same order. Two places need care. A block's
-    bias gradient is numpy's pairwise sum over its contiguous slice,
-    taken through views built once per call (np.add.reduceat rounds
-    differently; see `_BlockDesign.descend`), while L_k sums each row's
-    squares with reduceat, and its power steps sum in row order through
-    the same kernels and take maxima and quotients within the block.
-    """
-    K = len(blocks)
-    sample_weights = sample_weights or [None] * K
-    inits = inits or [None] * K
-    d = blocks[0].n_features
-    wts, starts = [], []
-    for k, (data, weight, init) in enumerate(zip(blocks, sample_weights, inits)):
-        if len(data) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        if not data.labeled:
-            raise ValueError("training data must be labeled")
-        if data.n_features != d:
-            raise ValueError(f"block {k} has {data.n_features} features, block 0 {d}")
-        w, start = _fit_start(len(data), d, weight, init)
-        wts.append(w)
-        starts.append(start)
-    mats = [data.X for data in blocks]
-    sizes = np.array([len(data) for data in blocks])
-    y = np.concatenate([data.y for data in blocks])
-    design = _BlockDesign.build(mats, sizes, y, np.concatenate(wts))
-    return design.descend(np.concatenate(starts)[:, None], steps)
-
-
-def _fit_start(n: int, d: int, weight, init) -> tuple[np.ndarray, np.ndarray]:
+def _fit_weights(n: int, weight) -> np.ndarray:
     """A fit's weights on its n rows, normalized (uniform if weight is
-    None), and its starting weights then bias (zero if init is None)."""
+    None)."""
     if weight is None:
-        wts = np.full(n, 1.0 / n)
-    else:
-        weight = np.asarray(weight, dtype=float)
-        total = weight.sum()
-        # a NaN or inf weight makes the sum NaN or inf
-        if weight.shape != (n,) or (weight < 0).any() or not 0 < total < np.inf:
-            raise ValueError("sample_weight must be nonnegative with positive sum")
-        wts = weight / total
+        return np.full(n, 1.0 / n)
+    weight = np.asarray(weight, dtype=float)
+    total = weight.sum()
+    # a NaN or inf weight makes the sum NaN or inf
+    if weight.shape != (n,) or (weight < 0).any() or not 0 < total < np.inf:
+        raise ValueError("sample_weight must be nonnegative with positive sum")
+    return weight / total
+
+
+def _fit_start(d: int, init) -> np.ndarray:
+    """A fit's starting weights then bias (zero if init is None)."""
     start = np.zeros(d + 1)
     if init is not None:
         if init.weights.shape != (d,):
             raise ValueError("warm-start hypothesis has the wrong dimension")
         start[:d] = init.weights
         start[d] = init.bias
-    return wts, start
+    return start
 
 
 def _train_columns(
@@ -544,19 +521,33 @@ def _train_columns(
 
     The fits are the columns of the iterate of one `_BlockDesign` over a
     single copy of the rows, and each equals a lone `train_erm` of its
-    column bit for bit (see `train_erm_batch`). With more than one
-    column, every step runs scipy's multi-vector kernels `csr_matvecs`
-    and `csc_matvecs`, which add each column's terms in the order of the
-    single-vector ones.
+    column bit for bit. With more than one column, every step runs
+    scipy's multi-vector kernels `csr_matvecs` and `csc_matvecs`, which
+    add each column's terms in the order of the single-vector ones. The
+    fits without sample weights share one uniform weight column, and so
+    one step bound.
     """
     n, d = rows.shape[0], rows.shape[1] - 1
     Y = np.stack(labels, axis=1)
     if not _is_binary(Y):
         raise ValueError("labels must be 0 or 1")
-    wts, starts = zip(*(_fit_start(n, d, w, h) for w, h in zip(sample_weights, inits)))
+    # each distinct weight column's slot: one for None, one per given array
+    slots: dict = {}
+    weight_of = [
+        slots.setdefault(None if w is None else b, len(slots))
+        for b, w in enumerate(sample_weights)
+    ]
+    wts = [_fit_weights(n, None if b is None else sample_weights[b]) for b in slots]
     design = _BlockDesign.of(
-        rows.shape, rows.csr, rows.row_max, np.array([n]), Y, np.stack(wts, axis=1)
+        rows.shape,
+        rows.csr,
+        rows.row_max,
+        np.array([n]),
+        Y,
+        np.stack(wts, axis=1),
+        weight_of,
     )
+    starts = [_fit_start(d, init) for init in inits]
     return design.descend(np.stack(starts, axis=1), steps)
 
 
@@ -609,6 +600,21 @@ class Ensemble:
         return (scores >= 0.0).sum(axis=1).astype(np.int64)
 
 
+# a committee whose design holds at least this many entries, bias entries
+# included, trains as two concurrent halves; on smaller ones the threads
+# spend most of a step waiting for each other's GIL around numpy's small
+# calls: two parts measured slower than one at 19,200 entries
+_SPLIT_ENTRIES = 100_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def train_committee(
     data: Dataset,
     K: int,
@@ -618,16 +624,45 @@ def train_committee(
     """K linear fits on disjoint random splits, combined by majority.
 
     The splits are `split_disjoint`'s with the same rng, cut from one
-    permutation of the rows; all K fits run in one accelerated-descent
-    loop. Each member equals `train_erm` on its split bit for bit.
+    permutation of the rows, and each member equals `train_erm` on its
+    split bit for bit. The K fits are the blocks of a block-diagonal
+    design (see `_BlockDesign`), cut into parts of contiguous blocks,
+    each part one accelerated-descent loop. There is one part, run in
+    the calling thread, unless K > 1, the design holds at least
+    `_SPLIT_ENTRIES` entries and two CPUs are usable; then there are two,
+    both built in the calling thread from views into the permuted rows,
+    and the second descends in a worker thread while the calling thread
+    descends the first. Blocks share no rows, columns or sums, so the
+    cut changes no member. The worker runs `_BlockDesign.descend` only,
+    is joined before this returns or raises, and its error, if any, is
+    raised here.
     """
     sizes = _part_sizes(len(data), K)
     if not data.labeled:
         raise ValueError("training data must be labeled")
     rows = data.subset(rng.permutation(len(data)))
-    wts = (1.0 / sizes).repeat(sizes)
-    design = _BlockDesign.build([rows.X], sizes, rows.y, wts)
-    return Ensemble(design.descend(np.zeros((K * (data.n_features + 1), 1)), steps))
+    X, d = rows.X, data.n_features
+    entries = X.nnz + len(data)
+    parts = 2 if K > 1 and entries >= _SPLIT_ENTRIES and _usable_cpus() > 1 else 1
+    designs, lo = [], 0
+    for part in np.array_split(sizes, parts):
+        hi = lo + int(part.sum())
+        ptr = X.indptr[lo : hi + 1]
+        csr = (ptr - ptr[0], X.indices[ptr[0] : ptr[-1]], X.data[ptr[0] : ptr[-1]])
+        wts = (1.0 / part).repeat(part)
+        designs.append(_BlockDesign.build(csr, d, part, rows.y[lo:hi], wts))
+        lo = hi
+    first, *rest = designs
+    # starts a thread only at submit, and joins it on leaving the block
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        later = [
+            worker.submit(design.descend, np.zeros((design.shape[1], 1)), steps)
+            for design in rest
+        ]
+        members = first.descend(np.zeros((first.shape[1], 1)), steps)
+        for future in later:
+            members += future.result()
+    return Ensemble(members)
 
 
 @dataclass

@@ -60,7 +60,6 @@ EXPORTS = [
     "threshold_class",
     "train_committee",
     "train_erm",
-    "train_erm_batch",
     "vote_majority",
     "write_libsvm",
     "zcdp_to_dp",

@@ -1,6 +1,11 @@
 """Datasets, ERM training, committees, and finite-class machinery."""
 
+import functools
+import os
+import threading
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,22 +19,26 @@ import oracles
 from privote import (
     Dataset,
     Ensemble,
+    ExperimentConfig,
     FiniteHypothesisClass,
     LinearHypothesis,
     VoteCount,
     empirical_error,
+    gen_massart,
     gen_realizable,
     gen_voting_wins,
     make_rng,
     margin_distribution_report,
+    run_experiment,
     split_disjoint,
     threshold_class,
     train_committee,
     train_erm,
-    train_erm_batch,
     vote_majority,
+    write_libsvm,
 )
-from privote.learners import _BlockDesign, _matvec, _Rows, _train_columns
+from privote import learners
+from privote.learners import _BlockDesign, _fit_weights, _matvec, _Rows, _train_columns
 
 
 def _random_data(n, d, seed, labeled=True):
@@ -218,15 +227,6 @@ def test_train_erm_validation():
             train_committee(_random_data(10, 2, 0), 2, make_rng(0), steps)
 
 
-@pytest.mark.parametrize("width", [5, 2])
-def test_train_erm_batch_rejects_blocks_of_another_width(width):
-    # a wider block's columns would land on the next block's or past the end
-    y = np.array([0, 1, 1])
-    blocks = [Dataset(np.eye(3), y), Dataset(np.eye(3, width, width - 3), y)]
-    with pytest.raises(ValueError, match=f"block 1 has {width} features, block 0 3"):
-        train_erm_batch(blocks)
-
-
 @given(st.integers(0, 10_000), st.sampled_from([np.int32, np.int64]))
 def test_matvec_equals_scipy_products(seed, index_type):
     # the descent calls scipy's private csr_matvec and csc_matvec kernels,
@@ -311,8 +311,9 @@ def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, within):
     starts = np.cumsum(sizes) - sizes
     wts = wts / np.add.reduceat(wts, starts).repeat(sizes)
     y = np.zeros(len(wts))
-    design = _BlockDesign.build([Dataset(X).X], sizes, y, wts)
+    X = Dataset(X).X
     d = X.shape[1]
+    design = _BlockDesign.build((X.indptr, X.indices, X.data), d, sizes, y, wts)
     A = np.hstack([X.toarray(), np.ones((X.shape[0], 1))])
     for k, (lo, size) in enumerate(zip(starts, sizes)):
         B, w = A[lo : lo + size], wts[lo : lo + size]
@@ -421,6 +422,153 @@ def test_committee_members_equal_lone_fits(n, K, d, seed, steps):
         _assert_matches_oracle(member, shard, steps)
 
 
+def _split_at(mp, entries, cpus):
+    """Make train_committee split designs of at least `entries` entries
+    on a host whose affinity set holds `cpus` CPUs."""
+    mp.setattr(learners, "_SPLIT_ENTRIES", entries)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _threads_started(mp, *args):
+    """train_committee(*args) and the number of threads it started,
+    having checked that it leaves none running."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    mp.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    ensemble = train_committee(*args)
+    assert threading.active_count() == before
+    return ensemble, len(started)
+
+
+def _same_bits(h, g):
+    """Equal weights and bias, bit for bit: signs of zero included."""
+    return np.array_equal(h.weights.view(np.int64), g.weights.view(np.int64)) and (
+        np.float64(h.bias).view(np.int64) == np.float64(g.bias).view(np.int64)
+    )
+
+
+@given(
+    st.integers(2, 200),
+    st.integers(2, 12),
+    st.booleans(),
+    st.integers(0, 10_000),
+    st.integers(1, 30),
+)
+@example(41, 2, False, 3, 20)  # K = 2: halves of one block, 21 and 20 rows
+@example(23, 5, True, 5, 20)  # odd K: halves of three and two blocks
+@example(22, 5, False, 7, 20)  # blocks of 5, 5, 4 | 4, 4 rows: a mixed half
+@example(2, 2, True, 1, 5)  # one row per member
+def test_two_part_committee_equals_one_part_and_lone_fits(n, K, one_hot, seed, steps):
+    # the split committee runs its second half of the blocks in a worker
+    # thread; every member must be what the one-part committee and a lone
+    # fit of its shard give, bit for bit
+    K = min(K, n)
+    rng = make_rng(seed)
+    if one_hot:
+        X = _one_hot_shard(n, _A9A_FIELDS[:4], seed)[0]
+    else:
+        X = rng.normal(size=(n, 6)) * (rng.random((n, 6)) < 0.4)
+        X[rng.random(n) < 0.2] = 0.0
+    data = Dataset(X, rng.integers(0, 2, n))
+    with pytest.MonkeyPatch.context() as mp:
+        _split_at(mp, 0, 1)
+        one, one_threads = _threads_started(mp, data, K, make_rng(seed), steps)
+        _split_at(mp, 0, 2)
+        two, two_threads = _threads_started(mp, data, K, make_rng(seed), steps)
+    assert (one_threads, two_threads) == (0, 1)
+    shards = split_disjoint(data, K, make_rng(seed))
+    assert one.size == two.size == len(shards) == K
+    for a, b, shard in zip(one.members, two.members, shards):
+        lone = train_erm(shard, steps)
+        assert _same_bits(a, lone) and _same_bits(b, lone)
+
+
+@pytest.mark.parametrize(
+    "K, gate, affinity, count, threads",
+    [
+        (1, 0, 2, 2, 0),  # K = 1
+        (3, 0, 1, 2, 0),  # a one-CPU host
+        (3, 0, None, 1, 0),  # no sched_getaffinity: os.cpu_count() decides
+        (3, 0, None, None, 0),  # ... and may not know
+        (3, 1, 2, 2, 0),  # a design one entry under the gate
+        (3, 0, 2, 2, 1),  # a design at the gate
+        (3, 0, None, 2, 1),  # ... and splits on two
+    ],
+)
+def test_committee_starts_a_thread_only_when_it_splits(
+    monkeypatch, K, gate, affinity, count, threads
+):
+    data = _sparse_data(60, 4, 2)
+    _split_at(monkeypatch, data.X.nnz + len(data) + gate, affinity or 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    ensemble, started = _threads_started(monkeypatch, data, K, make_rng(4))
+    assert started == threads
+    assert ensemble.size == K
+
+
+def test_split_committee_raises_what_either_half_raises(monkeypatch):
+    _split_at(monkeypatch, 0, 2)
+    data = _sparse_data(60, 4, 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="steps must be a positive integer"):
+        train_committee(data, 3, make_rng(0), 0)
+    assert threading.active_count() == before
+    # an error in the worker's half alone reaches the caller
+    caller = threading.current_thread()
+    descend = _BlockDesign.descend
+
+    def failing(self, W, steps):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("the worker's half failed")
+        return descend(self, W, steps)
+
+    monkeypatch.setattr(_BlockDesign, "descend", failing)
+    with pytest.raises(RuntimeError, match="the worker's half failed"):
+        train_committee(data, 3, make_rng(0))
+    assert threading.active_count() == before
+
+
+def test_split_committee_runs_no_traced_name_off_the_calling_thread(
+    monkeypatch, tmp_path
+):
+    # the benchmark's Tracer keeps one span stack for one thread, so only
+    # `_BlockDesign.descend`, which it does not trace, may run in the worker
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    threads = defaultdict(set)
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            threads[name].add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return call
+
+    for owner, attr, name, _ in tracing._targets():
+        monkeypatch.setattr(owner, attr, spy(name, owner.__dict__[attr]))
+    monkeypatch.setattr(_BlockDesign, "descend", spy("descend", _BlockDesign.descend))
+    _split_at(monkeypatch, 0, 2)
+    path = tmp_path / "massart.libsvm"
+    write_libsvm(gen_massart(6, 1200, 0.1, make_rng(3))[0], path)
+    for method in ("PsqGaussian", "Asq"):
+        run_experiment(ExperimentConfig(str(path), method, trials=1, seed=5))
+    caller = threading.get_ident()
+    assert threads.pop("descend") - {caller}, "no committee was split"
+    traced = {"learners.train_committee", "pipelines.LinearClassDescriptor.refit"}
+    assert traced <= set(threads)
+    assert {name for name, ids in threads.items() if ids != {caller}} == set()
+
+
 @given(st.integers(2, 300), st.integers(1, 20), st.integers(0, 10_000))
 @example(40, 1, 8)  # d = 1: most rows have no features
 @example(30, 40, 7)  # a row's squares sum differently in order
@@ -474,6 +622,36 @@ def test_column_fits_equal_lone_fits(case, steps):
         assert np.array_equal(h.weights, lone.weights)
         assert np.array_equal(np.signbit(h.weights), np.signbit(lone.weights))
         assert h.bias == lone.bias
+
+
+@given(_column_cases(), st.booleans())
+def test_column_step_bounds_equal_lone_bounds(case, as_probe):
+    # columns without sample weights share one bound; each column's step
+    # must still be its lone design's, bit for bit
+    X, labels, weights, inits = case
+    if as_probe:  # the probe's weights, then its two unweighted references
+        weights = weights[:1] + [None] * (len(weights) - 1)
+    rows, n = _Rows.of(X), X.shape[0]
+    designs, bound_columns = [], []
+    bound = learners._smoothness_bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BlockDesign, "descend", lambda self, W, steps: designs.append(self))
+        mp.setattr(
+            learners,
+            "_smoothness_bound",
+            lambda shape, csr, wts, K: bound_columns.append(wts.shape[1])
+            or bound(shape, csr, wts, K),
+        )
+        _train_columns(rows, labels, 1, weights, inits)
+    distinct = any(w is None for w in weights) + sum(w is not None for w in weights)
+    assert bound_columns == [distinct]
+    for b, (y, w) in enumerate(zip(labels, weights)):
+        lone = _BlockDesign.of(
+            rows.shape, rows.csr, rows.row_max, np.array([n]), y[:, None],
+            _fit_weights(n, w)[:, None],
+        )
+        step, lone_step = designs[0].step_cols[:, b], lone.step_cols[:, 0]
+        assert np.array_equal(step.view(np.int64), lone_step.view(np.int64))
 
 
 def test_duplicate_entries_fit_like_their_sums():
