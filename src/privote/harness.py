@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import bz2
 import gzip
-import io
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -86,20 +84,29 @@ def _open_bytes(path):
     return open(p, "rb")
 
 
-def _open_text(path):
-    return io.TextIOWrapper(_open_bytes(path), encoding="utf-8")
-
-
 # accepted label spellings; 2 covers datasets published with {1, 2} classes
 _LABEL_MAP = {1.0: 1, -1.0: 0, 0.0: 0, 2.0: 0}
 
-# size hint, in characters, of the block of lines converted in one pass;
-# larger blocks convert no faster and hold more token strings at once
-_BLOCK_CHARS = 1 << 18
-# leading tokens of a block sampled to decide whether to deduplicate it
-_SAMPLE = 1024
+# bytes read per block: 256 KB blocks leave freed temporaries that raise
+# the peak RSS by 1.5-2.5 MB, and 16 KB blocks lose the speed
+_BLOCK_BYTES = 1 << 16
+# the code points above 127 that str.isspace accepts; below 128 they are
+# \t \n \v \f \r, \x1c-\x1f and the space
+_WIDE_SPACES = np.array(
+    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000],
+    dtype=np.uint32,
+)
+# indices of at most 18 digits are converted with int64 arithmetic, and
+# longer ones by `int`, which also checks them against 2**63 - 1
+_MAX_DIGITS = 18
+# labels and values of at most 7 characters are keyed by their bytes in a
+# uint64, and each distinct one is converted once
+_SHORT = 7
+# _LOW_BYTES[k] keeps the low k bytes of a uint64
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_SHORT + 1)], dtype=np.uint64)
 # feature indices become column counts, which scipy keeps in int64
 _MAX_INDEX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def parse_libsvm(path) -> Dataset:
@@ -113,93 +120,254 @@ def parse_libsvm(path) -> Dataset:
     are skipped. `.gz` and `.bz2` files are decompressed on the fly. The
     first error in file order raises `LibsvmParseError` naming its line.
 
-    Lines are read in blocks of about 256k characters. In a block that
-    repeats its tokens, as one-hot data does, each distinct `idx:val`
-    token is converted once. Indices are checked with array operations,
-    and only the first line that fails them is re-read token by token, to
-    name its first bad token.
+    One tokenizer reads the file as bytes, in blocks of about 64 KB
+    (`_BLOCK_BYTES`), each cut after a line end. It finds a block's line
+    ends, token bounds, comments and colons with array operations on the
+    block's bytes, or on its code points if it holds a byte above 127,
+    with exactly str.split's whitespace. Indices of up to 18 ASCII digits
+    are converted with int64 arithmetic, each distinct label or value of
+    up to 7 characters once with `float`, and longer values by `float`
+    over one bytes.split; any other token goes through Python's `int`
+    and `float`, so every spelling they accept is read as they read it.
+    A block is checked in full, with array operations, before the next
+    is read, and only the first line that fails is re-read token by
+    token, by `_read_label` and `_check_features`, to name its error.
     """
-    labels: list[int] = []
-    counts: list[int] = []  # features per example
-    indices: list[np.ndarray] = []  # per block, 1-based
-    values: list[np.ndarray] = []
-    first_lineno = 1  # of the current block
+    labels, counts, indices, values = [], [], [], []  # per block
+    lineno = 1  # of the current block's first line
+    with _open_bytes(path) as fh:
+        for block in _blocks(fh):
+            y, n, col, val, lines = _parse_block(block, lineno)
+            labels.append(y)
+            counts.append(n)  # features per example
+            indices.append(col)  # 0-based
+            values.append(val)
+            lineno += lines
 
-    with _open_text(path) as fh:
-        while lines := _read_block(fh, path, first_lineno):
-            features: list[str] = []
-            rows: list[int] = []  # each example's position in `lines`
-            row_counts: list[int] = []
-            label_error = None
-            for i, raw in enumerate(lines):
-                tokens = raw.split("#", 1)[0].split()
-                if not tokens:
-                    continue
-                try:
-                    label = _read_label(first_lineno + i, tokens[0])
-                except LibsvmParseError as exc:
-                    # raised once the lines before it are checked
-                    label_error = exc
-                    break
-                labels.append(label)
-                rows.append(i)
-                row_counts.append(len(tokens) - 1)
-                del tokens[0]
-                features += tokens
-
-            block_idx, block_val, bad = _convert_block(features, row_counts)
-            if bad >= 0:
-                i = rows[bad]
-                tokens = lines[i].split("#", 1)[0].split()
-                _check_features(first_lineno + i, tokens[1:])
-                raise AssertionError(f"line {first_lineno + i} passed its re-check")
-            if label_error is not None:
-                raise label_error
-            counts += row_counts
-            indices.append(block_idx)
-            values.append(block_val)
-            first_lineno += len(lines)
-
-    if not labels:
+    rows = sum(map(len, labels))
+    if not rows:
         raise LibsvmParseError("no examples found")
-    col = np.concatenate(indices) - 1
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    # indptr first, so that the peak is the pieces plus one copy of each;
+    # int32 where it fits, as scipy stores it, so that it copies nothing
+    nnz = sum(map(len, indices))
+    indptr = np.zeros(rows + 1, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    col = np.concatenate(indices)
     X = sp.csr_matrix(
         (np.concatenate(values), col, indptr),
-        shape=(len(labels), int(col.max()) + 1 if col.size else 0),
+        shape=(rows, int(col.max()) + 1 if col.size else 0),
     )
-    return Dataset(X, np.asarray(labels))
+    return Dataset(X, np.concatenate(labels))
 
 
-def _read_block(fh, path, first_lineno: int) -> list[str]:
-    """The next block of lines from `fh`, which starts at `first_lineno`.
+def _blocks(fh):
+    """The bytes of `fh` in blocks of about `_BLOCK_BYTES`, each cut after
+    its last \\n, or after its last \\r that a byte other than \\n follows,
+    so that no \\r\\n pair or UTF-8 sequence is split."""
+    rest = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1 or rest.rfind(b"\r", 0, len(rest) - 1) + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
 
-    On a byte that is not UTF-8 the text reader fails before it hands over
-    the lines ahead of it, so those are re-read from the bytes, split at
-    \\n, \\r\\n or \\r as the reader splits them, and checked first.
+
+def _parse_block(block: bytes, lineno: int):
+    """Labels, feature counts, 0-based indices and values of the examples
+    in `block`, whose first line is `lineno`, and its number of line ends.
+
+    A byte that is not UTF-8 fails once the lines above it are checked.
     """
-    try:
-        return fh.readlines(_BLOCK_CHARS)
-    except UnicodeDecodeError:
-        with _open_bytes(path) as raw:
-            data = raw.read()
+    if block.isascii():
+        text = block.decode("ascii")
+        codes = np.frombuffer(block, dtype=np.uint8)
+    else:
         try:
-            data.decode("utf-8")
+            text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            bad = exc.start
-        else:  # the file has changed since
-            raise
-    text = data[:bad].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    for lineno in range(first_lineno, len(lines)):
-        tokens = lines[lineno - 1].split("#", 1)[0].split()
-        if tokens:
-            _read_label(lineno, tokens[0])
-            _check_features(lineno, tokens[1:])
-    raise LibsvmParseError(
-        f"line {len(lines)}: byte {data[bad]:#04x} is not valid UTF-8"
+            head = block[: exc.start]
+            cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+            lines = _parse_block(head[:cut], lineno)[-1]
+            raise LibsvmParseError(
+                f"line {lineno + lines}: byte {block[exc.start]:#04x} is not valid UTF-8"
+            ) from None
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    return _tokenize(codes, text, lineno)
+
+
+def _spaces(codes: np.ndarray) -> np.ndarray:
+    """Mask of the code points that str.isspace accepts."""
+    shifted = codes - codes.dtype.type(9)  # wraps below 9
+    spaces = (shifted < 5) | ((shifted >= 19) & (shifted <= 23))
+    if codes.dtype != np.uint8:
+        spaces |= np.isin(codes, _WIDE_SPACES)
+    return spaces
+
+
+def _tokenize(c: np.ndarray, text: str, lineno: int):
+    """`_parse_block` on the code points `c` of `text`."""
+    n = c.size
+    # line k ends at ends[k]: a \n, or a \r that no \n follows
+    ends = np.flatnonzero(c == 10)
+    cr = np.flatnonzero(c == 13)
+    if cr.size:
+        lone = cr[(cr == n - 1) | (c.take(cr + 1, mode="clip") != 10)]
+        ends = np.union1d(ends, lone)
+    bounds = np.flatnonzero(np.diff(_spaces(c), prepend=True, append=True))
+    starts, stops = bounds[0::2], bounds[1::2]
+    hashes = np.flatnonzero(c == 35)
+    if hashes.size:
+        # a comment runs from the first '#' of a line to the line's end
+        line = np.searchsorted(ends, starts)
+        at = np.searchsorted(ends, hashes)
+        lead = np.r_[True, at[1:] != at[:-1]]  # each line's first '#'
+        comment = np.full(ends.size + 1, n)
+        comment[at[lead]] = hashes[lead]
+        stops = np.minimum(stops, comment[line])
+        keep = starts < stops
+        starts, stops = starts[keep], stops[keep]
+    if not starts.size:
+        empty = np.zeros(0, dtype=np.int32)
+        return np.zeros(0, dtype=np.int_), empty, empty, np.zeros(0), ends.size
+
+    # a line's first token is its label, and every other token a feature
+    head = np.zeros(starts.size + 1, dtype=bool)
+    head[np.searchsorted(starts, ends)] = True
+    head[0] = True
+    head = head[:-1]
+    examples = np.flatnonzero(head)
+    feature = np.flatnonzero(~head)
+    fs, fe = starts[feature], stops[feature]
+    colons = np.flatnonzero(c == 58)
+    if colons.size == fs.size and (fs < colons).all() and (colons < fe).all():
+        col, one = colons, True  # one colon in each feature, and no other
+    else:
+        colons = np.append(colons, [n, n])
+        at = np.searchsorted(colons, fs)
+        col, one = colons[at], colons[at + 1] >= fe
+    wide = np.zeros(starts.size, dtype=bool)
+    if c.dtype != np.uint8:
+        above = np.append(np.flatnonzero(c > 127), n)
+        wide = above[np.searchsorted(above, starts)] < stops
+
+    # a plain feature is `digits:value` in ASCII, with up to 18 digits,
+    # so that its index stays below 2**63 - 1 in int64 arithmetic
+    digits = col - fs
+    plain = one & ~wide[feature] & (digits >= 1) & (digits <= _MAX_DIGITS) & (fe - col > 1)
+    digits[~plain] = 0
+    idx = np.zeros(fs.size, dtype=np.int64)
+    for k in range(int(digits.max(initial=0))):
+        digit = c.take(fs + k, mode="clip") - c.dtype.type(48)  # wraps below '0'
+        plain &= (digits <= k) | (digit <= 9)
+        idx = np.where(plain & (digits > k), idx * 10 + digit, idx)
+
+    # each ASCII label and each plain feature's value through _floats,
+    # and every other token through Python's `float` and `int`
+    ascii_label = ~wide[examples]
+    labeled = examples[ascii_label]
+    valued = np.flatnonzero(plain)
+    out = _floats(
+        c if c.dtype == np.uint8 else c.astype(np.uint8),
+        np.concatenate([starts[labeled], col[valued] + 1]),
+        np.concatenate([stops[labeled], fe[valued]]),
     )
+    label = np.full(examples.size, np.nan)
+    label[ascii_label] = out[: labeled.size]
+    value = np.full(fs.size, np.nan)
+    value[valued] = out[labeled.size :]
+    for k in np.flatnonzero(~ascii_label).tolist():
+        label[k] = _float_or_nan(text[starts[examples[k]] : stops[examples[k]]])
+    for k in np.flatnonzero(~plain).tolist():
+        idx[k], value[k] = _odd_feature(text[fs[k] : fe[k]])
+
+    bad = ~np.isfinite(value) | (idx < 1)
+    # an index must exceed the one before it on its line
+    bad[1:] |= (idx[1:] <= idx[:-1]) & ~head[feature[1:] - 1]
+    unknown = ~((label == 1) | (label == -1) | (label == 0) | (label == 2))
+    failed = np.concatenate(
+        [np.flatnonzero(unknown), np.searchsorted(examples, feature[bad]) - 1]
+    )
+    if failed.size:
+        line = np.searchsorted(ends, starts[examples[failed.min()]])
+        _raise_at(text, ends, int(line), lineno)
+
+    count = (np.diff(examples, append=starts.size) - 1).astype(np.int32)
+    idx -= 1
+    if idx.max(initial=0) <= _INT32_MAX:
+        idx = idx.astype(np.int32)
+    return (label == 1).astype(np.int_), count, idx, value, ends.size
+
+
+def _floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """`float` of each field c[begin:end] of ASCII bytes, NaN where it
+    fails. Each distinct short field is converted once."""
+    out = np.empty(begin.size)
+    length = end - begin
+    short = np.flatnonzero(length <= _SHORT)
+    if short.size:
+        # a short field's key holds its length in the low byte and its
+        # bytes above it, read as a uint64 from the eight at its start
+        padded = np.concatenate([c, np.zeros(8, dtype=np.uint8)])
+        eight = np.ndarray(c.shape, dtype="<u8", buffer=padded, strides=(1,))
+        size = length[short]
+        key = eight.take(begin[short]) & _LOW_BYTES[size]
+        key = key << np.uint64(8) | size.astype(np.uint64)
+        distinct = np.sort(key)
+        distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
+        inverse = np.searchsorted(distinct, key)
+        one = np.empty(distinct.size, dtype=np.intp)
+        one[inverse] = short  # a field that spells each key
+        out[short] = _split_floats(c, begin[one], end[one])[inverse]
+    rest = np.flatnonzero(length > _SHORT)
+    if rest.size:
+        out[rest] = _split_floats(c, begin[rest], end[rest])
+    return out
+
+
+def _split_floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """`float` of each field, from one bytes.split of the fields gathered
+    with a space after each; fields hold no whitespace, so none splits."""
+    size = end - begin + 1
+    offset = np.cumsum(size) - size
+    at = np.repeat(begin - offset, size) + np.arange(int(size.sum()))
+    gathered = c.take(at, mode="clip")  # a field may end the block
+    gathered[offset + size - 1] = 32
+    words = gathered.tobytes().split()
+    try:
+        return np.fromiter(map(float, words), dtype=np.float64, count=len(words))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, words), dtype=np.float64, count=len(words))
+
+
+def _float_or_nan(token) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
+def _odd_feature(token: str) -> tuple[int, float]:
+    """Index and value of a feature token that is not plain; an index of
+    0 marks one that `_check_features` rejects on its own."""
+    idx_str, _, val_str = token.partition(":")
+    try:
+        idx, val = int(idx_str), float(val_str)
+    except ValueError:
+        return 0, math.nan
+    return (idx if 0 < idx <= _MAX_INDEX else 0), val
+
+
+def _raise_at(text: str, ends: np.ndarray, line: int, lineno: int) -> None:
+    """Re-read line `line` of a block to raise its first error."""
+    start = int(ends[line - 1]) + 1 if line else 0
+    stop = int(ends[line]) if line < ends.size else len(text)
+    tokens = text[start:stop].split("#", 1)[0].split()
+    _read_label(lineno + line, tokens[0])
+    _check_features(lineno + line, tokens[1:])
+    raise AssertionError(f"line {lineno + line} passed its re-check")
 
 
 def _read_label(lineno: int, token: str) -> int:
@@ -244,87 +412,6 @@ def _check_features(lineno: int, tokens) -> None:
                 f"line {lineno}: feature index {idx} does not increase"
             )
         previous = idx
-
-
-def _bad_token(token: str) -> bool:
-    try:
-        _check_features(0, (token,))
-    except LibsvmParseError:
-        return True
-    return False
-
-
-def _one_colon_each(joined: str, n: int) -> bool:
-    """Whether each of the n newline-separated tokens has exactly one ':'."""
-    text = np.frombuffer(joined.encode(), dtype=np.uint8)
-    colons = np.flatnonzero(text == ord(":"))
-    if len(colons) != n:
-        return False
-    newlines = np.flatnonzero(text == ord("\n"))
-    return bool((colons[:-1] < newlines).all() and (colons[1:] > newlines).all())
-
-
-def _convert_tokens(tokens: list[str]):
-    """1-based indices and values of `idx:val` tokens, plus a mask of the
-    tokens `_check_features` rejects on their own.
-
-    With a bad token among them the values are None and a bad token's
-    index is 1, so that the increase test can still run.
-    """
-    n = len(tokens)
-    joined = "\n".join(tokens)
-    if _one_colon_each(joined, n):
-        parts = joined.replace(":", "\n").split("\n")
-        try:
-            # an index above _MAX_INDEX overflows int64 here
-            idx = np.fromiter(map(int, parts[0::2]), np.int64, n)
-            val = np.fromiter(map(float, parts[1::2]), np.float64, n)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            return idx, val, (idx < 1) | ~np.isfinite(val)
-    bad = np.fromiter(map(_bad_token, tokens), bool, n)
-    idx = np.fromiter(
-        (1 if b else int(t.partition(":")[0]) for b, t in zip(bad, tokens)),
-        np.int64,
-        n,
-    )
-    return idx, None, bad
-
-
-def _convert_block(tokens: list[str], counts: list[int]):
-    """1-based indices and values of a block's feature tokens.
-
-    `counts` splits `tokens` into examples. When the block repeats its
-    tokens (half or fewer of its first `_SAMPLE` are distinct), each
-    distinct token is converted once and the results are gathered
-    through per-token codes. The third item is the first example that
-    `_check_features` rejects, or -1.
-    """
-    n = len(tokens)
-    if not n:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64), -1
-    sample = tokens[:_SAMPLE]
-    if 2 * len(set(sample)) <= len(sample):
-        distinct = list(dict.fromkeys(tokens))
-        code_of = dict(zip(distinct, range(len(distinct))))
-        codes = np.fromiter(map(code_of.__getitem__, tokens), np.intp, n)
-        idx, val, bad = _convert_tokens(distinct)
-        idx, bad = idx[codes], bad[codes]
-        if val is not None:
-            val = val[codes]
-    else:
-        idx, val, bad = _convert_tokens(tokens)
-    ends = np.cumsum(counts)
-    failed = np.zeros(n, dtype=bool)
-    # an index not above its predecessor, except where an example starts
-    np.less_equal(idx[1:], idx[:-1], out=failed[1:])
-    failed[ends[ends < n]] = False
-    failed |= bad
-    if not failed.any():
-        return idx, val, -1
-    first = int(np.argmax(failed))
-    return None, None, int(np.searchsorted(ends, first, side="right"))
 
 
 def write_libsvm(data: Dataset, path) -> None:
@@ -391,6 +478,12 @@ class ExperimentConfig:
     sensitive points. svt_T=None gives PsqSvt the public cutoff
     `compute_svt_params(student pool size, 0.0, 0.05, budget)`, which
     reads nothing of the sensitive data.
+
+    The privacy guarantee is for replace-one neighbours: data sets of the
+    same size that differ in one example. The defaults of delta and K
+    read the teacher pool's size, which is public only under that
+    relation, and a vote count has sensitivity 1 only under it, as one
+    replaced example changes one teacher's shard.
     """
 
     dataset: str

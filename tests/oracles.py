@@ -417,7 +417,9 @@ def reference_parse_libsvm(path):
     1-based in the file, strictly increasing within a line, and stored
     0-based. Anything after '#' on a line is a comment.
     """
-    from privote.harness import _LABEL_MAP, LibsvmParseError, _open_text
+    import io
+
+    from privote.harness import _LABEL_MAP, LibsvmParseError, _open_bytes
     from privote.learners import Dataset
 
     labels: list[int] = []
@@ -426,7 +428,7 @@ def reference_parse_libsvm(path):
     values: list[float] = []
     max_index = -1
 
-    with _open_text(path) as fh:
+    with io.TextIOWrapper(_open_bytes(path), encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -274,14 +274,18 @@ GOLDEN = Path(__file__).parent / "data"
          "asq_massart_trials2_seed7.csv"),
         ("psq --dataset realizable --method PsqSvt --trials 2 --seed 7",
          "psq_svt_realizable_trials2_seed7.csv"),
+        ("psq --dataset tests/data/mixed.libsvm.gz --trials 2 --seed 7",
+         "psq_mixed_trials2_seed7.csv"),
     ],
 )
-def test_seeded_runs_print_the_committed_csv(capsys, argv, name):
+def test_seeded_runs_print_the_committed_csv(capsys, monkeypatch, argv, name):
     """Two seeded runs print their committed trial CSVs byte for byte.
 
-    The files under tests/data are the output of `privote <argv>`. A
+    The files under tests/data are the output of `privote <argv>`, run
+    from the repository root, as the dataset column holds the path. A
     change that alters seeded outputs on purpose regenerates them with
     those commands and says so in CHANGES.md; no other change may.
     """
+    monkeypatch.chdir(GOLDEN.parent.parent)
     assert main(argv.split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

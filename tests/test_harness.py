@@ -5,7 +5,9 @@ import gzip
 import json
 import math
 import re
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -135,7 +137,7 @@ def test_parse_libsvm_first_error_across_blocks(tmp_path):
     f.write_text(good + "1 2:1 2:1\n" + good + "x 1:1\n")
     g = tmp_path / "label.txt"
     g.write_text(good + "1 2:1 3:nan\nx 1:1\n")
-    with mock.patch.object(harness, "_BLOCK_CHARS", 64):
+    with mock.patch.object(harness, "_BLOCK_BYTES", 64):
         with pytest.raises(LibsvmParseError, match="^line 40: feature index 2 does"):
             parse_libsvm(f)
         with pytest.raises(LibsvmParseError, match="^line 40: non-finite"):
@@ -178,20 +180,31 @@ def test_parse_libsvm_error_above_bad_byte_wins(tmp_path):
         (good + b"1 2:1 2:1\n" + good + b"\xe9\n", "^line 40: feature index 2 does"),
         (good + b"1 2:1 3:1\n" + good + b"\xe9\n", "^line 80: byte 0xe9"),
     ]
-    for block_chars in (64, 1 << 18):
-        with mock.patch.object(harness, "_BLOCK_CHARS", block_chars):
+    for block_bytes in (64, 1 << 16):
+        with mock.patch.object(harness, "_BLOCK_BYTES", block_bytes):
             for data, message in cases:
                 for path in _write_variants(tmp_path, data):
                     with pytest.raises(LibsvmParseError, match=message):
                         parse_libsvm(path)
 
 
-def _spell_index(draw, idx: int) -> str:
+# zeros of other decimal digit runs, which `int` and `float` read too
+_DIGIT_ZEROS = [0x660, 0x966, 0xFF10]
+
+
+def _spell_digits(draw, text: str, wide: bool) -> str:
+    if not wide or not draw(st.booleans()):
+        return text
+    zero = draw(st.sampled_from(_DIGIT_ZEROS))
+    return "".join(chr(zero + int(ch)) if ch.isdigit() else ch for ch in text)
+
+
+def _spell_index(draw, idx: int, wide: bool) -> str:
     digits = str(idx).zfill(draw(st.integers(0, 3)) + len(str(idx)))
     if len(digits) > 1 and draw(st.booleans()):
         cut = draw(st.integers(1, len(digits) - 1))
         digits = digits[:cut] + "_" + digits[cut:]
-    return draw(st.sampled_from(["", "", "+"])) + digits
+    return draw(st.sampled_from(["", "", "+"])) + _spell_digits(draw, digits, wide)
 
 
 _VALUE = st.one_of(
@@ -205,13 +218,19 @@ _ODD = st.integers(0, 59).map(lambda k: k == 0)
 _ODD_LINE = st.integers(0, 14).map(lambda k: k == 0)
 _ODD_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e999", "NaN"])
 _ODD_INDEX = st.sampled_from([0, -1, 2**63 - 1, 2**63, 10**20])
-_GAP = st.sampled_from([" ", " ", "\t", "\x0b", "\x0c", "  "])
+# str.split gaps: those bytes.split also takes, \x1c-\x1f, which it does
+# not, and in texts with wide characters the whitespace above 127
+_GAPS = [" ", " ", "\t", "\x0b", "\x0c", "  ", "\x1c", "\x1d", "\x1e", "\x1f"]
+_WIDE_GAPS = ["\xa0", "\u2003", "\u3000", "\x85", " \xa0"]
 
 
 @st.composite
 def libsvm_texts(draw) -> str:
     """LIBSVM text with the spellings the format allows, a few that it
-    does not, and random one-character corruptions."""
+    does not, and random one-character corruptions. About half the texts
+    also hold wide characters: gaps above 127 and digits of other runs."""
+    wide = draw(st.booleans())
+    gap = st.sampled_from(_GAPS + _WIDE_GAPS if wide else _GAPS)
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["example"] * 5 + ["blank", "comment"]))
@@ -225,22 +244,27 @@ def libsvm_texts(draw) -> str:
                 idxs.append(draw(_ODD_INDEX))
             if not draw(_ODD_LINE):
                 idxs = sorted(set(idxs))
-            parts = [draw(st.sampled_from(["+1", "-1", "1", "0", "2", "1.0"]))]
+            label = draw(st.sampled_from(["+1", "-1", "1", "0", "2", "1.0"]))
+            parts = [_spell_digits(draw, label, wide)]
             parts += [
-                _spell_index(draw, i) + ":" + draw(_ODD_VALUE if odd else _VALUE)
+                _spell_index(draw, i, wide)
+                + ":"
+                + (draw(_ODD_VALUE) if odd else _spell_digits(draw, draw(_VALUE), wide))
                 for i, odd in zip(idxs, draw(st.lists(_ODD, min_size=len(idxs))))
             ]
-            line = parts[0]
+            line = draw(st.sampled_from(["", "", "", " "])) + parts[0]
             for part in parts[1:]:
-                line += draw(_GAP) + part
-            line += draw(st.sampled_from(["", "", " ", "\t", " # tail"]))
-        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+                line += draw(gap) + part
+            line += draw(st.sampled_from(["", "", " ", "\t", " # tail", "#x", "#1:2"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # a last line with no line end
     text = "".join(lines)
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         if not text:
             break
         at = draw(st.integers(0, len(text) - 1))
-        char = draw(st.sampled_from(list(":#+-._e0 9\t\n\r\x0bx")))
+        char = draw(st.sampled_from(list(":#+-._e0 9\t\n\r\x0bx\x1c\xa0\u0663")))
         cut = draw(st.sampled_from([0, 1]))  # insert, or replace
         text = text[:at] + char + text[at + cut:]
     return text
@@ -260,25 +284,21 @@ def _first_line(message: str) -> int:
     return int(re.match(r"line (\d+):", message).group(1))
 
 
-@given(
-    libsvm_texts(),
-    st.sampled_from([1, 64, 1 << 20]),
-    st.sampled_from([0, 1, 1024]),
-)
-@example("1 1:1\n-1 2:1\n", 1 << 20, 0)
-@example("1 1:2:3 4\n", 1 << 20, 1)  # colons off by one twice
-@example("1 2:1 1:1\n", 1 << 20, 0)
-@example("1 1:1 2:1\n-1 2:1 1:1\n", 1 << 20, 1)
-@example("1 1:nan\n-1 0:1\n", 1 << 20, 0)
-@example("1 1:1\n-1 99999999999999999999:1\n", 1 << 20, 1024)
-def test_parse_libsvm_matches_reference(text, block_chars, sample):
+@given(libsvm_texts(), st.sampled_from([1, 64, 1 << 20]))
+@example("1 1:1\n-1 2:1\n", 1 << 20)
+@example("1 1:2:3 4\n", 1 << 20)  # colons off by one twice
+@example("1 2:1 1:1\n", 1 << 20)
+@example("1 1:1 2:1\n-1 2:1 1:1\n", 1 << 20)
+@example("1 1:nan\n-1 0:1\n", 1 << 20)
+@example("1 1:1\n-1 99999999999999999999:1\n", 1 << 20)
+@example("1\xa0\u0661\u0662:\uff15\x1c13:1#x\r-1 2:1", 64)
+def test_parse_libsvm_matches_reference(text, block_bytes):
     """Same arrays, dtypes and errors as the token-at-a-time reader.
 
-    Blocks of 1 and 64 characters split the text across many blocks;
-    a `_SAMPLE` of 0 always converts distinct tokens through codes, 1
-    never does. The exceptions are the two inputs rejected on purpose:
-    non-finite values and indices above 2**63 - 1. Where those fail, the
-    reference must accept the file or fail no earlier.
+    Blocks of 1 and 64 bytes split the text across many blocks. The
+    exceptions are the two inputs rejected on purpose: non-finite values
+    and indices above 2**63 - 1. Where those fail, the reference must
+    accept the file or fail no earlier.
     """
     with tempfile.TemporaryDirectory() as tmp:
         plain = Path(tmp) / "d.txt"
@@ -286,7 +306,7 @@ def test_parse_libsvm_matches_reference(text, block_chars, sample):
         (Path(tmp) / "d.txt.gz").write_bytes(gzip.compress(text.encode()))
         (Path(tmp) / "d.txt.bz2").write_bytes(bz2.compress(text.encode()))
         expected = _outcome(oracles.reference_parse_libsvm, plain)
-        with mock.patch.multiple(harness, _BLOCK_CHARS=block_chars, _SAMPLE=sample):
+        with mock.patch.object(harness, "_BLOCK_BYTES", block_bytes):
             for name in ("d.txt", "d.txt.gz", "d.txt.bz2"):
                 got = _outcome(parse_libsvm, Path(tmp) / name)
                 if got[0] is LibsvmParseError and (
@@ -296,6 +316,49 @@ def test_parse_libsvm_matches_reference(text, block_chars, sample):
                         assert _first_line(expected[1]) >= _first_line(got[1])
                     continue
                 assert got == expected
+
+
+def test_tokenizer_gaps_are_what_str_split_takes():
+    every = np.arange(sys.maxunicode + 1, dtype=np.uint32)
+    spaces = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(np.flatnonzero(harness._spaces(every)).tolist()) == spaces
+    ascii = np.arange(128, dtype=np.uint8)
+    assert set(np.flatnonzero(harness._spaces(ascii)).tolist()) == {c for c in spaces if c < 128}
+
+
+def _one_hot_text(rows: int, rng) -> str:
+    codes = rng.integers(0, 8, size=(rows, 14)) + 8 * np.arange(14) + 1
+    return "".join(
+        f"{label} " + " ".join(f"{j}:1.0" for j in row) + "\n"
+        for label, row in zip(rng.choice(["+1", "-1"], rows), codes.tolist())
+    )
+
+
+def test_parse_libsvm_memory_does_not_grow_with_the_file(tmp_path):
+    """The parse holds one block's temporaries at a time. Its peak, less
+    twice the returned arrays (the per-block pieces plus their
+    concatenation), grows by at most a quarter for a file four times as
+    long; a tokenizer over the whole file needs about four times as much.
+    The figure shrinks instead once the returned arrays outgrow one
+    block's temporaries, so the bound is one-sided."""
+    rng = np.random.default_rng(5)
+    figures = []
+    for rows in (6_000, 24_000):
+        path = tmp_path / f"{rows}.txt"
+        path.write_text(_one_hot_text(rows, rng))
+        assert path.stat().st_size > 8 * harness._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = parse_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        X = data.X
+        returned = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + data.y.nbytes
+        figures.append(peak - 2 * returned)
+    small, large = figures
+    assert 0 < small and large <= 1.25 * small, figures
 
 
 # ---------------------------------------------------------------------------
