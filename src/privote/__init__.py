@@ -49,7 +49,6 @@ from .learners import (
     LinearHypothesis,
     empirical_error,
     margin_distribution_report,
-    split_disjoint,
     threshold_class,
     train_committee,
     train_erm,

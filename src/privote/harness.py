@@ -157,7 +157,10 @@ def parse_libsvm(path) -> Dataset:
         (np.concatenate(values), col, indptr),
         shape=(rows, int(col.max()) + 1 if col.size else 0),
     )
-    return Dataset(X, np.concatenate(labels))
+    y = np.concatenate(labels)
+    # the pieces go before Dataset takes its own copy of the labels
+    del labels, counts, indices, values
+    return Dataset(X, y)
 
 
 def _blocks(fh):
@@ -495,7 +498,6 @@ class ExperimentConfig:
     fractions: tuple[float, float, float] = (0.8, 0.02, 0.18)
     K: int | None = None
     query_fraction: float = 0.3
-    gamma: float = 0.1
     svt_T: int | None = None
     synth_n: int = 4000
     generator_params: dict = field(default_factory=dict)
@@ -641,7 +643,6 @@ def _run_trial(
             K=K,
             query_budget=max(1, round(config.query_fraction * len(student))),
             budget=budget,
-            gamma=config.gamma,
         )
         _, report = pate_asq(teacher, student, test, cfg, rng)
     elif method == "PsqSvt":

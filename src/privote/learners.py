@@ -27,7 +27,6 @@ seeded output.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,7 +45,6 @@ __all__ = [
     "Ensemble",
     "FiniteHypothesisClass",
     "threshold_class",
-    "split_disjoint",
     "train_erm",
     "empirical_error",
     "train_committee",
@@ -194,12 +192,11 @@ def train_erm(
     A committee member (`train_committee`) or a column of the active
     probe (`_train_columns`) on the same rows equals this fit bit for
     bit: every floating-point operation that reaches its weights is the
-    one this fit makes, in the same order. Two places need care. The bias
-    gradient is numpy's pairwise sum over a block's contiguous slice,
-    taken through views built once per fit (np.add.reduceat rounds
-    differently; see `_BlockDesign.descend`), while L sums each row's
-    squares with reduceat, and its power steps sum in row order through
-    the same kernels and take maxima and quotients within the block.
+    one this fit makes, in the same order. The bias is one more column,
+    so the transpose kernel sums its gradient in row order like every
+    weight's; L sums each row's squares with reduceat, and its power
+    steps sum in row order through the same kernels and take maxima and
+    quotients within the block.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -357,11 +354,11 @@ class _BlockDesign:
     shape and raw CSR arrays of one index dtype; no scipy matrix. Rows
     keep their entries' order, so `_matvec` of x adds the same terms in
     the same order as a lone fit's `X @ w + b`, the bias last, and the
-    transposed `_matvec` of coef gives each block's weight gradient; its
-    bias entries are sums in row order, which `descend` replaces with
-    pairwise ones. The labels' signs enter negated, so that product is
-    the gradient itself: negation commutes with IEEE rounding. Every
-    per-row array is rows by B, every per-column one columns by B.
+    transposed `_matvec` of coef gives each block's gradient, the bias's
+    a sum in row order like every weight's. The labels' signs enter
+    negated, so that product is the gradient itself: negation commutes
+    with IEEE rounding. Every per-row array is rows by B, every
+    per-column one columns by B.
 
     `of` sets each block's and column's step to 1/L, L a quarter of the
     least of the block's largest squared row norm and `_smoothness_bound`,
@@ -373,8 +370,7 @@ class _BlockDesign:
     csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
     neg_signs: np.ndarray
     neg_wts: np.ndarray
-    # (first block, first row, blocks, rows per block) of each equal-size run
-    runs: list[tuple[int, int, int, int]]
+    blocks: int
     step_cols: np.ndarray
 
     @classmethod
@@ -399,11 +395,6 @@ class _BlockDesign:
         of wts, rows by at most B (by column b if weight_of is None), and
         each block's step bound is computed once per column of wts."""
         K = len(sizes)
-        runs, first, lo = [], 0, 0
-        for size, blocks in itertools.groupby(sizes.tolist()):
-            count = len(list(blocks))
-            runs.append((first, lo, count, size))
-            first, lo = first + count, lo + count * size
         neg_signs = 1.0 - 2.0 * Y
         bound = np.minimum(
             np.reshape(row_max, (K, 1)), _smoothness_bound(shape, csr, wts, K)
@@ -415,7 +406,7 @@ class _BlockDesign:
             csr=csr,
             neg_signs=neg_signs,
             neg_wts=wts * neg_signs,
-            runs=runs,
+            blocks=K,
             step_cols=(1.0 / (0.25 * bound)).repeat(shape[1] // K, axis=0),
         )
 
@@ -424,28 +415,13 @@ class _BlockDesign:
         weights, then the bias, of every block in turn; block-major."""
         if steps < 1 or steps != int(steps):
             raise ValueError("steps must be a positive integer")
-        (n, width), B = self.shape, W.shape[1]
-        K = sum(count for _, _, count, _ in self.runs)
+        (n, width), B, K = self.shape, W.shape[1], self.blocks
         d = width // K - 1
         # x is x_k and x_prev is x_{k-1}
         x = W.astype(float)
         x_prev = x.copy()
         scores = np.empty((n, B))
         grad = np.empty((width, B))
-        G = grad.reshape(K, d + 1, B)
-        # a run of equal-size blocks sums each column's coefficients as the
-        # rows of a 3-D view into its bias gradients: numpy sums each
-        # contiguous row pairwise, exactly as it sums the 1-D slice
-        # coef[lo:hi]; with B > 1, the view is of a contiguous copy, as a
-        # strided sum down a column of coef would round differently
-        coef_t = scores.T if B == 1 else np.empty((B, n))
-        bias_sums = [
-            (
-                coef_t[:, lo : lo + count * size].reshape(B, count, size),
-                G[i : i + count, d].T,
-            )
-            for i, lo, count, size in self.runs
-        ]
         for k in range(int(steps)):
             # the extrapolated point y = x + beta * (x - x_prev), built in
             # x_prev's buffer, which then takes x_{k+1}
@@ -458,10 +434,6 @@ class _BlockDesign:
             coef = expit(scores, out=scores)
             coef *= self.neg_wts
             _matvec(self.shape, self.csr, coef, grad, transpose=True)
-            if B > 1:
-                np.copyto(coef_t, coef.T)
-            for rows, sums in bias_sums:
-                np.add.reduce(rows, axis=2, out=sums)
             grad *= self.step_cols
             y -= grad
             x_prev, x = x, y

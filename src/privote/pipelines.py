@@ -102,15 +102,12 @@ class AsqConfig:
     K: int
     query_budget: int
     budget: PrivacyBudget | None  # None: exact majority, no privacy
-    gamma: float = 0.1
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError("K must be positive")
         if self.query_budget < 1:
             raise ValueError("query_budget must be positive")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
 
 
 def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Dataset, K: int) -> None:
@@ -220,10 +217,16 @@ class FiniteClassDescriptor:
     At each update a member is dropped once its mistakes on Q exceed the
     best live member's by more than base + sqrt(best * base), where
     base = log 2 + log(1/gamma_j): the tolerance for VC dimension 1 with
-    disagreement coefficient 2.
+    disagreement coefficient 2, at confidence level gamma_j =
+    gamma / log2(2j)^2 for stream position j.
     """
 
     hclass: FiniteHypothesisClass
+    gamma: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError("gamma must lie in (0, 1)")
 
     def init_state(self) -> ActiveState:
         alive = np.ones(self.hclass.n_members, dtype=bool)
@@ -251,8 +254,8 @@ class FiniteClassDescriptor:
         state.memo = tally
         return tally.counts
 
-    def update(self, state: ActiveState, j: int, gamma: float) -> None:
-        gamma_j = gamma / math.log2(2 * j) ** 2
+    def update(self, state: ActiveState, j: int) -> None:
+        gamma_j = self.gamma / math.log2(2 * j) ** 2
         mistakes = self._mistakes(state)
         best = int(mistakes[state.alive].min())
         # log(theta) + log(1/gamma_j) at VC dimension 1 and theta = 2
@@ -410,7 +413,7 @@ class LinearClassDescriptor:
         probe_errors = int((probe_ones[:n] != y).sum())
         return probe_errors <= base_errors + slack * n
 
-    def update(self, state: ActiveState, j: int, gamma: float) -> None:
+    def update(self, state: ActiveState, j: int) -> None:
         self.refit(state)
 
     def refit(self, state: ActiveState) -> None:
@@ -420,17 +423,17 @@ class LinearClassDescriptor:
             )
 
 
-def active_update_version_space(state: ActiveState, j: int, gamma: float) -> ActiveState:
+def active_update_version_space(state: ActiveState, j: int) -> ActiveState:
     """Shrink the version space at stream position j (a power of two).
 
     Finite classes drop every member whose mistake count on Q exceeds the
-    best live member's by more than the confidence tolerance at level
-    gamma_j = gamma / log2(2j)^2. Linear classes refresh the hypothesis by
+    best live member's by more than the confidence tolerance at the
+    descriptor's level gamma_j. Linear classes refresh the hypothesis by
     retraining on Q.
     """
     if j < 1 or 2 ** int(math.log2(j)) != j:
         raise ValueError("updates happen on the doubling schedule")
-    state.descriptor.update(state, j, gamma)
+    state.descriptor.update(state, j)
     return state
 
 
@@ -439,7 +442,6 @@ def run_active_learning(
     stream,
     oracle: Callable[[Any, int], int],
     query_budget: int,
-    gamma: float,
     slack: float | None = None,
 ) -> ActiveState:
     """Drive the disagreement learner down a fixed stream.
@@ -468,7 +470,7 @@ def run_active_learning(
             state.xs.append(x)
             state.c += 1
         if j & (j - 1) == 0:
-            active_update_version_space(state, j, gamma)
+            active_update_version_space(state, j)
         if state.c >= query_budget:
             break
     descriptor.refit(state)
@@ -511,7 +513,6 @@ def pate_asq(
         ),
         lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
         config.query_budget,
-        config.gamma,
     )
     report = RunReport(
         queries=state.c,

@@ -20,8 +20,10 @@ no budget changes nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -269,7 +271,9 @@ def reference_train_erm(data, steps, sample_weight=None, init=None):
         scores = signs * (np.asarray(X @ yw).ravel() + yb)
         coef = wts * signs * expit(-scores)
         grad_w = -(X.T @ coef)
-        grad_b = -coef.sum()
+        # the bias column's terms in row order from +0.0, as the transpose
+        # product sums every column
+        grad_b = -functools.reduce(operator.add, coef.tolist(), 0.0)
         w_prev, w = w, yw - step * grad_w
         b_prev, b = b, yb - step * grad_b
     return w, b
@@ -327,7 +331,7 @@ class ReferenceLinearDescriptor:
         probe_errors = int((h.predict(pool.X) != pool.y).sum())
         return probe_errors <= base_errors + slack * len(pool)
 
-    def update(self, state, j, gamma):
+    def update(self, state, j):
         self.refit(state)
 
     def refit(self, state):
@@ -400,7 +404,6 @@ def _drive_asq(student_pool, config, oracle):
         stream,
         oracle,
         config.query_budget,
-        config.gamma,
     )
 
 

@@ -397,9 +397,9 @@ def test_criterion_8_label_savings():
         cut = rng.uniform(0.1, 0.9)
         labels = (points >= cut).astype(np.int64)
         hclass = threshold_class(points)
-        descriptor = FiniteClassDescriptor(hclass)
+        descriptor = FiniteClassDescriptor(hclass, gamma=0.25)
         state = run_active_learning(
-            descriptor, range(m), lambda x, i: int(labels[i]), m, gamma=0.25
+            descriptor, range(m), lambda x, i: int(labels[i]), m
         )
         order = np.sort(points)
 

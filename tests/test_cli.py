@@ -89,7 +89,7 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # "mystery" never existed; the others are removed fields
-    for key in ("mystery", "bot_policy", "svt_beta"):
+    for key in ("mystery", "bot_policy", "svt_beta", "gamma"):
         cfg.write_text(json.dumps({"synth_n": 400, key: 1}))
         code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
         assert code == 1

@@ -54,7 +54,6 @@ EXPORTS = [
     "run_experiment",
     "sample_gaussian",
     "sample_laplace",
-    "split_disjoint",
     "split_protocol",
     "svt_threshold_w",
     "threshold_class",

@@ -334,31 +334,46 @@ def _one_hot_text(rows: int, rng) -> str:
     )
 
 
+def _parse_peak_over_returned(tmp_path, rows: int, rng) -> int:
+    """The peak bytes of parsing a one-hot file of these rows, less twice
+    the returned arrays (the per-block pieces plus their concatenation)."""
+    path = tmp_path / f"{rows}.txt"
+    path.write_text(_one_hot_text(rows, rng))
+    assert path.stat().st_size > 8 * harness._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = parse_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    X = data.X
+    returned = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + data.y.nbytes
+    return peak - 2 * returned
+
+
 def test_parse_libsvm_memory_does_not_grow_with_the_file(tmp_path):
     """The parse holds one block's temporaries at a time. Its peak, less
-    twice the returned arrays (the per-block pieces plus their
-    concatenation), grows by at most a quarter for a file four times as
-    long; a tokenizer over the whole file needs about four times as much.
-    The figure shrinks instead once the returned arrays outgrow one
-    block's temporaries, so the bound is one-sided."""
+    twice the returned arrays, grows by at most a quarter for a file four
+    times as long; a tokenizer over the whole file needs about four times
+    as much. The figure shrinks instead once the returned arrays outgrow
+    one block's temporaries, so the bound is one-sided."""
     rng = np.random.default_rng(5)
-    figures = []
-    for rows in (6_000, 24_000):
-        path = tmp_path / f"{rows}.txt"
-        path.write_text(_one_hot_text(rows, rng))
-        assert path.stat().st_size > 8 * harness._BLOCK_BYTES
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            data = parse_libsvm(path)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        X = data.X
-        returned = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + data.y.nbytes
-        figures.append(peak - 2 * returned)
-    small, large = figures
-    assert 0 < small and large <= 1.25 * small, figures
+    small, large = (
+        _parse_peak_over_returned(tmp_path, n, rng) for n in (6_000, 24_000)
+    )
+    assert 0 < small and large <= 1.25 * small, (small, large)
+
+
+def test_parse_libsvm_releases_its_pieces_before_the_labels_copy(tmp_path):
+    """`Dataset` copies the labels; the per-block pieces are gone by then,
+    so past twice the returned arrays the peak grows by at most 2 bytes
+    per row. With the pieces held it grows by about 8.5 (int64 labels)."""
+    rng = np.random.default_rng(5)
+    small, large = (
+        _parse_peak_over_returned(tmp_path, n, rng) for n in (12_000, 48_000)
+    )
+    assert large - small <= 2 * (48_000 - 12_000), (small, large)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from privote import (
     make_rng,
     margin_distribution_report,
     run_experiment,
-    split_disjoint,
     threshold_class,
     train_committee,
     train_erm,
@@ -38,7 +37,14 @@ from privote import (
     write_libsvm,
 )
 from privote import learners
-from privote.learners import _BlockDesign, _fit_weights, _matvec, _Rows, _train_columns
+from privote.learners import (
+    _BlockDesign,
+    _fit_weights,
+    _matvec,
+    _Rows,
+    _train_columns,
+    split_disjoint,
+)
 
 
 def _random_data(n, d, seed, labeled=True):

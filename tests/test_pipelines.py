@@ -125,13 +125,13 @@ def test_psq_configs_validate():
 def test_asq_rejects_negative_or_nan_slack(slack):
     desc = LinearClassDescriptor(n_features=2)
     with pytest.raises(ValueError, match="slack"):
-        run_active_learning(desc, [], lambda x, i: 0, 3, 0.1, slack=slack)
+        run_active_learning(desc, [], lambda x, i: 0, 3, slack=slack)
 
 
 def test_asq_accepts_none_zero_and_infinite_slack():
     desc = LinearClassDescriptor(n_features=2)
     for slack in (None, 0.0, 0.25, math.inf):
-        state = run_active_learning(desc, [], lambda x, i: 0, 3, 0.1, slack=slack)
+        state = run_active_learning(desc, [], lambda x, i: 0, 3, slack=slack)
         assert state.c == 0
 
 
@@ -253,11 +253,11 @@ def test_update_keeps_low_mistake_members():
             [0, 0, 0, 0],
         ]
     )
-    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels))
+    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels), gamma=0.9)
     state = desc.init_state()
     state.xs, state.ys = [0, 1, 2, 3], [1, 1, 1, 1]
     # at j = 4, gamma_4 = 0.9 / 9 and the tolerance is ln 2 + ln(1/gamma_4)
-    active_update_version_space(state, 4, gamma=0.9)
+    active_update_version_space(state, 4)
     tol = math.log(2.0) + math.log(9.0 / 0.9)
     assert 2.9 < tol < 3.0
     assert state.alive.tolist() == [True, True, False, False]
@@ -272,10 +272,10 @@ def test_update_second_order_term_widens_tolerance():
     labels[0, :2] = 0
     labels[1, :8] = 0
     labels[2, :9] = 0
-    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels))
+    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels), gamma=0.8)
     state = desc.init_state()
     state.xs, state.ys = list(range(n)), [1] * n
-    active_update_version_space(state, 8, gamma=0.8)
+    active_update_version_space(state, 8)
     base = math.log(2.0) + math.log(16.0 / 0.8)
     second = math.sqrt(2.0 * base)
     assert state.alive.tolist() == [
@@ -289,16 +289,23 @@ def test_update_rejects_off_schedule_positions():
     desc = FiniteClassDescriptor(hclass=threshold_class(np.array([0.1, 0.9])))
     state = desc.init_state()
     with pytest.raises(ValueError):
-        active_update_version_space(state, 3, gamma=0.1)
-    active_update_version_space(state, 1, gamma=0.1)
-    active_update_version_space(state, 4, gamma=0.1)
+        active_update_version_space(state, 3)
+    active_update_version_space(state, 1)
+    active_update_version_space(state, 4)
+
+
+@pytest.mark.parametrize("gamma", (0.0, 1.0, -0.5, math.nan))
+def test_finite_descriptor_rejects_gamma_outside_unit_interval(gamma):
+    hclass = threshold_class(np.array([0.1, 0.9]))
+    with pytest.raises(ValueError, match="gamma"):
+        FiniteClassDescriptor(hclass, gamma=gamma)
 
 
 def test_version_space_never_grows():
     rng = make_rng(40)
     pts = rng.random(64)
     hclass = threshold_class(pts)
-    desc = FiniteClassDescriptor(hclass)
+    desc = FiniteClassDescriptor(hclass, gamma=0.2)
     truth = (pts >= 0.4).astype(int)
     state = desc.init_state()
     alive_counts = []
@@ -307,7 +314,7 @@ def test_version_space_never_grows():
         state.xs.append(int(x))
         state.ys.append(int(truth[x]))
         if j & (j - 1) == 0:
-            active_update_version_space(state, j, gamma=0.2)
+            active_update_version_space(state, j)
             alive_counts.append(int(state.alive.sum()))
     assert alive_counts == sorted(alive_counts, reverse=True)
     assert alive_counts[-1] >= 1
@@ -321,13 +328,12 @@ def test_truth_survives_elimination():
         truth = (pts >= cut).astype(int)
         hclass = threshold_class(pts)
         k_star = int((pts < cut).sum())  # member with zero domain mistakes
-        desc = FiniteClassDescriptor(hclass)
+        desc = FiniteClassDescriptor(hclass, gamma=0.25)
         state = run_active_learning(
             desc,
             list(range(256)),
             lambda x, i: int(truth[x]),
             query_budget=256,
-            gamma=0.25,
         )
         assert state.alive[k_star]
         preds = hclass.labels[state.hypothesis, list(range(256))]
@@ -343,7 +349,6 @@ def test_slack_infinity_queries_everything():
         stream,
         lambda x, i: int(data.y[i]),
         query_budget=100,
-        gamma=0.1,
         slack=float("inf"),
     )
     assert state.c == 30
@@ -353,7 +358,7 @@ def test_single_member_class_never_queries():
     labels = np.ones((1, 10), dtype=np.int64)
     desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels))
     state = run_active_learning(
-        desc, list(range(10)), lambda x, i: 1, query_budget=5, gamma=0.1
+        desc, list(range(10)), lambda x, i: 1, query_budget=5
     )
     assert state.c == 0
 
@@ -376,17 +381,17 @@ def test_linear_disagreement_respects_duplicates():
 
 def test_finite_tally_recounts_queries_changed_between_updates():
     labels = np.array([[1, 1, 1, 1], [0, 0, 0, 0]])
-    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels))
+    desc = FiniteClassDescriptor(hclass=FiniteHypothesisClass(labels), gamma=0.9)
     state = desc.init_state()
     state.xs, state.ys = [0, 1], [0, 0]
-    active_update_version_space(state, 2, gamma=0.9)
+    active_update_version_space(state, 2)
     assert state.alive.all()
     # rewrite the queried set instead of extending it
     state.xs, state.ys = [2, 3, 2], [1, 1, 1]
-    active_update_version_space(state, 4, gamma=0.9)
+    active_update_version_space(state, 4)
     fresh = desc.init_state()
     fresh.xs, fresh.ys = [2, 3, 2], [1, 1, 1]
-    active_update_version_space(fresh, 4, gamma=0.9)
+    active_update_version_space(fresh, 4)
     assert state.alive.tolist() == fresh.alive.tolist() == [True, False]
     assert state.hypothesis == fresh.hypothesis == 0
 
@@ -415,7 +420,7 @@ def _run_recorded(descriptor, stream, labels, budget, slack):
         asked.append(i)
         return int(labels[i])
 
-    state = run_active_learning(descriptor, stream, oracle, budget, 0.1, slack)
+    state = run_active_learning(descriptor, stream, oracle, budget, slack)
     return state, asked
 
 
