@@ -185,6 +185,8 @@ def _build_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

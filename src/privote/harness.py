@@ -90,12 +90,6 @@ _LABEL_MAP = {1.0: 1, -1.0: 0, 0.0: 0, 2.0: 0}
 # bytes read per block: 256 KB blocks leave freed temporaries that raise
 # the peak RSS by 1.5-2.5 MB, and 16 KB blocks lose the speed
 _BLOCK_BYTES = 1 << 16
-# the code points above 127 that str.isspace accepts; below 128 they are
-# \t \n \v \f \r, \x1c-\x1f and the space
-_WIDE_SPACES = np.array(
-    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000],
-    dtype=np.uint32,
-)
 # indices of at most 18 digits are converted with int64 arithmetic, and
 # longer ones by `int`, which also checks them against 2**63 - 1
 _MAX_DIGITS = 18
@@ -120,24 +114,21 @@ def parse_libsvm(path) -> Dataset:
     are skipped. `.gz` and `.bz2` files are decompressed on the fly. The
     first error in file order raises `LibsvmParseError` naming its line.
 
-    One tokenizer reads the file as bytes, in blocks of about 64 KB
-    (`_BLOCK_BYTES`), each cut after a line end. It finds a block's line
-    ends, token bounds, comments and colons with array operations on the
-    block's bytes, or on its code points if it holds a byte above 127,
-    with exactly str.split's whitespace. Indices of up to 18 ASCII digits
-    are converted with int64 arithmetic, each distinct label or value of
-    up to 7 characters once with `float`, and longer values by `float`
-    over one bytes.split; any other token goes through Python's `int`
-    and `float`, so every spelling they accept is read as they read it.
-    A block is checked in full, with array operations, before the next
-    is read, and only the first line that fails is re-read token by
-    token, by `_read_label` and `_check_features`, to name its error.
+    The file is read as bytes, in blocks of about 64 KB (`_BLOCK_BYTES`),
+    each cut after a line end. An ASCII block whose features are all
+    `digits:value` is read with array operations by `_tokenize`: indices
+    of up to 18 digits with int64 arithmetic, each distinct label or
+    value of up to 7 characters once with `float`, and longer values by
+    `float` over one bytes.split. Any other block (one with a byte above
+    127, a signed or underscored index, or a line that fails a check) is
+    read line by line by `_read_lines`, with str.split, `int` and
+    `float`, at about a fifth of the speed; it alone names errors.
     """
     labels, counts, indices, values = [], [], [], []  # per block
     lineno = 1  # of the current block's first line
     with _open_bytes(path) as fh:
         for block in _blocks(fh):
-            y, n, col, val, lines = _parse_block(block, lineno)
+            y, n, col, val, lines = _tokenize(block) or _read_lines(block, lineno)
             labels.append(y)
             counts.append(n)  # features per example
             indices.append(col)  # 0-based
@@ -178,40 +169,25 @@ def _blocks(fh):
         yield rest
 
 
-def _parse_block(block: bytes, lineno: int):
-    """Labels, feature counts, 0-based indices and values of the examples
-    in `block`, whose first line is `lineno`, and its number of line ends.
-
-    A byte that is not UTF-8 fails once the lines above it are checked.
-    """
-    if block.isascii():
-        text = block.decode("ascii")
-        codes = np.frombuffer(block, dtype=np.uint8)
-    else:
-        try:
-            text = block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = block[: exc.start]
-            cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-            lines = _parse_block(head[:cut], lineno)[-1]
-            raise LibsvmParseError(
-                f"line {lineno + lines}: byte {block[exc.start]:#04x} is not valid UTF-8"
-            ) from None
-        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    return _tokenize(codes, text, lineno)
+def _shape(labels, counts, indices, values, lines: int):
+    """A block's labels (0/1), feature counts, 0-based indices and values,
+    in the dtypes both readers return, and its number of line ends.
+    `indices` are 1-based; `values` is copied, so that no view of a larger
+    array outlives the block."""
+    idx = np.asarray(indices, dtype=np.int64) - 1
+    if idx.max(initial=0) <= _INT32_MAX:
+        idx = idx.astype(np.int32)
+    y, n = np.asarray(labels, dtype=np.int_), np.asarray(counts, dtype=np.int32)
+    return y, n, idx, np.array(values, dtype=np.float64), lines
 
 
-def _spaces(codes: np.ndarray) -> np.ndarray:
-    """Mask of the code points that str.isspace accepts."""
-    shifted = codes - codes.dtype.type(9)  # wraps below 9
-    spaces = (shifted < 5) | ((shifted >= 19) & (shifted <= 23))
-    if codes.dtype != np.uint8:
-        spaces |= np.isin(codes, _WIDE_SPACES)
-    return spaces
-
-
-def _tokenize(c: np.ndarray, text: str, lineno: int):
-    """`_parse_block` on the code points `c` of `text`."""
+def _tokenize(block: bytes):
+    """`_read_lines` of an ASCII block whose features are all
+    `digits:value` and which passes every check, with array operations;
+    None for any other block."""
+    if not block.isascii():
+        return None
+    c = np.frombuffer(block, dtype=np.uint8)
     n = c.size
     # line k ends at ends[k]: a \n, or a \r that no \n follows
     ends = np.flatnonzero(c == 10)
@@ -219,7 +195,10 @@ def _tokenize(c: np.ndarray, text: str, lineno: int):
     if cr.size:
         lone = cr[(cr == n - 1) | (c.take(cr + 1, mode="clip") != 10)]
         ends = np.union1d(ends, lone)
-    bounds = np.flatnonzero(np.diff(_spaces(c), prepend=True, append=True))
+    # str.split's gaps: \t \n \v \f \r, \x1c-\x1f and the space
+    shifted = c - np.uint8(9)  # wraps below 9
+    gaps = (shifted < 5) | ((shifted >= 19) & (shifted <= 23))
+    bounds = np.flatnonzero(np.diff(gaps, prepend=True, append=True))
     starts, stops = bounds[0::2], bounds[1::2]
     hashes = np.flatnonzero(c == 35)
     if hashes.size:
@@ -232,9 +211,6 @@ def _tokenize(c: np.ndarray, text: str, lineno: int):
         stops = np.minimum(stops, comment[line])
         keep = starts < stops
         starts, stops = starts[keep], stops[keep]
-    if not starts.size:
-        empty = np.zeros(0, dtype=np.int32)
-        return np.zeros(0, dtype=np.int_), empty, empty, np.zeros(0), ends.size
 
     # a line's first token is its label, and every other token a feature
     head = np.zeros(starts.size + 1, dtype=bool)
@@ -251,62 +227,40 @@ def _tokenize(c: np.ndarray, text: str, lineno: int):
         colons = np.append(colons, [n, n])
         at = np.searchsorted(colons, fs)
         col, one = colons[at], colons[at + 1] >= fe
-    wide = np.zeros(starts.size, dtype=bool)
-    if c.dtype != np.uint8:
-        above = np.append(np.flatnonzero(c > 127), n)
-        wide = above[np.searchsorted(above, starts)] < stops
 
-    # a plain feature is `digits:value` in ASCII, with up to 18 digits,
-    # so that its index stays below 2**63 - 1 in int64 arithmetic
+    # every feature must be `digits:value`, with up to 18 digits, so that
+    # its index stays below 2**63 - 1 in int64 arithmetic
     digits = col - fs
-    plain = one & ~wide[feature] & (digits >= 1) & (digits <= _MAX_DIGITS) & (fe - col > 1)
-    digits[~plain] = 0
+    if not np.all(one & (digits >= 1) & (digits <= _MAX_DIGITS) & (fe - col > 1)):
+        return None
     idx = np.zeros(fs.size, dtype=np.int64)
     for k in range(int(digits.max(initial=0))):
-        digit = c.take(fs + k, mode="clip") - c.dtype.type(48)  # wraps below '0'
-        plain &= (digits <= k) | (digit <= 9)
-        idx = np.where(plain & (digits > k), idx * 10 + digit, idx)
-
-    # each ASCII label and each plain feature's value through _floats,
-    # and every other token through Python's `float` and `int`
-    ascii_label = ~wide[examples]
-    labeled = examples[ascii_label]
-    valued = np.flatnonzero(plain)
-    out = _floats(
-        c if c.dtype == np.uint8 else c.astype(np.uint8),
-        np.concatenate([starts[labeled], col[valued] + 1]),
-        np.concatenate([stops[labeled], fe[valued]]),
-    )
-    label = np.full(examples.size, np.nan)
-    label[ascii_label] = out[: labeled.size]
-    value = np.full(fs.size, np.nan)
-    value[valued] = out[labeled.size :]
-    for k in np.flatnonzero(~ascii_label).tolist():
-        label[k] = _float_or_nan(text[starts[examples[k]] : stops[examples[k]]])
-    for k in np.flatnonzero(~plain).tolist():
-        idx[k], value[k] = _odd_feature(text[fs[k] : fe[k]])
-
+        digit = c.take(fs + k, mode="clip") - np.uint8(48)  # wraps below '0'
+        if not np.all((digits <= k) | (digit <= 9)):
+            return None
+        idx = np.where(digits > k, idx * 10 + digit, idx)
+    try:
+        out = _floats(
+            c,
+            np.concatenate([starts[examples], col + 1]),
+            np.concatenate([stops[examples], fe]),
+        )
+    except ValueError:
+        return None
+    label, value = out[: examples.size], out[examples.size :]
     bad = ~np.isfinite(value) | (idx < 1)
     # an index must exceed the one before it on its line
     bad[1:] |= (idx[1:] <= idx[:-1]) & ~head[feature[1:] - 1]
-    unknown = ~((label == 1) | (label == -1) | (label == 0) | (label == 2))
-    failed = np.concatenate(
-        [np.flatnonzero(unknown), np.searchsorted(examples, feature[bad]) - 1]
-    )
-    if failed.size:
-        line = np.searchsorted(ends, starts[examples[failed.min()]])
-        _raise_at(text, ends, int(line), lineno)
-
-    count = (np.diff(examples, append=starts.size) - 1).astype(np.int32)
-    idx -= 1
-    if idx.max(initial=0) <= _INT32_MAX:
-        idx = idx.astype(np.int32)
-    return (label == 1).astype(np.int_), count, idx, value, ends.size
+    known = (label == 1) | (label == -1) | (label == 0) | (label == 2)
+    if bad.any() or not known.all():
+        return None
+    count = np.diff(examples, append=starts.size) - 1
+    return _shape(label == 1, count, idx, value, ends.size)
 
 
 def _floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """`float` of each field c[begin:end] of ASCII bytes, NaN where it
-    fails. Each distinct short field is converted once."""
+    """`float` of each field c[begin:end] of ASCII bytes; ValueError where
+    one fails. Each distinct short field is converted once."""
     out = np.empty(begin.size)
     length = end - begin
     short = np.flatnonzero(length <= _SHORT)
@@ -339,38 +293,34 @@ def _split_floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarr
     gathered = c.take(at, mode="clip")  # a field may end the block
     gathered[offset + size - 1] = 32
     words = gathered.tobytes().split()
+    return np.fromiter(map(float, words), dtype=np.float64, count=len(words))
+
+
+def _read_lines(block: bytes, lineno: int):
+    """`_tokenize` of any block, whose first line is `lineno`, read line by
+    line; raises at its first bad line, or at a byte that is not UTF-8
+    once the lines above it are read."""
     try:
-        return np.fromiter(map(float, words), dtype=np.float64, count=len(words))
-    except ValueError:
-        return np.fromiter(map(_float_or_nan, words), dtype=np.float64, count=len(words))
-
-
-def _float_or_nan(token) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return math.nan
-
-
-def _odd_feature(token: str) -> tuple[int, float]:
-    """Index and value of a feature token that is not plain; an index of
-    0 marks one that `_check_features` rejects on its own."""
-    idx_str, _, val_str = token.partition(":")
-    try:
-        idx, val = int(idx_str), float(val_str)
-    except ValueError:
-        return 0, math.nan
-    return (idx if 0 < idx <= _MAX_INDEX else 0), val
-
-
-def _raise_at(text: str, ends: np.ndarray, line: int, lineno: int) -> None:
-    """Re-read line `line` of a block to raise its first error."""
-    start = int(ends[line - 1]) + 1 if line else 0
-    stop = int(ends[line]) if line < ends.size else len(text)
-    tokens = text[start:stop].split("#", 1)[0].split()
-    _read_label(lineno + line, tokens[0])
-    _check_features(lineno + line, tokens[1:])
-    raise AssertionError(f"line {lineno + line} passed its re-check")
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = block[: exc.start]
+        cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        above = _read_lines(head[:cut], lineno)[-1]  # line ends above the byte
+        raise LibsvmParseError(
+            f"line {lineno + above}: byte {block[exc.start]:#04x} is not valid UTF-8"
+        ) from None
+    # lines end as the text reader ends them: at \n, \r\n and \r only
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    labels, counts, indices, values = [], [], [], []
+    for k, line in enumerate(lines, start=lineno):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            labels.append(_read_label(k, tokens[0]))
+            idx, val = _read_features(k, tokens[1:])
+            counts.append(len(idx))
+            indices += idx
+            values += val
+    return _shape(labels, counts, indices, values, len(lines) - 1)
 
 
 def _read_label(lineno: int, token: str) -> int:
@@ -386,8 +336,10 @@ def _read_label(lineno: int, token: str) -> int:
     return label
 
 
-def _check_features(lineno: int, tokens) -> None:
-    """Raise at the first bad `idx:val` token of one line, if any."""
+def _read_features(lineno: int, tokens) -> tuple[list[int], list[float]]:
+    """1-based indices and values of one line's `idx:val` tokens; raises
+    at the first bad one."""
+    indices, values = [], []
     previous = 0
     for token in tokens:
         idx_str, _, val_str = token.partition(":")
@@ -414,7 +366,10 @@ def _check_features(lineno: int, tokens) -> None:
             raise LibsvmParseError(
                 f"line {lineno}: feature index {idx} does not increase"
             )
+        indices.append(idx)
+        values.append(val)
         previous = idx
+    return indices, values
 
 
 def write_libsvm(data: Dataset, path) -> None:
@@ -449,11 +404,7 @@ def split_protocol(data: Dataset, fractions, rng) -> Split:
     The teacher pool takes floor(f_t * N), the student pool ceil(f_s * N),
     and the test set the remainder, so sizes are reproducible integers.
     """
-    f = tuple(float(x) for x in fractions)
-    if len(f) != 3 or any(x <= 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
-        raise ValueError(
-            "fractions must be three positive numbers summing to 1"
-        )
+    f = _check_fractions(fractions)
     if not data.labeled:
         raise ValueError("splitting needs a labeled dataset")
     n = len(data)
@@ -467,6 +418,13 @@ def split_protocol(data: Dataset, fractions, rng) -> Split:
     student = data.subset(perm[n_teacher : n_teacher + n_student])
     test = data.subset(perm[n_teacher + n_student :])
     return Split(teacher, student.without_labels(), test, student.y.copy())
+
+
+def _check_fractions(fractions) -> tuple[float, ...]:
+    f = tuple(float(x) for x in fractions)
+    if len(f) != 3 or not all(0 < x < math.inf for x in f) or abs(sum(f) - 1) > 1e-9:
+        raise ValueError("fractions must be three positive numbers summing to 1")
+    return f
 
 
 @dataclass(frozen=True)
@@ -512,6 +470,7 @@ class ExperimentConfig:
             raise ValueError("query_fraction must lie in (0, 1]")
         if self.synth_n < 10:
             raise ValueError("synth_n is too small to split")
+        _check_fractions(self.fractions)
         unread = set(self.generator_params) - set(
             _GENERATOR_PARAMS.get(self.dataset, ())
         )

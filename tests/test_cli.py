@@ -96,6 +96,15 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_config_that_is_not_a_json_object_fails(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text in ('["dataset"]', '"x"', "3"):
+        cfg.write_text(text)
+        code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
+        assert code == 1
+        assert f"config file {cfg} does not hold a JSON object" in capsys.readouterr().err
+
+
 def test_simulate_rejects_a_parameter_the_generator_ignores(capsys):
     code = main(["simulate", "--dataset", "tnc", "--d", "3", "--n", "400"])
     assert code == 1

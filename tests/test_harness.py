@@ -5,7 +5,6 @@ import gzip
 import json
 import math
 import re
-import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -318,12 +317,38 @@ def test_parse_libsvm_matches_reference(text, block_bytes):
                 assert got == expected
 
 
-def test_tokenizer_gaps_are_what_str_split_takes():
-    every = np.arange(sys.maxunicode + 1, dtype=np.uint32)
-    spaces = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
-    assert set(np.flatnonzero(harness._spaces(every)).tolist()) == spaces
-    ascii = np.arange(128, dtype=np.uint8)
-    assert set(np.flatnonzero(harness._spaces(ascii)).tolist()) == {c for c in spaces if c < 128}
+@pytest.mark.parametrize(
+    "gap",
+    [chr(c) for c in range(128)] + _WIDE_GAPS,
+    ids=lambda gap: "-".join(f"{ord(ch):04x}" for ch in gap),
+)
+def test_every_gap_reads_as_the_reference_reads_it(tmp_path, gap):
+    """Each ASCII character, and each wide gap, as the gap after a label
+    and between two features: a gap where str.split takes one, and part
+    of a token, a comment or a line end elsewhere."""
+    path = tmp_path / "d.txt"
+    path.write_bytes(f"-1 3:2\n1{gap}1:1{gap}2:0.5\n".encode())
+    assert _outcome(parse_libsvm, path) == _outcome(oracles.reference_parse_libsvm, path)
+
+
+def test_only_blocks_the_tokenizer_leaves_are_read_line_by_line(tmp_path):
+    """A plain one-hot file with CRLF line ends, tabs and comments is read
+    by the array tokenizer alone; a wide gap or a signed index sends its
+    block to the per-line reader, which reads it as the reference does."""
+    plain = "# one-hot\r\n+1 3:1\t7:1 # note\r\n\r\n-1 1:1 2:1\r\n"
+    path = tmp_path / "plain.txt"
+    path.write_text(plain, newline="")
+    reader = mock.Mock(side_effect=AssertionError("read line by line"))
+    with mock.patch.object(harness, "_read_lines", reader):
+        got = _outcome(parse_libsvm, path)
+    assert got == _outcome(oracles.reference_parse_libsvm, path)
+    for odd in ("-1 1:1\xa02:1\r\n", "-1 +5:1\r\n"):
+        path = tmp_path / "odd.txt"
+        path.write_text(plain + odd, newline="")
+        with mock.patch.object(harness, "_read_lines", wraps=harness._read_lines) as reader:
+            got = _outcome(parse_libsvm, path)
+        assert reader.call_count == 1
+        assert got == _outcome(oracles.reference_parse_libsvm, path)
 
 
 def _one_hot_text(rows: int, rng) -> str:
@@ -418,6 +443,20 @@ def test_split_protocol_determinism_and_validation():
         split_protocol(data.without_labels(), (0.6, 0.2, 0.2), make_rng(0))
 
 
+_NON_FINITE_FRACTIONS = [
+    (math.nan, 0.5, 0.5),
+    (0.5, math.nan, 0.5),
+    (math.inf, 0.5, -math.inf),
+]
+
+
+@pytest.mark.parametrize("fractions", _NON_FINITE_FRACTIONS)
+def test_split_protocol_rejects_non_finite_fractions(fractions):
+    data = gen_realizable(2, 60, make_rng(4))[0]
+    with pytest.raises(ValueError, match="three positive numbers summing to 1"):
+        split_protocol(data, fractions, make_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Experiment configs and reports
 
@@ -432,6 +471,15 @@ def test_experiment_config_validation():
     cfg = ExperimentConfig(dataset="realizable", method="PsqNoPrivacy")
     assert not cfg.private
     assert ExperimentConfig(dataset="realizable", method="Asq").private
+
+
+@pytest.mark.parametrize(
+    "fractions", [(0.5, 0.5), (0.8, 0.0, 0.2), *_NON_FINITE_FRACTIONS]
+)
+def test_experiment_config_checks_its_fractions(fractions):
+    """A bad split fails when the config is made, before any data is read."""
+    with pytest.raises(ValueError, match="three positive numbers summing to 1"):
+        ExperimentConfig(dataset="realizable", method="Asq", fractions=fractions)
 
 
 def test_experiment_config_rejects_unread_generator_params(tmp_path):
