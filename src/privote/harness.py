@@ -157,15 +157,17 @@ def parse_libsvm(path) -> Dataset:
 def _blocks(fh):
     """The bytes of `fh` in blocks of about `_BLOCK_BYTES`, each cut after
     its last \\n, or after its last \\r that a byte other than \\n follows,
-    so that no \\r\\n pair or UTF-8 sequence is split."""
-    rest = b""
+    so that no \\r\\n pair or UTF-8 sequence is split. Each read is
+    searched once, and a line's reads are joined once, at its cut."""
+    pieces = []
     while chunk := fh.read(_BLOCK_BYTES):
-        rest += chunk
-        cut = rest.rfind(b"\n") + 1 or rest.rfind(b"\r", 0, len(rest) - 1) + 1
-        if cut:
-            yield rest[:cut]
-            rest = rest[cut:]
-    if rest:
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+        # else a \r that ended the last read is a line end: chunk has no \n
+        if cut or pieces and pieces[-1].endswith(b"\r"):
+            yield b"".join([*pieces, chunk[:cut]])
+            pieces = []
+        pieces.append(chunk[cut:])
+    if rest := b"".join(pieces):
         yield rest
 
 

@@ -63,17 +63,6 @@ def _as_csr(X) -> sp.csr_matrix:
     return X
 
 
-def _canonical(X) -> sp.csr_matrix:
-    """X as a CSR with checked column indices, sorted within each row,
-    with no duplicate and no stored zero; X itself when it is one."""
-    X = _as_csr(X)
-    if not (X.has_canonical_format and X.data.all()):
-        X = X.copy()
-        X.sum_duplicates()
-        X.eliminate_zeros()
-    return X
-
-
 def _is_binary(a: np.ndarray) -> bool:
     """Whether every entry equals 0 or 1.
 
@@ -95,10 +84,16 @@ class Dataset:
     y: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # the step bound squares stored entries, and takes their absolute
-        # values, one by one, which is right only without duplicates, and
-        # skips zeros as X.multiply(X) did
-        self.X = _canonical(self.X)
+        # X with checked columns, sorted within each row, with no duplicate
+        # and no stored zero, or X itself when it is one: the step bound
+        # squares stored entries, and takes their absolute values, one by
+        # one, which is right only without duplicates, and skips zeros as
+        # X.multiply(X) did
+        self.X = _as_csr(self.X)
+        if not (self.X.has_canonical_format and self.X.data.all()):
+            self.X = self.X.copy()
+            self.X.sum_duplicates()
+            self.X.eliminate_zeros()
         if self.y is not None:
             self.y = np.asarray(self.y)
             if self.y.shape != (self.X.shape[0],):
@@ -305,11 +300,11 @@ def _bias_layout(ptr, cols, vals, first_col, d: int, width: int):
 class _Rows:
     """Canonical rows of d features, each ended by a bias entry of 1 in
     column d, as raw CSR arrays: the one-block layout of `_BlockDesign`.
-    `row_max` is the largest squared row norm, bias included."""
+    `row_sq` holds each row's squared norm, bias included."""
 
     shape: tuple[int, int]
     csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
-    row_max: float
+    row_sq: np.ndarray
 
     @classmethod
     def of(cls, X: sp.csr_matrix) -> "_Rows":
@@ -317,23 +312,36 @@ class _Rows:
         n, d = X.shape
         zero = np.zeros(n, dtype=int)
         csr, row_sq = _bias_layout(X.indptr, X.indices, X.data, zero, d, d + 1)
-        return cls((n, d + 1), csr, float(row_sq.max(initial=0.0)))
+        return cls((n, d + 1), csr, row_sq)
 
-    def grow(self, x: sp.csr_matrix) -> "_Rows":
-        """These rows, then the one row of a canonical CSR x: the arrays
+    @property
+    def row_max(self) -> float:
+        """The largest squared row norm, bias included."""
+        return float(self.row_sq.max(initial=0.0))
+
+    def head(self, n: int) -> "_Rows":
+        """The first n of these rows, as views."""
+        ptr, cols, vals = self.csr
+        csr = (ptr[: n + 1], cols[: ptr[n]], vals[: ptr[n]])
+        return _Rows((n, self.shape[1]), csr, self.row_sq[:n])
+
+    def grow(self, other: "_Rows", i: int) -> "_Rows":
+        """These rows, then row i of other, of the same width: the arrays
         that `of` builds from both stacked, without rebuilding these."""
         (ptr, cols, vals), (n, width) = self.csr, self.shape
-        # x's squares summed by reduceat, as `_bias_layout` sums each row's
-        sq = 1.0 + np.add.reduceat(x.data * x.data, [0])[0] if x.nnz else 1.0
-        index_type = _index_type(len(vals) + x.nnz + 1, width)
+        other_ptr, other_cols, other_vals = other.csr
+        a, b = other_ptr[i], other_ptr[i + 1]
+        index_type = _index_type(len(vals) + b - a, width)
+        # slices of one entry: np.append of a scalar costs twice as much
+        end = other_ptr[i + 1 : i + 2] + (ptr[-1] - a)
         return _Rows(
             (n + 1, width),
             (
-                np.append(ptr, ptr[-1] + x.nnz + 1).astype(index_type, copy=False),
-                np.concatenate([cols, x.indices, [width - 1]]).astype(index_type),
-                np.concatenate([vals, x.data, [1.0]]),
+                np.concatenate([ptr, end]).astype(index_type, copy=False),
+                np.concatenate([cols, other_cols[a:b]]).astype(index_type, copy=False),
+                np.concatenate([vals, other_vals[a:b]]),
             ),
-            max(self.row_max, sq),
+            np.concatenate([self.row_sq, other.row_sq[i : i + 1]]),
         )
 
     def scores(self, h: "LinearHypothesis") -> np.ndarray:
@@ -443,21 +451,6 @@ class _BlockDesign:
             for k in range(K)
             for b in range(B)
         ]
-
-
-def _stack_rows(mats) -> sp.csr_matrix:
-    """The rows of equally wide sparse matrices, one after another, as one
-    CSR. Column indices are left to the `Dataset` that takes the result."""
-    mats = [m.tocsr() for m in mats]
-    if len(mats) == 1:
-        return mats[0]
-    starts = np.cumsum([0] + [m.nnz for m in mats])
-    ends = [m.indptr[1:] + lo for m, lo in zip(mats, starts)]
-    indptr = np.concatenate([np.zeros(1, dtype=starts.dtype), *ends])
-    indices = np.concatenate([m.indices for m in mats])
-    data = np.concatenate([m.data for m in mats])
-    shape = (len(indptr) - 1, mats[0].shape[1])
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _fit_weights(n: int, weight) -> np.ndarray:

@@ -7,10 +7,10 @@ private aggregation session, and train a student on the result.
 passive (PSQ): every pool point is queried once, in stream order.
 active (ASQ): a disagreement-based learner decides which points are worth
     one of its limited label queries, so the realized privacy loss tracks
-    the number of labels actually requested. For halfspaces its test
-    costs one accelerated descent per stream point, three fits side by
-    side on the queried set plus the point: the reference fit and the
-    queried set's rows are carried over from the previous point (see
+    the number of labels actually requested. It streams the pool's row
+    indices. For halfspaces its test costs one accelerated descent per
+    stream point, three fits side by side on the queried set plus the
+    point, on rows grown from the pool's one layout (see
     `LinearClassDescriptor`).
 
 A config's budget picks the session. budget=None means exact majority: an
@@ -24,11 +24,11 @@ size K and the unstable-query cutoff T.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregation import ExactSession, GaussianSession, SvtSession, VoteCount
 from .dp_core import PrivacyBudget, calibrate_gaussian_sigma, make_rng
@@ -36,9 +36,7 @@ from .learners import (
     Dataset,
     FiniteHypothesisClass,
     LinearHypothesis,
-    _canonical,
     _Rows,
-    _stack_rows,
     _train_columns,
     empirical_error,
     train_committee,
@@ -189,16 +187,18 @@ class ActiveState:
     """Mutable state of one active-learning run."""
 
     descriptor: Any
-    xs: list = field(default_factory=list)  # queried points, native form
+    xs: list = field(default_factory=list)  # queried points: stream indices
     ys: list = field(default_factory=list)
     j: int = 0  # stream position, 1-based
     c: int = 0  # label queries spent
     query_budget: int | None = None  # set by run_active_learning
     hypothesis: Any = None
     alive: np.ndarray | None = None  # finite classes: version-space mask
-    # the descriptor's work derived from xs, ys and hypothesis, kept for
-    # the next call; each descriptor checks it is current before use
+    # the descriptor's work derived from xs, ys and hypothesis, and for
+    # linear classes (indices, their rows) in `rows`, kept for the next
+    # call; each descriptor checks it is current before use
     memo: Any = field(default=None, repr=False, compare=False)
+    rows: Any = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -274,45 +274,44 @@ class FiniteClassDescriptor:
 class _ReferenceMemo:
     """The reference fit on Q, and the two fits it may become next.
 
-    `base` is the `probe_steps` fit on `xs`, `ys` (laid out as `rows`)
-    from `hypothesis`. `next_bases[y]` is the same fit on `xs + [x]`,
-    `ys + [y]` (laid out as `rows_next`, `rows` grown by x's row), where
-    `x` is the point just probed; it is empty where querying `x` would
-    end the run.
+    `base` is the `probe_steps` fit on `xs`, `ys` from `hypothesis`.
+    `next_bases[y]` is the same fit on `xs + [x]`, `ys + [y]`, where `x`
+    is the stream index just probed; it is empty where querying `x` would
+    end the run. Equal indices name the same pool row.
     """
 
     hypothesis: LinearHypothesis
     xs: list
     ys: list
-    rows: _Rows
     base: LinearHypothesis
-    x: Any
-    rows_next: _Rows
+    x: int
     next_bases: list[LinearHypothesis]
 
-    def lookup(self, state: ActiveState):
-        """(Q's rows, reference fit) for the state, or None if this memo
-        does not cover its hypothesis, queried points and labels."""
+    def lookup(self, state: ActiveState) -> LinearHypothesis | None:
+        """The reference fit for the state, or None if this memo does not
+        cover its hypothesis, queried points and labels."""
         k = len(self.xs)
-        if state.hypothesis is not self.hypothesis or not (
-            k <= len(state.xs) <= k + 1
-        ):
-            return None
-        if state.ys[:k] != self.ys or any(
-            a is not b for a, b in zip(state.xs, self.xs)
-        ):
+        same = state.hypothesis is self.hypothesis and k <= len(state.xs) <= k + 1
+        if not (same and state.ys[:k] == self.ys and state.xs[:k] == self.xs):
             return None
         if len(state.xs) == k:
-            return self.rows, self.base
+            return self.base
         y = state.ys[-1]
-        if state.xs[-1] is self.x and y in (0, 1) and self.next_bases:
-            return self.rows_next, self.next_bases[int(y)]
+        if state.xs[-1] == self.x and y in (0, 1) and self.next_bases:
+            return self.next_bases[int(y)]
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassDescriptor:
-    """Constrained-refit surrogate for halfspaces.
+    """Constrained-refit surrogate for halfspaces over an unlabeled pool.
+
+    Stream elements are row indices into `pool`, anything `Dataset`
+    accepts, checked and made canonical once, here, and laid out once
+    (`_Rows`); an index that is not an integer in [0, len(pool)) raises
+    ValueError. The rows of Q and the point probed last are kept in
+    `state.rows` and grown by each queried point's pool row, or laid out
+    again from the pool where Q changed other than by appending.
 
     No explicit version space exists; a point counts as ambiguous when some
     near-optimal fit on the queried pool Q labels it opposite to the
@@ -325,57 +324,77 @@ class LinearClassDescriptor:
     The learner's next reference is known up to the answer: `base` itself
     if the point is not queried, or the fit on Q plus the point labeled 0
     or 1. So each probe is trained together with those two fits, as three
-    label and weight columns of one descent over a single copy of the rows
-    of Q and the point, and the state's memo keeps them with Q's rows for
-    the next call, which grows them by its own point's row. That call
-    reuses a memo only while the hypothesis is the same object and Q and
+    label and weight columns of one descent over Q's rows grown by the
+    point's, and the state's memo keeps them for the next call. That call
+    reuses the memo only while the hypothesis is the same object and Q and
     its labels are the memo's, or those plus the probed point itself;
     after a refit (on the doubling schedule) or any other change to the
-    state it lays out Q afresh and fits `base` alone. At a power-of-two
-    stream position `state.j` the refit right after replaces the
-    hypothesis, so the probe is trained alone there and the memo is
-    cleared. It is trained alone, too, where a query would spend
-    `state.query_budget` and end the run; the memo then keeps `base`.
-    The predictions of `base` and of the probe on Q and the point are one
-    product with those rows each, their bias column giving `X @ w + b`.
-    Every fit and prediction is bit-for-bit the one a lone `train_erm`
-    and `predict` would make, so the answers do not depend on the memo.
+    state it fits `base` alone. At a power-of-two stream position
+    `state.j` the refit right after replaces the hypothesis, so the probe
+    is trained alone there and the memo is cleared; Q's rows stay. It is
+    trained alone, too, where a query would spend `state.query_budget`
+    and end the run; the memo then keeps `base`. The predictions of
+    `base` and of the probe on Q and the point are one product with those
+    rows each, their bias column giving `X @ w + b`. Every fit, refits
+    included, runs `_train_columns` on those rows and is bit-for-bit the
+    one a lone `train_erm` and `predict` would make, so the answers do
+    not depend on the memo or the kept rows.
     """
 
-    n_features: int
+    pool: Any
     steps: int = 35
     probe_steps: int = 10
+    _layout: _Rows = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pool", Dataset(self.pool).X)
+        object.__setattr__(self, "_layout", _Rows.of(self.pool))
+
+    @property
+    def n_features(self) -> int:
+        return self.pool.shape[1]
 
     def init_state(self) -> ActiveState:
         h0 = LinearHypothesis(np.zeros(self.n_features), 0.0)
         return ActiveState(descriptor=self, hypothesis=h0)
 
-    def _pool(self, state: ActiveState) -> Dataset:
-        return Dataset(_stack_rows(state.xs), np.asarray(state.ys))
+    def _grow(self, rows: _Rows, i) -> _Rows:
+        """rows, then the pool's row i, where i is checked."""
+        m = self._layout.shape[0]
+        if not (isinstance(i, numbers.Integral) and 0 <= i < m):
+            raise ValueError(f"stream index {i!r} is not a row of the {m}-row pool")
+        return rows.grow(self._layout, i)
+
+    def _rows(self, state: ActiveState) -> _Rows:
+        """Q's rows: the kept ones, less a probed point's not queried, grown
+        by the points queried since; laid out afresh if Q changed otherwise."""
+        kept_xs, rows = state.rows or ([], self._layout.head(0))
+        if state.xs[: len(kept_xs)] != kept_xs:
+            n = len(state.xs) if kept_xs[:-1] == state.xs else 0
+            kept_xs, rows = kept_xs[:n], rows.head(n)
+        for i in state.xs[len(kept_xs) :]:
+            rows = self._grow(rows, i)
+        state.rows = (list(state.xs), rows)
+        return rows
+
+    @staticmethod
+    def _fit(rows: _Rows, y: np.ndarray, steps: int, init) -> LinearHypothesis:
+        return _train_columns(rows, [y], steps, [None], [init])[0]
 
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
         if math.isinf(slack) or not state.xs:
             return True
-        # the stream point is checked once, here; the memo keeps x itself,
-        # which the loop appends to Q
-        row = _canonical(x)
-        if row.shape != (1, self.n_features):
-            raise ValueError(
-                f"a stream point must be 1 x {self.n_features}, not {row.shape}"
-            )
+        rows = self._rows(state)
         y = np.asarray(state.ys)
         memo = state.memo
-        hit = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
-        if hit is None:
-            pool = self._pool(state)
-            rows = _Rows.of(pool.X)
+        base = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
+        if base is None:
             # the reference is a fresh unconstrained optimum, not the
             # possibly stale current hypothesis
-            base = train_erm(pool, self.probe_steps, init=state.hypothesis)
-        else:
-            rows, base = hit
+            base = self._fit(rows, y, self.probe_steps, state.hypothesis)
         n = len(y)
-        rows_next = rows.grow(row)
+        rows_next = self._grow(rows, x)
+        state.rows = (state.xs + [x], rows_next)
         base_ones = rows_next.scores(base) >= 0.0
         base_errors = int((base_ones[:n] != y).sum())
         forced = 1 - int(base_ones[n])
@@ -395,18 +414,9 @@ class LinearClassDescriptor:
             [weights, None, None][: len(labels)],
             [base, state.hypothesis, state.hypothesis][: len(labels)],
         )
-        state.memo = None
-        if not refits:
-            state.memo = _ReferenceMemo(
-                state.hypothesis,
-                list(state.xs),
-                list(state.ys),
-                rows,
-                base,
-                x,
-                rows_next,
-                next_bases,
-            )
+        state.memo = None if refits else _ReferenceMemo(
+            state.hypothesis, list(state.xs), list(state.ys), base, x, next_bases
+        )
         probe_ones = rows_next.scores(h) >= 0.0
         if int(probe_ones[n]) != forced:
             return False
@@ -418,8 +428,8 @@ class LinearClassDescriptor:
 
     def refit(self, state: ActiveState) -> None:
         if state.xs:
-            state.hypothesis = train_erm(
-                self._pool(state), self.steps, init=state.hypothesis
+            state.hypothesis = self._fit(
+                self._rows(state), np.asarray(state.ys), self.steps, state.hypothesis
             )
 
 
@@ -446,6 +456,7 @@ def run_active_learning(
 ) -> ActiveState:
     """Drive the disagreement learner down a fixed stream.
 
+    Stream elements are indices into the descriptor's domain or pool.
     oracle(x, i) labels stream element i on request, only where
     `descriptor.disagreement` finds x ambiguous (with infinite slack,
     everywhere: passive learning), until the budget is spent. slack=None
@@ -502,15 +513,9 @@ def pate_asq(
             config.query_budget, config.budget, rng
         )
 
-    X, d = student_pool.X, student_pool.n_features
     state = run_active_learning(
-        LinearClassDescriptor(d),
-        # rows are cut as the loop reaches them: it stops once the query
-        # budget is spent
-        (
-            sp.csr_matrix((X.data[a:b], X.indices[a:b], [0, b - a]), shape=(1, d))
-            for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())
-        ),
+        LinearClassDescriptor(student_pool.X),
+        range(len(student_pool)),
         lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
         config.query_budget,
     )

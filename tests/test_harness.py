@@ -2,6 +2,7 @@
 
 import bz2
 import gzip
+import io
 import json
 import math
 import re
@@ -144,6 +145,39 @@ def test_parse_libsvm_first_error_across_blocks(tmp_path):
         g.write_text(good + "1 2:1 3:4\nx 1:1\n")
         with pytest.raises(LibsvmParseError, match="^line 41: unreadable label 'x'"):
             parse_libsvm(g)
+
+
+_READ = 1 << 16  # harness._BLOCK_BYTES, the size of each read
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3 * _READ), st.text("a\r\n", max_size=6)),
+        max_size=6,
+    )
+)
+@example([(_READ - 1, "\r\n"), (10, "\n")])  # a \r\n pair across two reads
+@example([(_READ - 1, "\r"), (_READ, "\r\r"), (5, "")])  # lone \r across reads
+@example([(3 * _READ, "\n\ra\r"), (2 * _READ, "")])  # lines several reads long
+def test_blocks_cut_only_after_line_ends(runs):
+    data = b"".join(b"x" * n + ends.encode() for n, ends in runs)
+    assert harness._BLOCK_BYTES == _READ
+    blocks = list(harness._blocks(io.BytesIO(data)))
+    assert b"".join(blocks) == data and all(blocks)
+    for block, after in zip(blocks, blocks[1:]):
+        # after a \n, or after a \r whose \r\n pair the cut does not split
+        assert block.endswith(b"\n") or (
+            block.endswith(b"\r") and not after.startswith(b"\n")
+        )
+
+
+def test_parse_libsvm_reads_one_line_many_blocks_long(tmp_path):
+    features = " ".join(f"{j}:{j % 7 - 3}" for j in range(1, 40_000))
+    path = tmp_path / "long.txt"
+    path.write_text(f"+1 {features}\n")
+    assert path.stat().st_size > 4 * harness._BLOCK_BYTES
+    got = _outcome(parse_libsvm, path)
+    assert got == _outcome(oracles.reference_parse_libsvm, path)
 
 
 def _write_variants(tmp_path, data: bytes):

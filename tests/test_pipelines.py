@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 import privote.pipelines
-from privote.learners import _Rows, _stack_rows
+import privote.learners
+from privote.learners import _Rows
 from privote import (
     AsqConfig,
     Dataset,
@@ -33,6 +34,7 @@ from privote import (
     pate_psq,
     run_active_learning,
     threshold_class,
+    train_erm,
 )
 
 
@@ -123,13 +125,13 @@ def test_psq_configs_validate():
 
 @pytest.mark.parametrize("slack", (-0.1, -math.inf, math.nan))
 def test_asq_rejects_negative_or_nan_slack(slack):
-    desc = LinearClassDescriptor(n_features=2)
+    desc = LinearClassDescriptor(np.zeros((0, 2)))
     with pytest.raises(ValueError, match="slack"):
         run_active_learning(desc, [], lambda x, i: 0, 3, slack=slack)
 
 
 def test_asq_accepts_none_zero_and_infinite_slack():
-    desc = LinearClassDescriptor(n_features=2)
+    desc = LinearClassDescriptor(np.zeros((0, 2)))
     for slack in (None, 0.0, 0.25, math.inf):
         state = run_active_learning(desc, [], lambda x, i: 0, 3, slack=slack)
         assert state.c == 0
@@ -342,11 +344,10 @@ def test_truth_survives_elimination():
 
 def test_slack_infinity_queries_everything():
     data, _ = gen_realizable(4, 30, make_rng(41))
-    desc = LinearClassDescriptor(n_features=4)
-    stream = [data.X[i] for i in range(30)]
+    desc = LinearClassDescriptor(data.X)
     state = run_active_learning(
         desc,
-        stream,
+        range(30),
         lambda x, i: int(data.y[i]),
         query_budget=100,
         slack=float("inf"),
@@ -366,14 +367,12 @@ def test_single_member_class_never_queries():
 def test_linear_disagreement_respects_duplicates():
     # three copies of a settled point leave the region; an unseen one-hot
     # direction stays inside it
-    X = sp.csr_matrix(np.eye(3)[[0, 0, 0, 1]])
-    y = np.array([0, 0, 0, 1])
-    desc = LinearClassDescriptor(n_features=3)
+    X = sp.csr_matrix(np.eye(3)[[0, 0, 0, 1, 0, 2]])
+    desc = LinearClassDescriptor(X)
     state = desc.init_state()
-    state.xs = [X[i] for i in range(4)]
-    state.ys = list(y)
-    probe_dup = sp.csr_matrix(np.eye(3)[0])
-    probe_new = sp.csr_matrix(np.eye(3)[2])
+    state.xs = [0, 1, 2, 3]
+    state.ys = [0, 0, 0, 1]
+    probe_dup, probe_new = 4, 5
     slack = 1.0 / len(state.xs)
     assert not state.descriptor.disagreement(state, probe_dup, slack)
     assert state.descriptor.disagreement(state, probe_new, slack)
@@ -402,15 +401,20 @@ def test_finite_tally_recounts_queries_changed_between_updates():
 
 def _linear_stream(seed, n, d, n_protos, flip):
     """Rows copied from a few prototypes, labeled by a hidden halfspace
-    with label noise, so the stream holds duplicates the loop can skip."""
+    with label noise, so the stream holds duplicates the loop can skip:
+    the rows as one pool, and their labels."""
     rng = make_rng(seed)
     protos = rng.integers(-1, 2, size=(n_protos, d)).astype(float)
     truth = (protos @ rng.normal(size=d) >= 0).astype(np.int64)
     ids = rng.integers(0, n_protos, size=n)
     noisy = rng.random(n) < flip
     labels = np.where(noisy, 1 - truth[ids], truth[ids])
-    X = sp.csr_matrix(protos[ids])
-    return [X[i] for i in range(n)], labels
+    return sp.csr_matrix(protos[ids]), labels
+
+
+def _csr_rows(X):
+    """X's rows as one-row CSRs, the per-point reference's stream."""
+    return [X[i] for i in range(X.shape[0])]
 
 
 def _run_recorded(descriptor, stream, labels, budget, slack):
@@ -436,108 +440,166 @@ def _run_recorded(descriptor, stream, labels, budget, slack):
 def test_linear_active_loop_matches_per_point_reference(
     seed, n, d, n_protos, flip, budget, slack
 ):
-    stream, labels = _linear_stream(seed, n, d, n_protos, flip)
+    X, labels = _linear_stream(seed, n, d, n_protos, flip)
     got, got_asked = _run_recorded(
-        LinearClassDescriptor(d, steps=40, probe_steps=30),
-        stream, labels, budget, slack,
+        LinearClassDescriptor(X, steps=40, probe_steps=30),
+        range(n), labels, budget, slack,
     )
     want, want_asked = _run_recorded(
         oracles.ReferenceLinearDescriptor(d, steps=40, probe_steps=30),
-        stream, labels, budget, slack,
+        _csr_rows(X), labels, budget, slack,
     )
-    assert got_asked == want_asked
+    assert got_asked == want_asked == got.xs
     assert got.ys == want.ys and got.c == want.c and got.j == want.j
     assert np.array_equal(got.hypothesis.weights, want.hypothesis.weights)
     assert got.hypothesis.bias == want.hypothesis.bias
 
 
-def _assert_memo_rows_fresh(state, x):
-    # the memo's rows of Q and of Q plus x, grown a row per stream point,
-    # are the arrays a fresh layout of the stacked rows gives
-    memo = state.memo
-    if memo is None:
-        return
-    for rows, xs in ((memo.rows, state.xs), (memo.rows_next, state.xs + [x])):
-        fresh = _Rows.of(Dataset(_stack_rows(xs)).X)
-        assert rows.shape == fresh.shape
-        for got, want in zip(rows.csr, fresh.csr):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        assert rows.row_max == fresh.row_max
+def _stacked(pool, xs):
+    """The pool's rows at xs, stacked and made a `Dataset`'s matrix."""
+    return Dataset(sp.vstack([pool[i] for i in xs])).X
+
+
+def _assert_kept_rows_fresh(state, probed=None):
+    # the kept rows of Q and the point probed last, grown a row per query
+    # from the pool's layout, are the arrays a fresh layout of the stacked
+    # rows gives
+    xs, rows = state.rows
+    assert xs == state.xs + ([] if probed is None else [probed])
+    fresh = _Rows.of(_stacked(state.descriptor.pool, xs))
+    assert rows.shape == fresh.shape
+    for got, want in zip((*rows.csr, rows.row_sq), (*fresh.csr, fresh.row_sq)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class _CheckedDescriptor(LinearClassDescriptor):
     def disagreement(self, state, x, slack):
         answer = super().disagreement(state, x, slack)
         if not (math.isinf(slack) or not state.xs):
-            _assert_memo_rows_fresh(state, x)
+            _assert_kept_rows_fresh(state, probed=x)
         return answer
+
+    def refit(self, state):
+        super().refit(state)
+        if state.xs:
+            _assert_kept_rows_fresh(state)
 
 
 @pytest.mark.parametrize("pool", ["linear", "one-hot"])
 def test_linear_memo_grows_the_rows_it_would_build(pool):
     if pool == "linear":
-        stream, labels = _linear_stream(5, 60, 4, 6, 0.2)
-        d = 4
+        X, labels = _linear_stream(5, 60, 4, 6, 0.2)
     else:
         data = _onehot_clusters(80, 12, seed=3)
-        stream, labels, d = [data.X[i] for i in range(len(data))], data.y, 12
-    state, asked = _run_recorded(_CheckedDescriptor(d), stream, labels, 40, None)
+        X, labels = data.X, data.y
+    state, asked = _run_recorded(
+        _CheckedDescriptor(X), range(X.shape[0]), labels, 40, None
+    )
     assert len(asked) > 5
 
 
+@st.composite
+def _kept_rows_cases(draw):
+    """A pool of mixed signs with empty and duplicate rows, a queried set
+    with repeated indices cut in two, and labels."""
+    m, d = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(m, d)) * (rng.random((m, d)) < 0.5)
+    A[rng.random(m) < 0.2] = 0.0
+    copies = np.flatnonzero(rng.random(m) < 0.3)
+    A[copies] = A[rng.integers(0, m, len(copies))]
+    n = draw(st.integers(1, 40))
+    xs = rng.integers(0, m, n).tolist()
+    ys = rng.integers(0, 2, n).tolist()
+    warm = draw(st.booleans())
+    h0 = LinearHypothesis(rng.normal(size=d), float(rng.normal())) if warm else None
+    return sp.csr_matrix(A), xs, ys, draw(st.integers(1, n)), h0
+
+
+@given(_kept_rows_cases(), st.integers(1, 30), st.integers(1, 30))
+def test_linear_fits_on_kept_rows_equal_train_erm(case, steps, probe_steps):
+    # the reference fit on a first part of Q, and the refit once Q has
+    # grown by the rest, are lone `train_erm` fits on the stacked rows
+    pool, xs, ys, k, h0 = case
+    desc = _CheckedDescriptor(pool, steps=steps, probe_steps=probe_steps)
+    state = desc.init_state()
+    if h0 is not None:
+        state.hypothesis = h0
+    state.xs, state.ys = xs[:k], ys[:k]
+    desc.disagreement(state, xs[k] if k < len(xs) else 0, 0.1)
+    first = Dataset(_stacked(pool, xs[:k]), ys[:k])
+    pairs = [(state.memo.base, train_erm(first, probe_steps, init=state.hypothesis))]
+    start = state.hypothesis
+    state.xs, state.ys = xs, ys
+    desc.refit(state)
+    whole = Dataset(_stacked(pool, xs), ys)
+    pairs.append((state.hypothesis, train_erm(whole, steps, init=start)))
+    for got, want in pairs:
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(np.signbit(got.weights), np.signbit(want.weights))
+        assert got.bias == want.bias
+        assert np.signbit(got.bias) == np.signbit(want.bias)
+
+
 def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
-    lone_fits = []
-    real_train_erm = privote.pipelines.train_erm
+    reference_fits = []
+    real_columns = privote.pipelines._train_columns
 
-    def counting_train_erm(*args, **kwargs):
-        lone_fits.append(1)
-        return real_train_erm(*args, **kwargs)
+    def counting_columns(rows, labels, steps, weights, inits):
+        if weights[0] is None:  # a reference fit, made alone
+            reference_fits.append(1)
+        return real_columns(rows, labels, steps, weights, inits)
 
-    monkeypatch.setattr(privote.pipelines, "train_erm", counting_train_erm)
-    stream, labels = _linear_stream(7, 12, 3, 5, 0.2)
-    desc = LinearClassDescriptor(3, probe_steps=30)
+    monkeypatch.setattr(privote.pipelines, "_train_columns", counting_columns)
+    X, labels = _linear_stream(7, 12, 3, 5, 0.2)
+    stream = _csr_rows(X)
+    desc = LinearClassDescriptor(X, probe_steps=30)
     ref = oracles.ReferenceLinearDescriptor(3, probe_steps=desc.probe_steps)
     state = desc.init_state()
-    state.xs, state.ys = stream[:3], [int(y) for y in labels[:3]]
+    state.xs, state.ys = [0, 1, 2], [int(y) for y in labels[:3]]
 
     def probe(x, reused):
-        before = len(lone_fits)
+        before = len(reference_fits)
         got = desc.disagreement(state, x, 0.1)
-        assert len(lone_fits) == before + (0 if reused else 1)
-        _assert_memo_rows_fresh(state, x)
-        assert got == ref.disagreement(state, x, 0.1)
+        assert len(reference_fits) == before + (0 if reused else 1)
+        _assert_kept_rows_fresh(state, probed=x)
+        rows = dataclasses.replace(state, xs=[stream[i] for i in state.xs])
+        assert got == ref.disagreement(rows, stream[x], 0.1)
 
-    probe(stream[3], reused=False)
-    probe(stream[4], reused=True)  # stream[3] was not queried: same Q
+    probe(3, reused=False)
+    probe(4, reused=True)  # 3 was not queried: same Q
     # the loop's own change: the point just probed is queried, either label
-    state.xs.append(stream[4])
+    state.xs.append(4)
     state.ys.append(0)
-    probe(stream[5], reused=True)
-    state.xs.append(stream[5])
+    probe(5, reused=True)
+    state.xs.append(5)
     state.ys.append(1)
-    probe(stream[6], reused=True)
+    probe(6, reused=True)
     # a queried point other than the one just probed
-    state.xs.append(stream[7])
+    state.xs.append(7)
     state.ys.append(1)
-    probe(stream[8], reused=False)
+    probe(8, reused=False)
+    # an equal index, not the same object, names the same row
+    state.xs[0] = np.int64(state.xs[0])
+    probe(8, reused=True)
     outside_changes = [
-        lambda: state.xs.__setitem__(0, stream[0].copy()),  # equal, not the same
+        lambda: state.xs.__setitem__(0, 10),
         lambda: state.ys.__setitem__(1, 1 - state.ys[1]),
         lambda: setattr(state, "hypothesis", LinearHypothesis(np.ones(3), 0.5)),
         lambda: (state.xs.pop(), state.ys.pop()),
     ]
     for change in outside_changes:
-        probe(stream[8], reused=True)
+        probe(8, reused=True)
         change()
-        probe(stream[9], reused=False)
+        probe(9, reused=False)
     # the probed point queried with a label that is not 0 or 1: no
-    # candidate matches, and the lone fit rejects the label
-    probe(stream[8], reused=True)
-    state.xs.append(stream[8])
+    # candidate matches, and the reference fit rejects the label
+    probe(8, reused=True)
+    state.xs.append(8)
     state.ys.append(2)
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        desc.disagreement(state, stream[9], 0.1)
+        desc.disagreement(state, 9, 0.1)
 
 
 def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
@@ -548,15 +610,14 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     probing = []  # the stream position of the probe in progress, if any
     fresh_bases = []  # positions whose probe fit its reference from scratch
     real_columns = privote.pipelines._train_columns
-    real_erm = privote.pipelines.train_erm
 
-    def counting_columns(rows, labels, *args):
-        calls[-1][1].append(len(labels))
-        return real_columns(rows, labels, *args)
-
-    def counting_erm(*args, **kwargs):
-        fresh_bases.extend(probing)
-        return real_erm(*args, **kwargs)
+    def counting_columns(rows, labels, steps, weights, inits):
+        if probing:  # refits run outside a probe
+            if weights[0] is None:  # the reference, fit alone
+                fresh_bases.extend(probing)
+            else:
+                calls[-1][1].append(len(labels))
+        return real_columns(rows, labels, steps, weights, inits)
 
     class Recording(LinearClassDescriptor):
         def disagreement(self, state, x, slack):
@@ -568,9 +629,8 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
                 probing.pop()
 
     monkeypatch.setattr(privote.pipelines, "_train_columns", counting_columns)
-    monkeypatch.setattr(privote.pipelines, "train_erm", counting_erm)
-    stream, labels = _linear_stream(3, 12, 3, 5, 0.2)
-    _run_recorded(Recording(3), stream, labels, 12, None)
+    X, labels = _linear_stream(3, 12, 3, 5, 0.2)
+    _run_recorded(Recording(X), range(12), labels, 12, None)
     columns = dict(calls)
     assert sorted(columns) == list(range(1, 13))
     assert [columns[j] for j in (1, 2, 4, 8)] == [[], [1], [1], [1]]
@@ -580,8 +640,8 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     # j = 6 and 7 would have spent the budget but were not queried
     calls.clear()
     fresh_bases.clear()
-    stream, labels = _linear_stream(6, 40, 3, 5, 0.2)
-    state, asked = _run_recorded(Recording(3), stream, labels, 5, None)
+    X, labels = _linear_stream(6, 40, 3, 5, 0.2)
+    state, asked = _run_recorded(Recording(X), range(40), labels, 5, None)
     assert state.c == 5 and asked[3:] == [4, 7]
     columns = dict(calls)
     assert sorted(columns) == list(range(1, 9))
@@ -590,45 +650,56 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     assert not {6, 7} & set(fresh_bases)
 
 
-def _non_canonical(x, rng):
-    """x stored with each entry split in two, unsorted, with stored zeros."""
-    n_entries = x.nnz
-    parts = rng.random(n_entries)
-    data = np.concatenate([x.data * parts, x.data * (1.0 - parts), np.zeros(2)])
-    cols = np.concatenate([x.indices, x.indices, rng.integers(0, x.shape[1], 2)])
-    order = rng.permutation(len(data))
-    return sp.csr_matrix(
-        (data[order], cols[order], [0, len(data)]), shape=x.shape
-    )
+def _non_canonical(X, rng):
+    """X stored with each entry split in two and two stored zeros added
+    to each row, in a random order within the row."""
+    (n, d), coo = X.shape, X.tocoo()
+    parts = rng.random(coo.nnz)
+    rows = np.concatenate([coo.row, coo.row, np.arange(n).repeat(2)])
+    cols = np.concatenate([coo.col, coo.col, rng.integers(0, d, 2 * n)])
+    data = np.concatenate([coo.data * parts, coo.data * (1 - parts), np.zeros(2 * n)])
+    order = np.lexsort((rng.random(len(data)), rows))
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, d))
 
 
 @given(seed=st.integers(0, 2**32 - 1), slack=st.sampled_from((None, 0.0, 0.1)))
 def test_linear_stream_points_count_as_their_canonical_form(seed, slack):
-    # a stream point is summed, sorted and stripped of zeros where it
-    # enters, so it gives the answers its canonical twin gives
-    stream, labels = _linear_stream(seed, 30, 3, 5, 0.2)
-    rng = make_rng(seed)
-    raw = [_non_canonical(x, rng) for x in stream]
-    twins = [Dataset(x).X for x in raw]
-    assert all(x.nnz > twin.nnz for x, twin in zip(raw, twins))
-    got, got_asked = _run_recorded(LinearClassDescriptor(3), raw, labels, 20, slack)
-    want, want_asked = _run_recorded(LinearClassDescriptor(3), twins, labels, 20, slack)
+    # the pool is summed, sorted and stripped of zeros where it enters, so
+    # it gives the answers its canonical twin gives
+    X, labels = _linear_stream(seed, 30, 3, 5, 0.2)
+    raw = _non_canonical(X, make_rng(seed))
+    twin = Dataset(raw).X
+    assert not raw.has_canonical_format and raw.nnz > twin.nnz
+    got, got_asked = _run_recorded(
+        LinearClassDescriptor(raw), range(30), labels, 20, slack
+    )
+    want, want_asked = _run_recorded(
+        LinearClassDescriptor(twin), range(30), labels, 20, slack
+    )
     assert got_asked == want_asked
     assert np.array_equal(got.hypothesis.weights, want.hypothesis.weights)
     assert got.hypothesis.bias == want.hypothesis.bias
 
 
 def test_linear_stream_point_past_the_features_fails():
-    stream, labels = _linear_stream(2, 5, 3, 4, 0.0)
-    desc = LinearClassDescriptor(3)
+    X, labels = _linear_stream(2, 5, 3, 4, 0.0)
+    desc = LinearClassDescriptor(X)
     state = desc.init_state()
-    state.xs, state.ys = stream[:2], [int(y) for y in labels[:2]]
-    # scipy leaves a hand-built CSR's column indices unchecked
-    past = sp.csr_matrix((np.ones(1), np.array([7]), [0, 1]), shape=(1, 3))
-    wider = sp.csr_matrix((np.ones(1), np.array([3]), [0, 1]), shape=(1, 4))
-    for x in (past, wider):
-        with pytest.raises(ValueError):
+    state.xs, state.ys = [0, 1], [int(y) for y in labels[:2]]
+    # a stream element is a row index of the pool; a negative one does not
+    # wrap around
+    for x in (-1, 5, 1.5, "0", None):
+        with pytest.raises(ValueError, match=f"stream index {x!r} is not a row"):
             desc.disagreement(state, x, 0.1)
+    # an index queried without a probe fails where Q's rows are grown
+    with pytest.raises(ValueError, match="stream index -1 is not a row"):
+        run_active_learning(desc, [0, -1], lambda x, i: 0, 5, slack=math.inf)
+    # scipy leaves a hand-built CSR's column indices unchecked; the pool's
+    # are checked where it enters
+    past = sp.csr_matrix((np.ones(1), np.array([7]), [0, 1]), shape=(1, 3))
+    with pytest.raises(ValueError, match="column indices"):
+        LinearClassDescriptor(past)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +721,25 @@ def test_asq_skips_duplicate_heavy_pools():
     _, exact = pate_asq(teacher, pool, test, exact_config, make_rng(43))
     assert exact.accuracy >= 0.9
     assert exact.queries < 40
+
+
+def test_asq_lays_out_the_pool_once(monkeypatch):
+    # the committee's part and the student pool are laid out once each; no
+    # refit or reference fit lays out the queried set again
+    laid_out = []
+    real_layout = privote.learners._bias_layout
+
+    def counting_layout(ptr, *args):
+        laid_out.append(len(ptr) - 1)
+        return real_layout(ptr, *args)
+
+    monkeypatch.setattr(privote.learners, "_bias_layout", counting_layout)
+    data = _onehot_clusters(600, 12, seed=42)
+    teacher, pool, test = _split_three(data, 400, 40, 160)
+    config = AsqConfig(K=20, query_budget=30, budget=None)
+    _, report = pate_asq(teacher, pool, test, config, make_rng(43))
+    assert report.queries >= 4  # so there were refits and reference fits
+    assert laid_out == [len(teacher), len(pool)]
 
 
 def test_asq_single_query_budget():
