@@ -438,7 +438,8 @@ class ExperimentConfig:
     generator reads (realizable: d; massart: d, flip; tnc: tau, c); a
     file reads none. delta=None defers to 1/(teacher pool size) per
     trial; K=None sizes the committee at one teacher per hundred
-    sensitive points. svt_T=None gives PsqSvt the public cutoff
+    sensitive points. svt_T is PsqSvt's cutoff, and no other method takes
+    one; None gives the public cutoff
     `compute_svt_params(student pool size, 0.0, 0.05, budget)`, which
     reads nothing of the sensitive data.
 
@@ -472,6 +473,16 @@ class ExperimentConfig:
             raise ValueError("query_fraction must lie in (0, 1]")
         if self.synth_n < 10:
             raise ValueError("synth_n is too small to split")
+        if self.K is not None and self.K < 1:
+            raise ValueError(f"K must be positive, got {self.K}")
+        if self.svt_T is not None and self.method != "PsqSvt":
+            raise ValueError(f"svt_T is read by PsqSvt only, not by {self.method}")
+        if self.svt_T is not None and self.svt_T < 1:
+            raise ValueError(f"svt_T must be positive, got {self.svt_T}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         _check_fractions(self.fractions)
         unread = set(self.generator_params) - set(
             _GENERATOR_PARAMS.get(self.dataset, ())
@@ -600,23 +611,16 @@ def _run_trial(
         eps, delta = math.inf, 0.0
 
     if method in ("Asq", "AsqNoPrivacy"):
-        cfg = AsqConfig(
-            K=K,
-            query_budget=max(1, round(config.query_fraction * len(student))),
-            budget=budget,
-        )
+        query_budget = max(1, round(config.query_fraction * len(student)))
+        cfg = AsqConfig(K, query_budget, budget)
         _, report = pate_asq(teacher, student, test, cfg, rng)
-    elif method == "PsqSvt":
+    else:  # T is None for PsqGaussian and PsqNoPrivacy
         T = config.svt_T
-        if T is None:
+        if method == "PsqSvt" and T is None:
             # the public rule `privote calibrate` prints: sized for error-free
             # teachers, so T reads nothing of the sensitive pool
             T, _ = compute_svt_params(len(student), 0.0, 0.05, budget)
-        cfg = PsqConfig(K=K, budget=budget, mechanism="svt", T=T)
-        _, report = pate_psq(teacher, student, test, cfg, rng)
-    else:  # PsqGaussian, PsqNoPrivacy
-        cfg = PsqConfig(K=K, budget=budget)
-        _, report = pate_psq(teacher, student, test, cfg, rng)
+        _, report = pate_psq(teacher, student, test, PsqConfig(K, budget, T), rng)
     return report, eps, delta
 
 

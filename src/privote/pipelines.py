@@ -13,9 +13,11 @@ active (ASQ): a disagreement-based learner decides which points are worth
     point, on rows grown from the pool's one layout (see
     `LinearClassDescriptor`).
 
-A config's budget picks the session. budget=None means exact majority: an
-ExactSession answers every query without noise, which is the non-private
-baseline, and the run reports epsilon = inf.
+Both share one labeling stage, `_labeler`, where the budget and the
+passive cutoff T choose the session. budget=None means exact majority: an
+ExactSession answers every query without noise, the non-private baseline,
+and the run reports epsilon = inf. Otherwise T=None means Gaussian noise,
+and a T means stable release with at most T bottom answers.
 
 Parameter-sizing helpers translate accuracy targets into the committee
 size K and the unstable-query cutoff T.
@@ -23,6 +25,7 @@ size K and the unstable-query cutoff T.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -30,7 +33,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .aggregation import ExactSession, GaussianSession, SvtSession, VoteCount
+from .aggregation import (
+    ExactSession, GaussianSession, SessionExhausted, SvtSession, VoteCount
+)
 from .dp_core import PrivacyBudget, calibrate_gaussian_sigma, make_rng
 from .learners import (
     Dataset,
@@ -58,8 +63,6 @@ __all__ = [
     "compute_svt_params",
 ]
 
-MECHANISMS = ("gaussian", "svt")
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -81,18 +84,13 @@ class RunReport:
 class PsqConfig:
     K: int
     budget: PrivacyBudget | None  # None: exact majority, no privacy
-    mechanism: str = "gaussian"
-    T: int | None = None
+    T: int | None = None  # None: Gaussian noise; else stable release, cutoff T
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError("K must be positive")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"mechanism must be one of {MECHANISMS}")
-        if self.mechanism == "svt" and (self.T is None or self.T < 1):
-            raise ValueError("the svt mechanism needs a positive cutoff T")
-        if self.mechanism == "svt" and self.budget is None:
-            raise ValueError("the svt mechanism needs a privacy budget")
+        if self.T is not None and (self.T < 1 or self.budget is None):
+            raise ValueError("stable release needs a positive cutoff T and a budget")
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,39 @@ def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Data
         raise ValueError("test data must be nonempty and labeled")
 
 
+def _labeler(
+    teacher_data: Dataset, student_pool: Dataset, test_data: Dataset,
+    config: PsqConfig | AsqConfig, ell: int, T: int | None, rng,
+):
+    """The private front end of both pipelines: the committee's votes on
+    the pool behind one session, sized for ell answers. The rng draws the
+    committee's permutation, then the session's noise.
+
+    Returns `ask(i)`, the session's answer about pool point i, and
+    `report(h, queries, bots)`, the student h with its `RunReport`.
+    """
+    _require_pools(teacher_data, student_pool, test_data, config.K)
+    rng = make_rng(rng)
+    ones = train_committee(teacher_data, config.K, rng).vote_ones(student_pool.X)
+    if config.budget is None:
+        session = ExactSession()
+    elif T is None:
+        session = GaussianSession.for_budget(ell, config.budget, rng)
+    else:
+        session = SvtSession.for_budget(ell, T, config.budget, rng)
+
+    def ask(i: int) -> int | None:
+        return session.answer(VoteCount(int(ones[i]), config.K))
+
+    def report(h: LinearHypothesis, queries: int, bots: int):
+        eps = session.privacy_report()[0]
+        accuracy = 1.0 - empirical_error(h, test_data)
+        halted = getattr(session, "halted", False)  # only stable release halts
+        return h, RunReport(queries, bots, eps, accuracy, halted)
+
+    return ask, report
+
+
 def pate_psq(
     teacher_data: Dataset,
     student_pool: Dataset,
@@ -134,44 +165,19 @@ def pate_psq(
     records how many. With no budget every point gets the exact
     majority label.
     """
-    _require_pools(teacher_data, student_pool, test_data, config.K)
-    rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng)
-    ones = ensemble.vote_ones(student_pool.X)
     m = len(student_pool)
-
-    if config.budget is None:
-        session = ExactSession()
-    elif config.mechanism == "gaussian":
-        session = GaussianSession.for_budget(m, config.budget, rng)
-    else:
-        session = SvtSession.for_budget(m, config.T, config.budget, rng)
-
-    labels = np.zeros(m, dtype=np.int64)  # bots keep label 0
-    queries = 0
-    bots = 0
-    for i in range(m):
-        votes = VoteCount(int(ones[i]), config.K)
-        if isinstance(session, SvtSession) and session.halted:
-            answer = None
-        else:
-            answer = session.answer(votes)
-            queries += 1
-        if answer is None:
-            bots += 1
-        else:
-            labels[i] = answer
-
-    eps, _ = session.privacy_report()
-    student = train_erm(student_pool.with_labels(labels))
-    report = RunReport(
-        queries=queries,
-        bots=bots,
-        eps_ex_post=eps,
-        accuracy=1.0 - empirical_error(student, test_data),
-        halted_early=isinstance(session, SvtSession) and session.halted,
+    ask, report = _labeler(
+        teacher_data, student_pool, test_data, config, m, config.T, rng
     )
-    return student, report
+    answers = []
+    with contextlib.suppress(SessionExhausted):  # stable release halted
+        for i in range(m):
+            answers.append(ask(i))
+    released = [i for i, y in enumerate(answers) if y is not None]
+    labels = np.zeros(m, dtype=np.int64)  # bots keep label 0
+    labels[released] = [answers[i] for i in released]
+    student = train_erm(student_pool.with_labels(labels))
+    return report(student, len(answers), m - len(released))
 
 
 # ---------------------------------------------------------------------------
@@ -502,30 +508,16 @@ def pate_asq(
     case while the reported ex-post loss reflects the queries actually
     made. With no budget the committee's exact majority answers.
     """
-    _require_pools(teacher_data, student_pool, test_data, config.K)
-    rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng)
-    ones = ensemble.vote_ones(student_pool.X)
-    if config.budget is None:
-        session = ExactSession()
-    else:
-        session = GaussianSession.for_budget(
-            config.query_budget, config.budget, rng
-        )
-
+    ask, report = _labeler(
+        teacher_data, student_pool, test_data, config, config.query_budget, None, rng
+    )
     state = run_active_learning(
         LinearClassDescriptor(student_pool.X),
         range(len(student_pool)),
-        lambda x, i: session.answer(VoteCount(int(ones[i]), config.K)),
+        lambda x, i: ask(i),
         config.query_budget,
     )
-    report = RunReport(
-        queries=state.c,
-        bots=0,
-        eps_ex_post=session.privacy_report()[0],
-        accuracy=1.0 - empirical_error(state.hypothesis, test_data),
-    )
-    return state.hypothesis, report
+    return report(state.hypothesis, state.c, 0)
 
 
 # ---------------------------------------------------------------------------

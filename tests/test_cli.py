@@ -96,6 +96,22 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_bad_config_setting_fails_naming_its_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cases = [
+        ({"svt_T": 3}, [], "svt_T"),  # the default PsqGaussian takes no cutoff
+        ({"svt_T": 0}, ["--method", "PsqSvt"], "svt_T"),
+        ({"K": 0}, [], "K"),
+        ({"epsilon": -1}, [], "epsilon"),
+        ({"delta": 2}, [], "delta"),
+    ]
+    for settings, flags, field in cases:
+        cfg.write_text(json.dumps({"synth_n": 400, **settings}))
+        argv = ["psq", "--dataset", "realizable", "--config", str(cfg), *flags]
+        assert main(argv) == 1
+        assert f"error: {field} " in capsys.readouterr().err
+
+
 def test_config_that_is_not_a_json_object_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for text in ('["dataset"]', '"x"', "3"):

@@ -1,6 +1,7 @@
-"""The public names of the package, pinned so that a name is only added or
-removed on purpose."""
+"""The public names of the package and the fields of its configs, pinned
+so that a name or a knob is only added or removed on purpose."""
 
+import dataclasses
 import types
 
 import privote
@@ -74,3 +75,30 @@ def test_exports_are_pinned():
         and not isinstance(getattr(privote, name), types.ModuleType)
     )
     assert public == EXPORTS
+
+
+CONFIG_FIELDS = {
+    "PsqConfig": ["K", "budget", "T"],
+    "AsqConfig": ["K", "query_budget", "budget"],
+    "ExperimentConfig": [
+        "dataset",
+        "method",
+        "epsilon",
+        "delta",
+        "trials",
+        "seed",
+        "fractions",
+        "K",
+        "query_fraction",
+        "svt_T",
+        "synth_n",
+        "generator_params",
+        "record_timing",
+    ],
+}
+
+
+def test_config_fields_are_pinned():
+    for name, fields in CONFIG_FIELDS.items():
+        cls = getattr(privote, name)
+        assert [f.name for f in dataclasses.fields(cls) if f.init] == fields, name

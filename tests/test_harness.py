@@ -508,6 +508,39 @@ def test_experiment_config_validation():
 
 
 @pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"K": 0}, "K"),
+        ({"K": -3}, "K"),
+        ({"method": "PsqSvt", "svt_T": 0}, "svt_T"),
+        ({"method": "PsqGaussian", "svt_T": 5}, "svt_T"),
+        ({"method": "PsqNoPrivacy", "svt_T": 5}, "svt_T"),
+        ({"method": "Asq", "svt_T": 5}, "svt_T"),
+        ({"epsilon": -1.0}, "epsilon"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"epsilon": math.inf}, "epsilon"),
+        ({"epsilon": math.nan}, "epsilon"),
+        ({"delta": 0.0}, "delta"),
+        ({"delta": 1.0}, "delta"),
+        ({"delta": -1e-5}, "delta"),
+        ({"delta": math.nan}, "delta"),
+    ],
+)
+def test_experiment_config_rejects_bad_settings(overrides, field):
+    """A bad setting fails when the config is made, naming its field,
+    before any data is read; none is silently ignored."""
+    base = {"dataset": "no/such/file.libsvm", "method": "PsqGaussian"}
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        ExperimentConfig(**{**base, **overrides})
+
+
+def test_experiment_config_accepts_the_edges_of_its_settings():
+    ExperimentConfig("realizable", "PsqSvt", svt_T=1, K=1)
+    ExperimentConfig("realizable", "Asq", epsilon=1e-9, delta=1e-12)
+    ExperimentConfig("realizable", "PsqGaussian", delta=1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
     "fractions", [(0.5, 0.5), (0.8, 0.0, 0.2), *_NON_FINITE_FRACTIONS]
 )
 def test_experiment_config_checks_its_fractions(fractions):

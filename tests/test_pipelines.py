@@ -113,12 +113,13 @@ def test_psq_configs_validate():
     budget = PrivacyBudget(1.0, 1e-5)
     with pytest.raises(ValueError):
         PsqConfig(K=0, budget=budget)
-    with pytest.raises(ValueError):
-        PsqConfig(K=5, budget=budget, mechanism="exact")
-    with pytest.raises(ValueError):
-        PsqConfig(K=5, budget=budget, mechanism="svt")  # missing T
-    with pytest.raises(ValueError):
-        PsqConfig(K=5, budget=None, mechanism="svt", T=3)  # svt needs a budget
+    for T in (0, -1):
+        with pytest.raises(ValueError, match="positive cutoff T"):
+            PsqConfig(K=5, budget=budget, T=T)
+    with pytest.raises(ValueError, match="budget"):
+        PsqConfig(K=5, budget=None, T=3)  # stable release needs a budget
+    with pytest.raises(TypeError):
+        PsqConfig(K=5, budget=budget, mechanism="svt", T=3)  # T alone chooses
     with pytest.raises(ValueError):
         AsqConfig(K=5, query_budget=0, budget=budget)
 
@@ -168,16 +169,27 @@ def test_psq_svt_halts_and_fills_bots():
     y = rng.integers(0, 2, 400)
     data = Dataset(X, y)
     teacher, pool, test = _split_three(data, 320, 40, 40)
-    config = PsqConfig(
-        K=12,
-        budget=PrivacyBudget(1.0, 1e-4),
-        mechanism="svt",
-        T=2,
-    )
+    config = PsqConfig(K=12, budget=PrivacyBudget(1.0, 1e-4), T=2)
     student, report = pate_psq(teacher, pool, test, config, make_rng(35))
     assert report.halted_early
     assert report.queries == 2
     assert report.bots == 40
+    assert report.eps_ex_post == 1.0
+
+
+def test_psq_svt_halts_on_the_last_point():
+    # every query bottoms out, and the cutoff is the pool size: the session
+    # halts on the last point, so no query is refused and none is released
+    rng = make_rng(34)
+    X = rng.normal(size=(400, 4))
+    y = rng.integers(0, 2, 400)
+    teacher, pool, test = _split_three(Dataset(X, y), 320, 40, 40)
+    m = len(pool)
+    config = PsqConfig(K=12, budget=PrivacyBudget(1.0, 1e-4), T=m)
+    _, report = pate_psq(teacher, pool, test, config, make_rng(35))
+    assert report.halted_early
+    assert report.queries == m
+    assert report.bots == m
     assert report.eps_ex_post == 1.0
 
 
