@@ -14,11 +14,14 @@ since real timings would break that guarantee.
 from __future__ import annotations
 
 import bz2
+import csv
 import gzip
+import io
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,34 +127,38 @@ def parse_libsvm(path) -> Dataset:
     read line by line by `_read_lines`, with str.split, `int` and
     `float`, at about a fifth of the speed; it alone names errors.
     """
-    labels, counts, indices, values = [], [], [], []  # per block
+    # per block: labels, features per example, 0-based indices, values
+    labels, counts, indices, values = pieces = [], [], [], []
     lineno = 1  # of the current block's first line
     with _open_bytes(path) as fh:
         for block in _blocks(fh):
-            y, n, col, val, lines = _tokenize(block) or _read_lines(block, lineno)
-            labels.append(y)
-            counts.append(n)  # features per example
-            indices.append(col)  # 0-based
-            values.append(val)
+            *parts, lines = _tokenize(block) or _read_lines(block, lineno)
+            for piece, part in zip(pieces, parts):
+                piece.append(part)
             lineno += lines
 
     rows = sum(map(len, labels))
     if not rows:
         raise LibsvmParseError("no examples found")
-    # indptr first, so that the peak is the pieces plus one copy of each;
-    # int32 where it fits, as scipy stores it, so that it copies nothing
+    # each list is freed once joined, so the peak is the output and one list;
+    # indptr is int32 where it fits, as scipy stores it, so it copies nothing
     nnz = sum(map(len, indices))
+    y = _joined(labels)
     indptr = np.zeros(rows + 1, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    col = np.concatenate(indices)
+    np.cumsum(_joined(counts), out=indptr[1:])
+    col = _joined(indices)
     X = sp.csr_matrix(
-        (np.concatenate(values), col, indptr),
+        (_joined(values), col, indptr),
         shape=(rows, int(col.max()) + 1 if col.size else 0),
     )
-    y = np.concatenate(labels)
-    # the pieces go before Dataset takes its own copy of the labels
-    del labels, counts, indices, values
     return Dataset(X, y)
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The pieces concatenated, the list emptied so that they are freed."""
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
 
 def _blocks(fh):
@@ -201,6 +208,7 @@ def _tokenize(block: bytes):
     shifted = c - np.uint8(9)  # wraps below 9
     gaps = (shifted < 5) | ((shifted >= 19) & (shifted <= 23))
     bounds = np.flatnonzero(np.diff(gaps, prepend=True, append=True))
+    del shifted, gaps  # freed once used: a block's temporaries peak at ~20x its bytes
     starts, stops = bounds[0::2], bounds[1::2]
     hashes = np.flatnonzero(c == 35)
     if hashes.size:
@@ -241,12 +249,11 @@ def _tokenize(block: bytes):
         if not np.all((digits <= k) | (digit <= 9)):
             return None
         idx = np.where(digits > k, idx * 10 + digit, idx)
+    begin = np.concatenate([starts[examples], col + 1])
+    end = np.concatenate([stops[examples], fe])
+    del fs, fe, colons, col, digits
     try:
-        out = _floats(
-            c,
-            np.concatenate([starts[examples], col + 1]),
-            np.concatenate([stops[examples], fe]),
-        )
+        out = _floats(c, begin, end)
     except ValueError:
         return None
     label, value = out[: examples.size], out[examples.size :]
@@ -272,7 +279,7 @@ def _floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
         padded = np.concatenate([c, np.zeros(8, dtype=np.uint8)])
         eight = np.ndarray(c.shape, dtype="<u8", buffer=padded, strides=(1,))
         size = length[short]
-        key = eight.take(begin[short]) & _LOW_BYTES[size]
+        key = eight[begin[short]] & _LOW_BYTES[size]  # take would copy eight whole
         key = key << np.uint64(8) | size.astype(np.uint64)
         distinct = np.sort(key)
         distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
@@ -429,6 +436,10 @@ def _check_fractions(fractions) -> tuple[float, ...]:
     return f
 
 
+# the type each scalar annotation of an `ExperimentConfig` field asks for
+_SCALARS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one repeated experiment needs, JSON-mirrorable.
@@ -465,6 +476,13 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.split(" | ")[0]
+            if kind in _SCALARS and not (value is None and "None" in f.type) and (
+                not isinstance(value, _SCALARS[kind])
+                or isinstance(value, bool) != (kind == "bool")  # True is an int
+            ):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.trials < 1:
@@ -679,10 +697,12 @@ def _format_cell(value) -> str:
 
 
 def _render_csv(columns, rows: list[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    """Rows as CSV, quoting a cell (a dataset path) only where it needs it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_cell(row[c]) for c in columns] for row in rows)
+    return out.getvalue()
 
 
 def render_trial_csv(trials: list[TrialReport]) -> str:

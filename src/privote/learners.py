@@ -5,14 +5,14 @@ explicit finite hypothesis class backs the counterexample fixtures and the
 exact version-space machinery.
 
 All linear training goes through one accelerated-descent loop (Nesterov
-momentum). A committee's K disjoint shards are one row permutation of
-the teacher pool, laid out as one block-diagonal sparse matrix with a
-bias column per block, so each step scores and differentiates every
-teacher with one pass over all rows; a lone fit (`train_erm`) is the
-one-block case. A committee whose design holds at least
-`_SPLIT_ENTRIES` entries, on a host with two usable CPUs, is cut into
-two halves of contiguous blocks, and the second half descends in a
-worker thread while the calling thread descends the first. Fits that
+momentum). A committee's K disjoint shards, cut from one row permutation
+of the teacher pool, are gathered from its CSR arrays into one
+block-diagonal layout with a bias column per block, so each step scores
+and differentiates every teacher with one pass over all rows; a lone fit
+(`train_erm`) is the one-block case. A committee whose design holds at
+least `_SPLIT_ENTRIES` entries, on a host with two usable CPUs, is cut
+into two halves of contiguous blocks; a worker thread lays out and
+descends the second while the calling thread does the first. Fits that
 share their rows and differ in labels, weights or start (the active
 learner's probes) are instead B columns of the iterate over one copy of
 the rows (`_train_columns`). The design is built once per fit as raw
@@ -178,14 +178,14 @@ def train_erm(
     comes within 0.1% of the eigenvalue, where the row norms alone give
     about twice it; on rows of mixed signs |X| can make it looser.
 
-    The iterate is the weights, then the bias, of a one-block
-    `_BlockDesign` built from the rows' CSR arrays. Every step runs
-    scipy's `csr_matvec` kernel for the product with the design and
+    The fit is one column of `_train_columns` on the rows' layout
+    (`_Rows.of`); the iterate is the weights, then the bias. Every step
+    runs scipy's `csr_matvec` kernel for the product with the design and
     `csc_matvec` for the one with its transpose, each into a buffer
     allocated once per fit and zeroed before the kernel adds into it.
 
-    A committee member (`train_committee`) or a column of the active
-    probe (`_train_columns`) on the same rows equals this fit bit for
+    A committee member (`train_committee`) or another column of a
+    `_train_columns` fit on the same rows equals this fit bit for
     bit: every floating-point operation that reaches its weights is the
     one this fit makes, in the same order. The bias is one more column,
     so the transpose kernel sums its gradient in row order like every
@@ -197,13 +197,7 @@ def train_erm(
         raise ValueError("cannot train on an empty dataset")
     if not data.labeled:
         raise ValueError("training data must be labeled")
-    X = data.X
-    wts = _fit_weights(len(data), sample_weight)
-    start = _fit_start(data.n_features, init)
-    design = _BlockDesign.build(
-        (X.indptr, X.indices, X.data), X.shape[1], np.array([len(data)]), data.y, wts
-    )
-    return design.descend(start[:, None], steps)[0]
+    return _train_columns(_Rows.of(data.X), [data.y], steps, [sample_weight], [init])[0]
 
 
 def _matvec(shape, csr, v, out, transpose=False):
@@ -241,7 +235,8 @@ def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
     block's rows and columns and a column of wts, so a bound is the same
     alone or batched, bit for bit.
     """
-    abs_csr = (csr[0], csr[1], np.abs(csr[2]))
+    if csr[2].min(initial=0.0) < 0:  # else data is |data|: it stores no -0.0
+        csr = (csr[0], csr[1], np.abs(csr[2]))
     B = wts.shape[1]
     # one column at a time through the one-vector kernels, on buffers
     # ordered by column, block and coordinate: down the rows of a
@@ -256,10 +251,10 @@ def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
     bound = np.inf
     for _ in range(_BOUND_ITERS):
         for b in range(B):
-            _matvec(shape, abs_csr, v[b], Xv[b])
+            _matvec(shape, csr, v[b], Xv[b])
         Xv *= col_wts
         for b in range(B):
-            _matvec(shape, abs_csr, Xv[b], u[b], transpose=True)
+            _matvec(shape, csr, Xv[b], u[b], transpose=True)
         ratios.fill(0.0)
         np.divide(U, V, out=ratios, where=V > 0)
         bound = np.minimum(bound, ratios.max(axis=2))
@@ -272,27 +267,39 @@ def _index_type(entries: int, width: int):
     return np.int32 if max(entries, width) < 2**31 else np.int64
 
 
-def _bias_layout(ptr, cols, vals, first_col, d: int, width: int):
-    """The raw CSR arrays of rows (ptr, cols, vals) of d columns, row r's
-    entries moved to start at column first_col[r] and followed by a bias
-    entry of 1 at column first_col[r] + d, and each row's squared norm
-    with that bias entry."""
-    n, nnz = len(ptr) - 1, len(vals)
-    counts = np.diff(ptr)
-    # squares summed by reduceat, as X.multiply(X).sum(axis=1)
+def _bias_layout(csr, order, sizes: np.ndarray, d: int):
+    """The rows `order` of a canonical CSR of d columns (raw arrays csr),
+    gathered in that order into blocks of these sizes, block k's rows in
+    columns k*(d+1) on, each ended by a bias entry of 1 in column
+    k*(d+1) + d: the raw CSR arrays, and each row's squared norm."""
+    ptr, cols, vals = csr
+    n, starts, ends = len(order), ptr[order], ptr[order + 1]
+    nnz = int((ends - starts).sum())
+    index_type = _index_type(nnz + n, len(sizes) * (d + 1))
+    indptr = np.zeros(n + 1, dtype=index_type)
+    np.cumsum(ends - starts + 1, out=indptr[1:])
+    bias = indptr[1:] - 1  # each row's last entry
+    # each entry's source position, of the index width: one on from the
+    # one before, except where a row starts; a bias entry reads its row's end
+    at = np.ones(nnz + n, dtype=np.result_type(ptr, index_type))
+    at[indptr[:-1]] = starts
+    at[indptr[1:-1]] -= ends[:-1]
+    np.cumsum(at, out=at)
+    indices, data = np.empty(nnz + n, dtype=index_type), np.empty(nnz + n)
+    if nnz:  # else every entry is a bias entry
+        cols.take(at, out=indices, mode="clip")
+        vals.take(at, out=data, mode="clip")
+    del at
+    indices[bias], data[bias] = d, 1.0
+    block_end = indptr[np.cumsum(sizes)]
+    for k in range(1, len(sizes)):
+        indices[block_end[k - 1] : block_end[k]] += k * (d + 1)
+    # 1 plus a reduceat of the row's own squares, as X.multiply(X).sum(axis=1);
+    # a reduceat over the bias entry too would sum in another order
     row_sq = np.ones(n)
-    filled = np.flatnonzero(counts)
-    row_sq[filled] += np.add.reduceat(vals * vals, ptr[filled])
-    # row r's entries move r places on, and its bias entry follows them
-    row_of = np.arange(n).repeat(counts)
-    at = row_of + np.arange(nnz)
-    index_type = _index_type(nnz + n, width)
-    indptr = (ptr + np.arange(n + 1)).astype(index_type)
-    indices = np.empty(nnz + n, dtype=index_type)
-    indices[at] = cols + first_col[row_of]
-    indices[indptr[1:] - 1] = first_col + d
-    data = np.ones(nnz + n)
-    data[at] = vals
+    filled = np.flatnonzero(ends > starts)
+    segments = np.stack([indptr[filled], bias[filled]], axis=1).ravel()
+    row_sq[filled] += np.add.reduceat(data * data, segments)[::2]
     return (indptr, indices, data), row_sq
 
 
@@ -309,9 +316,8 @@ class _Rows:
     @classmethod
     def of(cls, X: sp.csr_matrix) -> "_Rows":
         """The rows of a canonical CSR, such as a `Dataset`'s."""
-        n, d = X.shape
-        zero = np.zeros(n, dtype=int)
-        csr, row_sq = _bias_layout(X.indptr, X.indices, X.data, zero, d, d + 1)
+        (n, d), csr = X.shape, (X.indptr, X.indices, X.data)
+        csr, row_sq = _bias_layout(csr, np.arange(n), np.array([n]), d)
         return cls((n, d + 1), csr, row_sq)
 
     @property
@@ -382,18 +388,14 @@ class _BlockDesign:
     step_cols: np.ndarray
 
     @classmethod
-    def build(cls, csr, d: int, sizes: np.ndarray, y, wts):
-        """The one-column design of canonical rows of d features, given
-        as raw CSR arrays csr (indptr from 0, indices, data), that are
-        block 0's sizes[0] rows, then block 1's, and so on; y and wts
-        follow the rows."""
-        ptr, cols, vals = csr
-        n, K = len(ptr) - 1, len(sizes)
-        first_col = np.arange(K).repeat(sizes) * (d + 1)
-        csr, row_sq = _bias_layout(ptr, cols, vals, first_col, d, K * (d + 1))
-        del first_col  # room for the bound's copy of |data|
+    def build(cls, csr, order, d: int, sizes: np.ndarray, y, wts):
+        """The one-column design of `_bias_layout`'s blocks of these sizes
+        from the rows `order` of a canonical CSR of d features (raw arrays
+        csr); y and wts follow order."""
+        csr, row_sq = _bias_layout(csr, order, sizes, d)
         row_max = np.maximum.reduceat(row_sq, np.cumsum(sizes) - sizes)
-        return cls.of((n, K * (d + 1)), csr, row_max, sizes, y[:, None], wts[:, None])
+        shape = (len(order), len(sizes) * (d + 1))
+        return cls.of(shape, csr, row_max, sizes, y[:, None], wts[:, None])
 
     @classmethod
     def of(cls, shape, csr, row_max, sizes: np.ndarray, Y, wts, weight_of=None):
@@ -592,39 +594,37 @@ def train_committee(
     permutation of the rows, and each member equals `train_erm` on its
     split bit for bit. The K fits are the blocks of a block-diagonal
     design (see `_BlockDesign`), cut into parts of contiguous blocks,
-    each part one accelerated-descent loop. There is one part, run in
-    the calling thread, unless K > 1, the design holds at least
-    `_SPLIT_ENTRIES` entries and two CPUs are usable; then there are two,
-    both built in the calling thread from views into the permuted rows,
-    and the second descends in a worker thread while the calling thread
-    descends the first. Blocks share no rows, columns or sums, so the
-    cut changes no member. The worker runs `_BlockDesign.descend` only,
-    is joined before this returns or raises, and its error, if any, is
-    raised here.
+    each part one accelerated-descent loop whose rows are gathered from
+    `data`'s CSR arrays in permuted order (`_bias_layout`); no permuted
+    copy of the rows is made. There is one part, run in the calling
+    thread, unless K > 1, the design holds at least `_SPLIT_ENTRIES`
+    entries and two CPUs are usable; then there are two, and a worker
+    thread lays out, bounds and descends the second while the calling
+    thread does the first. Blocks share no rows, columns or sums, so the
+    cut changes no member. The worker runs `_BlockDesign.build` and
+    `descend` only, is joined before this returns or raises, and its
+    error, if any, is raised here.
     """
     sizes = _part_sizes(len(data), K)
     if not data.labeled:
         raise ValueError("training data must be labeled")
-    rows = data.subset(rng.permutation(len(data)))
-    X, d = rows.X, data.n_features
+    order, X = rng.permutation(len(data)), data.X
     entries = X.nnz + len(data)
     parts = 2 if K > 1 and entries >= _SPLIT_ENTRIES and _usable_cpus() > 1 else 1
-    designs, lo = [], 0
-    for part in np.array_split(sizes, parts):
-        hi = lo + int(part.sum())
-        ptr = X.indptr[lo : hi + 1]
-        csr = (ptr - ptr[0], X.indices[ptr[0] : ptr[-1]], X.data[ptr[0] : ptr[-1]])
+    csr, d = (X.indptr, X.indices, X.data), data.n_features
+
+    def fit(rows, part):
         wts = (1.0 / part).repeat(part)
-        designs.append(_BlockDesign.build(csr, d, part, rows.y[lo:hi], wts))
-        lo = hi
-    first, *rest = designs
+        design = _BlockDesign.build(csr, rows, d, part, data.y[rows], wts)
+        return design.descend(np.zeros((design.shape[1], 1)), steps)
+
+    part_sizes = np.array_split(sizes, parts)
+    cuts = np.cumsum([part.sum() for part in part_sizes])[:-1]
+    first, *rest = zip(np.split(order, cuts), part_sizes)
     # starts a thread only at submit, and joins it on leaving the block
     with ThreadPoolExecutor(max_workers=1) as worker:
-        later = [
-            worker.submit(design.descend, np.zeros((design.shape[1], 1)), steps)
-            for design in rest
-        ]
-        members = first.descend(np.zeros((first.shape[1], 1)), steps)
+        later = [worker.submit(fit, *args) for args in rest]
+        members = fit(*first)
         for future in later:
             members += future.result()
     return Ensemble(members)

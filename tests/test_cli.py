@@ -104,6 +104,8 @@ def test_bad_config_setting_fails_naming_its_field(tmp_path, capsys):
         ({"K": 0}, [], "K"),
         ({"epsilon": -1}, [], "epsilon"),
         ({"delta": 2}, [], "delta"),
+        ({"K": 2.5}, [], "K"),  # fails here, not inside trial 0
+        ({"record_timing": "no"}, [], "record_timing"),  # not read as true
     ]
     for settings, flags, field in cases:
         cfg.write_text(json.dumps({"synth_n": 400, **settings}))

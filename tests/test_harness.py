@@ -1,6 +1,7 @@
 """LIBSVM ingestion, the split protocol, and the experiment runner."""
 
 import bz2
+import csv
 import gzip
 import io
 import json
@@ -393,9 +394,9 @@ def _one_hot_text(rows: int, rng) -> str:
     )
 
 
-def _parse_peak_over_returned(tmp_path, rows: int, rng) -> int:
-    """The peak bytes of parsing a one-hot file of these rows, less twice
-    the returned arrays (the per-block pieces plus their concatenation)."""
+def _parse_peak(tmp_path, rows: int, rng):
+    """The peak bytes of parsing a one-hot file of these rows, the bytes of
+    the returned arrays, and the returned values' bytes."""
     path = tmp_path / f"{rows}.txt"
     path.write_text(_one_hot_text(rows, rng))
     assert path.stat().st_size > 8 * harness._BLOCK_BYTES
@@ -408,6 +409,13 @@ def _parse_peak_over_returned(tmp_path, rows: int, rng) -> int:
         tracemalloc.stop()
     X = data.X
     returned = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + data.y.nbytes
+    return peak, returned, X.data.nbytes
+
+
+def _parse_peak_over_returned(tmp_path, rows: int, rng) -> int:
+    """The peak bytes of parsing a one-hot file of these rows, less twice
+    the returned arrays (the per-block pieces plus their concatenation)."""
+    peak, returned, _ = _parse_peak(tmp_path, rows, rng)
     return peak - 2 * returned
 
 
@@ -433,6 +441,16 @@ def test_parse_libsvm_releases_its_pieces_before_the_labels_copy(tmp_path):
         _parse_peak_over_returned(tmp_path, n, rng) for n in (12_000, 48_000)
     )
     assert large - small <= 2 * (48_000 - 12_000), (small, large)
+
+
+def test_parse_libsvm_peak_is_its_output_and_one_list_of_pieces(tmp_path):
+    """Each list of per-block pieces is freed once joined, so the peak is
+    the returned arrays plus the values' pieces, joined last, and less
+    than a block's bytes more. Holding every list to the end, as a parse
+    that frees its pieces only after the last join does, exceeds this by
+    about 0.6 times the values' bytes."""
+    peak, returned, values = _parse_peak(tmp_path, 48_000, np.random.default_rng(5))
+    assert peak - returned <= values + harness._BLOCK_BYTES, (peak, returned, values)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +542,24 @@ def test_experiment_config_validation():
         ({"delta": 1.0}, "delta"),
         ({"delta": -1e-5}, "delta"),
         ({"delta": math.nan}, "delta"),
+        # each field's type: a bool only a bool, an int neither a bool nor
+        # a float, a number finite and not a string
+        ({"K": 2.5}, "K"),
+        ({"K": True}, "K"),
+        ({"method": "PsqSvt", "svt_T": True}, "svt_T"),
+        ({"method": "PsqSvt", "svt_T": 3.0}, "svt_T"),
+        ({"trials": 1.5}, "trials"),
+        ({"seed": "x"}, "seed"),
+        ({"synth_n": 40.5}, "synth_n"),
+        ({"epsilon": "3"}, "epsilon"),
+        ({"epsilon": True}, "epsilon"),
+        ({"delta": "1e-5"}, "delta"),
+        ({"query_fraction": "0.3"}, "query_fraction"),
+        ({"query_fraction": math.nan}, "query_fraction"),
+        ({"record_timing": "no"}, "record_timing"),
+        ({"record_timing": 1}, "record_timing"),
+        ({"dataset": 3}, "dataset"),
+        ({"method": None}, "method"),
     ],
 )
 def test_experiment_config_rejects_bad_settings(overrides, field):
@@ -536,6 +572,9 @@ def test_experiment_config_rejects_bad_settings(overrides, field):
 
 def test_experiment_config_accepts_the_edges_of_its_settings():
     ExperimentConfig("realizable", "PsqSvt", svt_T=1, K=1)
+    # any integer where an int goes, any real number where a float goes
+    ExperimentConfig("realizable", "PsqSvt", svt_T=np.int64(2), seed=np.uint32(3))
+    ExperimentConfig("realizable", "Asq", epsilon=2, delta=np.float32(0.5), trials=1)
     ExperimentConfig("realizable", "Asq", epsilon=1e-9, delta=1e-12)
     ExperimentConfig("realizable", "PsqGaussian", delta=1.0 - 1e-12)
 
@@ -695,6 +734,20 @@ def test_trial_csv_shape_and_round_trip():
     cells = lines[1].split(",")
     assert cells[0] == "realizable"
     assert float(cells[9]) == trials[0].accuracy  # repr round-trips exactly
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r\nb"])
+def test_trial_csv_quotes_a_path_that_needs_it(tmp_path, name):
+    """A dataset path holding a comma, a quote or a line end is one cell,
+    read back whole; every row has as many cells as the header."""
+    path = tmp_path / name / "x.libsvm"
+    path.parent.mkdir()
+    write_libsvm(gen_realizable(3, 200, make_rng(2))[0], path)
+    _, trials = run_experiment(ExperimentConfig(str(path), "PsqGaussian", trials=2))
+    header, *rows = csv.reader(io.StringIO(render_trial_csv(trials), newline=""))
+    assert header == list(harness.TRIAL_COLUMNS)
+    assert [len(row) for row in rows] == [len(header)] * 2
+    assert [row[0] for row in rows] == [str(path)] * 2
 
 
 def test_emit_report_csv_and_json(tmp_path):

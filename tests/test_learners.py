@@ -319,7 +319,8 @@ def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, within):
     y = np.zeros(len(wts))
     X = Dataset(X).X
     d = X.shape[1]
-    design = _BlockDesign.build((X.indptr, X.indices, X.data), d, sizes, y, wts)
+    csr, order = (X.indptr, X.indices, X.data), np.arange(X.shape[0])
+    design = _BlockDesign.build(csr, order, d, sizes, y, wts)
     A = np.hstack([X.toarray(), np.ones((X.shape[0], 1))])
     for k, (lo, size) in enumerate(zip(starts, sizes)):
         B, w = A[lo : lo + size], wts[lo : lo + size]
@@ -495,6 +496,77 @@ def test_two_part_committee_equals_one_part_and_lone_fits(n, K, one_hot, seed, s
         assert _same_bits(a, lone) and _same_bits(b, lone)
 
 
+def _bits(a):
+    """An array's dtype and bytes: equal only bit for bit."""
+    return a.dtype, a.tobytes()
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.15, 0.5]),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@example(5, 1, 3, 0.0, False, 1)  # K = 1, no stored entry at all
+@example(9, 3, 4, 0.0, True, 2)  # two parts, no stored entry at all
+@example(40, 1, 5, 0.5, False, 3)  # K = 1, mixed signs
+@example(41, 6, 5, 0.15, True, 4)  # two parts of three blocks, empty rows
+def test_gathered_layout_equals_the_layout_of_a_subset(n, K, d, density, two, seed):
+    # a committee part lays out its rows straight from the teacher CSR, in
+    # permuted order: its arrays, row norms and step bounds must be those
+    # of the same rows copied out by Dataset.subset first, bit for bit
+    K = min(K, n)
+    rng = make_rng(seed)
+    A = rng.normal(size=(n, d)) * (rng.random((n, d)) < density)
+    data = Dataset(A, rng.integers(0, 2, n))
+    csr = (data.X.indptr, data.X.indices, data.X.data)
+    if seed % 2:  # a source of int64 indices, laid out with int32 ones
+        csr = (csr[0].astype(np.int64), csr[1].astype(np.int64), csr[2])
+    parts = np.array_split(learners._part_sizes(n, K), 2 if two and K > 1 else 1)
+    cuts = np.cumsum([part.sum() for part in parts])[:-1]
+    for rows, part in zip(np.split(rng.permutation(n), cuts), parts):
+        copy = data.subset(rows)
+        copy_csr = (copy.X.indptr, copy.X.indices, copy.X.data)
+        in_order = np.arange(len(rows))
+        got, got_sq = learners._bias_layout(csr, rows, part, d)
+        want, want_sq = learners._bias_layout(copy_csr, in_order, part, d)
+        assert [_bits(a) for a in (*got, got_sq)] == [_bits(a) for a in (*want, want_sq)]
+        # and the layout is block k's rows, then a bias column of ones,
+        # at columns k(d+1) on
+        starts = np.cumsum(part) - part
+        blocks = [copy.X[lo : lo + size] for lo, size in zip(starts, part)]
+        ones = [sp.hstack([b, np.ones((b.shape[0], 1))]) for b in blocks]
+        reference = sp.block_diag(ones, format="csr")
+        assert np.array_equal(got[0], reference.indptr)
+        assert np.array_equal(got[1], reference.indices)
+        assert np.array_equal(got[2], reference.data)
+        assert np.allclose(got_sq, 1.0 + (copy.X.toarray() ** 2).sum(axis=1))
+        wts = (1.0 / part).repeat(part)
+        got = _BlockDesign.build(csr, rows, d, part, data.y[rows], wts)
+        want = _BlockDesign.build(copy_csr, in_order, d, part, copy.y, wts)
+        assert _bits(got.step_cols) == _bits(want.step_cols)
+        assert _bits(got.neg_wts) == _bits(want.neg_wts)
+
+
+def test_committee_builds_no_dataset_from_the_teacher_rows(monkeypatch):
+    # each part gathers its rows from the teacher CSR; none is copied out
+    built = []
+    post_init = Dataset.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    data = _sparse_data(60, 4, 2)
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    for cpus in (1, 2):
+        _split_at(monkeypatch, 0, cpus)
+        assert train_committee(data, 3, make_rng(0)).size == 3
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "K, gate, affinity, count, threads",
     [
@@ -545,8 +617,9 @@ def test_split_committee_raises_what_either_half_raises(monkeypatch):
 def test_split_committee_runs_no_traced_name_off_the_calling_thread(
     monkeypatch, tmp_path
 ):
-    # the benchmark's Tracer keeps one span stack for one thread, so only
-    # `_BlockDesign.descend`, which it does not trace, may run in the worker
+    # the benchmark's Tracer keeps one span stack for one thread, so the
+    # worker may run only what it does not trace: `_BlockDesign.build`,
+    # which lays out and bounds the worker's part, and `descend`
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -563,6 +636,8 @@ def test_split_committee_runs_no_traced_name_off_the_calling_thread(
     for owner, attr, name, _ in tracing._targets():
         monkeypatch.setattr(owner, attr, spy(name, owner.__dict__[attr]))
     monkeypatch.setattr(_BlockDesign, "descend", spy("descend", _BlockDesign.descend))
+    build = classmethod(spy("build", _BlockDesign.build.__func__))
+    monkeypatch.setattr(_BlockDesign, "build", build)
     _split_at(monkeypatch, 0, 2)
     path = tmp_path / "massart.libsvm"
     write_libsvm(gen_massart(6, 1200, 0.1, make_rng(3))[0], path)
@@ -570,6 +645,7 @@ def test_split_committee_runs_no_traced_name_off_the_calling_thread(
         run_experiment(ExperimentConfig(str(path), method, trials=1, seed=5))
     caller = threading.get_ident()
     assert threads.pop("descend") - {caller}, "no committee was split"
+    assert threads.pop("build") - {caller}, "the worker laid out no part"
     traced = {"learners.train_committee", "pipelines.LinearClassDescriptor.refit"}
     assert traced <= set(threads)
     assert {name for name, ids in threads.items() if ids != {caller}} == set()

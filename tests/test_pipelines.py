@@ -741,9 +741,9 @@ def test_asq_lays_out_the_pool_once(monkeypatch):
     laid_out = []
     real_layout = privote.learners._bias_layout
 
-    def counting_layout(ptr, *args):
-        laid_out.append(len(ptr) - 1)
-        return real_layout(ptr, *args)
+    def counting_layout(csr, order, *args):
+        laid_out.append(len(order))
+        return real_layout(csr, order, *args)
 
     monkeypatch.setattr(privote.learners, "_bias_layout", counting_layout)
     data = _onehot_clusters(600, 12, seed=42)
