@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: calibrate (noise scales and committee sizes for a budget),
-psq / asq (experiment protocol on a dataset or generator), simulate
-(synthetic runs and noise-rate checks), margins (vote-margin histograms),
-examples (the two voting fixtures). Everything honoring --seed is
-byte-deterministic across runs.
+psq / asq (experiment protocol on a dataset or generator, one
+ExperimentConfig per run: its setting flags are `_FLAG_FIELDS`, and
+--config sets any field), rates (ERM excess-risk rates on the threshold
+family), margins (vote-margin histograms), examples (the two voting
+fixtures). Everything honoring --seed is byte-deterministic across runs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .dp_core import (
     svt_threshold_w,
 )
 from .harness import (
-    METHODS,
     ExperimentConfig,
-    _GENERATOR_PARAMS,
+    _GENERATORS,
     _load_source,
     emit_report,
     render_report,
@@ -38,28 +38,29 @@ from .learners import margin_distribution_report
 from .pipelines import compute_k_for_gaussian, compute_svt_params
 from .synthdata import TncGenerator, VotingFailsFixture, gen_voting_wins
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# the ExperimentConfig fields that psq and asq also take as flags, each
+# typed as its field, and winning over the --config file's value
+_FLAG_FIELDS = ("dataset", "method", "epsilon", "delta", "trials", "seed")
+_FLAG_TYPES = {"str": str, "int": int, "float": float}
 
 # the generator flags of `privote margins`, with their defaults
-_MARGIN_DEFAULTS = {"n": 2000, "d": 5, "flip": 0.1, "tau": 0.5, "xi": 0.1}
+_MARGIN_DEFAULTS = {"n": 2000, **_GENERATORS["massart"][1], "tau": 0.5, "xi": 0.1}
 # the flags each distribution reads; realizable and massart read --n and
 # their generator parameters, and a LIBSVM file reads none
 _MARGIN_FLAGS = {"tnc": ("tau",), "voting_fails": (), "voting_wins": ("xi",)}
 
 
-def _add_io(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dataset", help="LIBSVM file or generator name")
-    sub.add_argument("--seed", type=int)
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    _add_io(sub)
-    sub.add_argument("--method", help=f"one of {', '.join(METHODS)}")
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--trials", type=int)
+def _add_experiment(sub: argparse.ArgumentParser) -> None:
+    for name in _FLAG_FIELDS:
+        kind = _FLAG_TYPES[_CONFIG_TYPES[name].split(" | ")[0]]
+        sub.add_argument(f"--{name}", type=kind, help=f"ExperimentConfig.{name}")
+    _add_output(sub)
     sub.add_argument("--config", help="JSON file mirroring ExperimentConfig")
     sub.add_argument(
         "--timing",
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.set_defaults(func=cmd_calibrate)
 
     psq = subs.add_parser("psq", help="passive pipeline experiment")
-    _add_common(psq)
+    _add_experiment(psq)
     psq.set_defaults(
         func=cmd_experiment,
         default_method="PsqGaussian",
@@ -97,32 +98,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     asq = subs.add_parser("asq", help="active pipeline experiment")
-    _add_common(asq)
+    _add_experiment(asq)
     asq.set_defaults(
         func=cmd_experiment,
         default_method="Asq",
         allowed={"Asq", "AsqNoPrivacy"},
     )
 
-    sim = subs.add_parser("simulate", help="synthetic generators and rate checks")
-    _add_common(sim)
-    sim.add_argument("--n", type=int, help="synthetic sample size")
-    sim.add_argument("--d", type=int, help="feature dimension")
-    sim.add_argument("--tau", type=float, help="noise exponent")
-    sim.add_argument("--flip", type=float, help="label flip rate")
-    sim.add_argument("--c", type=float, help="margin constant")
-    sim.add_argument(
-        "--rate-check",
-        action="store_true",
-        help="measure ERM excess-risk rates for the threshold family",
+    rat = subs.add_parser(
+        "rates", help="ERM excess-risk rates for the threshold family"
     )
-    sim.add_argument("--reps", type=int, default=20)
-    sim.set_defaults(
-        func=cmd_simulate, default_method="PsqGaussian", allowed=set(METHODS)
-    )
+    rat.add_argument("--tau", type=float, help="noise exponent (default: 1.0, 0.5)")
+    rat.add_argument("--c", type=float, default=0.5, help="margin constant")
+    rat.add_argument("--reps", type=int, default=20)
+    rat.add_argument("--seed", type=int, default=0)
+    rat.add_argument("--out")
+    rat.set_defaults(func=cmd_rates)
 
     mar = subs.add_parser("margins", help="per-probe vote-margin estimates")
-    _add_io(mar)
+    mar.add_argument("--dataset", help="LIBSVM file or source name")
+    mar.add_argument("--seed", type=int)
+    _add_output(mar)
     mar.add_argument("--teachers", type=int, default=10, help="committee size")
     mar.add_argument("--probes", type=int, default=200)
     mar.add_argument("--reps", type=int, default=30)
@@ -187,29 +183,14 @@ def _build_config(args) -> ExperimentConfig:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    overrides = {
-        "dataset": args.dataset,
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    gen_params = dict(data.get("generator_params", {}))
-    for key in ("d", "tau", "flip", "c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            gen_params[key] = value
-    if gen_params:
-        data["generator_params"] = gen_params
-    if getattr(args, "n", None) is not None:
-        data["synth_n"] = args.n
     if args.timing:
         data["record_timing"] = True
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    for name in _FLAG_FIELDS:
+        if getattr(args, name) is not None:
+            data[name] = getattr(args, name)
     data.setdefault("method", args.default_method)
     if "fractions" in data:
         data["fractions"] = tuple(data["fractions"])
@@ -249,27 +230,18 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    if args.rate_check:
-        return _rate_check(args)
-    if args.dataset is None:
-        args.dataset = "realizable"
-    return cmd_experiment(args)
-
-
-def _rate_check(args) -> int:
+def cmd_rates(args) -> int:
     taus = [args.tau] if args.tau is not None else [1.0, 0.5]
     ns = [2**k for k in range(7, 14)]
-    reps = args.reps
-    rng = make_rng(args.seed or 0)
+    rng = make_rng(args.seed)
     rows = []
     for tau in taus:
-        gen = TncGenerator(tau, args.c if args.c is not None else 0.5)
+        gen = TncGenerator(tau, args.c)
         means = []
         for n in ns:
             excess = [
                 gen.excess_error(gen.fit_threshold(*gen.sample_xy(n, rng)))
-                for _ in range(reps)
+                for _ in range(args.reps)
             ]
             means.append(float(np.mean(excess)))
             rows.append(f"{tau!r},{n},{means[-1]!r}")
@@ -284,8 +256,7 @@ def cmd_margins(args) -> int:
     if name in _MARGIN_FLAGS:
         reads = _MARGIN_FLAGS[name]
     else:
-        params = _GENERATOR_PARAMS.get(name)
-        reads = () if params is None else ("n", *params)
+        reads = ("n", *_GENERATORS[name][1]) if name in _GENERATORS else ()
     given = {f: getattr(args, f) for f in _MARGIN_DEFAULTS}
     given = {f: v for f, v in given.items() if v is not None}
     ignored = [f"--{f}" for f in given if f not in reads]
@@ -300,7 +271,8 @@ def cmd_margins(args) -> int:
     elif name == "voting_wins":
         source = gen_voting_wins(value["xi"], 1000, rng)
     else:
-        source = _load_source(name, value["n"], value)(rng)
+        params = {f: v for f, v in given.items() if f != "n"}
+        source = _load_source(name, value["n"], params)(rng)
     rows = margin_distribution_report(
         source,
         args.teachers,

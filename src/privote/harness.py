@@ -429,15 +429,34 @@ def split_protocol(data: Dataset, fractions, rng) -> Split:
     return Split(teacher, student.without_labels(), test, student.y.copy())
 
 
-def _check_fractions(fractions) -> tuple[float, ...]:
-    f = tuple(float(x) for x in fractions)
-    if len(f) != 3 or not all(0 < x < math.inf for x in f) or abs(sum(f) - 1) > 1e-9:
-        raise ValueError("fractions must be three positive numbers summing to 1")
-    return f
-
-
 # the type each scalar annotation of an `ExperimentConfig` field asks for
 _SCALARS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _is_a(value, kind: str) -> bool:
+    """Whether `value` is of the `_SCALARS` kind, a bool only where a bool
+    goes (True is an int)."""
+    is_bool = isinstance(value, bool)
+    return isinstance(value, _SCALARS[kind]) and is_bool == (kind == "bool")
+
+
+def _check_fractions(fractions) -> tuple[float, ...]:
+    f = tuple(fractions)
+    positive = all(_is_a(x, "float") and 0 < x < math.inf for x in f)
+    if len(f) != 3 or not positive or abs(sum(f) - 1) > 1e-9:
+        raise ValueError(
+            f"fractions must be three positive numbers summing to 1, got {f!r}"
+        )
+    return tuple(map(float, f))
+
+
+# each generator name: the function that draws a dataset, and the
+# generator_params it reads with their defaults; a LIBSVM file reads none
+_GENERATORS = {
+    "realizable": (gen_realizable, {"d": 5}),
+    "massart": (gen_massart, {"d": 5, "flip": 0.1}),
+    "tnc": (gen_tnc, {"tau": 1.0, "c": 0.5}),
+}
 
 
 @dataclass(frozen=True)
@@ -446,8 +465,9 @@ class ExperimentConfig:
 
     dataset is a LIBSVM file path or a synthetic generator name
     (realizable, massart, tnc). generator_params may hold only keys the
-    generator reads (realizable: d; massart: d, flip; tnc: tau, c); a
-    file reads none. delta=None defers to 1/(teacher pool size) per
+    generator reads, each of its default's type (`_GENERATORS`:
+    realizable an int d; massart d and a real flip; tnc real tau and c);
+    a file reads none. delta=None defers to 1/(teacher pool size) per
     trial; K=None sizes the committee at one teacher per hundred
     sensitive points. svt_T is PsqSvt's cutoff, and no other method takes
     one; None gives the public cutoff
@@ -478,10 +498,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value, kind = getattr(self, f.name), f.type.split(" | ")[0]
-            if kind in _SCALARS and not (value is None and "None" in f.type) and (
-                not isinstance(value, _SCALARS[kind])
-                or isinstance(value, bool) != (kind == "bool")  # True is an int
-            ):
+            optional = value is None and "None" in f.type
+            if kind in _SCALARS and not optional and not _is_a(value, kind):
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
@@ -502,14 +520,22 @@ class ExperimentConfig:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         _check_fractions(self.fractions)
-        unread = set(self.generator_params) - set(
-            _GENERATOR_PARAMS.get(self.dataset, ())
-        )
+        params = self.generator_params
+        if not isinstance(params, dict):
+            raise ValueError(f"generator_params must be a dict, got {params!r}")
+        defaults = _GENERATORS.get(self.dataset, (None, {}))[1]
+        unread = set(params) - set(defaults)
         if unread:
             raise ValueError(
                 f"generator_params {sorted(unread)} are not read "
                 f"by dataset {self.dataset!r}"
             )
+        for key, value in params.items():
+            kind = type(defaults[key]).__name__
+            if not _is_a(value, kind):
+                raise ValueError(
+                    f"generator_params {key!r} must be of type {kind}, got {value!r}"
+                )
 
     @property
     def private(self) -> bool:
@@ -573,32 +599,16 @@ def _halfwidth(values: np.ndarray) -> float:
     return float(1.96 * values.std(ddof=1) / math.sqrt(len(values)))
 
 
-# each generator's name and the generator_params keys it reads; a LIBSVM
-# file reads none
-_GENERATOR_PARAMS = {
-    "realizable": ("d",),
-    "massart": ("d", "flip"),
-    "tnc": ("tau", "c"),
-}
-
-
 def _load_source(name: str, n: int, params: dict):
     """Per-trial dataset factory for a generator name or a LIBSVM file.
 
-    Generators draw n fresh examples from the trial's rng, with their
-    parameters read from `params`; a file is parsed once, here.
+    Generators draw n fresh examples from the trial's rng, with `params`
+    over their defaults in `_GENERATORS`; a file is parsed once, here.
     """
-    if name in _GENERATOR_PARAMS:
-
-        def factory(rng):
-            if name == "realizable":
-                return gen_realizable(params.get("d", 5), n, rng)[0]
-            if name == "massart":
-                flip = params.get("flip", 0.1)
-                return gen_massart(params.get("d", 5), n, flip, rng)[0]
-            return gen_tnc(params.get("tau", 1.0), n, rng, c=params.get("c", 0.5))[0]
-
-        return factory
+    if name in _GENERATORS:
+        generate, defaults = _GENERATORS[name]
+        kwargs = {**defaults, **params}
+        return lambda rng: generate(n=n, rng=rng, **kwargs)[0]
     if not Path(name).exists():
         raise FileNotFoundError(
             f"dataset {name!r} is neither a readable file nor a generator name"

@@ -662,10 +662,12 @@ class FiniteHypothesisClass:
         return self.labels.shape[1]
 
     def mistake_counts(self, xs, ys) -> np.ndarray:
-        """Per-member number of errors on a sample of (domain index, label)."""
+        """Per-member number of errors on a sample of (domain index, label);
+        zeros on an empty sample."""
         xs = np.asarray(xs)
-        ys = np.asarray(ys)
-        return (self.by_point[xs].T != ys).sum(axis=1)
+        if not xs.size:
+            xs = xs.astype(np.intp)  # `[]` reads as floats
+        return (self.by_point[xs].T != np.asarray(ys)).sum(axis=1)
 
     def erm(self, xs, ys, rng: np.random.Generator) -> int:
         """Index of an empirical-risk minimizer, uniform over the argmin set."""

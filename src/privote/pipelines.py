@@ -200,20 +200,11 @@ class ActiveState:
     query_budget: int | None = None  # set by run_active_learning
     hypothesis: Any = None
     alive: np.ndarray | None = None  # finite classes: version-space mask
-    # the descriptor's work derived from xs, ys and hypothesis, and for
-    # linear classes (indices, their rows) in `rows`, kept for the next
-    # call; each descriptor checks it is current before use
+    # linear classes: the fits derived from xs, ys and hypothesis, and
+    # (indices, their rows) in `rows`, kept for the next call; the
+    # descriptor checks they are current before use
     memo: Any = field(default=None, repr=False, compare=False)
     rows: Any = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class _MistakeTally:
-    """Per-member mistake counts on the queried points `xs`, `ys`."""
-
-    xs: list
-    ys: list
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -242,27 +233,9 @@ class FiniteClassDescriptor:
         col = self.hclass.by_point[int(x)][state.alive]
         return bool(col.min() != col.max())
 
-    def _mistakes(self, state: ActiveState) -> np.ndarray:
-        """Per-member mistakes on Q, counting only points added since the
-        last call; a Q changed other than by appending is counted anew."""
-        tally = state.memo
-        k = len(tally.xs) if isinstance(tally, _MistakeTally) else 0
-        if not (k and state.xs[:k] == tally.xs and state.ys[:k] == tally.ys):
-            zeros = np.zeros(self.hclass.n_members, dtype=np.int64)
-            tally, k = _MistakeTally([], [], zeros), 0
-        if len(state.xs) > k:
-            new_xs, new_ys = state.xs[k:], state.ys[k:]
-            tally = _MistakeTally(
-                tally.xs + new_xs,
-                tally.ys + new_ys,
-                tally.counts + self.hclass.mistake_counts(new_xs, new_ys),
-            )
-        state.memo = tally
-        return tally.counts
-
     def update(self, state: ActiveState, j: int) -> None:
         gamma_j = self.gamma / math.log2(2 * j) ** 2
-        mistakes = self._mistakes(state)
+        mistakes = self.hclass.mistake_counts(state.xs, state.ys)
         best = int(mistakes[state.alive].min())
         # log(theta) + log(1/gamma_j) at VC dimension 1 and theta = 2
         base = math.log(2.0) + math.log(1.0 / gamma_j)
@@ -271,7 +244,7 @@ class FiniteClassDescriptor:
         self.refit(state)
 
     def refit(self, state: ActiveState) -> None:
-        mistakes = self._mistakes(state).astype(float)
+        mistakes = self.hclass.mistake_counts(state.xs, state.ys).astype(float)
         mistakes[~state.alive] = np.inf
         state.hypothesis = int(np.argmin(mistakes))
 

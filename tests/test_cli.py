@@ -1,11 +1,15 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
+import argparse
+import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from privote import (
+    ExperimentConfig,
     PrivacyBudget,
     calibrate_gaussian_sigma,
     gen_massart,
@@ -15,7 +19,7 @@ from privote import (
     parse_libsvm,
     write_libsvm,
 )
-from privote.cli import build_parser, main
+from privote.cli import _FLAG_FIELDS, build_parser, main
 from privote.harness import render_report
 
 
@@ -106,6 +110,12 @@ def test_bad_config_setting_fails_naming_its_field(tmp_path, capsys):
         ({"delta": 2}, [], "delta"),
         ({"K": 2.5}, [], "K"),  # fails here, not inside trial 0
         ({"record_timing": "no"}, [], "record_timing"),  # not read as true
+        # each fails here, not inside trial 0
+        ({"generator_params": "d"}, [], "generator_params"),
+        ({"generator_params": {"d": 2.5}}, [], "generator_params"),
+        ({"generator_params": {"flip": "0.1"}}, ["--dataset", "massart"],
+         "generator_params"),
+        ({"fractions": ["0.8", 0.02, 0.18]}, [], "fractions"),
     ]
     for settings, flags, field in cases:
         cfg.write_text(json.dumps({"synth_n": 400, **settings}))
@@ -123,8 +133,10 @@ def test_config_that_is_not_a_json_object_fails(tmp_path, capsys):
         assert f"config file {cfg} does not hold a JSON object" in capsys.readouterr().err
 
 
-def test_simulate_rejects_a_parameter_the_generator_ignores(capsys):
-    code = main(["simulate", "--dataset", "tnc", "--d", "3", "--n", "400"])
+def test_psq_rejects_a_parameter_the_generator_ignores(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth_n": 400, "generator_params": {"d": 3}}))
+    code = main(["psq", "--dataset", "tnc", "--config", str(cfg)])
     assert code == 1
     assert "['d'] are not read by dataset 'tnc'" in capsys.readouterr().err
 
@@ -151,14 +163,25 @@ def test_missing_dataset_is_an_error(capsys):
     assert "--dataset" in capsys.readouterr().err
 
 
-def test_simulate_rate_check(capsys):
-    code = main(["simulate", "--rate-check", "--tau", "1.0", "--reps", "2"])
+def test_rates_prints_one_row_per_sample_size(capsys):
+    code = main(["rates", "--tau", "1.0", "--reps", "2"])
     assert code == 0
     captured = capsys.readouterr()
     lines = captured.out.strip().split("\n")
     assert lines[0] == "tau,n,mean_excess"
     assert len(lines) == 8  # seven sample sizes
     assert "slope" in captured.err
+
+
+def test_rates_prints_the_committed_bytes(capsys):
+    """Both noise exponents at the default margin constant, seeded. The
+    digest pins the output; a change that alters it on purpose updates
+    the digest and says so in CHANGES.md."""
+    assert main(["rates", "--reps", "3", "--seed", "5"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out.splitlines()) == 15
+    digest = "6d44d108dc4d07ab1650bd0b8f4cf5efd01863f04b34c1d081b45191684b6483"
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_margins_subcommand(capsys):
@@ -258,6 +281,61 @@ def test_examples_subcommand(capsys):
     out = capsys.readouterr().out
     assert "exact majority error: 0.75" in out
     assert "chernoff bound" in out
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    subs = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subs.choices[command]
+
+
+# a value of each setting flag that differs from the config's default
+_FLAG_VALUES = {
+    "dataset": "massart",
+    "epsilon": 3.0,
+    "delta": 1e-4,
+    "trials": 2,
+    "seed": 11,
+}
+
+
+@pytest.mark.parametrize("command", ["psq", "asq"])
+def test_setting_flags_are_config_fields_of_their_types(command):
+    types = {f.name: f.type.split(" | ")[0] for f in fields(ExperimentConfig)}
+    options = {
+        action.dest: action
+        for action in _subparser(command)._actions
+        if action.dest not in ("help", "out", "format", "config", "timing")
+    }
+    assert set(options) == set(_FLAG_FIELDS)
+    for name, action in options.items():
+        assert action.option_strings == [f"--{name}"]
+        assert action.type.__name__ == types[name], name
+
+
+@pytest.mark.parametrize(
+    "command, method", [("psq", "PsqNoPrivacy"), ("asq", "AsqNoPrivacy")]
+)
+def test_setting_flags_and_config_keys_agree(tmp_path, capsys, command, method):
+    """`--field v` and a config file holding `{"field": v}` print the same
+    trial CSV, byte for byte, for every setting flag."""
+    base = {"dataset": "realizable", "synth_n": 400, "trials": 1}
+    cfg = tmp_path / "cfg.json"
+
+    def run(flags, settings):
+        cfg.write_text(json.dumps(settings))
+        assert main([command, "--config", str(cfg), *flags]) == 0, flags
+        return capsys.readouterr().out
+
+    default = run([], base)
+    values = {**_FLAG_VALUES, "method": method}
+    assert set(values) == set(_FLAG_FIELDS)
+    for name, value in values.items():
+        by_flag = run([f"--{name}", str(value)], base)
+        assert by_flag == run([], {**base, name: value}), name
+        assert by_flag != default, name  # the setting was read
 
 
 def test_parser_requires_subcommand():

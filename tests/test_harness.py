@@ -560,6 +560,18 @@ def test_experiment_config_validation():
         ({"record_timing": 1}, "record_timing"),
         ({"dataset": 3}, "dataset"),
         ({"method": None}, "method"),
+        # generator_params is a dict, each value of its default's type
+        ({"generator_params": "d"}, "generator_params"),
+        ({"generator_params": [("d", 3)]}, "generator_params"),
+        ({"dataset": "realizable", "generator_params": {"d": 2.5}}, "generator_params"),
+        ({"dataset": "realizable", "generator_params": {"d": True}}, "generator_params"),
+        ({"dataset": "massart", "generator_params": {"flip": "0.1"}}, "generator_params"),
+        ({"dataset": "tnc", "generator_params": {"tau": True}}, "generator_params"),
+        ({"dataset": "tnc", "generator_params": {"c": None}}, "generator_params"),
+        # each fraction a real number, not a string or a bool
+        ({"fractions": ("0.8", 0.02, 0.18)}, "fractions"),
+        ({"fractions": (0.8, "0.02", 0.18)}, "fractions"),
+        ({"fractions": (True, 0.02, 0.18)}, "fractions"),
     ],
 )
 def test_experiment_config_rejects_bad_settings(overrides, field):
@@ -577,6 +589,10 @@ def test_experiment_config_accepts_the_edges_of_its_settings():
     ExperimentConfig("realizable", "Asq", epsilon=2, delta=np.float32(0.5), trials=1)
     ExperimentConfig("realizable", "Asq", epsilon=1e-9, delta=1e-12)
     ExperimentConfig("realizable", "PsqGaussian", delta=1.0 - 1e-12)
+    ExperimentConfig("realizable", "Asq", generator_params={"d": np.int64(3)})
+    ExperimentConfig("massart", "Asq", generator_params={"flip": 0})
+    ExperimentConfig("tnc", "Asq", generator_params={"tau": np.float32(0.5), "c": 1})
+    ExperimentConfig("realizable", "Asq", fractions=(np.float32(0.5), 0.25, 0.25))
 
 
 @pytest.mark.parametrize(

@@ -790,6 +790,18 @@ def test_finite_class_erm_matches_brute_force():
     assert brute[hclass.erm(xs, ys, rng)] == min(brute)
 
 
+def test_finite_class_counts_an_empty_sample_as_no_mistakes():
+    hclass = FiniteHypothesisClass(np.array([[0, 1], [1, 1], [1, 0]]))
+    dtype = hclass.mistake_counts([0], [1]).dtype
+    for xs, ys in (([], []), (np.array([], dtype=int), np.array([]))):
+        counts = hclass.mistake_counts(xs, ys)
+        assert counts.tolist() == [0, 0, 0]
+        assert counts.dtype == dtype
+    # every member minimizes the empirical risk, and each is drawn
+    rng = make_rng(5)
+    assert {hclass.erm([], [], rng) for _ in range(100)} == {0, 1, 2}
+
+
 def test_finite_class_tie_breaking():
     labels = np.array([[0, 1], [0, 1], [1, 0]])
     hclass = FiniteHypothesisClass(labels)

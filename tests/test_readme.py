@@ -1,19 +1,31 @@
-"""The README's Python examples run as written and print what they say.
+"""The README's examples run or parse as written.
 
 Each ```python block runs in a fresh namespace. A `print(...)` line ends
 in `# <value>`, and the block's printed lines must equal those values in
-order, so an example that prints something unannounced fails too.
+order, so an example that prints something unannounced fails too. Each
+`privote ...` line of the Command line block parses with the CLI's
+parser, so a removed command or flag left in the README fails.
 """
 
+import argparse
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from privote.cli import build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+COMMANDS = re.findall(
+    r"^privote (.*)$",
+    re.search(r"^## Command line\n\n```\n(.*?)^```", TEXT, re.M | re.S)[1],
+    re.M,
+)
 
 
 def test_readme_has_python_examples():
@@ -27,3 +39,16 @@ def test_readme_example(code):
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_parses(line):
+    build_parser().parse_args(shlex.split(line))
+
+
+def test_readme_shows_every_command():
+    parser = build_parser()
+    subs = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {line.split()[0] for line in COMMANDS} == set(subs.choices)
