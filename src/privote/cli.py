@@ -192,8 +192,6 @@ def _build_config(args) -> ExperimentConfig:
         if getattr(args, name) is not None:
             data[name] = getattr(args, name)
     data.setdefault("method", args.default_method)
-    if "fractions" in data:
-        data["fractions"] = tuple(data["fractions"])
     if "dataset" not in data:
         raise ValueError("--dataset (or a config file naming one) is required")
     config = ExperimentConfig(**data)

@@ -441,11 +441,13 @@ def _is_a(value, kind: str) -> bool:
 
 
 def _check_fractions(fractions) -> tuple[float, ...]:
-    f = tuple(fractions)
+    """A list or tuple of three positive numbers summing to 1, as floats."""
+    f = tuple(fractions) if isinstance(fractions, (list, tuple)) else ()
     positive = all(_is_a(x, "float") and 0 < x < math.inf for x in f)
     if len(f) != 3 or not positive or abs(sum(f) - 1) > 1e-9:
         raise ValueError(
-            f"fractions must be three positive numbers summing to 1, got {f!r}"
+            "fractions must be a list or tuple of three positive numbers "
+            f"summing to 1, got {fractions!r}"
         )
     return tuple(map(float, f))
 
@@ -519,7 +521,7 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        _check_fractions(self.fractions)
+        object.__setattr__(self, "fractions", _check_fractions(self.fractions))
         params = self.generator_params
         if not isinstance(params, dict):
             raise ValueError(f"generator_params must be a dict, got {params!r}")

@@ -15,14 +15,21 @@ into two halves of contiguous blocks; a worker thread lays out and
 descends the second while the calling thread does the first. Fits that
 share their rows and differ in labels, weights or start (the active
 learner's probes) are instead B columns of the iterate over one copy of
-the rows (`_train_columns`). The design is built once per fit as raw
-CSR arrays, and each step runs scipy's `csr_matvec` and `csc_matvec`
-kernels on them, or `csr_matvecs` and `csc_matvecs` for B > 1, into
-buffers allocated once per fit. Every fit runs exactly its step count:
-70 for a committee (`COMMITTEE_STEPS`), 35 by default otherwise. Each
+the rows (`_train_columns`). Every fit runs exactly its step count: 70
+for a committee (`COMMITTEE_STEPS`), 35 by default otherwise. Each
 member or column comes out bit-for-bit equal to a separate fit of its
 own rows and labels, so batching, and the two-part split, change no
 seeded output.
+
+A probe fits about 50 rows for 10 steps: its cost is calls, not
+arithmetic (2-vCPU x86-64, numpy 2.4, scipy 1.17: a sparse kernel call
+~2 us, a ufunc ~0.5 us, scipy's `X @ v` ~5 us). So a fit binds scipy's
+`csr_matvec` and `csc_matvec` (`csr_matvecs`, `csc_matvecs` for B > 1)
+to its raw CSR arrays once (`_kernels`), making a product one `fill`
+and one call, fills labels, weights and starts in place and checks its
+result once. The step bound keeps one-vector calls, one per weight
+column: multi-vector ones gained nothing on mushrooms-sized probes and
+made 20,959-wide ones 12% slower.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,7 +77,7 @@ def _is_binary(a: np.ndarray) -> bool:
     Accepts exactly what `np.isin(a, (0, 1)).all()` accepts, without the
     index arrays np.isin builds for integer input.
     """
-    return bool(((a == 0) | (a == 1)).all())
+    return bool(np.logical_and.reduce((a == 0) | (a == 1), axis=None))
 
 
 @dataclass
@@ -197,23 +205,21 @@ def train_erm(
         raise ValueError("cannot train on an empty dataset")
     if not data.labeled:
         raise ValueError("training data must be labeled")
-    return _train_columns(_Rows.of(data.X), [data.y], steps, [sample_weight], [init])[0]
+    Y, rows = data.y[:, None], _Rows.of(data.X)
+    return _train_columns(rows, Y, steps, [sample_weight], [init])[0]
 
 
-def _matvec(shape, csr, v, out, transpose=False):
-    """scipy's `X @ v` (`X.T @ v` if transpose) into out, bit for bit, where
-    X is the CSR of this shape whose (indptr, indices, data) are csr.
-
-    v and out are vectors or C-ordered matrices of B columns. One column
-    runs the single-vector kernel, more run the multi-vector one, which
-    adds each column's terms in the same order."""
-    out.fill(0.0)
-    rows, cols = shape[::-1] if transpose else shape
-    if v.ndim == 1 or v.shape[1] == 1:
-        (csc_matvec if transpose else csr_matvec)(rows, cols, *csr, v, out)
-    else:
-        kernel = csc_matvecs if transpose else csr_matvecs
-        kernel(rows, cols, v.shape[1], *csr, v, out)
+def _kernels(shape, csr, B: int = 1):
+    """scipy's `X @ V` and `X.T @ U` as functions of (V, out) and (U, out),
+    X the CSR of this shape whose (indptr, indices, data) are csr: each
+    adds into out, which the caller zeroes first, bit for bit as scipy's
+    product. V, U and out are vectors or C-ordered matrices of B columns;
+    one runs the one-vector kernels, more the multi-vector ones, which
+    add each column's terms in the same order."""
+    rows, cols = shape
+    if B == 1:
+        return partial(csr_matvec, rows, cols, *csr), partial(csc_matvec, cols, rows, *csr)
+    return partial(csr_matvecs, rows, cols, B, *csr), partial(csc_matvecs, cols, rows, B, *csr)
 
 
 # Collatz-Wielandt steps behind each block's smoothness bound
@@ -235,7 +241,7 @@ def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
     block's rows and columns and a column of wts, so a bound is the same
     alone or batched, bit for bit.
     """
-    if csr[2].min(initial=0.0) < 0:  # else data is |data|: it stores no -0.0
+    if np.minimum.reduce(csr[2], initial=0.0) < 0:  # else data is |data|: no -0.0
         csr = (csr[0], csr[1], np.abs(csr[2]))
     B = wts.shape[1]
     # one column at a time through the one-vector kernels, on buffers
@@ -247,18 +253,21 @@ def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
     u = np.empty((B, shape[1]))
     v = np.ones((B, shape[1]))
     U, V = u.reshape(B, K, -1), v.reshape(B, K, -1)
-    ratios = np.empty_like(U)
+    ratios = np.empty(U.shape)
+    product, transposed = _kernels(shape, csr)
     bound = np.inf
     for _ in range(_BOUND_ITERS):
-        for b in range(B):
-            _matvec(shape, csr, v[b], Xv[b])
+        Xv.fill(0.0)
+        for v_b, Xv_b in zip(v, Xv):
+            product(v_b, Xv_b)
         Xv *= col_wts
-        for b in range(B):
-            _matvec(shape, csr, Xv[b], u[b], transpose=True)
+        u.fill(0.0)
+        for Xv_b, u_b in zip(Xv, u):
+            transposed(Xv_b, u_b)
         ratios.fill(0.0)
         np.divide(U, V, out=ratios, where=V > 0)
-        bound = np.minimum(bound, ratios.max(axis=2))
-        np.divide(U, U.max(axis=2, keepdims=True), out=V)
+        bound = np.minimum(bound, np.maximum.reduce(ratios, axis=2))
+        np.divide(U, np.maximum.reduce(U, axis=2, keepdims=True), out=V)
     return bound.T
 
 
@@ -312,6 +321,8 @@ class _Rows:
     shape: tuple[int, int]
     csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
     row_sq: np.ndarray
+    # set by `empty`: the buffers csr and row_sq view, which `grow` writes into
+    room: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, X: sp.csr_matrix) -> "_Rows":
@@ -320,41 +331,46 @@ class _Rows:
         csr, row_sq = _bias_layout(csr, np.arange(n), np.array([n]), d)
         return cls((n, d + 1), csr, row_sq)
 
+    @classmethod
+    def empty(cls, width: int, rows: int, entries: int) -> "_Rows":
+        """No rows, over buffers with room for `rows` rows of `entries` entries."""
+        cols = np.empty(entries, _index_type(entries, width))
+        room = (np.zeros(rows + 1, cols.dtype), cols, np.empty(entries), np.empty(rows))
+        return cls((rows, width), room[:3], room[3], room).head(0)
+
     @property
     def row_max(self) -> float:
         """The largest squared row norm, bias included."""
-        return float(self.row_sq.max(initial=0.0))
+        return float(np.maximum.reduce(self.row_sq, initial=0.0))
 
     def head(self, n: int) -> "_Rows":
         """The first n of these rows, as views."""
         ptr, cols, vals = self.csr
         csr = (ptr[: n + 1], cols[: ptr[n]], vals[: ptr[n]])
-        return _Rows((n, self.shape[1]), csr, self.row_sq[:n])
+        return _Rows((n, self.shape[1]), csr, self.row_sq[:n], self.room)
 
     def grow(self, other: "_Rows", i: int) -> "_Rows":
         """These rows, then row i of other, of the same width: the arrays
-        that `of` builds from both stacked, without rebuilding these."""
-        (ptr, cols, vals), (n, width) = self.csr, self.shape
-        other_ptr, other_cols, other_vals = other.csr
-        a, b = other_ptr[i], other_ptr[i + 1]
-        index_type = _index_type(len(vals) + b - a, width)
-        # slices of one entry: np.append of a scalar costs twice as much
-        end = other_ptr[i + 1 : i + 2] + (ptr[-1] - a)
-        return _Rows(
-            (n + 1, width),
-            (
-                np.concatenate([ptr, end]).astype(index_type, copy=False),
-                np.concatenate([cols, other_cols[a:b]]).astype(index_type, copy=False),
-                np.concatenate([vals, other_vals[a:b]]),
-            ),
-            np.concatenate([self.row_sq, other.row_sq[i : i + 1]]),
-        )
+        that `of` builds from both stacked, without rebuilding these. The
+        row is written in place, after these rows in the buffers under
+        them, which must have room for it; longer rows over the same
+        buffers lose what follows these."""
+        n, width = self.shape
+        a, b = other.csr[0][i : i + 2]
+        start = self.csr[0][n]
+        end = start + (b - a)
+        ptr, cols, vals, row_sq = self.room
+        ptr[n + 1], row_sq[n] = end, other.row_sq[i]
+        cols[start:end], vals[start:end] = other.csr[1][a:b], other.csr[2][a:b]
+        csr = (ptr[: n + 2], cols[:end], vals[:end])
+        return _Rows((n + 1, width), csr, row_sq[: n + 1], self.room)
 
     def scores(self, h: "LinearHypothesis") -> np.ndarray:
         """h's decision on every row: `X @ h.weights + h.bias` bit for bit,
         the bias entry adding b last."""
-        out = np.empty(self.shape[0])
-        _matvec(self.shape, self.csr, np.append(h.weights, h.bias), out)
+        out, coef = np.zeros(self.shape[0]), np.empty(self.shape[1])
+        coef[:-1], coef[-1] = h.weights, h.bias
+        csr_matvec(*self.shape, *self.csr, coef, out)
         return out
 
 
@@ -366,18 +382,19 @@ class _BlockDesign:
     Block i owns the d + 1 columns from i*(d+1): its features, then a
     bias column of ones that ends each of its rows. The design is its
     shape and raw CSR arrays of one index dtype; no scipy matrix. Rows
-    keep their entries' order, so `_matvec` of x adds the same terms in
-    the same order as a lone fit's `X @ w + b`, the bias last, and the
-    transposed `_matvec` of coef gives each block's gradient, the bias's
-    a sum in row order like every weight's. The labels' signs enter
-    negated, so that product is the gradient itself: negation commutes
-    with IEEE rounding. Every per-row array is rows by B, every
-    per-column one columns by B.
+    keep their entries' order, so the product (`_kernels`) with x adds the
+    same terms in the same order as a lone fit's `X @ w + b`, the bias
+    last, and the transposed product with coef gives each block's
+    gradient, the bias's a sum in row order like every weight's. The
+    labels' signs enter negated, so that product is the gradient itself:
+    negation commutes with IEEE rounding. Every per-row array is rows by
+    B, every per-column one columns by B.
 
     `of` sets each block's and column's step to 1/L, L a quarter of the
     least of the block's largest squared row norm and `_smoothness_bound`,
-    which runs `_matvec` on the same arrays, data taken by absolute value.
-    `descend` runs a given number of steps on every fit; none stops early.
+    which runs the same kernels on the same arrays, data taken by
+    absolute value. `descend` runs a given number of steps on every fit;
+    none stops early.
     """
 
     shape: tuple[int, int]
@@ -407,18 +424,12 @@ class _BlockDesign:
         K = len(sizes)
         neg_signs = 1.0 - 2.0 * Y
         bound = np.minimum(
-            np.reshape(row_max, (K, 1)), _smoothness_bound(shape, csr, wts, K)
+            np.asarray(row_max).reshape(K, 1), _smoothness_bound(shape, csr, wts, K)
         )
         if weight_of is not None:
             wts, bound = wts[:, weight_of], bound[:, weight_of]
-        return cls(
-            shape=shape,
-            csr=csr,
-            neg_signs=neg_signs,
-            neg_wts=wts * neg_signs,
-            blocks=K,
-            step_cols=(1.0 / (0.25 * bound)).repeat(shape[1] // K, axis=0),
-        )
+        step_cols = (1.0 / (0.25 * bound)).repeat(shape[1] // K, axis=0)
+        return cls(shape, csr, neg_signs, wts * neg_signs, K, step_cols)
 
     def descend(self, W: np.ndarray, steps: int):
         """The fits after `steps` steps from the columns of W, each the
@@ -432,6 +443,7 @@ class _BlockDesign:
         x_prev = x.copy()
         scores = np.empty((n, B))
         grad = np.empty((width, B))
+        product, transposed = _kernels(self.shape, self.csr, B)
         for k in range(int(steps)):
             # the extrapolated point y = x + beta * (x - x_prev), built in
             # x_prev's buffer, which then takes x_{k+1}
@@ -439,52 +451,47 @@ class _BlockDesign:
             y = np.subtract(x, x_prev, out=x_prev)
             y *= beta
             y += x
-            _matvec(self.shape, self.csr, y, scores)
+            scores.fill(0.0)
+            product(y, scores)
             scores *= self.neg_signs
             coef = expit(scores, out=scores)
             coef *= self.neg_wts
-            _matvec(self.shape, self.csr, coef, grad, transpose=True)
+            grad.fill(0.0)
+            transposed(coef, grad)
             grad *= self.step_cols
             y -= grad
             x_prev, x = x, y
-        final = x.reshape(K, d + 1, B)
-        return [
-            LinearHypothesis(final[k, :d, b], float(final[k, d, b]))
-            for k in range(K)
-            for b in range(B)
-        ]
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+            raise ValueError("weights and bias must be finite")
+        final, fits = x.reshape(K, d + 1, B), []
+        for k in range(K):
+            for b in range(B):
+                h = object.__new__(LinearHypothesis)  # checked above, once
+                h.weights, h.bias = final[k, :d, b], float(final[k, d, b])
+                fits.append(h)
+        return fits
 
 
-def _fit_weights(n: int, weight) -> np.ndarray:
-    """A fit's weights on its n rows, normalized (uniform if weight is
-    None)."""
+def _fit_weights(out: np.ndarray, weight) -> None:
+    """A fit's weights on its rows, normalized (uniform if weight is None),
+    written into out, a vector of one per row."""
     if weight is None:
-        return np.full(n, 1.0 / n)
+        out.fill(1.0 / len(out))
+        return
     weight = np.asarray(weight, dtype=float)
     total = weight.sum()
     # a NaN or inf weight makes the sum NaN or inf
-    if weight.shape != (n,) or (weight < 0).any() or not 0 < total < np.inf:
+    if weight.shape != out.shape or (weight < 0).any() or not 0 < total < np.inf:
         raise ValueError("sample_weight must be nonnegative with positive sum")
-    return weight / total
-
-
-def _fit_start(d: int, init) -> np.ndarray:
-    """A fit's starting weights then bias (zero if init is None)."""
-    start = np.zeros(d + 1)
-    if init is not None:
-        if init.weights.shape != (d,):
-            raise ValueError("warm-start hypothesis has the wrong dimension")
-        start[:d] = init.weights
-        start[d] = init.bias
-    return start
+    np.divide(weight, total, out=out)
 
 
 def _train_columns(
-    rows: _Rows, labels: list, steps: int, sample_weights: list, inits: list
+    rows: _Rows, Y: np.ndarray, steps: int, sample_weights: list, inits: list
 ) -> list[LinearHypothesis]:
-    """`train_erm` on the same rows once per label array, all in one
-    accelerated-descent loop: fit b takes labels[b], sample_weights[b]
-    and inits[b] (either entry may be None).
+    """`train_erm` on the same rows once per column of the label matrix Y,
+    rows by B, all in one accelerated-descent loop: fit b takes Y[:, b],
+    sample_weights[b] and inits[b] (either entry may be None).
 
     The fits are the columns of the iterate of one `_BlockDesign` over a
     single copy of the rows, and each equals a lone `train_erm` of its
@@ -494,8 +501,7 @@ def _train_columns(
     fits without sample weights share one uniform weight column, and so
     one step bound.
     """
-    n, d = rows.shape[0], rows.shape[1] - 1
-    Y = np.stack(labels, axis=1)
+    (n, width), B = rows.shape, Y.shape[1]
     if not _is_binary(Y):
         raise ValueError("labels must be 0 or 1")
     # each distinct weight column's slot: one for None, one per given array
@@ -504,18 +510,21 @@ def _train_columns(
         slots.setdefault(None if w is None else b, len(slots))
         for b, w in enumerate(sample_weights)
     ]
-    wts = [_fit_weights(n, None if b is None else sample_weights[b]) for b in slots]
-    design = _BlockDesign.of(
-        rows.shape,
-        rows.csr,
-        rows.row_max,
-        np.array([n]),
-        Y,
-        np.stack(wts, axis=1),
-        weight_of,
-    )
-    starts = [_fit_start(d, init) for init in inits]
-    return design.descend(np.stack(starts, axis=1), steps)
+    # by column, so that the step bound reads each column contiguously
+    col_wts = np.empty((len(slots), n))
+    for b, slot in slots.items():
+        _fit_weights(col_wts[slot], None if b is None else sample_weights[b])
+    # each fit's starting weights then bias (zero where init is None)
+    W = np.zeros((width, B))
+    for b, init in enumerate(inits):
+        if init is not None:
+            if init.weights.shape != (width - 1,):
+                raise ValueError("warm-start hypothesis has the wrong dimension")
+            W[:-1, b] = init.weights
+            W[-1, b] = init.bias
+    return _BlockDesign.of(
+        rows.shape, rows.csr, rows.row_max, np.array([n]), Y, col_wts.T, weight_of
+    ).descend(W, steps)
 
 
 def empirical_error(h, data: Dataset) -> float:

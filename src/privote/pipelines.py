@@ -201,8 +201,8 @@ class ActiveState:
     hypothesis: Any = None
     alive: np.ndarray | None = None  # finite classes: version-space mask
     # linear classes: the fits derived from xs, ys and hypothesis, and
-    # (indices, their rows) in `rows`, kept for the next call; the
-    # descriptor checks they are current before use
+    # (indices, their rows, written in place: a copied state must not
+    # share them) in `rows`, kept for the next call and checked before use
     memo: Any = field(default=None, repr=False, compare=False)
     rows: Any = field(default=None, repr=False, compare=False)
 
@@ -346,8 +346,14 @@ class LinearClassDescriptor:
 
     def _rows(self, state: ActiveState) -> _Rows:
         """Q's rows: the kept ones, less a probed point's not queried, grown
-        by the points queried since; laid out afresh if Q changed otherwise."""
-        kept_xs, rows = state.rows or ([], self._layout.head(0))
+        in place by the points queried since; laid out afresh if Q changed
+        otherwise, or into new buffers if these lack room for Q and a probe
+        (a run's first buffers hold query_budget + 1 rows)."""
+        kept_xs, rows = state.rows or ([], None)
+        if rows is None or len(state.xs) >= len(rows.room[3]):
+            room = max(state.query_budget or 0, 2 * len(state.xs)) + 1
+            longest = int(np.diff(self._layout.csr[0]).max(initial=0))
+            kept_xs, rows = [], _Rows.empty(self._layout.shape[1], room, room * longest)
         if state.xs[: len(kept_xs)] != kept_xs:
             n = len(state.xs) if kept_xs[:-1] == state.xs else 0
             kept_xs, rows = kept_xs[:n], rows.head(n)
@@ -357,41 +363,42 @@ class LinearClassDescriptor:
         return rows
 
     @staticmethod
-    def _fit(rows: _Rows, y: np.ndarray, steps: int, init) -> LinearHypothesis:
-        return _train_columns(rows, [y], steps, [None], [init])[0]
+    def _fit(rows: _Rows, Y: np.ndarray, steps: int, init) -> LinearHypothesis:
+        return _train_columns(rows, Y, steps, [None], [init])[0]
 
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
         if math.isinf(slack) or not state.xs:
             return True
         rows = self._rows(state)
         y = np.asarray(state.ys)
-        memo = state.memo
-        base = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
-        if base is None:
-            # the reference is a fresh unconstrained optimum, not the
-            # possibly stale current hypothesis
-            base = self._fit(rows, y, self.probe_steps, state.hypothesis)
         n = len(y)
-        rows_next = self._grow(rows, x)
-        state.rows = (state.xs + [x], rows_next)
-        base_ones = rows_next.scores(base) >= 0.0
-        base_errors = int((base_ones[:n] != y).sum())
-        forced = 1 - int(base_ones[n])
-        weights = np.ones(n + 1)
-        weights[-1] = n + 1.0
         # a refit follows at a power-of-two position and replaces the
         # hypothesis, and a query that spends the budget ends the run, so
         # the two next-reference fits would go unused
         j = state.j
         refits = j >= 1 and j & (j - 1) == 0
         last = state.c + 1 == state.query_budget
-        labels = (forced,) if refits or last else (forced, 0, 1)
+        # Q's labels in each column, the candidate labels in the last row
+        B = 1 if refits or last else 3
+        Y = np.empty((n + 1, B), dtype=y.dtype)
+        Y[:n] = y[:, None]
+        memo = state.memo
+        base = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
+        if base is None:
+            # the reference is a fresh unconstrained optimum, not the
+            # possibly stale current hypothesis
+            base = self._fit(rows, Y[:n, :1], self.probe_steps, state.hypothesis)
+        rows_next = self._grow(rows, x)
+        state.rows = (state.xs + [x], rows_next)
+        base_ones = rows_next.scores(base) >= 0.0
+        base_errors = np.count_nonzero(base_ones[:n] != y)
+        forced = 1 - int(base_ones[n])
+        Y[n] = (forced, 0, 1)[:B]
+        weights = np.ones(n + 1)
+        weights[-1] = n + 1.0
         h, *next_bases = _train_columns(
-            rows_next,
-            [np.append(y, label) for label in labels],
-            self.probe_steps,
-            [weights, None, None][: len(labels)],
-            [base, state.hypothesis, state.hypothesis][: len(labels)],
+            rows_next, Y, self.probe_steps, [weights, None, None][:B],
+            [base, state.hypothesis, state.hypothesis][:B],
         )
         state.memo = None if refits else _ReferenceMemo(
             state.hypothesis, list(state.xs), list(state.ys), base, x, next_bases
@@ -399,7 +406,7 @@ class LinearClassDescriptor:
         probe_ones = rows_next.scores(h) >= 0.0
         if int(probe_ones[n]) != forced:
             return False
-        probe_errors = int((probe_ones[:n] != y).sum())
+        probe_errors = np.count_nonzero(probe_ones[:n] != y)
         return probe_errors <= base_errors + slack * n
 
     def update(self, state: ActiveState, j: int) -> None:
@@ -407,9 +414,8 @@ class LinearClassDescriptor:
 
     def refit(self, state: ActiveState) -> None:
         if state.xs:
-            state.hypothesis = self._fit(
-                self._rows(state), np.asarray(state.ys), self.steps, state.hypothesis
-            )
+            Y = np.asarray(state.ys)[:, None]
+            state.hypothesis = self._fit(self._rows(state), Y, self.steps, state.hypothesis)
 
 
 def active_update_version_space(state: ActiveState, j: int) -> ActiveState:

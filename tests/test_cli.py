@@ -116,6 +116,9 @@ def test_bad_config_setting_fails_naming_its_field(tmp_path, capsys):
         ({"generator_params": {"flip": "0.1"}}, ["--dataset", "massart"],
          "generator_params"),
         ({"fractions": ["0.8", 0.02, 0.18]}, [], "fractions"),
+        ({"fractions": 3}, [], "fractions"),  # no sequence at all
+        ({"fractions": {"0.8": 1}}, [], "fractions"),  # read as its keys before
+        ({"fractions": "0.8"}, [], "fractions"),  # nor a string of them
     ]
     for settings, flags, field in cases:
         cfg.write_text(json.dumps({"synth_n": 400, **settings}))
@@ -330,6 +333,8 @@ def test_setting_flags_and_config_keys_agree(tmp_path, capsys, command, method):
         return capsys.readouterr().out
 
     default = run([], base)
+    # the default split as a JSON list, which the config keeps as a tuple
+    assert run([], {**base, "fractions": [0.8, 0.02, 0.18]}) == default
     values = {**_FLAG_VALUES, "method": method}
     assert set(values) == set(_FLAG_FIELDS)
     for name, value in values.items():

@@ -9,6 +9,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -572,6 +573,12 @@ def test_experiment_config_validation():
         ({"fractions": ("0.8", 0.02, 0.18)}, "fractions"),
         ({"fractions": (0.8, "0.02", 0.18)}, "fractions"),
         ({"fractions": (True, 0.02, 0.18)}, "fractions"),
+        # a list or tuple only: a set or dict is read in an order of its
+        # own, an iterator once, and a number is no sequence
+        ({"fractions": {0.8, 0.02, 0.18}}, "fractions"),
+        ({"fractions": {0.8: 0, 0.02: 0, 0.18: 0}}, "fractions"),
+        ({"fractions": iter((0.8, 0.02, 0.18))}, "fractions"),
+        ({"fractions": 3}, "fractions"),
     ],
 )
 def test_experiment_config_rejects_bad_settings(overrides, field):
@@ -593,6 +600,10 @@ def test_experiment_config_accepts_the_edges_of_its_settings():
     ExperimentConfig("massart", "Asq", generator_params={"flip": 0})
     ExperimentConfig("tnc", "Asq", generator_params={"tau": np.float32(0.5), "c": 1})
     ExperimentConfig("realizable", "Asq", fractions=(np.float32(0.5), 0.25, 0.25))
+    # kept as a tuple of floats, as split_protocol reads it
+    config = ExperimentConfig("realizable", "Asq", fractions=[0.5, Fraction(1, 4), 0.25])
+    assert config.fractions == (0.5, 0.25, 0.25)
+    assert all(type(f) is float for f in config.fractions)
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ from privote import learners
 from privote.learners import (
     _BlockDesign,
     _fit_weights,
-    _matvec,
+    _kernels,
     _Rows,
     _train_columns,
     split_disjoint,
@@ -233,6 +233,14 @@ def test_train_erm_validation():
             train_committee(_random_data(10, 2, 0), 2, make_rng(0), steps)
 
 
+def _product(shape, csr, V, out, transpose=False):
+    """out zeroed, then the product `_kernels` binds for V's columns added
+    into it, as the descent, the step bound and the scores run them."""
+    B = 1 if V.ndim == 1 else V.shape[1]
+    out.fill(0.0)
+    _kernels(shape, csr, B)[transpose](V, out)
+
+
 @given(st.integers(0, 10_000), st.sampled_from([np.int32, np.int64]))
 def test_matvec_equals_scipy_products(seed, index_type):
     # the descent calls scipy's private csr_matvec and csc_matvec kernels,
@@ -251,16 +259,17 @@ def test_matvec_equals_scipy_products(seed, index_type):
         v[rng.random(len(v)) < 0.3] = -0.0
         # the buffer holds the previous step's values, signed zeros among them
         out = np.where(rng.random(M.shape[0]) < 0.5, -0.0, rng.normal(size=M.shape[0]))
-        _matvec((n, d), csr, v, out, transpose)
+        _product((n, d), csr, v, out, transpose)
         want = M @ v
         assert np.array_equal(out, want)
         assert np.array_equal(np.signbit(out), np.signbit(want))
-        # each of B columns adds its terms as the one-vector product does
-        B = int(rng.integers(2, 5))
+        # each of B columns, B = 1 to 4, adds its terms as the one-vector
+        # product does; one column runs the one-vector kernel on a matrix
+        B = int(rng.integers(1, 5))
         V = rng.normal(size=(M.shape[1], B))
         V[rng.random(V.shape) < 0.3] = -0.0
         out = np.where(rng.random((M.shape[0], B)) < 0.5, -0.0, 1.0)
-        _matvec((n, d), csr, V, out, transpose)
+        _product((n, d), csr, V, out, transpose)
         assert np.array_equal(out, M @ V)
         for b in range(B):
             want = M @ V[:, b]
@@ -697,7 +706,7 @@ def test_column_fits_equal_lone_fits(case, steps):
     # the active probe fits three label and weight columns over one copy
     # of the rows; each must be the lone fit of its column, bit for bit
     X, labels, weights, inits = case
-    fits = _train_columns(_Rows.of(X), labels, steps, weights, inits)
+    fits = _train_columns(_Rows.of(X), np.stack(labels, axis=1), steps, weights, inits)
     assert len(fits) == len(labels)
     for h, y, w, init in zip(fits, labels, weights, inits):
         lone = train_erm(Dataset(X, y), steps, sample_weight=w, init=init)
@@ -724,16 +733,87 @@ def test_column_step_bounds_equal_lone_bounds(case, as_probe):
             lambda shape, csr, wts, K: bound_columns.append(wts.shape[1])
             or bound(shape, csr, wts, K),
         )
-        _train_columns(rows, labels, 1, weights, inits)
+        _train_columns(rows, np.stack(labels, axis=1), 1, weights, inits)
     distinct = any(w is None for w in weights) + sum(w is not None for w in weights)
     assert bound_columns == [distinct]
     for b, (y, w) in enumerate(zip(labels, weights)):
+        lone_wts = np.empty((n, 1))
+        _fit_weights(lone_wts[:, 0], w)
         lone = _BlockDesign.of(
-            rows.shape, rows.csr, rows.row_max, np.array([n]), y[:, None],
-            _fit_weights(n, w)[:, None],
+            rows.shape, rows.csr, rows.row_max, np.array([n]), y[:, None], lone_wts
         )
         step, lone_step = designs[0].step_cols[:, b], lone.step_cols[:, 0]
         assert np.array_equal(step.view(np.int64), lone_step.view(np.int64))
+
+
+@pytest.mark.parametrize("steps", [1, 10, 35])
+def test_a_fit_makes_two_kernel_calls_a_step_and_eight_a_weight_column(
+    kernel_calls, steps
+):
+    # at probe size a fit costs its dispatches, not its arithmetic: each
+    # step is one product and one transposed product, and each distinct
+    # weight column's step bound four of each; a change that adds a
+    # dispatch anywhere in a fit fails here
+    data = _random_data(40, 5, 2)
+    weight = make_rng(2).random(40)
+    rows, Y = _Rows.of(data.X), np.stack([data.y, 1 - data.y, data.y], axis=1)
+    cases = [
+        (lambda: train_erm(data, steps), 1),
+        (lambda: train_erm(data, steps, sample_weight=weight), 1),
+        (lambda: train_committee(data, 4, make_rng(0), steps), 1),  # one part
+        (lambda: _train_columns(rows, Y, steps, [None] * 3, [None] * 3), 1),
+        (lambda: _train_columns(rows, Y, steps, [weight, None, None], [None] * 3), 2),
+        (lambda: _train_columns(rows, Y, steps, [weight, weight, None], [None] * 3), 3),
+    ]
+    for fit, columns in cases:
+        kernel_calls.clear()
+        fit()
+        assert sum(kernel_calls.values()) == 2 * steps + 8 * columns
+
+
+def test_fits_on_an_infinite_feature_fail_naming_finiteness():
+    # the finiteness check runs once on the final iterate of each descent
+    X = _random_data(30, 3, 4).X.toarray()
+    X[5, 1] = np.inf
+    data = Dataset(X, make_rng(4).integers(0, 2, 30))
+    Y = np.stack([data.y, 1 - data.y, data.y], axis=1)
+    fits = [
+        lambda: train_erm(data, 10),
+        lambda: _train_columns(_Rows.of(data.X), Y, 10, [None] * 3, [None] * 3),
+        lambda: train_committee(data, 3, make_rng(0), 10),
+    ]
+    for fit in fits:
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            fit()
+
+
+def test_descend_leaves_the_start_unchanged():
+    data = _random_data(30, 3, 5)
+    rows = _Rows.of(data.X)
+    design = _BlockDesign.of(
+        rows.shape, rows.csr, rows.row_max, np.array([30]), data.y[:, None],
+        np.full((30, 1), 1 / 30),
+    )
+    W = make_rng(5).normal(size=(4, 1))
+    start = W.copy()
+    design.descend(W, 5)
+    assert np.array_equal(W.view(np.int64), start.view(np.int64))
+
+
+@given(st.integers(0, 10_000))
+def test_row_scores_equal_the_decision(seed):
+    # stored -0.0 entries, empty rows and signed-zero weights and bias
+    rng = make_rng(seed)
+    n, d = (int(v) for v in rng.integers(1, 20, 2))
+    A = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+    A[rng.random(n) < 0.3] = 0.0
+    X = sp.csr_matrix(A)
+    X.data[rng.random(X.nnz) < 0.2] = -0.0
+    w = np.where(rng.random(d) < 0.3, -0.0, rng.normal(size=d))
+    bias = float(rng.choice([0.0, -0.0, rng.normal()]))
+    h = LinearHypothesis(w, bias)
+    got, want = _Rows.of(X).scores(h), h.decision(X)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_duplicate_entries_fit_like_their_sums():

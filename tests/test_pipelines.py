@@ -614,6 +614,21 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
         desc.disagreement(state, 9, 0.1)
 
 
+def test_a_probe_that_reuses_the_memo_makes_38_kernel_calls(kernel_calls):
+    # three columns of probe_steps = 10 steps with two distinct weight
+    # columns, then the reference's and the probe's scores: 20 + 16 + 2
+    X, labels = _linear_stream(7, 12, 3, 5, 0.2)
+    desc = LinearClassDescriptor(X)
+    state = desc.init_state()
+    state.xs, state.ys, state.j = [0, 1, 2], [int(y) for y in labels[:3]], 3
+    desc.disagreement(state, 3, 0.1)
+    kernel_calls.clear()
+    state.j = 5
+    desc.disagreement(state, 4, 0.1)  # 3 was not queried: same Q
+    assert sum(kernel_calls.values()) == 38
+    assert kernel_calls["csr_matvec"] == 2 + 8  # scores; the bound's products
+
+
 def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     # at a power-of-two position the refit replaces the hypothesis, and a
     # query that spends the budget ends the run, so at either point the two
@@ -628,7 +643,7 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
             if weights[0] is None:  # the reference, fit alone
                 fresh_bases.extend(probing)
             else:
-                calls[-1][1].append(len(labels))
+                calls[-1][1].append(labels.shape[1])
         return real_columns(rows, labels, steps, weights, inits)
 
     class Recording(LinearClassDescriptor):
