@@ -27,6 +27,7 @@ from .dp_core import (
     svt_threshold_w,
 )
 from .harness import (
+    METHODS,
     ExperimentConfig,
     _GENERATORS,
     _load_source,
@@ -89,21 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--out")
     cal.set_defaults(func=cmd_calibrate)
 
-    psq = subs.add_parser("psq", help="passive pipeline experiment")
-    _add_experiment(psq)
-    psq.set_defaults(
-        func=cmd_experiment,
-        default_method="PsqGaussian",
-        allowed={"PsqGaussian", "PsqSvt", "PsqNoPrivacy"},
-    )
-
-    asq = subs.add_parser("asq", help="active pipeline experiment")
-    _add_experiment(asq)
-    asq.set_defaults(
-        func=cmd_experiment,
-        default_method="Asq",
-        allowed={"Asq", "AsqNoPrivacy"},
-    )
+    for command, kind in (("psq", "passive"), ("asq", "active")):
+        sub = subs.add_parser(command, help=f"{kind} pipeline experiment")
+        _add_experiment(sub)
+        # the pipeline's methods, its default first
+        methods = [m for m, (pipeline, _) in METHODS.items() if pipeline == command]
+        sub.set_defaults(func=cmd_experiment, methods=methods)
 
     rat = subs.add_parser(
         "rates", help="ERM excess-risk rates for the threshold family"
@@ -191,14 +183,14 @@ def _build_config(args) -> ExperimentConfig:
     for name in _FLAG_FIELDS:
         if getattr(args, name) is not None:
             data[name] = getattr(args, name)
-    data.setdefault("method", args.default_method)
+    data.setdefault("method", args.methods[0])
     if "dataset" not in data:
         raise ValueError("--dataset (or a config file naming one) is required")
     config = ExperimentConfig(**data)
-    if config.method not in args.allowed:
+    if config.method not in args.methods:
         raise ValueError(
             f"method {config.method} is not valid here; "
-            f"choose from {sorted(args.allowed)}"
+            f"choose from {sorted(args.methods)}"
         )
     return config
 

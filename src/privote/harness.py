@@ -56,21 +56,15 @@ __all__ = [
     "TRIAL_COLUMNS",
 ]
 
-METHODS = ("PsqGaussian", "PsqSvt", "Asq", "PsqNoPrivacy", "AsqNoPrivacy")
-
-TRIAL_COLUMNS = (
-    "dataset",
-    "method",
-    "epsilon",
-    "delta",
-    "trial",
-    "seed",
-    "queries",
-    "bots",
-    "eps_ex_post",
-    "accuracy",
-    "wall_ms",
-)
+# each method: its pipeline, and whether it spends a privacy budget; the
+# first method of a pipeline is its command's default
+METHODS = {
+    "PsqGaussian": ("psq", True),
+    "PsqSvt": ("psq", True),
+    "Asq": ("asq", True),
+    "PsqNoPrivacy": ("psq", False),
+    "AsqNoPrivacy": ("asq", False),
+}
 MARGIN_COLUMNS = ("probe_id", "delta_hat", "delta_hstar")
 
 
@@ -407,18 +401,23 @@ class Split:
     student_labels: np.ndarray
 
 
-def split_protocol(data: Dataset, fractions, rng) -> Split:
+# the shares of a trial's examples that go to the teachers and to the pool,
+# floor and ceil of these times the dataset size; the test set takes the rest
+_TEACHER_SHARE, _POOL_SHARE = 0.8, 0.02
+
+
+def split_protocol(data: Dataset, rng) -> Split:
     """Disjoint random split into (teacher, unlabeled student, test).
 
-    The teacher pool takes floor(f_t * N), the student pool ceil(f_s * N),
-    and the test set the remainder, so sizes are reproducible integers.
+    The teacher pool takes floor(_TEACHER_SHARE * N), the student pool
+    ceil(_POOL_SHARE * N), and the test set the remainder, so sizes are
+    reproducible integers.
     """
-    f = _check_fractions(fractions)
     if not data.labeled:
         raise ValueError("splitting needs a labeled dataset")
     n = len(data)
-    n_teacher = math.floor(f[0] * n)
-    n_student = math.ceil(f[1] * n)
+    n_teacher = math.floor(_TEACHER_SHARE * n)
+    n_student = math.ceil(_POOL_SHARE * n)
     n_test = n - n_teacher - n_student
     if min(n_teacher, n_student, n_test) < 1:
         raise ValueError(f"split of {n} examples leaves an empty part")
@@ -438,18 +437,6 @@ def _is_a(value, kind: str) -> bool:
     goes (True is an int)."""
     is_bool = isinstance(value, bool)
     return isinstance(value, _SCALARS[kind]) and is_bool == (kind == "bool")
-
-
-def _check_fractions(fractions) -> tuple[float, ...]:
-    """A list or tuple of three positive numbers summing to 1, as floats."""
-    f = tuple(fractions) if isinstance(fractions, (list, tuple)) else ()
-    positive = all(_is_a(x, "float") and 0 < x < math.inf for x in f)
-    if len(f) != 3 or not positive or abs(sum(f) - 1) > 1e-9:
-        raise ValueError(
-            "fractions must be a list or tuple of three positive numbers "
-            f"summing to 1, got {fractions!r}"
-        )
-    return tuple(map(float, f))
 
 
 # each generator name: the function that draws a dataset, and the
@@ -489,7 +476,6 @@ class ExperimentConfig:
     delta: float | None = None
     trials: int = 30
     seed: int = 0
-    fractions: tuple[float, float, float] = (0.8, 0.02, 0.18)
     K: int | None = None
     query_fraction: float = 0.3
     svt_T: int | None = None
@@ -504,7 +490,7 @@ class ExperimentConfig:
             if kind in _SCALARS and not optional and not _is_a(value, kind):
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not (0.0 < self.query_fraction <= 1.0):
@@ -521,7 +507,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        object.__setattr__(self, "fractions", _check_fractions(self.fractions))
         params = self.generator_params
         if not isinstance(params, dict):
             raise ValueError(f"generator_params must be a dict, got {params!r}")
@@ -541,7 +526,7 @@ class ExperimentConfig:
 
     @property
     def private(self) -> bool:
-        return self.method not in ("PsqNoPrivacy", "AsqNoPrivacy")
+        return METHODS[self.method][1]
 
 
 @dataclass(frozen=True)
@@ -566,6 +551,9 @@ class TrialReport:
 
     def as_row(self) -> dict:
         return {c: getattr(self, c) for c in TRIAL_COLUMNS}
+
+
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialReport))
 
 
 @dataclass(frozen=True)
@@ -627,10 +615,9 @@ def _run_trial(
     Non-private methods run the same pipelines with no budget, so their
     sessions release exact majorities; their rows state (inf, 0).
     """
-    split = split_protocol(data, config.fractions, rng)
+    split = split_protocol(data, rng)
     teacher, student, test = split.teacher, split.student, split.test
     K = config.K if config.K is not None else math.ceil(len(teacher) / 100)
-    method = config.method
 
     if config.private:
         delta = config.delta if config.delta is not None else 1.0 / len(teacher)
@@ -640,13 +627,13 @@ def _run_trial(
         budget = None
         eps, delta = math.inf, 0.0
 
-    if method in ("Asq", "AsqNoPrivacy"):
+    if METHODS[config.method][0] == "asq":
         query_budget = max(1, round(config.query_fraction * len(student)))
         cfg = AsqConfig(K, query_budget, budget)
         _, report = pate_asq(teacher, student, test, cfg, rng)
     else:  # T is None for PsqGaussian and PsqNoPrivacy
         T = config.svt_T
-        if method == "PsqSvt" and T is None:
+        if config.method == "PsqSvt" and T is None:
             # the public rule `privote calibrate` prints: sized for error-free
             # teachers, so T reads nothing of the sensitive pool
             T, _ = compute_svt_params(len(student), 0.0, 0.05, budget)

@@ -82,7 +82,7 @@ def _is_binary(a: np.ndarray) -> bool:
 
 @dataclass
 class Dataset:
-    """Sparse feature matrix plus optional binary labels.
+    """Sparse matrix of finite feature values plus optional binary labels.
 
     Unlabeled datasets (y is None) represent student pools; labels live in
     {0, 1}.
@@ -102,6 +102,8 @@ class Dataset:
             self.X = self.X.copy()
             self.X.sum_duplicates()
             self.X.eliminate_zeros()
+        if not np.isfinite(self.X.data).all():
+            raise ValueError("feature values must be finite")
         if self.y is not None:
             self.y = np.asarray(self.y)
             if self.y.shape != (self.X.shape[0],):

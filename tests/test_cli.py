@@ -20,7 +20,7 @@ from privote import (
     write_libsvm,
 )
 from privote.cli import _FLAG_FIELDS, build_parser, main
-from privote.harness import render_report
+from privote.harness import METHODS, render_report
 
 
 def test_calibrate_prints_sigma_and_k(capsys):
@@ -92,9 +92,13 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # "mystery" never existed; the others are removed fields
-    for key in ("mystery", "bot_policy", "svt_beta", "gamma"):
-        cfg.write_text(json.dumps({"synth_n": 400, key: 1}))
+    # "mystery" never existed; the others are removed fields, and the
+    # split is fixed, so even the old default fractions fail
+    for key, value in [
+        ("mystery", 1), ("bot_policy", 1), ("svt_beta", 1), ("gamma", 1),
+        ("fractions", 3), ("fractions", [0.8, 0.02, 0.18]),
+    ]:
+        cfg.write_text(json.dumps({"synth_n": 400, key: value}))
         code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
         assert code == 1
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -115,10 +119,6 @@ def test_bad_config_setting_fails_naming_its_field(tmp_path, capsys):
         ({"generator_params": {"d": 2.5}}, [], "generator_params"),
         ({"generator_params": {"flip": "0.1"}}, ["--dataset", "massart"],
          "generator_params"),
-        ({"fractions": ["0.8", 0.02, 0.18]}, [], "fractions"),
-        ({"fractions": 3}, [], "fractions"),  # no sequence at all
-        ({"fractions": {"0.8": 1}}, [], "fractions"),  # read as its keys before
-        ({"fractions": "0.8"}, [], "fractions"),  # nor a string of them
     ]
     for settings, flags, field in cases:
         cfg.write_text(json.dumps({"synth_n": 400, **settings}))
@@ -148,6 +148,22 @@ def test_psq_rejects_active_method(capsys):
     code = main(["psq", "--dataset", "realizable", "--method", "Asq"])
     assert code == 1
     assert "not valid here" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["psq", "asq"])
+def test_each_command_runs_the_methods_of_its_pipeline(tmp_path, capsys, command):
+    """A command takes the methods that `METHODS` gives its pipeline,
+    the first of them by default, and rejects every other."""
+    ours = [m for m, (pipeline, _) in METHODS.items() if pipeline == command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth_n": 400, "trials": 1}))
+    argv = [command, "--dataset", "realizable", "--config", str(cfg)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == ours[0]
+    for method in METHODS:
+        if method not in ours:
+            assert main([*argv, "--method", method]) == 1
+            assert f"choose from {sorted(ours)}" in capsys.readouterr().err
 
 
 def test_asq_subcommand(tmp_path, capsys):
@@ -333,8 +349,6 @@ def test_setting_flags_and_config_keys_agree(tmp_path, capsys, command, method):
         return capsys.readouterr().out
 
     default = run([], base)
-    # the default split as a JSON list, which the config keeps as a tuple
-    assert run([], {**base, "fractions": [0.8, 0.02, 0.18]}) == default
     values = {**_FLAG_VALUES, "method": method}
     assert set(values) == set(_FLAG_FIELDS)
     for name, value in values.items():

@@ -87,7 +87,6 @@ CONFIG_FIELDS = {
         "delta",
         "trials",
         "seed",
-        "fractions",
         "K",
         "query_fraction",
         "svt_T",

@@ -4,12 +4,12 @@ import bz2
 import csv
 import gzip
 import io
+import contextlib
 import json
 import math
 import re
 import tempfile
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from privote import harness
+from privote import aggregation, harness, learners, pipelines
 from privote import (
     ExperimentConfig,
     LibsvmParseError,
@@ -461,7 +461,7 @@ def test_parse_libsvm_peak_is_its_output_and_one_list_of_pieces(tmp_path):
 def test_split_protocol_sizes_mushroom_shape():
     n = 8124
     data = gen_realizable(2, n, make_rng(0))[0]
-    split = split_protocol(data, (0.8, 0.02, 0.18), make_rng(1))
+    split = split_protocol(data, make_rng(1))
     teacher, student, test = split.teacher, split.student, split.test
     assert len(teacher) == 6499
     assert len(student) == 163
@@ -475,39 +475,61 @@ def test_split_protocol_is_a_partition():
     data = gen_realizable(1, n, make_rng(2))[0]
     ids = np.arange(n, dtype=float).reshape(-1, 1)
     data = type(data)(ids, data.y)
-    split = split_protocol(data, (0.5, 0.25, 0.25), make_rng(3))
+    split = split_protocol(data, make_rng(3))
     parts = [
         list(np.asarray(p.X.todense()).ravel().astype(int))
         for p in (split.teacher, split.student, split.test)
     ]
+    assert [len(part) for part in parts] == [80, 3, 18]
     assert oracles.is_partition(parts, list(range(n)))
 
 
 def test_split_protocol_determinism_and_validation():
     data = gen_realizable(2, 60, make_rng(4))[0]
-    a = split_protocol(data, (0.6, 0.2, 0.2), make_rng(9))
-    b = split_protocol(data, (0.6, 0.2, 0.2), make_rng(9))
+    a = split_protocol(data, make_rng(9))
+    b = split_protocol(data, make_rng(9))
     assert np.array_equal(a.teacher.y, b.teacher.y)
-    with pytest.raises(ValueError):
-        split_protocol(data, (1.0, 0.0, 0.0), make_rng(0))
-    with pytest.raises(ValueError):
-        split_protocol(data, (0.5, 0.4, 0.2), make_rng(0))
-    with pytest.raises(ValueError):
-        split_protocol(data.without_labels(), (0.6, 0.2, 0.2), make_rng(0))
+    assert np.array_equal(a.test.y, b.test.y)
+    assert np.array_equal(a.student_labels, b.student_labels)
+    # 4 rows give 3 teachers, 1 pool point and no test point, 1 row no
+    # teacher; 6 rows, 4, 1 and 1, are the fewest that split
+    for n in (1, 4, 5):
+        with pytest.raises(ValueError, match=f"split of {n} examples leaves an empty"):
+            split_protocol(data.subset(np.arange(n)), make_rng(0))
+    split = split_protocol(data.subset(np.arange(6)), make_rng(0))
+    assert (len(split.teacher), len(split.student), len(split.test)) == (4, 1, 1)
+    with pytest.raises(ValueError, match="labeled"):
+        split_protocol(data.without_labels(), make_rng(0))
 
 
-_NON_FINITE_FRACTIONS = [
-    (math.nan, 0.5, 0.5),
-    (0.5, math.nan, 0.5),
-    (math.inf, 0.5, -math.inf),
-]
+@pytest.mark.parametrize("n", [8124, 12000, 3500])
+def test_split_and_run_sizes_are_what_the_benchmark_assumes(monkeypatch, n):
+    """perfbench/workloads.py restates the protocol (FRACTIONS,
+    QUERY_FRACTION, `sizes`) to check its runs; a trial's split, default
+    K and Asq query budget must agree with it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
 
+    assert ExperimentConfig("realizable", "Asq").query_fraction == workloads.QUERY_FRACTION
+    data = gen_realizable(2, n, make_rng(n))[0]
+    split = split_protocol(data, make_rng(0))
+    teacher, pool = len(split.teacher), len(split.student)
+    F = workloads.FRACTIONS
+    assert (teacher, pool) == (math.floor(F[0] * n), math.ceil(F[1] * n))
+    assert len(split.test) == n - teacher - pool and math.isclose(sum(F), 1.0)
+    for wl in workloads.WORKLOADS.values():
+        runs = []
 
-@pytest.mark.parametrize("fractions", _NON_FINITE_FRACTIONS)
-def test_split_protocol_rejects_non_finite_fractions(fractions):
-    data = gen_realizable(2, 60, make_rng(4))[0]
-    with pytest.raises(ValueError, match="three positive numbers summing to 1"):
-        split_protocol(data, fractions, make_rng(0))
+        def spy(teacher, student, test, cfg, rng):
+            budget = getattr(cfg, "query_budget", len(student))  # psq asks all
+            runs.append({"K": cfg.K, "pool": len(student), "query_budget": budget})
+            return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
+
+        config = ExperimentConfig("realizable", wl.method, epsilon=wl.epsilon)
+        monkeypatch.setattr(harness, "pate_psq", spy)
+        monkeypatch.setattr(harness, "pate_asq", spy)
+        harness._run_trial(config, data, make_rng(0))
+        assert runs == [wl.sizes(n)], wl.name
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +591,6 @@ def test_experiment_config_validation():
         ({"dataset": "massart", "generator_params": {"flip": "0.1"}}, "generator_params"),
         ({"dataset": "tnc", "generator_params": {"tau": True}}, "generator_params"),
         ({"dataset": "tnc", "generator_params": {"c": None}}, "generator_params"),
-        # each fraction a real number, not a string or a bool
-        ({"fractions": ("0.8", 0.02, 0.18)}, "fractions"),
-        ({"fractions": (0.8, "0.02", 0.18)}, "fractions"),
-        ({"fractions": (True, 0.02, 0.18)}, "fractions"),
-        # a list or tuple only: a set or dict is read in an order of its
-        # own, an iterator once, and a number is no sequence
-        ({"fractions": {0.8, 0.02, 0.18}}, "fractions"),
-        ({"fractions": {0.8: 0, 0.02: 0, 0.18: 0}}, "fractions"),
-        ({"fractions": iter((0.8, 0.02, 0.18))}, "fractions"),
-        ({"fractions": 3}, "fractions"),
     ],
 )
 def test_experiment_config_rejects_bad_settings(overrides, field):
@@ -599,19 +611,17 @@ def test_experiment_config_accepts_the_edges_of_its_settings():
     ExperimentConfig("realizable", "Asq", generator_params={"d": np.int64(3)})
     ExperimentConfig("massart", "Asq", generator_params={"flip": 0})
     ExperimentConfig("tnc", "Asq", generator_params={"tau": np.float32(0.5), "c": 1})
-    ExperimentConfig("realizable", "Asq", fractions=(np.float32(0.5), 0.25, 0.25))
-    # kept as a tuple of floats, as split_protocol reads it
-    config = ExperimentConfig("realizable", "Asq", fractions=[0.5, Fraction(1, 4), 0.25])
-    assert config.fractions == (0.5, 0.25, 0.25)
-    assert all(type(f) is float for f in config.fractions)
 
 
 @pytest.mark.parametrize(
-    "fractions", [(0.5, 0.5), (0.8, 0.0, 0.2), *_NON_FINITE_FRACTIONS]
+    "fractions",
+    [(0.5, 0.5), (0.8, 0.0, 0.2), (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5),
+     (math.inf, 0.5, -math.inf), (0.8, 0.02, 0.18)],
 )
 def test_experiment_config_checks_its_fractions(fractions):
-    """A bad split fails when the config is made, before any data is read."""
-    with pytest.raises(ValueError, match="three positive numbers summing to 1"):
+    """The split is fixed at 80/2/18: a config given any other, or that
+    one, fails when it is made, before any data is read."""
+    with pytest.raises(TypeError, match="fractions"):
         ExperimentConfig(dataset="realizable", method="Asq", fractions=fractions)
 
 
@@ -719,8 +729,8 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     y[teacher_rows] = make_rng(7).integers(0, 2, n_teacher)
     noisy = data.with_labels(y)
     config = _quick_config(method="PsqSvt", epsilon=1.0)
-    a = split_protocol(data, config.fractions, make_rng(6))
-    b = split_protocol(noisy, config.fractions, make_rng(6))
+    a = split_protocol(data, make_rng(6))
+    b = split_protocol(noisy, make_rng(6))
     assert np.array_equal(a.student_labels, b.student_labels)
     assert np.array_equal(a.test.y, b.test.y)
     assert not np.array_equal(a.teacher.y, b.teacher.y)
@@ -731,6 +741,86 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     assert cutoffs == [public, public]
     harness._run_trial(_quick_config(method="PsqSvt", svt_T=5), noisy, make_rng(6))
     assert cutoffs[-1] == 5
+
+
+def _public_run(config, data, seed):
+    """A trial of `config` on data at seed, through `_run_trial`: the
+    committee's members and pool votes, and every parameter of the run
+    that must read nothing but public sizes."""
+    seen = {"shards": []}
+    sizes, train = learners._part_sizes, learners.train_committee
+    vote = learners.Ensemble.vote_ones
+    sessions = {
+        cls: cls.for_budget.__func__
+        for cls in (aggregation.GaussianSession, aggregation.SvtSession)
+    }
+
+    def part_sizes(n, K):
+        seen["shards"].append(sizes(n, K).tolist())
+        return sizes(n, K)
+
+    def committee(*args, **kwargs):
+        seen["members"] = train(*args, **kwargs).members
+        return learners.Ensemble(seen["members"])
+
+    def votes(ensemble, X):
+        seen["votes"] = vote(ensemble, X)
+        return seen["votes"]
+
+    def session(cls, *args):
+        # calibrated from ell (and T) and the budget, to sigma or lambda and w
+        made = sessions[cls](cls, *args)
+        scales = {k: getattr(made, k) for k in ("sigma", "lam", "w") if hasattr(made, k)}
+        seen["session"] = args[:-1], scales  # all but the rng
+        return made
+
+    with contextlib.ExitStack() as stack:
+        for target, name, spy in [
+            (learners, "_part_sizes", part_sizes),
+            (pipelines, "train_committee", committee),
+            (learners.Ensemble, "vote_ones", votes),
+            (aggregation.GaussianSession, "for_budget", classmethod(session)),
+            (aggregation.SvtSession, "for_budget", classmethod(session)),
+        ]:
+            stack.enter_context(mock.patch.object(target, name, spy))
+        harness._run_trial(config, data, make_rng(seed))
+    seen["K"] = len(seen["members"])
+    return seen
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["PsqGaussian", "PsqSvt", "Asq"]),
+    st.integers(300, 1500),
+    st.one_of(st.none(), st.integers(1, 30)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_replacing_one_teacher_row_moves_one_member_and_votes_by_one(
+    seed, method, n, K, where
+):
+    """The replace-one relation end to end: teacher sets that differ in
+    one row (features and label), with the same pool, test set and rng,
+    give committees that differ in at most one member, pool votes that
+    move by at most 1 at every point, and equal K, delta, sigma, lambda,
+    w, T, ell and shard sizes."""
+    rng = make_rng(seed)
+    data = gen_realizable(5, n, rng)[0]
+    X, y = data.X.toarray(), data.y.copy()
+    # split_protocol's permutation is the first draw of its rng
+    teachers = make_rng(seed).permutation(n)[: math.floor(0.8 * n)]
+    row = teachers[int(where * len(teachers))]
+    X[row], y[row] = rng.uniform(-1.0, 1.0, 5), 1 - y[row]
+    config = ExperimentConfig("realizable", method, K=K, synth_n=n)
+    a = _public_run(config, data, seed)
+    b = _public_run(config, learners.Dataset(X, y), seed)
+    differ = [
+        not (np.array_equal(m.weights, o.weights) and m.bias == o.bias)
+        for m, o in zip(a.pop("members"), b.pop("members"))
+    ]
+    assert sum(differ) <= 1
+    assert np.abs(a.pop("votes") - b.pop("votes")).max() <= 1
+    assert a == b
+    assert a["shards"] and a["session"][1]
 
 
 def test_run_experiment_wraps_trial_failures():

@@ -772,9 +772,24 @@ def test_a_fit_makes_two_kernel_calls_a_step_and_eight_a_weight_column(
 
 
 def test_fits_on_an_infinite_feature_fail_naming_finiteness():
-    # the finiteness check runs once on the final iterate of each descent
+    # the dataset rejects it, before any fit can step in it and raise a
+    # RuntimeWarning; a sum of duplicates that overflows counts too
     X = _random_data(30, 3, 4).X.toarray()
-    X[5, 1] = np.inf
+    for bad in (np.inf, -np.inf, np.nan):
+        X[5, 1] = bad
+        for features in (X, sp.csr_matrix(X)):
+            with pytest.raises(ValueError, match="feature values must be finite"):
+                Dataset(features, make_rng(4).integers(0, 2, 30))
+    duplicates = sp.csr_matrix(([1e308, 1e308], [0, 0], [0, 2]), shape=(1, 1))
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        Dataset(duplicates)
+
+
+def test_fits_on_a_huge_feature_fail_naming_finiteness():
+    # a finite 1e200 overflows the iterate; the finiteness check runs once
+    # on the final iterate of each descent
+    X = _random_data(30, 3, 4).X.toarray()
+    X[5, 1] = 1e200
     data = Dataset(X, make_rng(4).integers(0, 2, 30))
     Y = np.stack([data.y, 1 - data.y, data.y], axis=1)
     fits = [
