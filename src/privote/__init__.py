@@ -4,8 +4,9 @@ Split sensitive data across a committee of teachers, release their
 majority votes through calibrated noise (per-query Gaussian or
 stable-release with an unstable-query cutoff), and train a public student
 on the pseudo-labels. Includes a disagreement-driven active variant that
-pays privacy only for the labels it actually requests, plus the synthetic
-families and experiment harness used to study when voting helps.
+pays privacy only for the labels it actually requests. The package ships
+this labeler and its data sources (LIBSVM files and seeded synthetic
+families), with the experiment harness that runs it on them.
 """
 
 from .aggregation import (
@@ -69,12 +70,9 @@ from .pipelines import (
 )
 from .synthdata import (
     TncGenerator,
-    VotingFailsFixture,
-    VotingWinsGenerator,
     gen_massart,
     gen_realizable,
     gen_tnc,
-    gen_voting_wins,
 )
 
 __version__ = "0.1.0"

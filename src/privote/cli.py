@@ -1,23 +1,20 @@
-"""Command-line front end.
+"""Command-line front end to the labeler and its data sources.
 
 Subcommands: calibrate (noise scales and committee sizes for a budget),
 psq / asq (experiment protocol on a dataset or generator, one
 ExperimentConfig per run: its setting flags are `_FLAG_FIELDS`, and
---config sets any field), rates (ERM excess-risk rates on the threshold
-family), margins (vote-margin histograms), examples (the two voting
-fixtures). Everything honoring --seed is byte-deterministic across runs.
+--config sets any field), margins (per-probe vote margins of committees
+trained on a dataset or generator sample). Everything honoring --seed is
+byte-deterministic across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .dp_core import (
     PrivacyBudget,
@@ -37,7 +34,6 @@ from .harness import (
 )
 from .learners import margin_distribution_report
 from .pipelines import compute_k_for_gaussian, compute_svt_params
-from .synthdata import TncGenerator, VotingFailsFixture, gen_voting_wins
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 # the ExperimentConfig fields that psq and asq also take as flags, each
@@ -45,11 +41,12 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _FLAG_FIELDS = ("dataset", "method", "epsilon", "delta", "trials", "seed")
 _FLAG_TYPES = {"str": str, "int": int, "float": float}
 
-# the generator flags of `privote margins`, with their defaults
-_MARGIN_DEFAULTS = {"n": 2000, **_GENERATORS["massart"][1], "tau": 0.5, "xi": 0.1}
-# the flags each distribution reads; realizable and massart read --n and
-# their generator parameters, and a LIBSVM file reads none
-_MARGIN_FLAGS = {"tnc": ("tau",), "voting_fails": (), "voting_wins": ("xi",)}
+# the generator flags of `privote margins`: the sample size, with its
+# default, and every generator parameter, typed as its default; a
+# generator reads --n and its own parameters, and a LIBSVM file none
+_MARGIN_PARAMS = {"n": 2000} | {
+    name: value for _, params in _GENERATORS.values() for name, value in params.items()
+}
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -97,41 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
         methods = [m for m, (pipeline, _) in METHODS.items() if pipeline == command]
         sub.set_defaults(func=cmd_experiment, methods=methods)
 
-    rat = subs.add_parser(
-        "rates", help="ERM excess-risk rates for the threshold family"
-    )
-    rat.add_argument("--tau", type=float, help="noise exponent (default: 1.0, 0.5)")
-    rat.add_argument("--c", type=float, default=0.5, help="margin constant")
-    rat.add_argument("--reps", type=int, default=20)
-    rat.add_argument("--seed", type=int, default=0)
-    rat.add_argument("--out")
-    rat.set_defaults(func=cmd_rates)
-
     mar = subs.add_parser("margins", help="per-probe vote-margin estimates")
-    mar.add_argument("--dataset", help="LIBSVM file or source name")
+    mar.add_argument("--dataset", help="LIBSVM file or generator name")
     mar.add_argument("--seed", type=int)
     _add_output(mar)
     mar.add_argument("--teachers", type=int, default=10, help="committee size")
     mar.add_argument("--probes", type=int, default=200)
     mar.add_argument("--reps", type=int, default=30)
-    mar.add_argument("--n-per-teacher", type=int, default=100)
-    for flag, default in _MARGIN_DEFAULTS.items():
+    for flag, default in _MARGIN_PARAMS.items():
         mar.add_argument(
             f"--{flag}",
             type=type(default),
-            help=f"default {default}; only for the sources that read it",
+            help=f"default {default}; only for the generators that read it",
         )
     mar.set_defaults(
         func=cmd_margins, dataset="realizable", seed=0, usage_error=mar.error
     )
-
-    exa = subs.add_parser("examples", help="the voting-fails and voting-wins fixtures")
-    exa.add_argument("--seed", type=int, default=0)
-    exa.add_argument("--reps", type=int, default=50)
-    exa.add_argument("--xi", type=float, default=0.1)
-    exa.add_argument("--domain", type=int, default=10000)
-    exa.add_argument("--out")
-    exa.set_defaults(func=cmd_examples)
 
     return parser
 
@@ -220,81 +198,21 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_rates(args) -> int:
-    taus = [args.tau] if args.tau is not None else [1.0, 0.5]
-    ns = [2**k for k in range(7, 14)]
-    rng = make_rng(args.seed)
-    rows = []
-    for tau in taus:
-        gen = TncGenerator(tau, args.c)
-        means = []
-        for n in ns:
-            excess = [
-                gen.excess_error(gen.fit_threshold(*gen.sample_xy(n, rng)))
-                for _ in range(args.reps)
-            ]
-            means.append(float(np.mean(excess)))
-            rows.append(f"{tau!r},{n},{means[-1]!r}")
-        slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
-        print(f"tau={tau}: log-log excess-risk slope {slope:.3f}", file=sys.stderr)
-    _write_lines(["tau,n,mean_excess"] + rows, args.out)
-    return 0
-
-
 def cmd_margins(args) -> int:
     name = args.dataset
-    if name in _MARGIN_FLAGS:
-        reads = _MARGIN_FLAGS[name]
-    else:
-        reads = ("n", *_GENERATORS[name][1]) if name in _GENERATORS else ()
-    given = {f: getattr(args, f) for f in _MARGIN_DEFAULTS}
+    reads = ("n", *_GENERATORS[name][1]) if name in _GENERATORS else ()
+    given = {f: getattr(args, f) for f in _MARGIN_PARAMS}
     given = {f: v for f, v in given.items() if v is not None}
     ignored = [f"--{f}" for f in given if f not in reads]
     if ignored:
         args.usage_error(f"source {name!r} does not read {', '.join(ignored)}")
-    value = {**_MARGIN_DEFAULTS, **given}
+    n = given.pop("n", _MARGIN_PARAMS["n"])
     rng = make_rng(args.seed)
-    if name == "tnc":
-        source = TncGenerator(value["tau"])
-    elif name == "voting_fails":
-        source = VotingFailsFixture()
-    elif name == "voting_wins":
-        source = gen_voting_wins(value["xi"], 1000, rng)
-    else:
-        params = {f: v for f, v in given.items() if f != "n"}
-        source = _load_source(name, value["n"], params)(rng)
+    data = _load_source(name, n, given)(rng)
     rows = margin_distribution_report(
-        source,
-        args.teachers,
-        args.probes,
-        args.reps,
-        rng,
-        n_per_teacher=args.n_per_teacher,
+        data, args.teachers, args.probes, args.reps, rng
     )
     _emit_rows(rows, args)
-    return 0
-
-
-def cmd_examples(args) -> int:
-    rng = make_rng(args.seed)
-    fx = VotingFailsFixture()
-    lines = ["[voting fails]"]
-    for i in range(3):
-        lines.append(f"member {i + 1} error: {fx.member_error(i)!r}")
-    lines.append(f"exact majority labels: {fx.exact_majority().tolist()}")
-    lines.append(f"exact majority error: {fx.majority_error()!r}")
-    mc = fx.aggregate_error_mc(999, 100, args.reps, rng)
-    lines.append(f"monte-carlo K=999 aggregate error: {mc!r}")
-
-    lines.append("[voting wins]")
-    vw = gen_voting_wins(args.xi, args.domain, rng)
-    for K in (50, 100, 200):
-        err = vw.aggregate_error(K, rng)
-        bound = math.exp(-2.0 * K * args.xi**2)
-        lines.append(
-            f"K={K}: aggregate error {err!r} (chernoff bound {bound!r})"
-        )
-    _write_lines(lines, args.out)
     return 0
 
 

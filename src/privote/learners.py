@@ -1,8 +1,7 @@
 """Hypotheses, ERM training, ensembles, and vote-margin reports.
 
 Linear models with sparse features carry the real-data experiments; an
-explicit finite hypothesis class backs the counterexample fixtures and the
-exact version-space machinery.
+explicit finite hypothesis class backs the exact version-space machinery.
 
 All linear training goes through one accelerated-descent loop (Nesterov
 momentum). A committee's K disjoint shards, cut from one row permutation
@@ -710,67 +709,26 @@ def threshold_class(points) -> FiniteHypothesisClass:
 
 # ---------------------------------------------------------------------------
 # Vote-margin reports
-#
-# A "distribution" here is any object with
-#   sample_xy(n, rng) -> (xs, ys)          a fresh labeled sample
-#   fit(xs, ys, rng)  -> callable          a teacher trained on that sample
-#   probe_points(count, rng) -> xs          fresh probe inputs
-#   optimal_labels(xs) -> np.ndarray        reference-classifier labels
-# Probes use the distribution's native batch form (index arrays for finite
-# domains, row matrices for feature vectors).
-
-
-def _probe_means(dist, n: int, probes, reps: int, rng) -> np.ndarray:
-    """Mean prediction at each probe over `reps` freshly trained teachers."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    total = None
-    for _ in range(reps):
-        xs, ys = dist.sample_xy(n, rng)
-        teacher = dist.fit(xs, ys, rng)
-        preds = np.asarray(teacher(probes), dtype=float)
-        total = preds if total is None else total + preds
-    return total / reps
 
 
 def margin_distribution_report(
-    source,
-    K: int,
-    probe_count: int,
-    reps: int,
-    rng: np.random.Generator,
-    n_per_teacher: int = 100,
+    data: Dataset, K: int, probe_count: int, reps: int, rng: np.random.Generator
 ) -> list[dict]:
     """Per-probe margin estimates for histogramming.
 
-    For each probe x, two independent teacher pools of size K*reps estimate
-    delta_hat = |P(teacher(x)=1) - 1/2| and delta_hstar = |P(teacher(x) !=
-    reference(x)) - 1/2|, where the reference is the source's optimal
-    classifier (its labels, for dataset-backed sources). Returns rows of
+    `probe_count` labeled rows of `data` are held out as probes, and
+    `reps` pairs of K-teacher committees are trained on the rest. For each
+    probe x, the first committee of each pair estimates delta_hat =
+    |P(teacher(x)=1) - 1/2| and the second delta_hstar = |P(teacher(x) !=
+    y(x)) - 1/2|, where y is the probe's label. Returns rows of
     {probe_id, delta_hat, delta_hstar}.
     """
-    if isinstance(source, Dataset):
-        return _dataset_margin_report(source, K, probe_count, reps, rng)
-    probes = source.probe_points(probe_count, rng)
-    ref = np.asarray(source.optimal_labels(probes), dtype=float)
-    means_a = _probe_means(source, n_per_teacher, probes, K * reps, rng)
-    means_b = _probe_means(source, n_per_teacher, probes, K * reps, rng)
-    disagree = np.abs(means_b - ref)  # mean of 1(pred != ref) per probe
-    return [
-        {
-            "probe_id": int(i),
-            "delta_hat": float(abs(means_a[i] - 0.5)),
-            "delta_hstar": float(abs(disagree[i] - 0.5)),
-        }
-        for i in range(len(means_a))
-    ]
-
-
-def _dataset_margin_report(
-    data: Dataset, K: int, probe_count: int, reps: int, rng
-) -> list[dict]:
     if not data.labeled:
-        raise ValueError("dataset-backed margin reports need labels")
+        raise ValueError("margin reports need labels")
+    if reps < 1:
+        raise ValueError(f"reps must be positive, got {reps}")
+    if probe_count < 1:
+        raise ValueError(f"probe_count must be positive, got {probe_count}")
     if probe_count >= len(data):
         raise ValueError("probe pool must be smaller than the dataset")
     perm = rng.permutation(len(data))
@@ -779,14 +737,11 @@ def _dataset_margin_report(
     train = data.subset(train_idx)
     votes_a = np.zeros(probe_count)
     votes_b = np.zeros(probe_count)
-    total = 0
     for _ in range(reps):
         for goal in (votes_a, votes_b):
-            ens = train_committee(train, K, rng)
-            goal += ens.vote_ones(probes.X)
-        total += K
-    mean_a = votes_a / total
-    mean_b = votes_b / total
+            goal += train_committee(train, K, rng).vote_ones(probes.X)
+    mean_a = votes_a / (K * reps)
+    mean_b = votes_b / (K * reps)
     # P(member != y): members vote 1 a fraction mean_b of the time
     disagree = np.where(probes.y == 1, 1.0 - mean_b, mean_b)
     return [

@@ -1,28 +1,25 @@
-"""Seeded synthetic data generators and the two voting counterexamples.
+"""Seeded synthetic data generators.
 
 Each generator is deterministic given its seed and ships the ground truth
-alongside the data (separating hyperplane, Bayes error, noise exponents),
-so experiments can measure excess risk exactly instead of estimating it.
+alongside the data (separating hyperplane, noise exponents), so
+experiments can measure excess risk exactly instead of estimating it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dp_core import make_rng
-from .learners import Dataset, FiniteHypothesisClass, LinearHypothesis
+from .learners import Dataset, LinearHypothesis
 
 __all__ = [
     "TncGenerator",
-    "VotingFailsFixture",
-    "VotingWinsGenerator",
     "gen_realizable",
     "gen_massart",
     "gen_tnc",
-    "gen_voting_wins",
 ]
 
 def _hidden_halfspace(d: int, rng: np.random.Generator) -> LinearHypothesis:
@@ -142,18 +139,6 @@ class TncGenerator:
             return 2.0
         return float(0.5 * (xs_sorted[k - 1] + xs_sorted[k]))
 
-    def fit(self, xs, ys, rng: np.random.Generator | None = None):
-        t = self.fit_threshold(xs, ys)
-        return lambda probes: (np.asarray(probes, dtype=float) >= t).astype(
-            np.int64
-        )
-
-    def probe_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(count)
-
-    def optimal_labels(self, xs) -> np.ndarray:
-        return (np.asarray(xs, dtype=float) >= 0.5).astype(np.int64)
-
 
 def gen_tnc(
     tau: float, n: int, rng: np.random.Generator, c: float = 0.5
@@ -161,150 +146,3 @@ def gen_tnc(
     """Threshold data under the polynomial-margin noise condition."""
     gen = TncGenerator(tau, c)
     return gen.dataset(n, make_rng(rng)), gen
-
-
-@dataclass(frozen=True)
-class VotingFailsFixture:
-    """Four-point domain where majority-of-ERMs is much worse than one ERM.
-
-    Labels are identically 1. Every class member errs on exactly two of the
-    four points (error 1/2), but their exact majority is (1,0,0,0): error
-    3/4. Randomized-tie ERM teachers vote each minority member up about a
-    third of the time, so the aggregate converges to the bad majority.
-    """
-
-    member_labels: np.ndarray = field(
-        default_factory=lambda: np.array(
-            [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=np.int8
-        )
-    )
-
-    @property
-    def domain(self) -> np.ndarray:
-        return np.arange(4)
-
-    @property
-    def true_labels(self) -> np.ndarray:
-        return np.ones(4, dtype=np.int64)
-
-    @property
-    def hypothesis_class(self) -> FiniteHypothesisClass:
-        return FiniteHypothesisClass(self.member_labels)
-
-    def member_error(self, member: int) -> float:
-        return float(np.mean(self.member_labels[member] != self.true_labels))
-
-    def exact_majority(self) -> np.ndarray:
-        ones = self.member_labels.sum(axis=0)
-        return (2 * ones >= self.member_labels.shape[0]).astype(np.int64)
-
-    def majority_error(self) -> float:
-        return float(np.mean(self.exact_majority() != self.true_labels))
-
-    def _mistake_counts(self, point_counts: np.ndarray) -> np.ndarray:
-        # member m errs exactly where its row is 0 (true labels are all 1)
-        wrong = self.member_labels == 0
-        return point_counts @ wrong.T
-
-    def aggregate_error_mc(
-        self,
-        K: int,
-        n_per_teacher: int,
-        reps: int,
-        rng: np.random.Generator,
-    ) -> float:
-        """Mean error of a K-teacher majority, averaged over reps draws.
-
-        Each teacher is an exact ERM over the class on its own uniform
-        n-point sample, with ties broken uniformly at random.
-        """
-        rng = make_rng(rng)
-        errs = np.empty(reps)
-        for r in range(reps):
-            counts = rng.multinomial(n_per_teacher, [0.25] * 4, size=K)
-            mistakes = self._mistake_counts(counts).astype(float)
-            mistakes += rng.random(mistakes.shape)  # uniform tie-break
-            winners = np.argmin(mistakes, axis=1)
-            ones = self.member_labels[winners].sum(axis=0)
-            majority = (2 * ones >= K).astype(np.int64)
-            errs[r] = np.mean(majority != self.true_labels)
-        return float(errs.mean())
-
-    # same teacher process, exposed through the estimator protocol
-    def sample_xy(
-        self, n: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        xs = rng.integers(0, 4, size=n)
-        return xs, np.ones(n, dtype=np.int64)
-
-    def fit(self, xs, ys, rng: np.random.Generator):
-        member = self.hypothesis_class.erm(xs, ys, rng)
-        row = self.member_labels[member]
-        return lambda probes: row[np.asarray(probes)]
-
-    def probe_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, 4, size=count)
-
-    def optimal_labels(self, xs) -> np.ndarray:
-        return np.ones(len(np.asarray(xs)), dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class VotingWinsGenerator:
-    """Finite domain where every teacher beats chance by a fixed margin.
-
-    Teachers are simulated predictors, not trained models: independently at
-    each domain point a teacher is correct with probability 1/2 + xi, so a
-    K-majority's per-point error decays like exp(-2 K xi^2).
-    """
-
-    xi: float
-    truth: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.xi < 0.5):
-            raise ValueError("xi must lie in (0, 1/2)")
-
-    @property
-    def domain_size(self) -> int:
-        return len(self.truth)
-
-    def teacher_labels(self, rng: np.random.Generator) -> np.ndarray:
-        wrong = rng.random(self.domain_size) < (0.5 - self.xi)
-        return np.where(wrong, 1 - self.truth, self.truth)
-
-    def aggregate_error(self, K: int, rng: np.random.Generator) -> float:
-        """Fraction of the domain a K-teacher majority gets wrong."""
-        rng = make_rng(rng)
-        ones = np.zeros(self.domain_size, dtype=np.int64)
-        for _ in range(K):
-            ones += self.teacher_labels(rng)
-        majority = (2 * ones >= K).astype(np.int64)
-        return float(np.mean(majority != self.truth))
-
-    def sample_xy(
-        self, n: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        xs = rng.integers(0, self.domain_size, size=n)
-        return xs, self.truth[xs]
-
-    def fit(self, xs, ys, rng: np.random.Generator):
-        row = self.teacher_labels(rng)
-        return lambda probes: row[np.asarray(probes)]
-
-    def probe_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.domain_size, size=count)
-
-    def optimal_labels(self, xs) -> np.ndarray:
-        return self.truth[np.asarray(xs)]
-
-
-def gen_voting_wins(
-    xi: float, domain_size: int, rng: np.random.Generator
-) -> VotingWinsGenerator:
-    """Uniform-margin teacher simulator over a random binary ground truth."""
-    if domain_size < 1:
-        raise ValueError("domain_size must be positive")
-    rng = make_rng(rng)
-    truth = rng.integers(0, 2, size=domain_size).astype(np.int64)
-    return VotingWinsGenerator(xi, truth)

@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
+from scipy.special import expit, gammaln, log_ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,42 @@ def svt_lambda_formula(T: int, epsilon: float, delta: float) -> float:
 
 def svt_threshold_formula(lam: float, ell: int, T: int, delta: float) -> float:
     return 3.0 * lam * math.log(2.0 * (ell + T) / delta)
+
+
+# ---------------------------------------------------------------------------
+# Exact privacy of noisy-majority answers, from their output distributions
+
+
+def noisy_majority_log_probs(ones, total: int, sigma: float):
+    """log P(1) and log P(0) of the answer 1(ones + N(0, sigma^2) >= total/2),
+    for each count in `ones`."""
+    z = (np.asarray(ones, dtype=float) - total / 2.0) / sigma
+    return log_ndtr(z), log_ndtr(-z)
+
+
+def binomial_log_pmf(ell: int, log_one, log_zero) -> np.ndarray:
+    """log P(k ones among ell independent answers), k = 0..ell along the
+    last axis, for answers whose log P(1), log P(0) are given per count."""
+    k = np.arange(ell + 1)
+    log_choose = gammaln(ell + 1) - gammaln(k + 1) - gammaln(ell - k + 1)
+    log_one = np.asarray(log_one)[..., None]
+    log_zero = np.asarray(log_zero)[..., None]
+    return log_choose + k * log_one + (ell - k) * log_zero
+
+
+def outcome_log_pmf(log_one, log_zero) -> np.ndarray:
+    """log P of each of the 2^m answer vectors to m independent queries,
+    whose log P(1), log P(0) are given per query (enumerated, so m small)."""
+    m = len(log_one)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    return bits @ np.asarray(log_one) + (1 - bits) @ np.asarray(log_zero)
+
+
+def hockey_stick_delta(log_p, log_q, eps: float) -> np.ndarray:
+    """delta(eps) = sum over outcomes (the last axis) of max(0, P - e^eps Q),
+    computed from the log-probabilities as P * (1 - e^(eps + log Q - log P))."""
+    gap = -np.expm1(np.minimum(eps + log_q - log_p, 0.0))
+    return np.sum(np.exp(log_p) * gap, axis=-1)
 
 
 # ---------------------------------------------------------------------------

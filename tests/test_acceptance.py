@@ -21,6 +21,7 @@ import pytest
 import scipy.stats
 
 import oracles
+from voting import VotingFailsFixture, gen_voting_wins
 from privote import (
     ExperimentConfig,
     FiniteClassDescriptor,
@@ -28,10 +29,8 @@ from privote import (
     SvtSession,
     TncGenerator,
     VoteCount,
-    VotingFailsFixture,
     calibrate_gaussian_sigma,
     compute_k_for_gaussian,
-    gen_voting_wins,
     make_rng,
     run_active_learning,
     run_experiment,
@@ -473,12 +472,13 @@ def test_criterion_9b_cli_runs_are_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
     same_files = outs[0].read_bytes() == outs[1].read_bytes()
 
+    mixed = Path(__file__).resolve().parent / "data" / "mixed.libsvm.gz"
     margin_runs = [
         subprocess.run(
             [
                 sys.executable, "-m", "privote.cli", "margins",
-                "--dataset", "voting_wins", "--probes", "8", "--reps", "6",
-                "--seed", "4",
+                "--dataset", str(mixed), "--teachers", "3", "--probes", "8",
+                "--reps", "2", "--seed", "4",
             ],
             capture_output=True,
         ).stdout

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -161,6 +162,60 @@ def test_gaussian_privacy_report_tracks_answers():
         )
     # spending the full budget lands exactly on the budgeted epsilon
     assert session.privacy_report()[0] == pytest.approx(1.0, rel=1e-9)
+
+
+def _answered(session, ell):
+    for _ in range(ell):
+        session.answer(VoteCount(0, 1))
+    return session
+
+
+def _worst_exact_delta(session, K):
+    """The largest exact delta, at the epsilon the session reports, of its
+    answers so far when each one asks the same count of K votes, over every
+    neighbouring pair of counts (ones, ones + 1), both ways round.
+
+    The answers are then Binomial(ell, P(1)) under each count, so delta(eps)
+    is a finite sum. It models no adaptivity, so it bounds the true cost
+    from below: it catches a report that claims too little.
+    """
+    eps, _ = session.privacy_report()
+    ell, ones = session.answered, np.arange(K)
+    p, q = (
+        oracles.binomial_log_pmf(
+            ell, *oracles.noisy_majority_log_probs(counts, K, session.sigma)
+        )
+        for counts in (ones, ones + 1)
+    )
+    return max(
+        oracles.hockey_stick_delta(p, q, eps).max(),
+        oracles.hockey_stick_delta(q, p, eps).max(),
+    )
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0, 4.0])
+# delta = 1/(teacher rows), with the default committee of one teacher per
+# hundred rows: 1e5, 6,499 (mushrooms-shaped) and 9,600 (a9a-shaped) rows
+@pytest.mark.parametrize("delta, K", [(1e-5, 1000), (1 / 6499, 65), (1 / 9600, 96)])
+def test_gaussian_exact_delta_is_within_the_report(epsilon, delta, K):
+    for ell in (1, 49, 163, 240):
+        budget = PrivacyBudget(epsilon, delta)
+        session = _answered(GaussianSession.for_budget(ell, budget, make_rng(0)), ell)
+        assert session.privacy_report()[1] == delta
+        assert _worst_exact_delta(session, K) <= delta, ell
+
+
+def test_exact_delta_check_catches_half_the_noise():
+    """A session that answers with sigma/2 but reports the (epsilon, delta)
+    calibrated for sigma fails the check: the check has power."""
+    budget = PrivacyBudget(1.0, 1 / 6499)
+    honest = _answered(GaussianSession.for_budget(49, budget, make_rng(0)), 49)
+    broken = _answered(GaussianSession(honest.sigma / 2, 49, budget.delta, make_rng(0)), 49)
+    broken.privacy_report = honest.privacy_report
+    assert honest.privacy_report() == (pytest.approx(1.0, rel=1e-9), budget.delta)
+    assert _worst_exact_delta(honest, 65) == pytest.approx(2.65e-9, rel=0.01)
+    assert _worst_exact_delta(broken, 65) == pytest.approx(6.8e-4, rel=0.01)
+    assert _worst_exact_delta(broken, 65) > budget.delta
 
 
 # ---------------------------------------------------------------------------

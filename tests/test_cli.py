@@ -1,7 +1,6 @@
 """Command-line entry points, exercised in-process through main(argv)."""
 
 import argparse
-import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +13,7 @@ from privote import (
     calibrate_gaussian_sigma,
     gen_massart,
     gen_realizable,
+    gen_tnc,
     make_rng,
     margin_distribution_report,
     parse_libsvm,
@@ -182,31 +182,10 @@ def test_missing_dataset_is_an_error(capsys):
     assert "--dataset" in capsys.readouterr().err
 
 
-def test_rates_prints_one_row_per_sample_size(capsys):
-    code = main(["rates", "--tau", "1.0", "--reps", "2"])
-    assert code == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().split("\n")
-    assert lines[0] == "tau,n,mean_excess"
-    assert len(lines) == 8  # seven sample sizes
-    assert "slope" in captured.err
-
-
-def test_rates_prints_the_committed_bytes(capsys):
-    """Both noise exponents at the default margin constant, seeded. The
-    digest pins the output; a change that alters it on purpose updates
-    the digest and says so in CHANGES.md."""
-    assert main(["rates", "--reps", "3", "--seed", "5"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert len(out.splitlines()) == 15
-    digest = "6d44d108dc4d07ab1650bd0b8f4cf5efd01863f04b34c1d081b45191684b6483"
-    assert hashlib.sha256(out).hexdigest() == digest
-
-
 def test_margins_subcommand(capsys):
     code = main(
-        ["margins", "--dataset", "voting_fails", "--probes", "6",
-         "--reps", "4", "--teachers", "5", "--n-per-teacher", "20"]
+        ["margins", "--dataset", "tnc", "--probes", "6", "--reps", "2",
+         "--teachers", "5", "--n", "300"]
     )
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -216,7 +195,7 @@ def test_margins_subcommand(capsys):
 
 def test_margins_honors_explicit_zero_flip(capsys):
     base = ["margins", "--dataset", "massart", "--probes", "6", "--reps", "3",
-            "--teachers", "5", "--n", "300", "--n-per-teacher", "20"]
+            "--teachers", "5", "--n", "300"]
     outputs = []
     for flip in ("0", "0.1"):
         assert main(base + ["--flip", flip]) == 0
@@ -246,6 +225,10 @@ def test_margins_dataset_sources_match_their_generators(tmp_path, capsys):
         (["--dataset", "massart"], lambda rng: gen_massart(5, 2000, 0.1, rng)[0]),
         (["--dataset", "massart", "--flip", "0", "--n", "400"],
          lambda rng: gen_massart(5, 400, 0.0, rng)[0]),
+        # tnc is a sample like the others, at psq's and asq's defaults
+        (["--dataset", "tnc"], lambda rng: gen_tnc(1.0, 2000, rng)[0]),
+        (["--dataset", "tnc", "--tau", "0.5", "--c", "0.3", "--n", "400"],
+         lambda rng: gen_tnc(0.5, 400, rng, c=0.3)[0]),
         (["--dataset", str(libsvm)], lambda rng: parse_libsvm(libsvm)),
     ]
     for flags, source_of in cases:
@@ -259,6 +242,19 @@ def test_margins_missing_file_names_the_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["voting_wins", "voting_fails"])
+def test_margins_fails_on_a_source_that_is_no_dataset(capsys, name):
+    assert main(["margins", "--dataset", name]) == 1
+    err = capsys.readouterr().err
+    assert f"dataset {name!r} is neither a readable file nor a generator" in err
+
+
+@pytest.mark.parametrize("flag, parameter", [("--reps", "reps"), ("--probes", "probe_count")])
+def test_margins_rejects_a_zero_count_naming_it(capsys, flag, parameter):
+    assert main(["margins", flag, "0", "--n", "300"]) == 1
+    assert f"{parameter} must be positive, got 0" in capsys.readouterr().err
+
+
 def test_margins_rejects_experiment_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["margins", "--epsilon", "1"])
@@ -269,11 +265,12 @@ def test_margins_rejects_experiment_flags(capsys):
 @pytest.mark.parametrize(
     "source, ignored",
     [
-        ("realizable", ["--flip", "0.4", "--tau", "0.9", "--xi", "0.2"]),
+        ("realizable", ["--flip", "0.4", "--tau", "0.9", "--c", "0.3"]),
         ("massart", ["--tau", "0.9"]),
-        ("tnc", ["--n", "300", "--d", "3", "--flip", "0.2"]),
+        ("tnc", ["--d", "3", "--flip", "0.2"]),
+        # a name that is not a generator is a file path, which reads none
         ("voting_wins", ["--tau", "0.9"]),
-        ("voting_fails", ["--xi", "0.2"]),
+        ("voting_fails", ["--d", "3"]),
         ("file", ["--n", "300", "--d", "3"]),
     ],
 )
@@ -294,12 +291,12 @@ def test_margins_rejects_zero_dimension(capsys):
     assert "positive" in capsys.readouterr().err
 
 
-def test_examples_subcommand(capsys):
-    code = main(["examples", "--reps", "3", "--domain", "500"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "exact majority error: 0.75" in out
-    assert "chernoff bound" in out
+@pytest.mark.parametrize("command", ["rates", "examples"])
+def test_removed_commands_are_usage_errors(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: {command!r}" in capsys.readouterr().err
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:
@@ -400,13 +397,16 @@ GOLDEN = Path(__file__).parent / "data"
          "psq_svt_realizable_trials2_seed7.csv"),
         ("psq --dataset tests/data/mixed.libsvm.gz --trials 2 --seed 7",
          "psq_mixed_trials2_seed7.csv"),
+        ("margins --dataset tests/data/mixed.libsvm.gz --teachers 3 --probes 8 "
+         "--reps 2 --seed 4",
+         "margins_mixed_teachers3_probes8_reps2_seed4.csv"),
     ],
 )
 def test_seeded_runs_print_the_committed_csv(capsys, monkeypatch, argv, name):
-    """Two seeded runs print their committed trial CSVs byte for byte.
+    """Seeded runs print their committed trial and margin CSVs byte for byte.
 
     The files under tests/data are the output of `privote <argv>`, run
-    from the repository root, as the dataset column holds the path. A
+    from the repository root, as a trial's dataset column holds the path. A
     change that alters seeded outputs on purpose regenerates them with
     those commands and says so in CHANGES.md; no other change may.
     """

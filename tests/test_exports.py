@@ -29,8 +29,6 @@ EXPORTS = [
     "TncGenerator",
     "TrialReport",
     "VoteCount",
-    "VotingFailsFixture",
-    "VotingWinsGenerator",
     "active_update_version_space",
     "calibrate_gaussian_sigma",
     "calibrate_svt_lambda",
@@ -43,7 +41,6 @@ EXPORTS = [
     "gen_massart",
     "gen_realizable",
     "gen_tnc",
-    "gen_voting_wins",
     "make_rng",
     "margin",
     "margin_distribution_report",

@@ -788,6 +788,22 @@ def _public_run(config, data, seed):
     return seen
 
 
+def _neighbouring_runs(seed, method, n, K, where):
+    """`_public_run` at seed on n realizable rows, and on the same rows
+    with the teacher row at fraction `where` of the teacher set replaced
+    (features and label)."""
+    rng = make_rng(seed)
+    data = gen_realizable(5, n, rng)[0]
+    X, y = data.X.toarray(), data.y.copy()
+    # split_protocol's permutation is the first draw of its rng
+    teachers = make_rng(seed).permutation(n)[: math.floor(0.8 * n)]
+    row = teachers[int(where * len(teachers))]
+    X[row], y[row] = rng.uniform(-1.0, 1.0, 5), 1 - y[row]
+    config = ExperimentConfig("realizable", method, K=K, synth_n=n)
+    a = _public_run(config, data, seed)
+    return a, _public_run(config, learners.Dataset(X, y), seed)
+
+
 @given(
     st.integers(0, 10_000),
     st.sampled_from(["PsqGaussian", "PsqSvt", "Asq"]),
@@ -803,16 +819,7 @@ def test_replacing_one_teacher_row_moves_one_member_and_votes_by_one(
     give committees that differ in at most one member, pool votes that
     move by at most 1 at every point, and equal K, delta, sigma, lambda,
     w, T, ell and shard sizes."""
-    rng = make_rng(seed)
-    data = gen_realizable(5, n, rng)[0]
-    X, y = data.X.toarray(), data.y.copy()
-    # split_protocol's permutation is the first draw of its rng
-    teachers = make_rng(seed).permutation(n)[: math.floor(0.8 * n)]
-    row = teachers[int(where * len(teachers))]
-    X[row], y[row] = rng.uniform(-1.0, 1.0, 5), 1 - y[row]
-    config = ExperimentConfig("realizable", method, K=K, synth_n=n)
-    a = _public_run(config, data, seed)
-    b = _public_run(config, learners.Dataset(X, y), seed)
+    a, b = _neighbouring_runs(seed, method, n, K, where)
     differ = [
         not (np.array_equal(m.weights, o.weights) and m.bias == o.bias)
         for m, o in zip(a.pop("members"), b.pop("members"))
@@ -821,6 +828,37 @@ def test_replacing_one_teacher_row_moves_one_member_and_votes_by_one(
     assert np.abs(a.pop("votes") - b.pop("votes")).max() <= 1
     assert a == b
     assert a["shards"] and a["session"][1]
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(300, 700),
+    st.one_of(st.none(), st.integers(1, 30)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_replace_one_votes_keep_gaussian_answers_within_the_report(
+    seed, n, K, where
+):
+    """PsqGaussian's answers to the pool votes of two teacher sets that
+    differ in one row: the exact delta between their output distributions,
+    enumerated over all 2^ell answer vectors (ell <= 14 pool points at
+    n <= 700), at the epsilon the session reports once it has answered the
+    whole pool, is within the reported delta, both ways round."""
+    a, b = _neighbouring_runs(seed, "PsqGaussian", n, K, where)
+    (ell, budget), scales = a["session"]
+    session = aggregation.GaussianSession.for_budget(ell, budget, make_rng(0))
+    for _ in range(ell):
+        session.answer(aggregation.VoteCount(0, 1))
+    eps, delta = session.privacy_report()
+    assert len(a["votes"]) == ell <= 14 and session.sigma == scales["sigma"]
+    p, q = (
+        oracles.outcome_log_pmf(
+            *oracles.noisy_majority_log_probs(run["votes"], run["K"], session.sigma)
+        )
+        for run in (a, b)
+    )
+    assert oracles.hockey_stick_delta(p, q, eps) <= delta
+    assert oracles.hockey_stick_delta(q, p, eps) <= delta
 
 
 def test_run_experiment_wraps_trial_failures():

@@ -26,7 +26,6 @@ from privote import (
     empirical_error,
     gen_massart,
     gen_realizable,
-    gen_voting_wins,
     make_rng,
     margin_distribution_report,
     run_experiment,
@@ -939,14 +938,14 @@ def test_threshold_class_is_realizable():
 
 
 def test_margin_distribution_report_schema():
-    gen = gen_voting_wins(0.2, 200, make_rng(71))
-    rows = margin_distribution_report(gen, 9, 12, 40, make_rng(72))
+    data, _ = gen_massart(3, 300, 0.2, make_rng(71))
+    rows = margin_distribution_report(data, 9, 12, 4, make_rng(72))
     assert len(rows) == 12
     for i, row in enumerate(rows):
         assert row["probe_id"] == i
         assert 0.0 <= row["delta_hat"] <= 0.5
         assert 0.0 <= row["delta_hstar"] <= 0.5
-    again = margin_distribution_report(gen, 9, 12, 40, make_rng(72))
+    again = margin_distribution_report(data, 9, 12, 4, make_rng(72))
     assert rows == again
 
 
@@ -955,3 +954,7 @@ def test_margin_distribution_report_dataset_path():
     rows = margin_distribution_report(data, 5, 10, 8, make_rng(82))
     assert len(rows) == 10
     assert set(rows[0]) == {"probe_id", "delta_hat", "delta_hstar"}
+    with pytest.raises(ValueError, match="need labels"):
+        margin_distribution_report(data.without_labels(), 5, 10, 8, make_rng(82))
+    with pytest.raises(ValueError, match="smaller than the dataset"):
+        margin_distribution_report(data, 5, 400, 8, make_rng(82))

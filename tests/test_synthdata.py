@@ -6,15 +6,13 @@ import pytest
 import oracles
 from privote import (
     TncGenerator,
-    VotingFailsFixture,
-    VotingWinsGenerator,
     empirical_error,
     gen_massart,
     gen_realizable,
     gen_tnc,
-    gen_voting_wins,
     make_rng,
 )
+from voting import VotingFailsFixture, VotingWinsGenerator, gen_voting_wins
 
 
 def test_generators_are_seed_deterministic():
