@@ -24,8 +24,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--synth-n", type=int, default=4000)
+    parser.add_argument(
+        "--synth-n", dest="n", type=int,
+        help="a generator's sample size (default: the generator's); a file takes none",
+    )
     args = parser.parse_args(argv)
+    params = {} if args.n is None else {"n": args.n}
 
     print("dataset,method,epsilon,mean_accuracy,halfwidth,mean_queries")
     for method in args.methods:
@@ -37,7 +41,7 @@ def main(argv=None) -> int:
                     epsilon=epsilon,
                     trials=args.trials,
                     seed=args.seed,
-                    synth_n=args.synth_n,
+                    generator_params=params,
                 )
             )
             print(

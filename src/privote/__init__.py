@@ -16,20 +16,8 @@ from .aggregation import (
     SvtSession,
     VoteCount,
     margin,
-    vote_majority,
 )
-from .dp_core import (
-    PrivacyBudget,
-    calibrate_gaussian_sigma,
-    calibrate_svt_lambda,
-    derive_seed,
-    gaussian_composition_rho,
-    make_rng,
-    sample_gaussian,
-    sample_laplace,
-    svt_threshold_w,
-    zcdp_to_dp,
-)
+from .dp_core import PrivacyBudget, calibrate_gaussian_sigma, derive_seed, make_rng
 from .harness import (
     ExperimentConfig,
     LibsvmParseError,
@@ -50,29 +38,20 @@ from .learners import (
     LinearHypothesis,
     empirical_error,
     margin_distribution_report,
-    threshold_class,
     train_committee,
     train_erm,
 )
 from .pipelines import (
     ActiveState,
-    AsqConfig,
     FiniteClassDescriptor,
     LinearClassDescriptor,
-    PsqConfig,
     RunReport,
     active_update_version_space,
-    compute_k_for_gaussian,
     compute_svt_params,
     pate_asq,
     pate_psq,
     run_active_learning,
 )
-from .synthdata import (
-    TncGenerator,
-    gen_massart,
-    gen_realizable,
-    gen_tnc,
-)
+from .synthdata import TncGenerator, gen_massart, gen_realizable, gen_tnc
 
 __version__ = "0.1.0"

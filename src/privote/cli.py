@@ -41,12 +41,13 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _FLAG_FIELDS = ("dataset", "method", "epsilon", "delta", "trials", "seed")
 _FLAG_TYPES = {"str": str, "int": int, "float": float}
 
-# the generator flags of `privote margins`: the sample size, with its
-# default, and every generator parameter, typed as its default; a
-# generator reads --n and its own parameters, and a LIBSVM file none
-_MARGIN_PARAMS = {"n": 2000} | {
+# the generator flags of `privote margins`: every generator parameter,
+# typed as its default, but the sample size n 2000 by default, not psq's
+# and asq's 4000; a generator reads its own parameters, and a LIBSVM
+# file none
+_MARGIN_PARAMS = {
     name: value for _, params in _GENERATORS.values() for name, value in params.items()
-}
+} | {"n": 2000}
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -200,15 +201,16 @@ def cmd_experiment(args) -> int:
 
 def cmd_margins(args) -> int:
     name = args.dataset
-    reads = ("n", *_GENERATORS[name][1]) if name in _GENERATORS else ()
+    reads = _GENERATORS[name][1] if name in _GENERATORS else {}
     given = {f: getattr(args, f) for f in _MARGIN_PARAMS}
     given = {f: v for f, v in given.items() if v is not None}
     ignored = [f"--{f}" for f in given if f not in reads]
     if ignored:
         args.usage_error(f"source {name!r} does not read {', '.join(ignored)}")
-    n = given.pop("n", _MARGIN_PARAMS["n"])
+    if reads:
+        given.setdefault("n", _MARGIN_PARAMS["n"])
     rng = make_rng(args.seed)
-    data = _load_source(name, n, given)(rng)
+    data = _load_source(name, given)(rng)
     rows = margin_distribution_report(
         data, args.teachers, args.probes, args.reps, rng
     )

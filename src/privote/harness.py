@@ -3,8 +3,9 @@
 The protocol: per trial, re-split the data at a derived seed into a
 sensitive teacher pool (80%), an unlabeled public student pool (2%), and a
 test set (18%); size the committee at roughly one teacher per hundred
-sensitive points; run the chosen pipeline; aggregate trial rows into a
-mean plus a normal-approximation confidence half-width.
+sensitive points; run the chosen pipeline, the active one with a query
+budget of 30% of the pool; aggregate trial rows into a mean plus a
+normal-approximation confidence half-width.
 
 Reports are byte-stable: identical config and master seed give identical
 CSV/JSON files. Wall-clock columns are zero unless timing is switched on,
@@ -29,14 +30,7 @@ import scipy.sparse as sp
 
 from .dp_core import PrivacyBudget, derive_seed, make_rng
 from .learners import Dataset
-from .pipelines import (
-    AsqConfig,
-    PsqConfig,
-    RunReport,
-    compute_svt_params,
-    pate_asq,
-    pate_psq,
-)
+from .pipelines import RunReport, compute_svt_params, pate_asq, pate_psq
 from .synthdata import gen_massart, gen_realizable, gen_tnc
 
 __all__ = [
@@ -404,6 +398,8 @@ class Split:
 # the shares of a trial's examples that go to the teachers and to the pool,
 # floor and ceil of these times the dataset size; the test set takes the rest
 _TEACHER_SHARE, _POOL_SHARE = 0.8, 0.02
+# the share of the pool an Asq run may query, rounded, and at least one point
+_QUERY_SHARE = 0.3
 
 
 def split_protocol(data: Dataset, rng) -> Split:
@@ -440,12 +436,15 @@ def _is_a(value, kind: str) -> bool:
 
 
 # each generator name: the function that draws a dataset, and the
-# generator_params it reads with their defaults; a LIBSVM file reads none
+# generator_params it reads with their defaults, n the sample size; a
+# LIBSVM file reads none
 _GENERATORS = {
-    "realizable": (gen_realizable, {"d": 5}),
-    "massart": (gen_massart, {"d": 5, "flip": 0.1}),
-    "tnc": (gen_tnc, {"tau": 1.0, "c": 0.5}),
+    "realizable": (gen_realizable, {"n": 4000, "d": 5}),
+    "massart": (gen_massart, {"n": 4000, "d": 5, "flip": 0.1}),
+    "tnc": (gen_tnc, {"n": 4000, "tau": 1.0, "c": 0.5}),
 }
+# the fewest examples a generator may draw: 10 split into 8, 1 and 1
+_MIN_N = 10
 
 
 @dataclass(frozen=True)
@@ -454,14 +453,16 @@ class ExperimentConfig:
 
     dataset is a LIBSVM file path or a synthetic generator name
     (realizable, massart, tnc). generator_params may hold only keys the
-    generator reads, each of its default's type (`_GENERATORS`:
-    realizable an int d; massart d and a real flip; tnc real tau and c);
-    a file reads none. delta=None defers to 1/(teacher pool size) per
-    trial; K=None sizes the committee at one teacher per hundred
+    generator reads, each of its default's type (`_GENERATORS`: each an
+    int sample size n, at least 10; realizable an int d; massart d and a
+    real flip; tnc real tau and c); a file reads none. delta=None defers
+    to 1/(teacher pool size) per trial, and only the private methods take
+    a delta; K=None sizes the committee at one teacher per hundred
     sensitive points. svt_T is PsqSvt's cutoff, and no other method takes
     one; None gives the public cutoff
     `compute_svt_params(student pool size, 0.0, 0.05, budget)`, which
-    reads nothing of the sensitive data.
+    reads nothing of the sensitive data. The split and Asq's query budget
+    are fixed (`_TEACHER_SHARE`, `_POOL_SHARE`, `_QUERY_SHARE`).
 
     The privacy guarantee is for replace-one neighbours: data sets of the
     same size that differ in one example. The defaults of delta and K
@@ -477,9 +478,7 @@ class ExperimentConfig:
     trials: int = 30
     seed: int = 0
     K: int | None = None
-    query_fraction: float = 0.3
     svt_T: int | None = None
-    synth_n: int = 4000
     generator_params: dict = field(default_factory=dict)
     record_timing: bool = False
 
@@ -493,10 +492,6 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {tuple(METHODS)}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not (0.0 < self.query_fraction <= 1.0):
-            raise ValueError("query_fraction must lie in (0, 1]")
-        if self.synth_n < 10:
-            raise ValueError("synth_n is too small to split")
         if self.K is not None and self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
         if self.svt_T is not None and self.method != "PsqSvt":
@@ -507,6 +502,10 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.delta is not None and not self.private:
+            raise ValueError(
+                f"delta is not read by {self.method}, which spends no budget"
+            )
         params = self.generator_params
         if not isinstance(params, dict):
             raise ValueError(f"generator_params must be a dict, got {params!r}")
@@ -523,6 +522,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"generator_params {key!r} must be of type {kind}, got {value!r}"
                 )
+        if params.get("n", _MIN_N) < _MIN_N:
+            raise ValueError(
+                f"generator_params 'n' must be at least {_MIN_N}, got {params['n']}"
+            )
 
     @property
     def private(self) -> bool:
@@ -589,16 +592,16 @@ def _halfwidth(values: np.ndarray) -> float:
     return float(1.96 * values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def _load_source(name: str, n: int, params: dict):
+def _load_source(name: str, params: dict):
     """Per-trial dataset factory for a generator name or a LIBSVM file.
 
-    Generators draw n fresh examples from the trial's rng, with `params`
+    Generators draw fresh examples from the trial's rng, with `params`
     over their defaults in `_GENERATORS`; a file is parsed once, here.
     """
     if name in _GENERATORS:
         generate, defaults = _GENERATORS[name]
         kwargs = {**defaults, **params}
-        return lambda rng: generate(n=n, rng=rng, **kwargs)[0]
+        return lambda rng: generate(rng=rng, **kwargs)[0]
     if not Path(name).exists():
         raise FileNotFoundError(
             f"dataset {name!r} is neither a readable file nor a generator name"
@@ -628,16 +631,15 @@ def _run_trial(
         eps, delta = math.inf, 0.0
 
     if METHODS[config.method][0] == "asq":
-        query_budget = max(1, round(config.query_fraction * len(student)))
-        cfg = AsqConfig(K, query_budget, budget)
-        _, report = pate_asq(teacher, student, test, cfg, rng)
+        query_budget = max(1, round(_QUERY_SHARE * len(student)))
+        _, report = pate_asq(teacher, student, test, K, query_budget, budget, rng)
     else:  # T is None for PsqGaussian and PsqNoPrivacy
         T = config.svt_T
         if config.method == "PsqSvt" and T is None:
             # the public rule `privote calibrate` prints: sized for error-free
             # teachers, so T reads nothing of the sensitive pool
             T, _ = compute_svt_params(len(student), 0.0, 0.05, budget)
-        _, report = pate_psq(teacher, student, test, PsqConfig(K, budget, T), rng)
+        _, report = pate_psq(teacher, student, test, K, budget, T, rng)
     return report, eps, delta
 
 
@@ -645,7 +647,7 @@ def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[SummaryReport, list[TrialReport]]:
     """The repeat protocol: fresh derived-seed split and run per trial."""
-    factory = _load_source(config.dataset, config.synth_n, config.generator_params)
+    factory = _load_source(config.dataset, config.generator_params)
     trials: list[TrialReport] = []
     for t in range(config.trials):
         seed = derive_seed(config.seed, t)

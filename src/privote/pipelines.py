@@ -49,8 +49,6 @@ from .learners import (
 )
 
 __all__ = [
-    "PsqConfig",
-    "AsqConfig",
     "ActiveState",
     "RunReport",
     "LinearClassDescriptor",
@@ -80,32 +78,6 @@ class RunReport:
     halted_early: bool = False
 
 
-@dataclass(frozen=True)
-class PsqConfig:
-    K: int
-    budget: PrivacyBudget | None  # None: exact majority, no privacy
-    T: int | None = None  # None: Gaussian noise; else stable release, cutoff T
-
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be positive")
-        if self.T is not None and (self.T < 1 or self.budget is None):
-            raise ValueError("stable release needs a positive cutoff T and a budget")
-
-
-@dataclass(frozen=True)
-class AsqConfig:
-    K: int
-    query_budget: int
-    budget: PrivacyBudget | None  # None: exact majority, no privacy
-
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be positive")
-        if self.query_budget < 1:
-            raise ValueError("query_budget must be positive")
-
-
 def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Dataset, K: int) -> None:
     if len(teacher_data) < max(1, K):
         raise ValueError("teacher pool must hold at least K examples")
@@ -119,27 +91,35 @@ def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Data
 
 def _labeler(
     teacher_data: Dataset, student_pool: Dataset, test_data: Dataset,
-    config: PsqConfig | AsqConfig, ell: int, T: int | None, rng,
+    K: int, budget: PrivacyBudget | None, ell: int, T: int | None, rng,
 ):
     """The private front end of both pipelines: the committee's votes on
     the pool behind one session, sized for ell answers. The rng draws the
-    committee's permutation, then the session's noise.
+    committee's permutation, then the session's noise. K, T, ell and the
+    pools are checked before the committee trains.
 
     Returns `ask(i)`, the session's answer about pool point i, and
     `report(h, queries, bots)`, the student h with its `RunReport`.
     """
-    _require_pools(teacher_data, student_pool, test_data, config.K)
+    if K < 1:
+        raise ValueError("K must be positive")
+    if T is not None and (T < 1 or budget is None):
+        raise ValueError("stable release needs a positive cutoff T and a budget")
+    _require_pools(teacher_data, student_pool, test_data, K)
+    # after the pools: the passive ell is the pool's size, checked above
+    if ell < 1:
+        raise ValueError("query_budget must be positive")
     rng = make_rng(rng)
-    ones = train_committee(teacher_data, config.K, rng).vote_ones(student_pool.X)
-    if config.budget is None:
+    ones = train_committee(teacher_data, K, rng).vote_ones(student_pool.X)
+    if budget is None:
         session = ExactSession()
     elif T is None:
-        session = GaussianSession.for_budget(ell, config.budget, rng)
+        session = GaussianSession.for_budget(ell, budget, rng)
     else:
-        session = SvtSession.for_budget(ell, T, config.budget, rng)
+        session = SvtSession.for_budget(ell, T, budget, rng)
 
     def ask(i: int) -> int | None:
-        return session.answer(VoteCount(int(ones[i]), config.K))
+        return session.answer(VoteCount(int(ones[i]), K))
 
     def report(h: LinearHypothesis, queries: int, bots: int):
         eps = session.privacy_report()[0]
@@ -154,21 +134,23 @@ def pate_psq(
     teacher_data: Dataset,
     student_pool: Dataset,
     test_data: Dataset,
-    config: PsqConfig,
+    K: int,
+    budget: PrivacyBudget | None,
+    T: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[LinearHypothesis, RunReport]:
     """Passive pipeline: pseudo-label the whole pool, then fit a student.
 
-    Every pool point is pushed through the aggregation session in stream
-    order. A stable-release session may refuse some answers and eventually
+    A committee of K teachers votes on every pool point, and each vote
+    goes through the aggregation session in stream order. budget=None
+    (which must be given) gives every point the exact majority label;
+    otherwise T=None means Gaussian noise, and a cutoff T stable release.
+    A stable-release session may refuse some answers and eventually
     halt; refused and post-halt points are labeled 0, and the report
-    records how many. With no budget every point gets the exact
-    majority label.
+    records how many.
     """
     m = len(student_pool)
-    ask, report = _labeler(
-        teacher_data, student_pool, test_data, config, m, config.T, rng
-    )
+    ask, report = _labeler(teacher_data, student_pool, test_data, K, budget, m, T, rng)
     answers = []
     with contextlib.suppress(SessionExhausted):  # stable release halted
         for i in range(m):
@@ -477,24 +459,27 @@ def pate_asq(
     teacher_data: Dataset,
     student_pool: Dataset,
     test_data: Dataset,
-    config: AsqConfig,
+    K: int,
+    query_budget: int,
+    budget: PrivacyBudget | None,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[LinearHypothesis, RunReport]:
     """Active pipeline: spend label queries only where the learner is unsure.
 
-    The teacher committee sits behind a noisy-majority session calibrated
-    for `query_budget` answers, so the privacy statement covers the worst
-    case while the reported ex-post loss reflects the queries actually
-    made. With no budget the committee's exact majority answers.
+    The committee of K teachers sits behind a noisy-majority session
+    calibrated for `query_budget` answers, so the privacy statement
+    covers the worst case while the reported ex-post loss reflects the
+    queries actually made. With budget=None (which must be given) the
+    committee's exact majority answers.
     """
     ask, report = _labeler(
-        teacher_data, student_pool, test_data, config, config.query_budget, None, rng
+        teacher_data, student_pool, test_data, K, budget, query_budget, None, rng
     )
     state = run_active_learning(
         LinearClassDescriptor(student_pool.X),
         range(len(student_pool)),
         lambda x, i: ask(i),
-        config.query_budget,
+        query_budget,
     )
     return report(state.hypothesis, state.c, 0)
 

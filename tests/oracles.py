@@ -404,22 +404,24 @@ def reference_psq_noiseless(teacher_data, student_pool, test_data, K, rng=None):
     return student, report
 
 
-def reference_asq_noiseless(teacher_data, student_pool, test_data, config, rng=None):
+def reference_asq_noiseless(
+    teacher_data, student_pool, test_data, K, query_budget, rng=None
+):
     """Active baseline answered by the exact committee majority."""
     from privote.aggregation import VoteCount, vote_majority
     from privote.dp_core import make_rng
     from privote.learners import empirical_error, train_committee
     from privote.pipelines import RunReport, _require_pools
 
-    _require_pools(teacher_data, student_pool, test_data, config.K)
+    _require_pools(teacher_data, student_pool, test_data, K)
     rng = make_rng(rng)
-    ensemble = train_committee(teacher_data, config.K, rng)
+    ensemble = train_committee(teacher_data, K, rng)
     ones = ensemble.vote_ones(student_pool.X)
 
     state = _drive_asq(
         student_pool,
-        config,
-        lambda x, i: vote_majority(VoteCount(int(ones[i]), config.K)),
+        query_budget,
+        lambda x, i: vote_majority(VoteCount(int(ones[i]), K)),
     )
     report = RunReport(
         queries=state.c,
@@ -430,7 +432,7 @@ def reference_asq_noiseless(teacher_data, student_pool, test_data, config, rng=N
     return state.hypothesis, report
 
 
-def _drive_asq(student_pool, config, oracle):
+def _drive_asq(student_pool, query_budget, oracle):
     from privote.pipelines import run_active_learning
 
     descriptor = ReferenceLinearDescriptor(student_pool.n_features)
@@ -439,7 +441,7 @@ def _drive_asq(student_pool, config, oracle):
         descriptor,
         stream,
         oracle,
-        config.query_budget,
+        query_budget,
     )
 
 

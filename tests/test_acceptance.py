@@ -30,14 +30,13 @@ from privote import (
     TncGenerator,
     VoteCount,
     calibrate_gaussian_sigma,
-    compute_k_for_gaussian,
     make_rng,
     run_active_learning,
     run_experiment,
-    sample_gaussian,
-    sample_laplace,
-    threshold_class,
 )
+from privote.dp_core import sample_gaussian, sample_laplace
+from privote.learners import threshold_class
+from privote.pipelines import compute_k_for_gaussian
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -457,7 +456,7 @@ def test_criterion_9a_sampler_distributions():
 
 def test_criterion_9b_cli_runs_are_byte_identical(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text('{"synth_n": 400}')
+    config.write_text('{"generator_params": {"n": 400}}')
     outs = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
     for out in outs:
         proc = subprocess.run(

@@ -17,10 +17,9 @@ from privote import (
     VoteCount,
     make_rng,
     margin,
-    sample_laplace,
-    vote_majority,
 )
-from privote.aggregation import distance_to_instability
+from privote.aggregation import distance_to_instability, vote_majority
+from privote.dp_core import sample_gaussian, sample_laplace
 
 
 def _vc(votes):
@@ -137,8 +136,6 @@ def test_gaussian_budget_exhaustion():
 
 def test_gaussian_session_replay():
     # the session draws exactly one gaussian per answer, in answer order
-    from privote import sample_gaussian
-
     stream = [VoteCount(k % 8, 7) for k in range(50)]
     session = GaussianSession(4.0, 50, 1e-5, make_rng(99))
     got = [session.answer(v) for v in stream]

@@ -60,7 +60,8 @@ def test_calibrate_writes_file(tmp_path):
 
 def test_psq_runs_to_csv_file(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "trials": 2, "epsilon": 4.0}))
+    settings = {"generator_params": {"n": 400}, "trials": 2, "epsilon": 4.0}
+    cfg.write_text(json.dumps(settings))
     out = tmp_path / "rows.csv"
     argv = [
         "psq", "--dataset", "realizable", "--config", str(cfg),
@@ -79,7 +80,8 @@ def test_psq_runs_to_csv_file(tmp_path):
 
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "trials": 4, "epsilon": 4.0}))
+    settings = {"generator_params": {"n": 400}, "trials": 4, "epsilon": 4.0}
+    cfg.write_text(json.dumps(settings))
     argv = [
         "psq", "--dataset", "realizable", "--config", str(cfg),
         "--trials", "1", "--format", "json",
@@ -93,12 +95,15 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # "mystery" never existed; the others are removed fields, and the
-    # split is fixed, so even the old default fractions fail
+    # split and Asq's query share are fixed, so even the old default
+    # fractions and query_fraction fail; the sample size is the generator
+    # parameter n
     for key, value in [
         ("mystery", 1), ("bot_policy", 1), ("svt_beta", 1), ("gamma", 1),
         ("fractions", 3), ("fractions", [0.8, 0.02, 0.18]),
+        ("query_fraction", 0.3), ("query_fraction", 0.5), ("synth_n", 400),
     ]:
-        cfg.write_text(json.dumps({"synth_n": 400, key: value}))
+        cfg.write_text(json.dumps({"generator_params": {"n": 400}, key: value}))
         code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
         assert code == 1
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -119,9 +124,11 @@ def test_bad_config_setting_fails_naming_its_field(tmp_path, capsys):
         ({"generator_params": {"d": 2.5}}, [], "generator_params"),
         ({"generator_params": {"flip": "0.1"}}, ["--dataset", "massart"],
          "generator_params"),
+        ({"generator_params": {"n": 9}}, [], "generator_params"),
+        ({"delta": 1e-5}, ["--method", "PsqNoPrivacy"], "delta"),
     ]
     for settings, flags, field in cases:
-        cfg.write_text(json.dumps({"synth_n": 400, **settings}))
+        cfg.write_text(json.dumps({"generator_params": {"n": 400}, **settings}))
         argv = ["psq", "--dataset", "realizable", "--config", str(cfg), *flags]
         assert main(argv) == 1
         assert f"error: {field} " in capsys.readouterr().err
@@ -138,7 +145,7 @@ def test_config_that_is_not_a_json_object_fails(tmp_path, capsys):
 
 def test_psq_rejects_a_parameter_the_generator_ignores(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "generator_params": {"d": 3}}))
+    cfg.write_text(json.dumps({"generator_params": {"n": 400, "d": 3}}))
     code = main(["psq", "--dataset", "tnc", "--config", str(cfg)])
     assert code == 1
     assert "['d'] are not read by dataset 'tnc'" in capsys.readouterr().err
@@ -156,7 +163,7 @@ def test_each_command_runs_the_methods_of_its_pipeline(tmp_path, capsys, command
     the first of them by default, and rejects every other."""
     ours = [m for m, (pipeline, _) in METHODS.items() if pipeline == command]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "trials": 1}))
+    cfg.write_text(json.dumps({"generator_params": {"n": 400}, "trials": 1}))
     argv = [command, "--dataset", "realizable", "--config", str(cfg)]
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[1] == ours[0]
@@ -168,7 +175,8 @@ def test_each_command_runs_the_methods_of_its_pipeline(tmp_path, capsys, command
 
 def test_asq_subcommand(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "trials": 1, "epsilon": 1.0}))
+    settings = {"generator_params": {"n": 400}, "trials": 1, "epsilon": 1.0}
+    cfg.write_text(json.dumps(settings))
     code = main(["asq", "--dataset", "realizable", "--config", str(cfg)])
     assert code == 0
     captured = capsys.readouterr()
@@ -337,7 +345,7 @@ def test_setting_flags_are_config_fields_of_their_types(command):
 def test_setting_flags_and_config_keys_agree(tmp_path, capsys, command, method):
     """`--field v` and a config file holding `{"field": v}` print the same
     trial CSV, byte for byte, for every setting flag."""
-    base = {"dataset": "realizable", "synth_n": 400, "trials": 1}
+    base = {"dataset": "realizable", "generator_params": {"n": 400}, "trials": 1}
     cfg = tmp_path / "cfg.json"
 
     def run(flags, settings):
@@ -368,7 +376,7 @@ def _strict_json(text):
 
 def test_non_private_json_is_strict(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"synth_n": 400, "trials": 2}))
+    cfg.write_text(json.dumps({"generator_params": {"n": 400}, "trials": 2}))
     argv = [
         "psq", "--dataset", "realizable", "--config", str(cfg),
         "--method", "PsqNoPrivacy", "--format", "json",

@@ -12,10 +12,12 @@ from privote import (
     PrivacyBudget,
     VoteCount,
     calibrate_gaussian_sigma,
-    calibrate_svt_lambda,
     derive_seed,
-    gaussian_composition_rho,
     make_rng,
+)
+from privote.dp_core import (
+    calibrate_svt_lambda,
+    gaussian_composition_rho,
     sample_gaussian,
     sample_laplace,
     svt_threshold_w,

@@ -2,13 +2,13 @@
 so that a name or a knob is only added or removed on purpose."""
 
 import dataclasses
+import inspect
 import types
 
 import privote
 
 EXPORTS = [
     "ActiveState",
-    "AsqConfig",
     "Dataset",
     "Ensemble",
     "ExactSession",
@@ -20,7 +20,6 @@ EXPORTS = [
     "LinearClassDescriptor",
     "LinearHypothesis",
     "PrivacyBudget",
-    "PsqConfig",
     "RunReport",
     "SessionExhausted",
     "Split",
@@ -31,13 +30,10 @@ EXPORTS = [
     "VoteCount",
     "active_update_version_space",
     "calibrate_gaussian_sigma",
-    "calibrate_svt_lambda",
-    "compute_k_for_gaussian",
     "compute_svt_params",
     "derive_seed",
     "emit_report",
     "empirical_error",
-    "gaussian_composition_rho",
     "gen_massart",
     "gen_realizable",
     "gen_tnc",
@@ -50,16 +46,10 @@ EXPORTS = [
     "render_trial_csv",
     "run_active_learning",
     "run_experiment",
-    "sample_gaussian",
-    "sample_laplace",
     "split_protocol",
-    "svt_threshold_w",
-    "threshold_class",
     "train_committee",
     "train_erm",
-    "vote_majority",
     "write_libsvm",
-    "zcdp_to_dp",
 ]
 
 
@@ -75,8 +65,6 @@ def test_exports_are_pinned():
 
 
 CONFIG_FIELDS = {
-    "PsqConfig": ["K", "budget", "T"],
-    "AsqConfig": ["K", "query_budget", "budget"],
     "ExperimentConfig": [
         "dataset",
         "method",
@@ -85,9 +73,7 @@ CONFIG_FIELDS = {
         "trials",
         "seed",
         "K",
-        "query_fraction",
         "svt_T",
-        "synth_n",
         "generator_params",
         "record_timing",
     ],
@@ -98,3 +84,19 @@ def test_config_fields_are_pinned():
     for name, fields in CONFIG_FIELDS.items():
         cls = getattr(privote, name)
         assert [f.name for f in dataclasses.fields(cls) if f.init] == fields, name
+
+
+# the pipelines' parameters, in order; a budget has no default, so the
+# non-private baseline is asked for with budget=None
+SPLITS = ["teacher_data", "student_pool", "test_data"]
+PIPELINE_PARAMETERS = {
+    "pate_psq": [*SPLITS, "K", "budget", "T", "rng"],
+    "pate_asq": [*SPLITS, "K", "query_budget", "budget", "rng"],
+}
+
+
+def test_pipeline_parameters_are_pinned():
+    for name, names in PIPELINE_PARAMETERS.items():
+        parameters = inspect.signature(getattr(privote, name)).parameters
+        assert list(parameters) == names, name
+        assert parameters["budget"].default is inspect.Parameter.empty, name

@@ -510,7 +510,7 @@ def test_split_and_run_sizes_are_what_the_benchmark_assumes(monkeypatch, n):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
-    assert ExperimentConfig("realizable", "Asq").query_fraction == workloads.QUERY_FRACTION
+    assert harness._QUERY_SHARE == workloads.QUERY_FRACTION
     data = gen_realizable(2, n, make_rng(n))[0]
     split = split_protocol(data, make_rng(0))
     teacher, pool = len(split.teacher), len(split.student)
@@ -520,14 +520,19 @@ def test_split_and_run_sizes_are_what_the_benchmark_assumes(monkeypatch, n):
     for wl in workloads.WORKLOADS.values():
         runs = []
 
-        def spy(teacher, student, test, cfg, rng):
-            budget = getattr(cfg, "query_budget", len(student))  # psq asks all
-            runs.append({"K": cfg.K, "pool": len(student), "query_budget": budget})
+        def run(student, K, query_budget):
+            runs.append({"K": K, "pool": len(student), "query_budget": query_budget})
             return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
 
+        def psq(teacher, student, test, K, budget, T=None, rng=None):
+            return run(student, K, len(student))  # psq asks all
+
+        def asq(teacher, student, test, K, query_budget, budget, rng=None):
+            return run(student, K, query_budget)
+
         config = ExperimentConfig("realizable", wl.method, epsilon=wl.epsilon)
-        monkeypatch.setattr(harness, "pate_psq", spy)
-        monkeypatch.setattr(harness, "pate_asq", spy)
+        monkeypatch.setattr(harness, "pate_psq", psq)
+        monkeypatch.setattr(harness, "pate_asq", asq)
         harness._run_trial(config, data, make_rng(0))
         assert runs == [wl.sizes(n)], wl.name
 
@@ -541,8 +546,6 @@ def test_experiment_config_validation():
         ExperimentConfig(dataset="realizable", method="Magic")
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="realizable", method="Asq", trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(dataset="realizable", method="Asq", query_fraction=0.0)
     cfg = ExperimentConfig(dataset="realizable", method="PsqNoPrivacy")
     assert not cfg.private
     assert ExperimentConfig(dataset="realizable", method="Asq").private
@@ -573,12 +576,13 @@ def test_experiment_config_validation():
         ({"method": "PsqSvt", "svt_T": 3.0}, "svt_T"),
         ({"trials": 1.5}, "trials"),
         ({"seed": "x"}, "seed"),
-        ({"synth_n": 40.5}, "synth_n"),
+        ({"dataset": "realizable", "generator_params": {"n": 40.5}}, "generator_params"),
         ({"epsilon": "3"}, "epsilon"),
         ({"epsilon": True}, "epsilon"),
         ({"delta": "1e-5"}, "delta"),
-        ({"query_fraction": "0.3"}, "query_fraction"),
-        ({"query_fraction": math.nan}, "query_fraction"),
+        # a method that spends no budget takes no delta
+        ({"method": "PsqNoPrivacy", "delta": 1e-5}, "delta"),
+        ({"method": "AsqNoPrivacy", "delta": 0.5}, "delta"),
         ({"record_timing": "no"}, "record_timing"),
         ({"record_timing": 1}, "record_timing"),
         ({"dataset": 3}, "dataset"),
@@ -609,6 +613,8 @@ def test_experiment_config_accepts_the_edges_of_its_settings():
     ExperimentConfig("realizable", "Asq", epsilon=1e-9, delta=1e-12)
     ExperimentConfig("realizable", "PsqGaussian", delta=1.0 - 1e-12)
     ExperimentConfig("realizable", "Asq", generator_params={"d": np.int64(3)})
+    ExperimentConfig("realizable", "Asq", generator_params={"n": np.int64(10)})
+    ExperimentConfig("realizable", "PsqNoPrivacy", delta=None, epsilon=3.0)
     ExperimentConfig("massart", "Asq", generator_params={"flip": 0})
     ExperimentConfig("tnc", "Asq", generator_params={"tau": np.float32(0.5), "c": 1})
 
@@ -623,6 +629,36 @@ def test_experiment_config_checks_its_fractions(fractions):
     one, fails when it is made, before any data is read."""
     with pytest.raises(TypeError, match="fractions"):
         ExperimentConfig(dataset="realizable", method="Asq", fractions=fractions)
+
+
+@pytest.mark.parametrize("key", ["synth_n", "query_fraction"])
+def test_experiment_config_has_no_sample_size_or_query_share_field(key):
+    """The sample size is the generator parameter n, and Asq queries a
+    fixed share of the pool, `_QUERY_SHARE`; neither is a field."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+        ExperimentConfig("realizable", "Asq", **{key: 400})
+
+
+def test_generator_sample_size_is_the_parameter_n(tmp_path):
+    """Each generator draws n examples, 4000 unless generator_params
+    says otherwise; a file takes no n, and fewer than 10 fail naming n."""
+    for name, (_, defaults) in harness._GENERATORS.items():
+        assert defaults["n"] == 4000, name
+        assert len(harness._load_source(name, {})(make_rng(1))) == 4000
+        assert len(harness._load_source(name, {"n": 400})(make_rng(1))) == 400
+        config = ExperimentConfig(
+            name, "PsqNoPrivacy", trials=1, generator_params={"n": 400}
+        )
+        # every point of the ceil(0.02 * 400)-point pool is queried
+        assert run_experiment(config)[1][0].queries == 8
+        for n in (9, 0, -400):
+            message = rf"^generator_params 'n' must be at least 10, got {n}$"
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(name, "Asq", generator_params={"n": n})
+    path = str(tmp_path / "d.svm")
+    message = f"['n'] are not read by dataset {path!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(path, "Asq", generator_params={"n": 400})
 
 
 def test_experiment_config_rejects_unread_generator_params(tmp_path):
@@ -659,7 +695,7 @@ def _quick_config(**overrides):
         epsilon=4.0,
         trials=3,
         seed=7,
-        synth_n=400,
+        generator_params={"n": 400},
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -704,10 +740,10 @@ def test_run_experiment_no_privacy_rows():
 
 def test_run_experiment_asq_counts_queries():
     _, trials = run_experiment(
-        _quick_config(method="Asq", epsilon=1.0, query_fraction=0.5, trials=2)
+        _quick_config(method="Asq", epsilon=1.0, trials=2)
     )
     for t in trials:
-        assert 1 <= t.queries <= 4  # half of the 8-point student pool
+        assert 1 <= t.queries <= 2  # 30% of the 8-point student pool, rounded
         assert t.eps_ex_post <= 1.0 + 1e-9
 
 
@@ -716,8 +752,8 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     # sensitive pool: true teacher labels and coin flips get the same T
     cutoffs = []
 
-    def spy(teacher, student, test, cfg, rng):
-        cutoffs.append(cfg.T)
+    def spy(teacher, student, test, K, budget, T=None, rng=None):
+        cutoffs.append(T)
         return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
 
     monkeypatch.setattr(harness, "pate_psq", spy)
@@ -799,7 +835,7 @@ def _neighbouring_runs(seed, method, n, K, where):
     teachers = make_rng(seed).permutation(n)[: math.floor(0.8 * n)]
     row = teachers[int(where * len(teachers))]
     X[row], y[row] = rng.uniform(-1.0, 1.0, 5), 1 - y[row]
-    config = ExperimentConfig("realizable", method, K=K, synth_n=n)
+    config = ExperimentConfig("realizable", method, K=K, generator_params={"n": n})
     a = _public_run(config, data, seed)
     return a, _public_run(config, learners.Dataset(X, y), seed)
 
@@ -868,7 +904,7 @@ def test_run_experiment_wraps_trial_failures():
 
 def test_run_experiment_missing_file():
     with pytest.raises(FileNotFoundError):
-        run_experiment(_quick_config(dataset="no/such/file.libsvm"))
+        run_experiment(_quick_config(dataset="no/such/file.libsvm", generator_params={}))
 
 
 def test_run_experiment_timing_flag():

@@ -29,13 +29,12 @@ from privote import (
     make_rng,
     margin_distribution_report,
     run_experiment,
-    threshold_class,
     train_committee,
     train_erm,
-    vote_majority,
     write_libsvm,
 )
 from privote import learners
+from privote.aggregation import vote_majority
 from privote.learners import (
     _BlockDesign,
     _fit_weights,
@@ -43,6 +42,7 @@ from privote.learners import (
     _Rows,
     _train_columns,
     split_disjoint,
+    threshold_class,
 )
 
 

@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 import oracles
 import privote.pipelines
 import privote.learners
-from privote.learners import _Rows
+from privote.learners import _Rows, threshold_class
+from privote.pipelines import compute_k_for_gaussian
 from privote import (
-    AsqConfig,
     Dataset,
     FiniteClassDescriptor,
     FiniteHypothesisClass,
     LinearClassDescriptor,
     LinearHypothesis,
     PrivacyBudget,
-    PsqConfig,
     RunReport,
     active_update_version_space,
     calibrate_gaussian_sigma,
-    compute_k_for_gaussian,
     compute_svt_params,
     gen_massart,
     gen_realizable,
@@ -33,7 +31,6 @@ from privote import (
     pate_asq,
     pate_psq,
     run_active_learning,
-    threshold_class,
     train_erm,
 )
 
@@ -109,19 +106,39 @@ def test_compute_svt_params():
 # Passive pipeline
 
 
-def test_psq_configs_validate():
+def test_pipelines_check_their_arguments_before_training(monkeypatch):
+    """A bad K, cutoff or query budget fails naming it before any teacher
+    trains, and the budget is never left out: the exact baseline is
+    asked for with budget=None."""
+    trained = []
+
+    def spy(*args):
+        trained.append(args)
+        raise AssertionError("the committee trained")
+
+    monkeypatch.setattr(privote.pipelines, "train_committee", spy)
+    data, _ = gen_realizable(3, 140, make_rng(36))
+    teacher, pool, test = _split_three(data, 100, 20, 20)
     budget = PrivacyBudget(1.0, 1e-5)
-    with pytest.raises(ValueError):
-        PsqConfig(K=0, budget=budget)
-    for T in (0, -1):
-        with pytest.raises(ValueError, match="positive cutoff T"):
-            PsqConfig(K=5, budget=budget, T=T)
-    with pytest.raises(ValueError, match="budget"):
-        PsqConfig(K=5, budget=None, T=3)  # stable release needs a budget
-    with pytest.raises(TypeError):
-        PsqConfig(K=5, budget=budget, mechanism="svt", T=3)  # T alone chooses
-    with pytest.raises(ValueError):
-        AsqConfig(K=5, query_budget=0, budget=budget)
+    cases = [
+        (pate_psq, (0, budget), "K must be positive"),
+        (pate_asq, (0, 5, budget), "K must be positive"),
+        # stable release needs a positive cutoff and a budget
+        (pate_psq, (5, budget, 0), "stable release needs a positive cutoff T"),
+        (pate_psq, (5, budget, -1), "stable release needs a positive cutoff T"),
+        (pate_psq, (5, None, 3), "stable release needs .* a budget"),
+        (pate_asq, (5, 0, budget), "query_budget must be positive"),
+        (pate_asq, (5, -2, None), "query_budget must be positive"),
+    ]
+    for pipeline, args, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            pipeline(teacher, pool, test, *args, rng=make_rng(0))
+    for pipeline, args in ((pate_psq, (5,)), (pate_asq, (5, 3))):
+        with pytest.raises(TypeError, match="budget"):
+            pipeline(teacher, pool, test, *args)
+    with pytest.raises(TypeError):  # the cutoff alone chooses stable release
+        pate_psq(teacher, pool, test, 5, budget, mechanism="svt", T=3)
+    assert trained == []
 
 
 @pytest.mark.parametrize("slack", (-0.1, -math.inf, math.nan))
@@ -141,8 +158,8 @@ def test_asq_accepts_none_zero_and_infinite_slack():
 def test_psq_gaussian_end_to_end():
     data, _ = gen_realizable(8, 1200, make_rng(30))
     teacher, pool, test = _split_three(data, 1000, 60, 140)
-    config = PsqConfig(K=10, budget=PrivacyBudget(8.0, 1e-4))
-    student, report = pate_psq(teacher, pool, test, config, make_rng(31))
+    budget = PrivacyBudget(8.0, 1e-4)
+    student, report = pate_psq(teacher, pool, test, 10, budget, rng=make_rng(31))
     assert report.queries == 60 and report.bots == 0
     assert not report.halted_early
     assert report.eps_ex_post == pytest.approx(8.0, rel=1e-9)
@@ -154,10 +171,9 @@ def test_psq_matches_noiseless_when_budget_is_generous():
     data, _ = gen_realizable(10, 3000, make_rng(32))
     teacher, pool, test = _split_three(data, 2400, 60, 540)
     # committee margins (~K/2) must dominate the noise scale sigma(m, eps)
-    config = PsqConfig(K=30, budget=PrivacyBudget(8.0, 1e-4))
-    _, noisy = pate_psq(teacher, pool, test, config, make_rng(33))
-    exact_config = PsqConfig(K=30, budget=None)
-    _, exact = pate_psq(teacher, pool, test, exact_config, make_rng(33))
+    budget = PrivacyBudget(8.0, 1e-4)
+    _, noisy = pate_psq(teacher, pool, test, 30, budget, rng=make_rng(33))
+    _, exact = pate_psq(teacher, pool, test, 30, None, rng=make_rng(33))
     assert math.isinf(exact.eps_ex_post)
     assert abs(noisy.accuracy - exact.accuracy) <= 0.05
 
@@ -169,8 +185,8 @@ def test_psq_svt_halts_and_fills_bots():
     y = rng.integers(0, 2, 400)
     data = Dataset(X, y)
     teacher, pool, test = _split_three(data, 320, 40, 40)
-    config = PsqConfig(K=12, budget=PrivacyBudget(1.0, 1e-4), T=2)
-    student, report = pate_psq(teacher, pool, test, config, make_rng(35))
+    budget = PrivacyBudget(1.0, 1e-4)
+    student, report = pate_psq(teacher, pool, test, 12, budget, T=2, rng=make_rng(35))
     assert report.halted_early
     assert report.queries == 2
     assert report.bots == 40
@@ -185,8 +201,8 @@ def test_psq_svt_halts_on_the_last_point():
     y = rng.integers(0, 2, 400)
     teacher, pool, test = _split_three(Dataset(X, y), 320, 40, 40)
     m = len(pool)
-    config = PsqConfig(K=12, budget=PrivacyBudget(1.0, 1e-4), T=m)
-    _, report = pate_psq(teacher, pool, test, config, make_rng(35))
+    budget = PrivacyBudget(1.0, 1e-4)
+    _, report = pate_psq(teacher, pool, test, 12, budget, T=m, rng=make_rng(35))
     assert report.halted_early
     assert report.queries == m
     assert report.bots == m
@@ -196,11 +212,11 @@ def test_psq_svt_halts_on_the_last_point():
 def test_psq_boundary_one_point_per_teacher():
     data, _ = gen_realizable(3, 140, make_rng(36))
     teacher, pool, test = _split_three(data, 100, 20, 20)
-    config = PsqConfig(K=100, budget=PrivacyBudget(5.0, 1e-3))
-    _, report = pate_psq(teacher, pool, test, config, make_rng(37))
+    budget = PrivacyBudget(5.0, 1e-3)
+    _, report = pate_psq(teacher, pool, test, 100, budget, rng=make_rng(37))
     assert report.queries == 20
-    with pytest.raises(ValueError):
-        pate_psq(teacher, pool, test, dataclasses.replace(config, K=101), make_rng(0))
+    with pytest.raises(ValueError, match="at least K examples"):
+        pate_psq(teacher, pool, test, 101, budget, rng=make_rng(0))
 
 
 def test_run_report_is_frozen():
@@ -736,16 +752,15 @@ def test_linear_stream_point_past_the_features_fails():
 def test_asq_skips_duplicate_heavy_pools():
     data = _onehot_clusters(600, 12, seed=42)
     teacher, pool, test = _split_three(data, 400, 40, 160)
-    config = AsqConfig(K=20, query_budget=30, budget=PrivacyBudget(1.0, 1e-4))
-    student, report = pate_asq(teacher, pool, test, config, make_rng(43))
+    budget = PrivacyBudget(1.0, 1e-4)
+    student, report = pate_asq(teacher, pool, test, 20, 30, budget, rng=make_rng(43))
     assert report.queries <= 30
     assert report.queries < 40
     assert report.eps_ex_post <= 1.0 + 1e-9
     assert report.bots == 0
     # at this scale the noisy labels are low-signal; utility is asserted on
     # the exact-majority variant, which shares the query-selection logic
-    exact_config = dataclasses.replace(config, budget=None)
-    _, exact = pate_asq(teacher, pool, test, exact_config, make_rng(43))
+    _, exact = pate_asq(teacher, pool, test, 20, 30, None, rng=make_rng(43))
     assert exact.accuracy >= 0.9
     assert exact.queries < 40
 
@@ -763,8 +778,7 @@ def test_asq_lays_out_the_pool_once(monkeypatch):
     monkeypatch.setattr(privote.learners, "_bias_layout", counting_layout)
     data = _onehot_clusters(600, 12, seed=42)
     teacher, pool, test = _split_three(data, 400, 40, 160)
-    config = AsqConfig(K=20, query_budget=30, budget=None)
-    _, report = pate_asq(teacher, pool, test, config, make_rng(43))
+    _, report = pate_asq(teacher, pool, test, 20, 30, None, rng=make_rng(43))
     assert report.queries >= 4  # so there were refits and reference fits
     assert laid_out == [len(teacher), len(pool)]
 
@@ -772,8 +786,8 @@ def test_asq_lays_out_the_pool_once(monkeypatch):
 def test_asq_single_query_budget():
     data, _ = gen_realizable(4, 300, make_rng(44))
     teacher, pool, test = _split_three(data, 200, 40, 60)
-    config = AsqConfig(K=8, query_budget=1, budget=PrivacyBudget(2.0, 1e-4))
-    _, report = pate_asq(teacher, pool, test, config, make_rng(45))
+    budget = PrivacyBudget(2.0, 1e-4)
+    _, report = pate_asq(teacher, pool, test, 8, 1, budget, rng=make_rng(45))
     assert report.queries == 1
     assert report.eps_ex_post == pytest.approx(2.0, rel=1e-9)
 
@@ -781,8 +795,7 @@ def test_asq_single_query_budget():
 def test_asq_noiseless_reports_infinite_loss():
     data, _ = gen_realizable(4, 300, make_rng(46))
     teacher, pool, test = _split_three(data, 200, 40, 60)
-    config = AsqConfig(K=8, query_budget=20, budget=None)
-    _, report = pate_asq(teacher, pool, test, config, make_rng(47))
+    _, report = pate_asq(teacher, pool, test, 8, 20, None, rng=make_rng(47))
     assert math.isinf(report.eps_ex_post)
     assert report.queries <= 20
 
@@ -804,9 +817,8 @@ def test_psq_without_budget_matches_reference(seed):
     data, _ = gen_massart(6, 900, 0.2, make_rng(100 + seed))
     teacher, pool, test = _split_three(data, 600, 60, 240)
     K = 10 + 2 * seed
-    config = PsqConfig(K=K, budget=None)
     _assert_same_run(
-        pate_psq(teacher, pool, test, config, make_rng(seed)),
+        pate_psq(teacher, pool, test, K, None, rng=make_rng(seed)),
         oracles.reference_psq_noiseless(teacher, pool, test, K, make_rng(seed)),
     )
 
@@ -815,8 +827,7 @@ def test_psq_without_budget_matches_reference(seed):
 def test_asq_without_budget_matches_reference(seed):
     data, _ = gen_massart(4, 500, 0.2, make_rng(200 + seed))
     teacher, pool, test = _split_three(data, 300, 50, 150)
-    config = AsqConfig(K=10, query_budget=25, budget=None)
     _assert_same_run(
-        pate_asq(teacher, pool, test, config, make_rng(seed)),
-        oracles.reference_asq_noiseless(teacher, pool, test, config, make_rng(seed)),
+        pate_asq(teacher, pool, test, 10, 25, None, rng=make_rng(seed)),
+        oracles.reference_asq_noiseless(teacher, pool, test, 10, 25, make_rng(seed)),
     )
