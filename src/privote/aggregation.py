@@ -25,12 +25,10 @@ import numpy as np
 from .dp_core import (
     PrivacyBudget,
     calibrate_gaussian_sigma,
-    calibrate_svt_lambda,
-    gaussian_composition_rho,
+    calibrate_svt,
+    gaussian_epsilon,
     sample_gaussian,
     sample_laplace,
-    svt_threshold_w,
-    zcdp_to_dp,
 )
 
 __all__ = [
@@ -146,8 +144,7 @@ class GaussianSession:
 
     def privacy_report(self) -> tuple[float, float]:
         """Realized (epsilon, delta) for the answers released so far."""
-        rho = gaussian_composition_rho(self.answered, self.sigma)
-        return zcdp_to_dp(rho, self.delta), self.delta
+        return gaussian_epsilon(self.answered, self.sigma, self.delta), self.delta
 
 
 class SvtSession:
@@ -182,7 +179,6 @@ class SvtSession:
         self.cutoff = int(cutoff)
         self.budget = budget
         self.consumed = 0
-        self.answered = 0
         self._rng = rng
         self._noisy_threshold = w + sample_laplace(lam, rng)
 
@@ -194,8 +190,7 @@ class SvtSession:
         budget: PrivacyBudget,
         rng: np.random.Generator,
     ) -> "SvtSession":
-        lam = calibrate_svt_lambda(cutoff, budget)
-        w = svt_threshold_w(lam, ell, cutoff, budget.delta)
+        lam, w = calibrate_svt(ell, cutoff, budget)
         return cls(lam, w, cutoff, budget, rng)
 
     @property
@@ -209,7 +204,6 @@ class SvtSession:
             )
         dist = distance_to_instability(votes)
         if dist + sample_laplace(2.0 * self.lam, self._rng) > self._noisy_threshold:
-            self.answered += 1
             return vote_majority(votes)
         self.consumed += 1
         if not self.halted:

@@ -19,9 +19,8 @@ from pathlib import Path
 from .dp_core import (
     PrivacyBudget,
     calibrate_gaussian_sigma,
-    calibrate_svt_lambda,
+    calibrate_svt,
     make_rng,
-    svt_threshold_w,
 )
 from .harness import (
     METHODS,
@@ -134,9 +133,8 @@ def cmd_calibrate(args) -> int:
         f"k_gaussian={compute_k_for_gaussian(args.ell, budget, args.teacher_n)}",
     ]
     if args.cutoff is not None:
-        lam = calibrate_svt_lambda(args.cutoff, budget)
-        w = svt_threshold_w(lam, args.ell, args.cutoff, budget.delta)
-        T, K = compute_svt_params(args.ell, 0.0, 0.05, budget)
+        lam, w = calibrate_svt(args.ell, args.cutoff, budget)
+        T, K = compute_svt_params(args.ell, budget)
         lines += [
             f"cutoff={args.cutoff}",
             f"lambda={lam!r}",

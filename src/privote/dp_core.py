@@ -21,11 +21,9 @@ __all__ = [
     "derive_seed",
     "sample_laplace",
     "sample_gaussian",
+    "gaussian_epsilon",
     "calibrate_gaussian_sigma",
-    "calibrate_svt_lambda",
-    "svt_threshold_w",
-    "zcdp_to_dp",
-    "gaussian_composition_rho",
+    "calibrate_svt",
 ]
 
 
@@ -109,74 +107,59 @@ def _check_ell(ell: int) -> None:
         raise ValueError(f"query count must be a positive integer, got {ell}")
 
 
+def gaussian_epsilon(answers: int, sigma: float, delta: float) -> float:
+    """Epsilon, at this delta, of `answers` sensitivity-1 Gaussian releases.
+
+    Their zCDP cost rho = answers / (2 sigma^2) composes additively and
+    converts to (rho + 2*sqrt(rho*log(1/delta)), delta)-DP.
+    """
+    if answers < 0 or answers != int(answers):
+        raise ValueError("answers must be a nonnegative integer")
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    rho = answers / (2.0 * sigma**2)
+    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+
+
 def calibrate_gaussian_sigma(ell: int, budget: PrivacyBudget) -> float:
     """Noise scale for answering ell vote-count queries within the budget.
 
-    Closed-form solution of
+    Closed-form solution of gaussian_epsilon(ell, sigma, delta) = epsilon,
 
-        sqrt(2*ell*log(1/delta)) / sigma + ell / (2*sigma^2) = epsilon,
+        sqrt(2*ell*log(1/delta)) / sigma + ell / (2*sigma^2) = epsilon.
 
-    i.e. the zCDP cost of ell sensitivity-1 Gaussian releases converted to
-    (epsilon, delta)-DP. A residual back-substitution guards the algebra.
-    If rounding puts the cost of ell answers, as a session reports it,
-    above epsilon, sigma is raised one ulp at a time until it is not.
+    A residual back-substitution guards the algebra. If rounding puts the
+    cost of ell answers, as a session reports it, above epsilon, sigma is
+    raised one ulp at a time until it is not.
     """
     _check_ell(ell)
     eps, delta = budget.epsilon, budget.delta
     a = 2.0 * ell * math.log(1.0 / delta)
     sigma = (math.sqrt(a) + math.sqrt(a + 2.0 * eps * ell)) / (2.0 * eps)
-    residual = abs(
-        math.sqrt(a) / sigma + ell / (2.0 * sigma**2) - eps
-    ) / eps
+    residual = abs(gaussian_epsilon(ell, sigma, delta) - eps) / eps
     if residual > 1e-9:
         raise ArithmeticError(
             f"calibration residual {residual:.3e} exceeds 1e-9"
         )
-    while zcdp_to_dp(gaussian_composition_rho(ell, sigma), delta) > eps:
+    while gaussian_epsilon(ell, sigma, delta) > eps:
         sigma = math.nextafter(sigma, math.inf)
     return sigma
 
 
-def calibrate_svt_lambda(T: int, budget: PrivacyBudget) -> float:
-    """Laplace scale for a stable-release session with unstable cutoff T.
+def calibrate_svt(ell: int, T: int, budget: PrivacyBudget) -> tuple[float, float]:
+    """Laplace scale lambda and release threshold w of a stable-release
+    session answering ell queries with unstable cutoff T.
 
-    The scale makes the T threshold crossings cost (epsilon, delta/2)-DP,
-    leaving delta/2 for the stable-release failure event.
+    lambda makes the T threshold crossings cost (epsilon, delta/2)-DP,
+    leaving delta/2 for the stable-release failure event. w is high
+    enough that, over ell queries and T refreshes, every Laplace
+    perturbation stays below w/3 except with probability delta.
     """
+    _check_ell(ell)
     _check_ell(T)
     eps, delta = budget.epsilon, budget.delta
     a = math.log(2.0 / delta)
-    return (math.sqrt(2.0 * T * (eps + a)) + math.sqrt(2.0 * T * a)) / eps
-
-
-def svt_threshold_w(lam: float, ell: int, T: int, delta: float) -> float:
-    """Release threshold paired with calibrate_svt_lambda.
-
-    High enough that, over a run of ell queries and T refreshes, every
-    Laplace perturbation stays below w/3 except with probability delta.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    _check_ell(ell)
-    _check_ell(T)
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    return 3.0 * lam * math.log(2.0 * (ell + T) / delta)
-
-
-def zcdp_to_dp(rho: float, delta: float) -> float:
-    """(epsilon, delta) guarantee implied by rho-zCDP."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
-
-
-def gaussian_composition_rho(ell: int, sigma: float) -> float:
-    """zCDP cost of ell sensitivity-1 Gaussian releases at noise sigma."""
-    if ell < 0 or ell != int(ell):
-        raise ValueError("ell must be a nonnegative integer")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return ell / (2.0 * sigma**2)
+    lam = (math.sqrt(2.0 * T * (eps + a)) + math.sqrt(2.0 * T * a)) / eps
+    return lam, 3.0 * lam * math.log(2.0 * (ell + T) / delta)

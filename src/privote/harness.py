@@ -460,9 +460,10 @@ class ExperimentConfig:
     a delta; K=None sizes the committee at one teacher per hundred
     sensitive points. svt_T is PsqSvt's cutoff, and no other method takes
     one; None gives the public cutoff
-    `compute_svt_params(student pool size, 0.0, 0.05, budget)`, which
-    reads nothing of the sensitive data. The split and Asq's query budget
-    are fixed (`_TEACHER_SHARE`, `_POOL_SHARE`, `_QUERY_SHARE`).
+    `compute_svt_params(student pool size, budget)`, sized for error-free
+    teachers, which reads nothing of the sensitive data. The split and
+    Asq's query budget are fixed (`_TEACHER_SHARE`, `_POOL_SHARE`,
+    `_QUERY_SHARE`).
 
     The privacy guarantee is for replace-one neighbours: data sets of the
     same size that differ in one example. The defaults of delta and K
@@ -632,14 +633,14 @@ def _run_trial(
 
     if METHODS[config.method][0] == "asq":
         query_budget = max(1, round(_QUERY_SHARE * len(student)))
-        _, report = pate_asq(teacher, student, test, K, query_budget, budget, rng)
+        _, report = pate_asq(teacher, student, test, K, query_budget, budget, rng=rng)
     else:  # T is None for PsqGaussian and PsqNoPrivacy
         T = config.svt_T
         if config.method == "PsqSvt" and T is None:
             # the public rule `privote calibrate` prints: sized for error-free
             # teachers, so T reads nothing of the sensitive pool
-            T, _ = compute_svt_params(len(student), 0.0, 0.05, budget)
-        _, report = pate_psq(teacher, student, test, K, budget, T, rng)
+            T, _ = compute_svt_params(len(student), budget)
+        _, report = pate_psq(teacher, student, test, K, budget, T=T, rng=rng)
     return report, eps, delta
 
 

@@ -136,6 +136,7 @@ def pate_psq(
     test_data: Dataset,
     K: int,
     budget: PrivacyBudget | None,
+    *,
     T: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[LinearHypothesis, RunReport]:
@@ -462,6 +463,7 @@ def pate_asq(
     K: int,
     query_budget: int,
     budget: PrivacyBudget | None,
+    *,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[LinearHypothesis, RunReport]:
     """Active pipeline: spend label queries only where the learner is unsure.
@@ -502,36 +504,24 @@ def compute_k_for_gaussian(m_or_ell: int, budget: PrivacyBudget, n: int) -> int:
     return math.ceil(6.0 * sigma * math.sqrt(2.0 * math.log(2.0 * n)))
 
 
-def compute_svt_params(
-    m: int,
-    expected_teacher_error: float,
-    beta: float,
-    budget: PrivacyBudget,
-) -> tuple[int, int]:
+# the failure level of the public cutoff rule
+_SVT_BETA = 0.05
+
+
+def compute_svt_params(m: int, budget: PrivacyBudget) -> tuple[int, int]:
     """Cutoff T and committee size K for stable-release labeling.
 
-    T budgets the unstable queries a typical teacher error rate produces
-    over m points (at failure level beta); K makes the remaining margins
-    comfortably clear the noisy threshold.
+    T budgets the unstable queries of error-free teachers over m points
+    (at failure level 0.05), so it reads nothing of the sensitive data;
+    K makes the remaining margins comfortably clear the noisy threshold.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if not (0.0 <= expected_teacher_error <= 1.0):
-        raise ValueError("expected_teacher_error must lie in [0, 1]")
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0, 1)")
     eps, delta = budget.epsilon, budget.delta
-    T = math.ceil(
-        3.0
-        * (
-            expected_teacher_error * m
-            + math.sqrt(m * math.log(m / beta) / 2.0)
-        )
-    )
-    T = max(T, 1)
+    T = max(math.ceil(3.0 * math.sqrt(m * math.log(m / _SVT_BETA) / 2.0)), 1)
     K = math.ceil(
         136.0
-        * math.log(4.0 * m * T / min(delta, beta / 2.0))
+        * math.log(4.0 * m * T / min(delta, _SVT_BETA / 2.0))
         * math.sqrt(T * math.log(2.0 / delta))
         / eps
     )

@@ -78,10 +78,6 @@ class TncGenerator:
     def q(self) -> float:
         return (1.0 - self.tau) / self.tau
 
-    @property
-    def h_star(self) -> LinearHypothesis:
-        return LinearHypothesis(np.array([1.0]), -0.5)
-
     def margin(self, x) -> np.ndarray:
         """Distance of the regression function from 1/2 at x."""
         x = np.asarray(x, dtype=float)

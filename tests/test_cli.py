@@ -408,10 +408,13 @@ GOLDEN = Path(__file__).parent / "data"
         ("margins --dataset tests/data/mixed.libsvm.gz --teachers 3 --probes 8 "
          "--reps 2 --seed 4",
          "margins_mixed_teachers3_probes8_reps2_seed4.csv"),
+        ("calibrate --epsilon 2 --delta 1e-5 --ell 163 --cutoff 10",
+         "calibrate_eps2_delta1e-5_ell163_cutoff10.txt"),
     ],
 )
 def test_seeded_runs_print_the_committed_csv(capsys, monkeypatch, argv, name):
-    """Seeded runs print their committed trial and margin CSVs byte for byte.
+    """Seeded runs print their committed trial and margin CSVs, and
+    `privote calibrate` its committed noise scales, byte for byte.
 
     The files under tests/data are the output of `privote <argv>`, run
     from the repository root, as a trial's dataset column holds the path. A

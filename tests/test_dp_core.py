@@ -16,12 +16,10 @@ from privote import (
     make_rng,
 )
 from privote.dp_core import (
-    calibrate_svt_lambda,
-    gaussian_composition_rho,
+    calibrate_svt,
+    gaussian_epsilon,
     sample_gaussian,
     sample_laplace,
-    svt_threshold_w,
-    zcdp_to_dp,
 )
 
 ELLS = (1, 10, 100, 1000)
@@ -73,7 +71,7 @@ def test_sigma_monotone_in_ell_and_epsilon():
 @pytest.mark.parametrize("eps", EPSILONS)
 @pytest.mark.parametrize("delta", DELTAS)
 def test_svt_lambda_formula_and_budget(T, eps, delta):
-    lam = calibrate_svt_lambda(T, PrivacyBudget(eps, delta))
+    lam, _ = calibrate_svt(1000, T, PrivacyBudget(eps, delta))
     assert lam == pytest.approx(oracles.svt_lambda_formula(T, eps, delta), rel=1e-12)
     # the T threshold perturbations compose to 2T/lam^2 zCDP, which must
     # convert to exactly (eps, delta/2)
@@ -82,14 +80,18 @@ def test_svt_lambda_formula_and_budget(T, eps, delta):
 
 
 def test_svt_threshold_matches_formula():
-    for lam, ell, T, delta in [(45.1, 1000, 20, 1e-5), (3.0, 10, 2, 1e-8)]:
-        w = svt_threshold_w(lam, ell, T, delta)
+    for ell, T, eps, delta in [(1000, 20, 1.0, 1e-5), (10, 2, 0.5, 1e-8)]:
+        lam, w = calibrate_svt(ell, T, PrivacyBudget(eps, delta))
         assert w == pytest.approx(oracles.svt_threshold_formula(lam, ell, T, delta))
 
 
 def test_zcdp_conversions():
-    assert zcdp_to_dp(0.3, 1e-5) == pytest.approx(oracles.zcdp_epsilon(0.3, 1e-5))
-    assert zcdp_to_dp(0.0, 1e-5) == 0.0
+    # 3 answers at sigma^2 = 5 cost 0.3 zCDP
+    sigma = 5.0**0.5
+    assert gaussian_epsilon(3, sigma, 1e-5) == pytest.approx(
+        oracles.zcdp_epsilon(3 / (2 * sigma**2), 1e-5)
+    )
+    assert gaussian_epsilon(0, sigma, 1e-5) == 0.0
 
 
 @given(
@@ -98,8 +100,9 @@ def test_zcdp_conversions():
 )
 def test_zcdp_round_trip_never_understates(eps, delta):
     # eps-DP implies eps^2/2 zCDP, which implies an (eps', delta) guarantee
-    # with eps' >= eps, so converting back can only grow the epsilon
-    back = zcdp_to_dp(eps**2 / 2.0, delta)
+    # with eps' >= eps, so converting back can only grow the epsilon; one
+    # answer at sigma = 1/eps costs eps^2/2 zCDP
+    back = gaussian_epsilon(1, 1.0 / eps, delta)
     assert back >= eps - 1e-12
 
 
@@ -117,10 +120,12 @@ def test_calibration_residual_property(ell, eps, delta):
 
 def test_composition_and_ex_post():
     sigma = 28.0
-    assert gaussian_composition_rho(163, sigma) == pytest.approx(163 / (2 * sigma**2))
+    assert gaussian_epsilon(163, sigma, 1e-5) == pytest.approx(
+        oracles.zcdp_epsilon(163 / (2 * sigma**2), 1e-5)
+    )
 
     def ex_post(q):
-        return zcdp_to_dp(gaussian_composition_rho(q, sigma), 1e-5)
+        return gaussian_epsilon(q, sigma, 1e-5)
 
     assert ex_post(0) == 0.0
     vals = [ex_post(q) for q in range(0, 50, 7)]
@@ -206,6 +211,13 @@ def test_calibration_rejects_bad_inputs():
     with pytest.raises(ValueError):
         calibrate_gaussian_sigma(0, budget)
     with pytest.raises(ValueError):
-        calibrate_svt_lambda(0, budget)
+        calibrate_svt(10, 0, budget)  # T = 0
     with pytest.raises(ValueError):
-        svt_threshold_w(-1.0, 10, 2, 1e-5)
+        calibrate_svt(0, 2, budget)  # ell = 0
+    for answers, sigma, delta in [
+        (-1, 1.0, 1e-5), (1.5, 1.0, 1e-5),  # answers
+        (1, 0.0, 1e-5), (1, -1.0, 1e-5),  # sigma
+        (1, 1.0, 0.0), (1, 1.0, 1.0),  # delta
+    ]:
+        with pytest.raises(ValueError):
+            gaussian_epsilon(answers, sigma, delta)

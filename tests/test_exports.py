@@ -86,17 +86,24 @@ def test_config_fields_are_pinned():
         assert [f.name for f in dataclasses.fields(cls) if f.init] == fields, name
 
 
-# the pipelines' parameters, in order; a budget has no default, so the
-# non-private baseline is asked for with budget=None
+# the pipelines' parameters, in order, with their kinds: everything after
+# the budget is keyword-only, so a seed cannot land in the cutoff T. A
+# budget has no default, so the non-private baseline is asked for with
+# budget=None
 SPLITS = ["teacher_data", "student_pool", "test_data"]
 PIPELINE_PARAMETERS = {
-    "pate_psq": [*SPLITS, "K", "budget", "T", "rng"],
-    "pate_asq": [*SPLITS, "K", "query_budget", "budget", "rng"],
+    "pate_psq": ([*SPLITS, "K", "budget"], ["T", "rng"]),
+    "pate_asq": ([*SPLITS, "K", "query_budget", "budget"], ["rng"]),
 }
 
 
 def test_pipeline_parameters_are_pinned():
-    for name, names in PIPELINE_PARAMETERS.items():
+    for name, (positional, keyword) in PIPELINE_PARAMETERS.items():
         parameters = inspect.signature(getattr(privote, name)).parameters
-        assert list(parameters) == names, name
+        assert list(parameters) == positional + keyword, name
+        kinds = [p.kind for p in parameters.values()]
+        assert kinds == (
+            [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(positional)
+            + [inspect.Parameter.KEYWORD_ONLY] * len(keyword)
+        ), name
         assert parameters["budget"].default is inspect.Parameter.empty, name

@@ -524,10 +524,10 @@ def test_split_and_run_sizes_are_what_the_benchmark_assumes(monkeypatch, n):
             runs.append({"K": K, "pool": len(student), "query_budget": query_budget})
             return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
 
-        def psq(teacher, student, test, K, budget, T=None, rng=None):
+        def psq(teacher, student, test, K, budget, *, T=None, rng=None):
             return run(student, K, len(student))  # psq asks all
 
-        def asq(teacher, student, test, K, query_budget, budget, rng=None):
+        def asq(teacher, student, test, K, query_budget, budget, *, rng=None):
             return run(student, K, query_budget)
 
         config = ExperimentConfig("realizable", wl.method, epsilon=wl.epsilon)
@@ -752,7 +752,7 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     # sensitive pool: true teacher labels and coin flips get the same T
     cutoffs = []
 
-    def spy(teacher, student, test, K, budget, T=None, rng=None):
+    def spy(teacher, student, test, K, budget, *, T=None, rng=None):
         cutoffs.append(T)
         return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
 
@@ -773,7 +773,7 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     for source in (data, noisy):
         harness._run_trial(config, source, make_rng(6))
     budget = PrivacyBudget(1.0, 1.0 / n_teacher)
-    public, _ = compute_svt_params(len(a.student), 0.0, 0.05, budget)
+    public, _ = compute_svt_params(len(a.student), budget)
     assert cutoffs == [public, public]
     harness._run_trial(_quick_config(method="PsqSvt", svt_T=5), noisy, make_rng(6))
     assert cutoffs[-1] == 5

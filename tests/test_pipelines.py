@@ -87,19 +87,13 @@ def test_k_for_gaussian_epsilon_scaling():
 
 def test_compute_svt_params():
     budget = PrivacyBudget(1.0, 1e-5)
-    T, K = compute_svt_params(1000, 0.0, 0.05, budget)
+    T, K = compute_svt_params(1000, budget)
     assert T == math.ceil(3.0 * math.sqrt(1000 * math.log(1000 / 0.05) / 2.0))
     assert K >= 1
-    T_err, _ = compute_svt_params(1000, 0.1, 0.05, budget)
-    assert T_err > T
-    T_big, _ = compute_svt_params(4000, 0.1, 0.05, budget)
-    assert T_big > T_err
+    T_big, _ = compute_svt_params(4000, budget)
+    assert T_big > T
     with pytest.raises(ValueError):
-        compute_svt_params(0, 0.0, 0.05, budget)
-    with pytest.raises(ValueError):
-        compute_svt_params(10, 1.5, 0.05, budget)
-    with pytest.raises(ValueError):
-        compute_svt_params(10, 0.0, 1.0, budget)
+        compute_svt_params(0, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +103,7 @@ def test_compute_svt_params():
 def test_pipelines_check_their_arguments_before_training(monkeypatch):
     """A bad K, cutoff or query budget fails naming it before any teacher
     trains, and the budget is never left out: the exact baseline is
-    asked for with budget=None."""
+    asked for with budget=None. The cutoff and rng are passed by name."""
     trained = []
 
     def spy(*args):
@@ -121,23 +115,31 @@ def test_pipelines_check_their_arguments_before_training(monkeypatch):
     teacher, pool, test = _split_three(data, 100, 20, 20)
     budget = PrivacyBudget(1.0, 1e-5)
     cases = [
-        (pate_psq, (0, budget), "K must be positive"),
-        (pate_asq, (0, 5, budget), "K must be positive"),
+        (pate_psq, (0, budget), {}, "K must be positive"),
+        (pate_asq, (0, 5, budget), {}, "K must be positive"),
         # stable release needs a positive cutoff and a budget
-        (pate_psq, (5, budget, 0), "stable release needs a positive cutoff T"),
-        (pate_psq, (5, budget, -1), "stable release needs a positive cutoff T"),
-        (pate_psq, (5, None, 3), "stable release needs .* a budget"),
-        (pate_asq, (5, 0, budget), "query_budget must be positive"),
-        (pate_asq, (5, -2, None), "query_budget must be positive"),
+        (pate_psq, (5, budget), {"T": 0}, "stable release needs a positive cutoff T"),
+        (pate_psq, (5, budget), {"T": -1}, "stable release needs a positive cutoff T"),
+        (pate_psq, (5, None), {"T": 3}, "stable release needs .* a budget"),
+        (pate_asq, (5, 0, budget), {}, "query_budget must be positive"),
+        (pate_asq, (5, -2, None), {}, "query_budget must be positive"),
     ]
-    for pipeline, args, message in cases:
+    for pipeline, args, kwargs, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
-            pipeline(teacher, pool, test, *args, rng=make_rng(0))
+            pipeline(teacher, pool, test, *args, **kwargs, rng=make_rng(0))
     for pipeline, args in ((pate_psq, (5,)), (pate_asq, (5, 3))):
         with pytest.raises(TypeError, match="budget"):
             pipeline(teacher, pool, test, *args)
     with pytest.raises(TypeError):  # the cutoff alone chooses stable release
         pate_psq(teacher, pool, test, 5, budget, mechanism="svt", T=3)
+    # T and rng are keyword-only: a seed after the budget is not a cutoff
+    for pipeline, args in (
+        (pate_psq, (16, budget, 7)),
+        (pate_psq, (16, budget, None, 7)),
+        (pate_asq, (16, 5, budget, 7)),
+    ):
+        with pytest.raises(TypeError, match="positional"):
+            pipeline(teacher, pool, test, *args)
     assert trained == []
 
 
