@@ -32,7 +32,11 @@ from .harness import (
     run_experiment,
 )
 from .learners import margin_distribution_report
-from .pipelines import compute_k_for_gaussian, compute_svt_params
+from .pipelines import (
+    _svt_committee_size,
+    compute_k_for_gaussian,
+    compute_svt_params,
+)
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 # the ExperimentConfig fields that psq and asq also take as flags, each
@@ -134,13 +138,12 @@ def cmd_calibrate(args) -> int:
     ]
     if args.cutoff is not None:
         lam, w = calibrate_svt(args.ell, args.cutoff, budget)
-        T, K = compute_svt_params(args.ell, budget)
         lines += [
             f"cutoff={args.cutoff}",
             f"lambda={lam!r}",
             f"threshold_w={w!r}",
-            f"suggested_T={T}",
-            f"k_svt={K}",
+            f"suggested_T={compute_svt_params(args.ell, budget)[0]}",
+            f"k_svt={_svt_committee_size(args.ell, args.cutoff, budget)}",
         ]
     _write_lines(lines, args.out)
     return 0

@@ -667,10 +667,6 @@ class FiniteHypothesisClass:
     def n_members(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def domain_size(self) -> int:
-        return self.labels.shape[1]
-
     def mistake_counts(self, xs, ys) -> np.ndarray:
         """Per-member number of errors on a sample of (domain index, label);
         zeros on an empty sample."""
@@ -678,14 +674,6 @@ class FiniteHypothesisClass:
         if not xs.size:
             xs = xs.astype(np.intp)  # `[]` reads as floats
         return (self.by_point[xs].T != np.asarray(ys)).sum(axis=1)
-
-    def erm(self, xs, ys, rng: np.random.Generator) -> int:
-        """Index of an empirical-risk minimizer, uniform over the argmin set."""
-        counts = self.mistake_counts(xs, ys)
-        priority = rng.random(self.n_members)
-        best = counts == counts.min()
-        cand = np.flatnonzero(best)
-        return int(cand[np.argmin(priority[cand])])
 
 
 def threshold_class(points) -> FiniteHypothesisClass:

@@ -179,13 +179,14 @@ class ActiveState:
     xs: list = field(default_factory=list)  # queried points: stream indices
     ys: list = field(default_factory=list)
     j: int = 0  # stream position, 1-based
-    c: int = 0  # label queries spent
     query_budget: int | None = None  # set by run_active_learning
     hypothesis: Any = None
     alive: np.ndarray | None = None  # finite classes: version-space mask
-    # linear classes: the fits derived from xs, ys and hypothesis, and
-    # (indices, their rows, written in place: a copied state must not
-    # share them) in `rows`, kept for the next call and checked before use
+    # linear classes: in `memo`, (start, fits), the reference fits warm
+    # started from the hypothesis `start`, keyed by the (indices, labels)
+    # they were fit on; in `rows`, (indices, their rows, written in place:
+    # a copied state must not share them). Both are kept for the next call
+    # and read only where they match the state
     memo: Any = field(default=None, repr=False, compare=False)
     rows: Any = field(default=None, repr=False, compare=False)
 
@@ -232,38 +233,6 @@ class FiniteClassDescriptor:
         state.hypothesis = int(np.argmin(mistakes))
 
 
-@dataclass
-class _ReferenceMemo:
-    """The reference fit on Q, and the two fits it may become next.
-
-    `base` is the `probe_steps` fit on `xs`, `ys` from `hypothesis`.
-    `next_bases[y]` is the same fit on `xs + [x]`, `ys + [y]`, where `x`
-    is the stream index just probed; it is empty where querying `x` would
-    end the run. Equal indices name the same pool row.
-    """
-
-    hypothesis: LinearHypothesis
-    xs: list
-    ys: list
-    base: LinearHypothesis
-    x: int
-    next_bases: list[LinearHypothesis]
-
-    def lookup(self, state: ActiveState) -> LinearHypothesis | None:
-        """The reference fit for the state, or None if this memo does not
-        cover its hypothesis, queried points and labels."""
-        k = len(self.xs)
-        same = state.hypothesis is self.hypothesis and k <= len(state.xs) <= k + 1
-        if not (same and state.ys[:k] == self.ys and state.xs[:k] == self.xs):
-            return None
-        if len(state.xs) == k:
-            return self.base
-        y = state.ys[-1]
-        if state.xs[-1] == self.x and y in (0, 1) and self.next_bases:
-            return self.next_bases[int(y)]
-        return None
-
-
 @dataclass(frozen=True, eq=False)
 class LinearClassDescriptor:
     """Constrained-refit surrogate for halfspaces over an unlabeled pool.
@@ -287,20 +256,20 @@ class LinearClassDescriptor:
     if the point is not queried, or the fit on Q plus the point labeled 0
     or 1. So each probe is trained together with those two fits, as three
     label and weight columns of one descent over Q's rows grown by the
-    point's, and the state's memo keeps them for the next call. That call
-    reuses the memo only while the hypothesis is the same object and Q and
-    its labels are the memo's, or those plus the probed point itself;
-    after a refit (on the doubling schedule) or any other change to the
-    state it fits `base` alone. At a power-of-two stream position
-    `state.j` the refit right after replaces the hypothesis, so the probe
-    is trained alone there and the memo is cleared; Q's rows stay. It is
-    trained alone, too, where a query would spend `state.query_budget`
-    and end the run; the memo then keeps `base`. The predictions of
-    `base` and of the probe on Q and the point are one product with those
-    rows each, their bias column giving `X @ w + b`. Every fit, refits
-    included, runs `_train_columns` on those rows and is bit-for-bit the
-    one a lone `train_erm` and `predict` would make, so the answers do
-    not depend on the memo or the kept rows.
+    point's. The state's memo keeps the three reference fits, each under
+    the (Q indices, labels) it was fit on, with the hypothesis they
+    started from; the next call reads the fit under its own Q and labels
+    while the hypothesis is still that object, and otherwise fits `base`
+    alone. At a power-of-two stream position `state.j` the refit right
+    after replaces the hypothesis, so the probe is trained alone there
+    and the memo is cleared; Q's rows stay. It is trained alone, too,
+    where a query would spend `state.query_budget` and end the run; the
+    memo then keeps `base`. The predictions of `base` and of the probe on
+    Q and the point are one product with those rows each, their bias
+    column giving `X @ w + b`. Every fit, refits included, runs
+    `_train_columns` on those rows and is bit-for-bit the one a lone
+    `train_erm` and `predict` would make, so the answers do not depend
+    on the memo or the kept rows.
     """
 
     pool: Any
@@ -358,15 +327,15 @@ class LinearClassDescriptor:
         # a refit follows at a power-of-two position and replaces the
         # hypothesis, and a query that spends the budget ends the run, so
         # the two next-reference fits would go unused
-        j = state.j
-        refits = j >= 1 and j & (j - 1) == 0
-        last = state.c + 1 == state.query_budget
+        refits = _on_schedule(state.j)
+        last = len(state.xs) + 1 == state.query_budget
         # Q's labels in each column, the candidate labels in the last row
         B = 1 if refits or last else 3
         Y = np.empty((n + 1, B), dtype=y.dtype)
         Y[:n] = y[:, None]
-        memo = state.memo
-        base = memo.lookup(state) if isinstance(memo, _ReferenceMemo) else None
+        xs, ys = tuple(state.xs), tuple(state.ys)
+        start, kept = state.memo or (None, {})
+        base = kept.get((xs, ys)) if start is state.hypothesis else None
         if base is None:
             # the reference is a fresh unconstrained optimum, not the
             # possibly stale current hypothesis
@@ -383,9 +352,10 @@ class LinearClassDescriptor:
             rows_next, Y, self.probe_steps, [weights, None, None][:B],
             [base, state.hypothesis, state.hypothesis][:B],
         )
-        state.memo = None if refits else _ReferenceMemo(
-            state.hypothesis, list(state.xs), list(state.ys), base, x, next_bases
-        )
+        fits = {(xs, ys): base}
+        for label, fit in enumerate(next_bases):
+            fits[xs + (x,), ys + (label,)] = fit
+        state.memo = None if refits else (state.hypothesis, fits)
         probe_ones = rows_next.scores(h) >= 0.0
         if int(probe_ones[n]) != forced:
             return False
@@ -401,6 +371,11 @@ class LinearClassDescriptor:
             state.hypothesis = self._fit(self._rows(state), Y, self.steps, state.hypothesis)
 
 
+def _on_schedule(j: int) -> bool:
+    """Whether stream position j is on the doubling schedule: a power of two."""
+    return j >= 1 and j & (j - 1) == 0
+
+
 def active_update_version_space(state: ActiveState, j: int) -> ActiveState:
     """Shrink the version space at stream position j (a power of two).
 
@@ -409,7 +384,7 @@ def active_update_version_space(state: ActiveState, j: int) -> ActiveState:
     descriptor's level gamma_j. Linear classes refresh the hypothesis by
     retraining on Q.
     """
-    if j < 1 or 2 ** int(math.log2(j)) != j:
+    if not _on_schedule(j):
         raise ValueError("updates happen on the doubling schedule")
     state.descriptor.update(state, j)
     return state
@@ -447,10 +422,9 @@ def run_active_learning(
         if descriptor.disagreement(state, x, effective_slack):
             state.ys.append(oracle(x, i))
             state.xs.append(x)
-            state.c += 1
-        if j & (j - 1) == 0:
+        if _on_schedule(j):
             active_update_version_space(state, j)
-        if state.c >= query_budget:
+        if len(state.xs) >= query_budget:
             break
     descriptor.refit(state)
     return state
@@ -483,7 +457,7 @@ def pate_asq(
         lambda x, i: ask(i),
         query_budget,
     )
-    return report(state.hypothesis, state.c, 0)
+    return report(state.hypothesis, len(state.xs), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +491,16 @@ def compute_svt_params(m: int, budget: PrivacyBudget) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    eps, delta = budget.epsilon, budget.delta
     T = max(math.ceil(3.0 * math.sqrt(m * math.log(m / _SVT_BETA) / 2.0)), 1)
-    K = math.ceil(
+    return T, _svt_committee_size(m, T, budget)
+
+
+def _svt_committee_size(m: int, T: int, budget: PrivacyBudget) -> int:
+    """Committee size K for stable release over m points with cutoff T."""
+    delta = budget.delta
+    return math.ceil(
         136.0
         * math.log(4.0 * m * T / min(delta, _SVT_BETA / 2.0))
         * math.sqrt(T * math.log(2.0 / delta))
-        / eps
+        / budget.epsilon
     )
-    return T, K

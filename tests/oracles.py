@@ -424,7 +424,7 @@ def reference_asq_noiseless(
         lambda x, i: vote_majority(VoteCount(int(ones[i]), K)),
     )
     report = RunReport(
-        queries=state.c,
+        queries=len(state.xs),
         bots=0,
         eps_ex_post=math.inf,
         accuracy=1.0 - empirical_error(state.hypothesis, test_data),

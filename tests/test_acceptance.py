@@ -419,9 +419,9 @@ def test_criterion_8_label_savings():
         )
         err_passive = float(np.mean((test_x >= cut_of(passive)) != test_y))
         gap = abs(err_active - err_passive)
-        worst_queries = max(worst_queries, state.c)
+        worst_queries = max(worst_queries, len(state.xs))
         worst_gap = max(worst_gap, gap)
-        good += state.c <= 150 and gap <= 0.02
+        good += len(state.xs) <= 150 and gap <= 0.02
     ok = good >= 95
     _verdict(
         "8",

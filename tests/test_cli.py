@@ -21,6 +21,7 @@ from privote import (
 )
 from privote.cli import _FLAG_FIELDS, build_parser, main
 from privote.harness import METHODS, render_report
+from privote.pipelines import _svt_committee_size
 
 
 def test_calibrate_prints_sigma_and_k(capsys):
@@ -49,7 +50,9 @@ def test_calibrate_with_cutoff(capsys):
     assert float(fields["lambda"]) > 0
     assert float(fields["threshold_w"]) > 0
     assert int(fields["suggested_T"]) >= 1
-    assert int(fields["k_svt"]) >= 1
+    # the committee size for the cutoff given, not for suggested_T
+    budget = PrivacyBudget(1.0, 1e-5)
+    assert int(fields["k_svt"]) == _svt_committee_size(1000, 20, budget)
 
 
 def test_calibrate_writes_file(tmp_path):

@@ -77,6 +77,17 @@ CONFIG_FIELDS = {
         "generator_params",
         "record_timing",
     ],
+    "ActiveState": [
+        "descriptor",
+        "xs",
+        "ys",
+        "j",
+        "query_budget",
+        "hypothesis",
+        "alive",
+        "memo",
+        "rows",
+    ],
 }
 
 

@@ -154,7 +154,7 @@ def test_asq_accepts_none_zero_and_infinite_slack():
     desc = LinearClassDescriptor(np.zeros((0, 2)))
     for slack in (None, 0.0, 0.25, math.inf):
         state = run_active_learning(desc, [], lambda x, i: 0, 3, slack=slack)
-        assert state.c == 0
+        assert len(state.xs) == 0
 
 
 def test_psq_gaussian_end_to_end():
@@ -382,7 +382,7 @@ def test_slack_infinity_queries_everything():
         query_budget=100,
         slack=float("inf"),
     )
-    assert state.c == 30
+    assert len(state.xs) == 30
 
 
 def test_single_member_class_never_queries():
@@ -391,7 +391,7 @@ def test_single_member_class_never_queries():
     state = run_active_learning(
         desc, list(range(10)), lambda x, i: 1, query_budget=5
     )
-    assert state.c == 0
+    assert len(state.xs) == 0
 
 
 def test_linear_disagreement_respects_duplicates():
@@ -480,7 +480,7 @@ def test_linear_active_loop_matches_per_point_reference(
         _csr_rows(X), labels, budget, slack,
     )
     assert got_asked == want_asked == got.xs
-    assert got.ys == want.ys and got.c == want.c and got.j == want.j
+    assert got.ys == want.ys and len(got.xs) == len(want.xs) and got.j == want.j
     assert np.array_equal(got.hypothesis.weights, want.hypothesis.weights)
     assert got.hypothesis.bias == want.hypothesis.bias
 
@@ -559,7 +559,8 @@ def test_linear_fits_on_kept_rows_equal_train_erm(case, steps, probe_steps):
     state.xs, state.ys = xs[:k], ys[:k]
     desc.disagreement(state, xs[k] if k < len(xs) else 0, 0.1)
     first = Dataset(_stacked(pool, xs[:k]), ys[:k])
-    pairs = [(state.memo.base, train_erm(first, probe_steps, init=state.hypothesis))]
+    base = state.memo[1][tuple(xs[:k]), tuple(ys[:k])]
+    pairs = [(base, train_erm(first, probe_steps, init=state.hypothesis))]
     start = state.hypothesis
     state.xs, state.ys = xs, ys
     desc.refit(state)
@@ -632,6 +633,80 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
         desc.disagreement(state, 9, 0.1)
 
 
+_EDITS = ("probed", "other", "pop", "replace", "int64", "flip", "copy", "none")
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_linear_memo_is_read_exactly_where_a_probe_stored_it(seed, data):
+    # random edits between probes, also ones no loop makes: a probe fits
+    # its reference afresh exactly when the probe before stored no fit
+    # under Q and its labels, or started from another hypothesis object,
+    # and answers as the per-point reference does either way
+    fresh = []
+
+    class Counting(_CheckedDescriptor):
+        def _fit(self, rows, Y, steps, init):
+            fresh.append(1)
+            return super()._fit(rows, Y, steps, init)
+
+    m = 12
+    X, labels = _linear_stream(seed, m, 3, 5, 0.2)
+    stream = _csr_rows(X)
+    desc = Counting(X)
+    ref = oracles.ReferenceLinearDescriptor(3, probe_steps=desc.probe_steps)
+    state = desc.init_state()
+    state.xs, state.ys = [0, 1, 2], [int(y) for y in labels[:3]]
+    index, label = st.integers(0, m - 1), st.integers(0, 1)
+    stored, start, x = set(), None, None
+    for _ in range(data.draw(st.integers(1, 8))):
+        edit = data.draw(st.sampled_from(_EDITS))
+        k = data.draw(st.integers(0, len(state.xs) - 1))
+        if edit == "probed" and x is not None:
+            state.xs.append(x)
+            state.ys.append(data.draw(label))
+        elif edit == "other":
+            state.xs.append(data.draw(index))
+            state.ys.append(data.draw(label))
+        elif edit == "pop" and len(state.xs) > 1:
+            state.xs.pop()
+            state.ys.pop()
+        elif edit == "replace":
+            state.xs[k] = data.draw(index)
+        elif edit == "int64":
+            state.xs[k] = np.int64(state.xs[k])
+        elif edit == "flip":
+            state.ys[k] = 1 - state.ys[k]
+        elif edit == "copy":
+            h = state.hypothesis
+            state.hypothesis = LinearHypothesis(h.weights.copy(), h.bias)
+        x = data.draw(index)
+        # a refit follows at j = 4, and a query now would spend the budget
+        state.j = data.draw(st.sampled_from((3, 4)))
+        last = data.draw(st.booleans())
+        state.query_budget = len(state.xs) + 1 if last else None
+        xs, ys = tuple(state.xs), tuple(state.ys)
+        before = len(fresh)
+        got = desc.disagreement(state, x, 0.1)
+        missed = (xs, ys) not in stored or state.hypothesis is not start
+        assert len(fresh) - before == missed
+        rows = dataclasses.replace(state, xs=[stream[i] for i in state.xs])
+        assert got == ref.disagreement(rows, stream[x], 0.1)
+        start = state.hypothesis
+        if state.j == 4:
+            assert state.memo is None
+            stored = set()
+        else:
+            # the reference read or fit is a lone fit on Q and its labels
+            Q = Dataset(_stacked(X, state.xs), state.ys)
+            want = train_erm(Q, desc.probe_steps, init=start)
+            base = state.memo[1][xs, ys]
+            assert np.array_equal(base.weights, want.weights)
+            assert base.bias == want.bias
+            stored = {(xs, ys)} | (
+                set() if last else {(xs + (x,), ys + (y,)) for y in (0, 1)}
+            )
+
+
 def test_a_probe_that_reuses_the_memo_makes_38_kernel_calls(kernel_calls):
     # three columns of probe_steps = 10 steps with two distinct weight
     # columns, then the reference's and the probe's scores: 20 + 16 + 2
@@ -687,7 +762,7 @@ def test_linear_probe_trains_alone_before_a_refit(monkeypatch):
     fresh_bases.clear()
     X, labels = _linear_stream(6, 40, 3, 5, 0.2)
     state, asked = _run_recorded(Recording(X), range(40), labels, 5, None)
-    assert state.c == 5 and asked[3:] == [4, 7]
+    assert len(state.xs) == 5 and asked[3:] == [4, 7]
     columns = dict(calls)
     assert sorted(columns) == list(range(1, 9))
     assert [columns[j] for j in (5, 6, 7, 8)] == [[3], [1], [1], [1]]
