@@ -152,7 +152,10 @@ def cmd_calibrate(args) -> int:
 def _build_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
         unknown = set(data) - set(_CONFIG_TYPES)

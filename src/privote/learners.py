@@ -3,22 +3,22 @@
 Linear models with sparse features carry the real-data experiments; an
 explicit finite hypothesis class backs the exact version-space machinery.
 
-All linear training goes through one accelerated-descent loop (Nesterov
-momentum). A committee's K disjoint shards, cut from one row permutation
-of the teacher pool, are gathered from its CSR arrays into one
-block-diagonal layout with a bias column per block, so each step scores
-and differentiates every teacher with one pass over all rows; a lone fit
-(`train_erm`) is the one-block case. A committee whose design holds at
+All linear training is one accelerated-descent loop (Nesterov momentum),
+`_train_columns`, on a `_Rows` layout: rows gathered from a canonical
+CSR into blocks, each block in its own columns with a bias column. A
+committee's K disjoint shards, cut from one row permutation of the
+teacher pool, are the K blocks of one layout, so each step scores and
+differentiates every teacher with one pass over all rows; a lone fit
+(`train_erm`) is the one-block case. A committee whose layout holds at
 least `_SPLIT_ENTRIES` entries, on a host with two usable CPUs, is cut
 into two halves of contiguous blocks; a worker thread lays out and
-descends the second while the calling thread does the first. Fits that
+fits the second while the calling thread does the first. Fits that
 share their rows and differ in labels, weights or start (the active
-learner's probes) are instead B columns of the iterate over one copy of
-the rows (`_train_columns`). Every fit runs exactly its step count: 70
-for a committee (`COMMITTEE_STEPS`), 35 by default otherwise. Each
-member or column comes out bit-for-bit equal to a separate fit of its
-own rows and labels, so batching, and the two-part split, change no
-seeded output.
+learner's probes) are B columns of the iterate over one copy of the
+rows. Every fit runs exactly its step count: 70 for a committee
+(`COMMITTEE_STEPS`), 35 by default otherwise. Each member or column
+comes out bit-for-bit equal to a separate fit of its own rows and
+labels, so batching, and the two-part split, change no seeded output.
 
 A probe fits about 50 rows for 10 steps: its cost is calls, not
 arithmetic (2-vCPU x86-64, numpy 2.4, scipy 1.17: a sparse kernel call
@@ -172,35 +172,12 @@ def train_erm(
 
     `steps` steps of full-batch accelerated descent from zero
     initialization (or from `init`), weighting the rows by
-    `sample_weight` normalized to sum 1 (uniform if None). Step k (from
-    0) takes the gradient at the extrapolated point y = x_k + beta_k
-    (x_k - x_{k-1}), with beta_k = k/(k+3) and x_{-1} = x_0, and moves to
-    x_{k+1} = y - g(y)/L (Nesterov 1983; Beck & Teboulle 2009). The loss
-    need not fall at every step, but after k steps it is within
-    2L||x_0 - x*||^2/(k+1)^2 of its minimum. The fit draws no randomness.
-
-    L is a quarter of an upper bound on the largest eigenvalue of
-    X^T diag(w) X, X the rows with a bias column of ones and w the
-    normalized weights: the least of the largest squared row norm and the
-    ratios max_i (Av)_i / v_i of four power steps v <- Av / max(Av) from
-    v = 1, A = |X|^T diag(w) |X| (Collatz-Wielandt). On one-hot rows it
-    comes within 0.1% of the eigenvalue, where the row norms alone give
-    about twice it; on rows of mixed signs |X| can make it looser.
-
-    The fit is one column of `_train_columns` on the rows' layout
-    (`_Rows.of`); the iterate is the weights, then the bias. Every step
-    runs scipy's `csr_matvec` kernel for the product with the design and
-    `csc_matvec` for the one with its transpose, each into a buffer
-    allocated once per fit and zeroed before the kernel adds into it.
-
-    A committee member (`train_committee`) or another column of a
-    `_train_columns` fit on the same rows equals this fit bit for
-    bit: every floating-point operation that reaches its weights is the
-    one this fit makes, in the same order. The bias is one more column,
-    so the transpose kernel sums its gradient in row order like every
-    weight's; L sums each row's squares with reduceat, and its power
-    steps sum in row order through the same kernels and take maxima and
-    quotients within the block.
+    `sample_weight` normalized to sum 1 (uniform if None). The fit draws
+    no randomness. It is one column of `_train_columns`, which describes
+    the descent and its step size, on the rows' one-block layout
+    (`_Rows.of`); a committee member (`train_committee`) or another
+    column of a `_train_columns` fit on the same rows equals it bit for
+    bit.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -315,45 +292,45 @@ def _bias_layout(csr, order, sizes: np.ndarray, d: int):
 
 @dataclass(frozen=True)
 class _Rows:
-    """Canonical rows of d features, each ended by a bias entry of 1 in
-    column d, as raw CSR arrays: the one-block layout of `_BlockDesign`.
-    `row_sq` holds each row's squared norm, bias included."""
+    """Canonical rows of d features in blocks of `sizes` rows, as raw CSR
+    arrays: block k's rows in columns k*(d+1) on, each ended by a bias
+    entry of 1 in column k*(d+1) + d (`_bias_layout`). `row_sq` holds
+    each row's squared norm, bias included."""
 
     shape: tuple[int, int]
     csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
     row_sq: np.ndarray
+    sizes: np.ndarray
     # set by `empty`: the buffers csr and row_sq view, which `grow` writes into
     room: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def of(cls, X: sp.csr_matrix) -> "_Rows":
-        """The rows of a canonical CSR, such as a `Dataset`'s."""
+    def of(cls, X: sp.csr_matrix, order=None, sizes=None) -> "_Rows":
+        """The rows `order` of a canonical CSR, such as a `Dataset`'s, in
+        blocks of these sizes; by default all rows in order, in one block."""
         (n, d), csr = X.shape, (X.indptr, X.indices, X.data)
-        csr, row_sq = _bias_layout(csr, np.arange(n), np.array([n]), d)
-        return cls((n, d + 1), csr, row_sq)
+        order = np.arange(n) if order is None else order
+        sizes = np.array([len(order)]) if sizes is None else sizes
+        csr, row_sq = _bias_layout(csr, order, sizes, d)
+        return cls((len(order), len(sizes) * (d + 1)), csr, row_sq, sizes)
 
     @classmethod
     def empty(cls, width: int, rows: int, entries: int) -> "_Rows":
         """No rows, over buffers with room for `rows` rows of `entries` entries."""
         cols = np.empty(entries, _index_type(entries, width))
         room = (np.zeros(rows + 1, cols.dtype), cols, np.empty(entries), np.empty(rows))
-        return cls((rows, width), room[:3], room[3], room).head(0)
-
-    @property
-    def row_max(self) -> float:
-        """The largest squared row norm, bias included."""
-        return float(np.maximum.reduce(self.row_sq, initial=0.0))
+        return cls((rows, width), room[:3], room[3], None, room).head(0)
 
     def head(self, n: int) -> "_Rows":
-        """The first n of these rows, as views."""
+        """The first n of these one-block rows, as views."""
         ptr, cols, vals = self.csr
         csr = (ptr[: n + 1], cols[: ptr[n]], vals[: ptr[n]])
-        return _Rows((n, self.shape[1]), csr, self.row_sq[:n], self.room)
+        return _Rows((n, self.shape[1]), csr, self.row_sq[:n], np.array([n]), self.room)
 
     def grow(self, other: "_Rows", i: int) -> "_Rows":
-        """These rows, then row i of other, of the same width: the arrays
-        that `of` builds from both stacked, without rebuilding these. The
-        row is written in place, after these rows in the buffers under
+        """These one-block rows, then row i of other, of the same width: the
+        arrays that `of` builds from both stacked, without rebuilding these.
+        The row is written in place, after these rows in the buffers under
         them, which must have room for it; longer rows over the same
         buffers lose what follows these."""
         n, width = self.shape
@@ -364,7 +341,7 @@ class _Rows:
         ptr[n + 1], row_sq[n] = end, other.row_sq[i]
         cols[start:end], vals[start:end] = other.csr[1][a:b], other.csr[2][a:b]
         csr = (ptr[: n + 2], cols[:end], vals[:end])
-        return _Rows((n + 1, width), csr, row_sq[: n + 1], self.room)
+        return _Rows((n + 1, width), csr, row_sq[: n + 1], np.array([n + 1]), self.room)
 
     def scores(self, h: "LinearHypothesis") -> np.ndarray:
         """h's decision on every row: `X @ h.weights + h.bias` bit for bit,
@@ -375,110 +352,9 @@ class _Rows:
         return out
 
 
-@dataclass
-class _BlockDesign:
-    """Labeled blocks of rows as one block-diagonal design, with B label
-    and weight columns fit side by side.
-
-    Block i owns the d + 1 columns from i*(d+1): its features, then a
-    bias column of ones that ends each of its rows. The design is its
-    shape and raw CSR arrays of one index dtype; no scipy matrix. Rows
-    keep their entries' order, so the product (`_kernels`) with x adds the
-    same terms in the same order as a lone fit's `X @ w + b`, the bias
-    last, and the transposed product with coef gives each block's
-    gradient, the bias's a sum in row order like every weight's. The
-    labels' signs enter negated, so that product is the gradient itself:
-    negation commutes with IEEE rounding. Every per-row array is rows by
-    B, every per-column one columns by B.
-
-    `of` sets each block's and column's step to 1/L, L a quarter of the
-    least of the block's largest squared row norm and `_smoothness_bound`,
-    which runs the same kernels on the same arrays, data taken by
-    absolute value. `descend` runs a given number of steps on every fit;
-    none stops early.
-    """
-
-    shape: tuple[int, int]
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
-    neg_signs: np.ndarray
-    neg_wts: np.ndarray
-    blocks: int
-    step_cols: np.ndarray
-
-    @classmethod
-    def build(cls, csr, order, d: int, sizes: np.ndarray, y, wts):
-        """The one-column design of `_bias_layout`'s blocks of these sizes
-        from the rows `order` of a canonical CSR of d features (raw arrays
-        csr); y and wts follow order."""
-        csr, row_sq = _bias_layout(csr, order, sizes, d)
-        row_max = np.maximum.reduceat(row_sq, np.cumsum(sizes) - sizes)
-        shape = (len(order), len(sizes) * (d + 1))
-        return cls.of(shape, csr, row_max, sizes, y[:, None], wts[:, None])
-
-    @classmethod
-    def of(cls, shape, csr, row_max, sizes: np.ndarray, Y, wts, weight_of=None):
-        """The design on a block layout (shape, csr) with blocks of these
-        sizes and largest squared row norms row_max, fit to the label
-        columns Y, rows by B. Column b is weighted by column weight_of[b]
-        of wts, rows by at most B (by column b if weight_of is None), and
-        each block's step bound is computed once per column of wts."""
-        K = len(sizes)
-        neg_signs = 1.0 - 2.0 * Y
-        bound = np.minimum(
-            np.asarray(row_max).reshape(K, 1), _smoothness_bound(shape, csr, wts, K)
-        )
-        if weight_of is not None:
-            wts, bound = wts[:, weight_of], bound[:, weight_of]
-        step_cols = (1.0 / (0.25 * bound)).repeat(shape[1] // K, axis=0)
-        return cls(shape, csr, neg_signs, wts * neg_signs, K, step_cols)
-
-    def descend(self, W: np.ndarray, steps: int):
-        """The fits after `steps` steps from the columns of W, each the
-        weights, then the bias, of every block in turn; block-major."""
-        if steps < 1 or steps != int(steps):
-            raise ValueError("steps must be a positive integer")
-        (n, width), B, K = self.shape, W.shape[1], self.blocks
-        d = width // K - 1
-        # x is x_k and x_prev is x_{k-1}
-        x = W.astype(float)
-        x_prev = x.copy()
-        scores = np.empty((n, B))
-        grad = np.empty((width, B))
-        product, transposed = _kernels(self.shape, self.csr, B)
-        for k in range(int(steps)):
-            # the extrapolated point y = x + beta * (x - x_prev), built in
-            # x_prev's buffer, which then takes x_{k+1}
-            beta = k / (k + 3)
-            y = np.subtract(x, x_prev, out=x_prev)
-            y *= beta
-            y += x
-            scores.fill(0.0)
-            product(y, scores)
-            scores *= self.neg_signs
-            coef = expit(scores, out=scores)
-            coef *= self.neg_wts
-            grad.fill(0.0)
-            transposed(coef, grad)
-            grad *= self.step_cols
-            y -= grad
-            x_prev, x = x, y
-        if not np.logical_and.reduce(np.isfinite(x), axis=None):
-            raise ValueError("weights and bias must be finite")
-        final, fits = x.reshape(K, d + 1, B), []
-        for k in range(K):
-            for b in range(B):
-                h = object.__new__(LinearHypothesis)  # checked above, once
-                h.weights, h.bias = final[k, :d, b], float(final[k, d, b])
-                fits.append(h)
-        return fits
-
-
 def _fit_weights(out: np.ndarray, weight) -> None:
-    """A fit's weights on its rows, normalized (uniform if weight is None),
-    written into out, a vector of one per row."""
-    if weight is None:
-        out.fill(1.0 / len(out))
-        return
+    """Sample weights on a fit's rows, normalized to sum 1, written into
+    out, a vector of one per row."""
     weight = np.asarray(weight, dtype=float)
     total = weight.sum()
     # a NaN or inf weight makes the sum NaN or inf
@@ -490,19 +366,42 @@ def _fit_weights(out: np.ndarray, weight) -> None:
 def _train_columns(
     rows: _Rows, Y: np.ndarray, steps: int, sample_weights: list, inits: list
 ) -> list[LinearHypothesis]:
-    """`train_erm` on the same rows once per column of the label matrix Y,
-    rows by B, all in one accelerated-descent loop: fit b takes Y[:, b],
-    sample_weights[b] and inits[b] (either entry may be None).
+    """A fit per block of rows and column of the label matrix Y, rows by
+    B, all in one accelerated-descent loop: fit b takes Y[:, b],
+    sample_weights[b] and inits[b] (None for uniform weights and a zero
+    start; a given one needs one-block rows). The fits come out
+    block-major, every column of block 0 first.
 
-    The fits are the columns of the iterate of one `_BlockDesign` over a
-    single copy of the rows, and each equals a lone `train_erm` of its
-    column bit for bit. With more than one column, every step runs
-    scipy's multi-vector kernels `csr_matvecs` and `csc_matvecs`, which
-    add each column's terms in the order of the single-vector ones. The
-    fits without sample weights share one uniform weight column, and so
-    one step bound.
+    Each fit minimizes the weighted logistic loss over its block's rows,
+    its weights normalized to sum 1 within the block. Step k (from 0)
+    takes the gradient at the extrapolated point y = x_k + beta_k (x_k -
+    x_{k-1}), with beta_k = k/(k+3) and x_{-1} = x_0, and moves to x_{k+1}
+    = y - g(y)/L (Nesterov 1983; Beck & Teboulle 2009). The loss need not
+    fall at every step, but after k steps it is within 2L||x_0 -
+    x*||^2/(k+1)^2 of its minimum. L is a quarter of an upper bound on
+    lambda_max(X^T diag(w) X), X the block's rows and w the fit's
+    weights: the least of the largest squared row norm and
+    `_smoothness_bound`. On one-hot rows it comes within 0.1% of the
+    eigenvalue, where the row norms alone give about twice it; on rows of
+    mixed signs it can be looser. Every fit runs exactly `steps` steps;
+    none stops early.
+
+    The iterate holds, per block, each fit's weights then its bias, by B
+    columns. Every step runs scipy's `csr_matvec` and `csc_matvec`
+    (`csr_matvecs`, `csc_matvecs` for B > 1, which add each column's
+    terms in the same order) on the layout's arrays, each into a buffer
+    allocated once per fit and zeroed before the kernel adds into it.
+    Rows keep their entries' order, so the product adds the terms of a
+    lone fit's `X @ w + b`, the bias last, and the transposed one sums
+    each block's gradient in row order, the bias's like every weight's.
+    The labels' signs enter negated, so that product is the gradient
+    itself: negation commutes with IEEE rounding. The fits without sample
+    weights share one weight column, 1/size on each block's rows, and so
+    one step bound. Blocks share no rows, columns or sums, so each fit
+    equals a lone `train_erm` of its block and column bit for bit.
     """
-    (n, width), B = rows.shape, Y.shape[1]
+    (n, width), B, sizes = rows.shape, Y.shape[1], rows.sizes
+    K = len(sizes)
     if not _is_binary(Y):
         raise ValueError("labels must be 0 or 1")
     # each distinct weight column's slot: one for None, one per given array
@@ -514,18 +413,58 @@ def _train_columns(
     # by column, so that the step bound reads each column contiguously
     col_wts = np.empty((len(slots), n))
     for b, slot in slots.items():
-        _fit_weights(col_wts[slot], None if b is None else sample_weights[b])
+        if b is None:
+            col_wts[slot] = (1.0 / sizes).repeat(sizes)
+        else:
+            _fit_weights(col_wts[slot], sample_weights[b])
     # each fit's starting weights then bias (zero where init is None)
-    W = np.zeros((width, B))
+    x = np.zeros((width, B))
     for b, init in enumerate(inits):
         if init is not None:
             if init.weights.shape != (width - 1,):
                 raise ValueError("warm-start hypothesis has the wrong dimension")
-            W[:-1, b] = init.weights
-            W[-1, b] = init.bias
-    return _BlockDesign.of(
-        rows.shape, rows.csr, rows.row_max, np.array([n]), Y, col_wts.T, weight_of
-    ).descend(W, steps)
+            x[:-1, b] = init.weights
+            x[-1, b] = init.bias
+    row_max = np.maximum.reduceat(rows.row_sq, sizes.cumsum() - sizes)
+    bound = _smoothness_bound(rows.shape, rows.csr, col_wts.T, K)
+    bound = np.minimum(row_max[:, None], bound)
+    step_cols = (1.0 / (0.25 * bound[:, weight_of])).repeat(width // K, axis=0)
+    if steps < 1 or steps != int(steps):
+        raise ValueError("steps must be a positive integer")
+    neg_signs = 1.0 - 2.0 * Y
+    neg_wts = col_wts.T[:, weight_of] * neg_signs
+    # x is x_k and x_prev is x_{k-1}
+    x_prev = x.copy()
+    scores = np.empty((n, B))
+    grad = np.empty((width, B))
+    product, transposed = _kernels(rows.shape, rows.csr, B)
+    for k in range(int(steps)):
+        # the extrapolated point y = x + beta * (x - x_prev), built in
+        # x_prev's buffer, which then takes x_{k+1}
+        beta = k / (k + 3)
+        y = np.subtract(x, x_prev, out=x_prev)
+        y *= beta
+        y += x
+        scores.fill(0.0)
+        product(y, scores)
+        scores *= neg_signs
+        coef = expit(scores, out=scores)
+        coef *= neg_wts
+        grad.fill(0.0)
+        transposed(coef, grad)
+        grad *= step_cols
+        y -= grad
+        x_prev, x = x, y
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+        raise ValueError("weights and bias must be finite")
+    d = width // K - 1
+    final, fits = x.reshape(K, d + 1, B), []
+    for k in range(K):
+        for b in range(B):
+            h = object.__new__(LinearHypothesis)  # checked above, once
+            h.weights, h.bias = final[k, :d, b], float(final[k, d, b])
+            fits.append(h)
+    return fits
 
 
 def empirical_error(h, data: Dataset) -> float:
@@ -577,7 +516,7 @@ class Ensemble:
         return (scores >= 0.0).sum(axis=1).astype(np.int64)
 
 
-# a committee whose design holds at least this many entries, bias entries
+# a committee whose layout holds at least this many entries, bias entries
 # included, trains as two concurrent halves; on smaller ones the threads
 # spend most of a step waiting for each other's GIL around numpy's small
 # calls: two parts measured slower than one at 19,200 entries
@@ -602,31 +541,28 @@ def train_committee(
 
     The splits are `split_disjoint`'s with the same rng, cut from one
     permutation of the rows, and each member equals `train_erm` on its
-    split bit for bit. The K fits are the blocks of a block-diagonal
-    design (see `_BlockDesign`), cut into parts of contiguous blocks,
-    each part one accelerated-descent loop whose rows are gathered from
-    `data`'s CSR arrays in permuted order (`_bias_layout`); no permuted
-    copy of the rows is made. There is one part, run in the calling
-    thread, unless K > 1, the design holds at least `_SPLIT_ENTRIES`
-    entries and two CPUs are usable; then there are two, and a worker
-    thread lays out, bounds and descends the second while the calling
+    split bit for bit. The K fits are the blocks of one layout (`_Rows`),
+    cut into parts of contiguous blocks, each part one `_train_columns`
+    fit whose rows are gathered from `data`'s CSR arrays in permuted
+    order; no permuted copy of the rows is made. There is one part, run
+    in the calling thread, unless K > 1, the layout holds at least
+    `_SPLIT_ENTRIES` entries and two CPUs are usable; then there are two,
+    and a worker thread lays out and fits the second while the calling
     thread does the first. Blocks share no rows, columns or sums, so the
-    cut changes no member. The worker runs `_BlockDesign.build` and
-    `descend` only, is joined before this returns or raises, and its
-    error, if any, is raised here.
+    cut changes no member. The worker runs `_Rows.of` and
+    `_train_columns` only, is joined before this returns or raises, and
+    its error, if any, is raised here.
     """
     sizes = _part_sizes(len(data), K)
     if not data.labeled:
         raise ValueError("training data must be labeled")
-    order, X = rng.permutation(len(data)), data.X
-    entries = X.nnz + len(data)
+    order = rng.permutation(len(data))
+    entries = data.X.nnz + len(data)
     parts = 2 if K > 1 and entries >= _SPLIT_ENTRIES and _usable_cpus() > 1 else 1
-    csr, d = (X.indptr, X.indices, X.data), data.n_features
 
     def fit(rows, part):
-        wts = (1.0 / part).repeat(part)
-        design = _BlockDesign.build(csr, rows, d, part, data.y[rows], wts)
-        return design.descend(np.zeros((design.shape[1], 1)), steps)
+        Y = data.y[rows][:, None]
+        return _train_columns(_Rows.of(data.X, rows, part), Y, steps, [None], [None])
 
     part_sizes = np.array_split(sizes, parts)
     cuts = np.cumsum([part.sum() for part in part_sizes])[:-1]

@@ -314,10 +314,6 @@ class LinearClassDescriptor:
         state.rows = (list(state.xs), rows)
         return rows
 
-    @staticmethod
-    def _fit(rows: _Rows, Y: np.ndarray, steps: int, init) -> LinearHypothesis:
-        return _train_columns(rows, Y, steps, [None], [init])[0]
-
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
         if math.isinf(slack) or not state.xs:
             return True
@@ -339,7 +335,9 @@ class LinearClassDescriptor:
         if base is None:
             # the reference is a fresh unconstrained optimum, not the
             # possibly stale current hypothesis
-            base = self._fit(rows, Y[:n, :1], self.probe_steps, state.hypothesis)
+            [base] = _train_columns(
+                rows, Y[:n, :1], self.probe_steps, [None], [state.hypothesis]
+            )
         rows_next = self._grow(rows, x)
         state.rows = (state.xs + [x], rows_next)
         base_ones = rows_next.scores(base) >= 0.0
@@ -368,7 +366,9 @@ class LinearClassDescriptor:
     def refit(self, state: ActiveState) -> None:
         if state.xs:
             Y = np.asarray(state.ys)[:, None]
-            state.hypothesis = self._fit(self._rows(state), Y, self.steps, state.hypothesis)
+            [state.hypothesis] = _train_columns(
+                self._rows(state), Y, self.steps, [None], [state.hypothesis]
+            )
 
 
 def _on_schedule(j: int) -> bool:

@@ -144,6 +144,13 @@ def test_config_that_is_not_a_json_object_fails(tmp_path, capsys):
         code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
         assert code == 1
         assert f"config file {cfg} does not hold a JSON object" in capsys.readouterr().err
+    # text that is not JSON, and bytes that are not UTF-8, name the file too
+    for raw, reason in ((b"{", "Expecting property"), (b"\xff", "can't decode")):
+        cfg.write_bytes(raw)
+        code = main(["psq", "--dataset", "realizable", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and reason in err
 
 
 def test_psq_rejects_a_parameter_the_generator_ignores(tmp_path, capsys):

@@ -36,10 +36,9 @@ from privote import (
 from privote import learners
 from privote.aggregation import vote_majority
 from privote.learners import (
-    _BlockDesign,
-    _fit_weights,
     _kernels,
     _Rows,
+    _smoothness_bound,
     _train_columns,
     split_disjoint,
     threshold_class,
@@ -324,17 +323,17 @@ def test_step_bound_lies_between_the_smoothness_and_the_row_norms(case, within):
     X, sizes, wts = case
     starts = np.cumsum(sizes) - sizes
     wts = wts / np.add.reduceat(wts, starts).repeat(sizes)
-    y = np.zeros(len(wts))
     X = Dataset(X).X
-    d = X.shape[1]
-    csr, order = (X.indptr, X.indices, X.data), np.arange(X.shape[0])
-    design = _BlockDesign.build(csr, order, d, sizes, y, wts)
+    # what `_train_columns` takes the least of, per block, on this layout
+    layout = _Rows.of(X, sizes=sizes)
+    row_max = np.maximum.reduceat(layout.row_sq, starts)
+    bound = _smoothness_bound(layout.shape, layout.csr, wts[:, None], len(sizes))
     A = np.hstack([X.toarray(), np.ones((X.shape[0], 1))])
     for k, (lo, size) in enumerate(zip(starts, sizes)):
         B, w = A[lo : lo + size], wts[lo : lo + size]
         smooth = 0.25 * np.linalg.eigvalsh(B.T @ (w[:, None] * B)).max()
         rows = 0.25 * (B * B).sum(axis=1).max()
-        L = 1.0 / design.step_cols[k * (d + 1)]
+        L = 0.25 * min(row_max[k], bound[k, 0])
         assert smooth <= L * (1 + 1e-12)
         assert L <= rows * (1 + 1e-12)
         if within is not None:
@@ -523,8 +522,8 @@ def _bits(a):
 @example(41, 6, 5, 0.15, True, 4)  # two parts of three blocks, empty rows
 def test_gathered_layout_equals_the_layout_of_a_subset(n, K, d, density, two, seed):
     # a committee part lays out its rows straight from the teacher CSR, in
-    # permuted order: its arrays, row norms and step bounds must be those
-    # of the same rows copied out by Dataset.subset first, bit for bit
+    # permuted order: its arrays, row norms, step bounds and fits must be
+    # those of the same rows copied out by Dataset.subset first, bit for bit
     K = min(K, n)
     rng = make_rng(seed)
     A = rng.normal(size=(n, d)) * (rng.random((n, d)) < density)
@@ -551,11 +550,22 @@ def test_gathered_layout_equals_the_layout_of_a_subset(n, K, d, density, two, se
         assert np.array_equal(got[1], reference.indices)
         assert np.array_equal(got[2], reference.data)
         assert np.allclose(got_sq, 1.0 + (copy.X.toarray() ** 2).sum(axis=1))
-        wts = (1.0 / part).repeat(part)
-        got = _BlockDesign.build(csr, rows, d, part, data.y[rows], wts)
-        want = _BlockDesign.build(copy_csr, in_order, d, part, copy.y, wts)
-        assert _bits(got.step_cols) == _bits(want.step_cols)
-        assert _bits(got.neg_wts) == _bits(want.neg_wts)
+        # the part's `_Rows` and the copy's hold these arrays; so their
+        # bounds, row maxima and fits are the same too
+        layout = [_bits(a) for a in (*got, got_sq, part)]
+        gathered, copied = _Rows.of(data.X, rows, part), _Rows.of(copy.X, sizes=part)
+        for r in (gathered, copied):
+            assert r.shape == (len(rows), len(part) * (d + 1))
+            assert [_bits(a) for a in (*r.csr, r.row_sq, r.sizes)] == layout
+        wts, k = (1.0 / part).repeat(part)[:, None], len(part)
+        bounds = [_smoothness_bound(r.shape, r.csr, wts, k) for r in (gathered, copied)]
+        assert _bits(bounds[0]) == _bits(bounds[1])
+        maxima = [np.maximum.reduceat(r.row_sq, starts) for r in (gathered, copied)]
+        assert _bits(maxima[0]) == _bits(maxima[1])
+        fits = _train_columns(gathered, data.y[rows][:, None], 5, [None], [None])
+        want = _train_columns(copied, copy.y[:, None], 5, [None], [None])
+        assert len(fits) == len(want) == len(part)
+        assert all(_same_bits(h, g) for h, g in zip(fits, want))
 
 
 def test_committee_builds_no_dataset_from_the_teacher_rows(monkeypatch):
@@ -609,14 +619,13 @@ def test_split_committee_raises_what_either_half_raises(monkeypatch):
     assert threading.active_count() == before
     # an error in the worker's half alone reaches the caller
     caller = threading.current_thread()
-    descend = _BlockDesign.descend
 
-    def failing(self, W, steps):
+    def failing(*args):
         if threading.current_thread() is not caller:
             raise RuntimeError("the worker's half failed")
-        return descend(self, W, steps)
+        return _train_columns(*args)
 
-    monkeypatch.setattr(_BlockDesign, "descend", failing)
+    monkeypatch.setattr(learners, "_train_columns", failing)
     with pytest.raises(RuntimeError, match="the worker's half failed"):
         train_committee(data, 3, make_rng(0))
     assert threading.active_count() == before
@@ -626,8 +635,8 @@ def test_split_committee_runs_no_traced_name_off_the_calling_thread(
     monkeypatch, tmp_path
 ):
     # the benchmark's Tracer keeps one span stack for one thread, so the
-    # worker may run only what it does not trace: `_BlockDesign.build`,
-    # which lays out and bounds the worker's part, and `descend`
+    # worker may run only what it does not trace: `_Rows.of`, which lays
+    # out the worker's part, and `_train_columns`, which fits it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -643,17 +652,16 @@ def test_split_committee_runs_no_traced_name_off_the_calling_thread(
 
     for owner, attr, name, _ in tracing._targets():
         monkeypatch.setattr(owner, attr, spy(name, owner.__dict__[attr]))
-    monkeypatch.setattr(_BlockDesign, "descend", spy("descend", _BlockDesign.descend))
-    build = classmethod(spy("build", _BlockDesign.build.__func__))
-    monkeypatch.setattr(_BlockDesign, "build", build)
+    monkeypatch.setattr(learners, "_train_columns", spy("fit", _train_columns))
+    monkeypatch.setattr(_Rows, "of", classmethod(spy("of", _Rows.of.__func__)))
     _split_at(monkeypatch, 0, 2)
     path = tmp_path / "massart.libsvm"
     write_libsvm(gen_massart(6, 1200, 0.1, make_rng(3))[0], path)
     for method in ("PsqGaussian", "Asq"):
         run_experiment(ExperimentConfig(str(path), method, trials=1, seed=5))
     caller = threading.get_ident()
-    assert threads.pop("descend") - {caller}, "no committee was split"
-    assert threads.pop("build") - {caller}, "the worker laid out no part"
+    assert threads.pop("fit") - {caller}, "no committee was split"
+    assert threads.pop("of") - {caller}, "the worker laid out no part"
     traced = {"learners.train_committee", "pipelines.LinearClassDescriptor.refit"}
     assert traced <= set(threads)
     assert {name for name, ids in threads.items() if ids != {caller}} == set()
@@ -716,33 +724,30 @@ def test_column_fits_equal_lone_fits(case, steps):
 
 @given(_column_cases(), st.booleans())
 def test_column_step_bounds_equal_lone_bounds(case, as_probe):
-    # columns without sample weights share one bound; each column's step
-    # must still be its lone design's, bit for bit
+    # columns without sample weights share one bound; each column's
+    # weights and bound must still be its lone fit's, bit for bit
     X, labels, weights, inits = case
     if as_probe:  # the probe's weights, then its two unweighted references
         weights = weights[:1] + [None] * (len(weights) - 1)
-    rows, n = _Rows.of(X), X.shape[0]
-    designs, bound_columns = [], []
-    bound = learners._smoothness_bound
+    rows, calls = _Rows.of(X), []
+
+    def spy(shape, csr, wts, K):
+        calls.append((wts.copy(), _smoothness_bound(shape, csr, wts, K)))
+        return calls[-1][1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_BlockDesign, "descend", lambda self, W, steps: designs.append(self))
-        mp.setattr(
-            learners,
-            "_smoothness_bound",
-            lambda shape, csr, wts, K: bound_columns.append(wts.shape[1])
-            or bound(shape, csr, wts, K),
-        )
+        mp.setattr(learners, "_smoothness_bound", spy)
         _train_columns(rows, np.stack(labels, axis=1), 1, weights, inits)
+        for y, w in zip(labels, weights):
+            _train_columns(rows, y[:, None], 1, [w], [None])
     distinct = any(w is None for w in weights) + sum(w is not None for w in weights)
-    assert bound_columns == [distinct]
-    for b, (y, w) in enumerate(zip(labels, weights)):
-        lone_wts = np.empty((n, 1))
-        _fit_weights(lone_wts[:, 0], w)
-        lone = _BlockDesign.of(
-            rows.shape, rows.csr, rows.row_max, np.array([n]), y[:, None], lone_wts
-        )
-        step, lone_step = designs[0].step_cols[:, b], lone.step_cols[:, 0]
-        assert np.array_equal(step.view(np.int64), lone_step.view(np.int64))
+    (batched_wts, batched), *lone = calls
+    assert batched.shape == (1, distinct) and len(lone) == len(labels)
+    for lone_wts, bound in lone:
+        # the column of the batched weights that is this fit's
+        slots = [s for s, w in enumerate(batched_wts.T) if _bits(w) == _bits(lone_wts)]
+        assert slots and bound.shape == (1, 1)
+        assert _bits(batched[:, slots[0]]) == _bits(bound[:, 0])
 
 
 @pytest.mark.parametrize("steps", [1, 10, 35])
@@ -802,16 +807,16 @@ def test_fits_on_a_huge_feature_fail_naming_finiteness():
 
 
 def test_descend_leaves_the_start_unchanged():
+    # the descent starts from copies of the inits' weights and biases
     data = _random_data(30, 3, 5)
-    rows = _Rows.of(data.X)
-    design = _BlockDesign.of(
-        rows.shape, rows.csr, rows.row_max, np.array([30]), data.y[:, None],
-        np.full((30, 1), 1 / 30),
-    )
-    W = make_rng(5).normal(size=(4, 1))
-    start = W.copy()
-    design.descend(W, 5)
-    assert np.array_equal(W.view(np.int64), start.view(np.int64))
+    rng = make_rng(5)
+    inits = [LinearHypothesis(rng.normal(size=3), float(rng.normal())) for _ in "ab"]
+    starts = [(_bits(h.weights), h.bias) for h in inits]
+    Y = np.stack([data.y, 1 - data.y], axis=1)
+    fits = _train_columns(_Rows.of(data.X), Y, 5, [None, None], inits)
+    assert [(_bits(h.weights), h.bias) for h in inits] == starts
+    for h in fits:
+        assert not any(np.shares_memory(h.weights, init.weights) for init in inits)
 
 
 @given(st.integers(0, 10_000))

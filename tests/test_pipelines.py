@@ -498,6 +498,9 @@ def _assert_kept_rows_fresh(state, probed=None):
     assert xs == state.xs + ([] if probed is None else [probed])
     fresh = _Rows.of(_stacked(state.descriptor.pool, xs))
     assert rows.shape == fresh.shape
+    # one block, as grown or cut by `grow` and `head`
+    assert rows.sizes.dtype == fresh.sizes.dtype
+    assert np.array_equal(rows.sizes, fresh.sizes)
     for got, want in zip((*rows.csr, rows.row_sq), (*fresh.csr, fresh.row_sq)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -643,11 +646,18 @@ def test_linear_memo_is_read_exactly_where_a_probe_stored_it(seed, data):
     # under Q and its labels, or started from another hypothesis object,
     # and answers as the per-point reference does either way
     fresh = []
+    real_columns = privote.pipelines._train_columns
+
+    def counting_columns(rows, labels, steps, weights, inits):
+        if weights[0] is None:  # a reference fit, made alone
+            fresh.append(1)
+        return real_columns(rows, labels, steps, weights, inits)
 
     class Counting(_CheckedDescriptor):
-        def _fit(self, rows, Y, steps, init):
-            fresh.append(1)
-            return super()._fit(rows, Y, steps, init)
+        def disagreement(self, state, x, slack):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(privote.pipelines, "_train_columns", counting_columns)
+                return super().disagreement(state, x, slack)
 
     m = 12
     X, labels = _linear_stream(seed, m, 3, 5, 0.2)
