@@ -4,8 +4,8 @@ The protocol: per trial, re-split the data at a derived seed into a
 sensitive teacher pool (80%), an unlabeled public student pool (2%), and a
 test set (18%); size the committee at roughly one teacher per hundred
 sensitive points; run the chosen pipeline, the active one with a query
-budget of 30% of the pool; aggregate trial rows into a mean plus a
-normal-approximation confidence half-width.
+budget of 30% of the pool; aggregate trial rows into a mean plus the
+half-width of a 95% Student-t confidence interval.
 
 Reports are byte-stable: identical config and master seed give identical
 CSV/JSON files. Wall-clock columns are zero unless timing is switched on,
@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import stdtrit
 
 from .dp_core import PrivacyBudget, derive_seed, make_rng
 from .learners import Dataset
@@ -387,12 +388,18 @@ def write_libsvm(data: Dataset, path) -> None:
 
 @dataclass(frozen=True)
 class Split:
-    """One trial's partition; student labels ride along for evaluation only."""
+    """One trial's partition of the parsed rows `data`: the indices of the
+    teacher, pool and test rows, in the split's random order. The pool's
+    labels ride along for evaluation only."""
 
-    teacher: Dataset
-    student: Dataset  # unlabeled
-    test: Dataset
-    student_labels: np.ndarray
+    data: Dataset
+    teacher: np.ndarray
+    pool: np.ndarray
+    test: np.ndarray
+
+    @property
+    def student_labels(self) -> np.ndarray:
+        return self.data.y[self.pool]
 
 
 # the shares of a trial's examples that go to the teachers and to the pool,
@@ -403,7 +410,8 @@ _QUERY_SHARE = 0.3
 
 
 def split_protocol(data: Dataset, rng) -> Split:
-    """Disjoint random split into (teacher, unlabeled student, test).
+    """Disjoint random split into (teacher, unlabeled student, test), as
+    row indices into `data`; no row is copied.
 
     The teacher pool takes floor(_TEACHER_SHARE * N), the student pool
     ceil(_POOL_SHARE * N), and the test set the remainder, so sizes are
@@ -418,10 +426,8 @@ def split_protocol(data: Dataset, rng) -> Split:
     if min(n_teacher, n_student, n_test) < 1:
         raise ValueError(f"split of {n} examples leaves an empty part")
     perm = make_rng(rng).permutation(n)
-    teacher = data.subset(perm[:n_teacher])
-    student = data.subset(perm[n_teacher : n_teacher + n_student])
-    test = data.subset(perm[n_teacher + n_student :])
-    return Split(teacher, student.without_labels(), test, student.y.copy())
+    teacher, pool, test = np.split(perm, [n_teacher, n_teacher + n_student])
+    return Split(data, teacher, pool, test)
 
 
 # the type each scalar annotation of an `ExperimentConfig` field asks for
@@ -588,9 +594,14 @@ class SummaryReport:
 
 
 def _halfwidth(values: np.ndarray) -> float:
-    if len(values) < 2:
+    """The half-width of the 95% Student-t interval for the mean; 0.0 for
+    fewer than two values."""
+    n = len(values)
+    if n < 2:
         return 0.0
-    return float(1.96 * values.std(ddof=1) / math.sqrt(len(values)))
+    # stdtrit is the t quantile of scipy.stats.t.ppf, without importing
+    # scipy.stats, which costs ~44 MB and ~0.5 s at start-up
+    return float(stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n))
 
 
 def _load_source(name: str, params: dict):
@@ -616,11 +627,14 @@ def _run_trial(
 ) -> tuple[RunReport, float, float]:
     """One pipeline run on a fresh split; returns (report, eps, delta).
 
-    Non-private methods run the same pipelines with no budget, so their
-    sessions release exact majorities; their rows state (inf, 0).
+    The pool and test rows are copied out of `data`; the committee reads
+    the teacher rows in place. Non-private methods run the same pipelines
+    with no budget, so their sessions release exact majorities; their
+    rows state (inf, 0).
     """
     split = split_protocol(data, rng)
-    teacher, student, test = split.teacher, split.student, split.test
+    data, teacher = split.data, split.teacher
+    student, test = Dataset(data.X[split.pool]), data.subset(split.test)
     K = config.K if config.K is not None else math.ceil(len(teacher) / 100)
 
     if config.private:
@@ -633,14 +647,18 @@ def _run_trial(
 
     if METHODS[config.method][0] == "asq":
         query_budget = max(1, round(_QUERY_SHARE * len(student)))
-        _, report = pate_asq(teacher, student, test, K, query_budget, budget, rng=rng)
+        _, report = pate_asq(
+            data, student, test, K, query_budget, budget, rng=rng, teacher_rows=teacher
+        )
     else:  # T is None for PsqGaussian and PsqNoPrivacy
         T = config.svt_T
         if config.method == "PsqSvt" and T is None:
             # the public rule `privote calibrate` prints: sized for error-free
             # teachers, so T reads nothing of the sensitive pool
             T, _ = compute_svt_params(len(student), budget)
-        _, report = pate_psq(teacher, student, test, K, budget, T=T, rng=rng)
+        _, report = pate_psq(
+            data, student, test, K, budget, T=T, rng=rng, teacher_rows=teacher
+        )
     return report, eps, delta
 
 

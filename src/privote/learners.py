@@ -24,11 +24,11 @@ A probe fits about 50 rows for 10 steps: its cost is calls, not
 arithmetic (2-vCPU x86-64, numpy 2.4, scipy 1.17: a sparse kernel call
 ~2 us, a ufunc ~0.5 us, scipy's `X @ v` ~5 us). So a fit binds scipy's
 `csr_matvec` and `csc_matvec` (`csr_matvecs`, `csc_matvecs` for B > 1)
-to its raw CSR arrays once (`_kernels`), making a product one `fill`
-and one call, fills labels, weights and starts in place and checks its
-result once. The step bound keeps one-vector calls, one per weight
-column: multi-vector ones gained nothing on mushrooms-sized probes and
-made 20,959-wide ones 12% slower.
+to its raw CSR arrays once (`_kernels`), making a step's two products
+one `fill` and two calls, fills labels, weights and starts in place and
+checks its result once. The step bound keeps one-vector calls, one per
+weight column: multi-vector ones gained nothing on mushrooms-sized
+probes and made 20,959-wide ones 12% slower.
 """
 
 from __future__ import annotations
@@ -227,22 +227,23 @@ def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
     # rows-by-B array numpy reduces and broadcasts with an inner loop of
     # length B, up to 40 times slower on wide designs
     col_wts = np.ascontiguousarray(wts.T)
-    Xv = np.empty((B, shape[0]))
-    u = np.empty((B, shape[1]))
+    # Xv, u and ratios, zeroed by one fill per power step: each is then
+    # written only by its own kernels or division
+    zeroed = np.empty(B * (shape[0] + 2 * shape[1]))
+    Xv, u, ratios = np.split(zeroed, [B * shape[0], B * (shape[0] + shape[1])])
+    Xv, u = Xv.reshape(B, shape[0]), u.reshape(B, shape[1])
     v = np.ones((B, shape[1]))
     U, V = u.reshape(B, K, -1), v.reshape(B, K, -1)
-    ratios = np.empty(U.shape)
+    ratios = ratios.reshape(U.shape)
     product, transposed = _kernels(shape, csr)
     bound = np.inf
     for _ in range(_BOUND_ITERS):
-        Xv.fill(0.0)
+        zeroed.fill(0.0)
         for v_b, Xv_b in zip(v, Xv):
             product(v_b, Xv_b)
         Xv *= col_wts
-        u.fill(0.0)
         for Xv_b, u_b in zip(Xv, u):
             transposed(Xv_b, u_b)
-        ratios.fill(0.0)
         np.divide(U, V, out=ratios, where=V > 0)
         bound = np.minimum(bound, np.maximum.reduce(ratios, axis=2))
         np.divide(U, np.maximum.reduce(U, axis=2, keepdims=True), out=V)
@@ -389,8 +390,9 @@ def _train_columns(
     The iterate holds, per block, each fit's weights then its bias, by B
     columns. Every step runs scipy's `csr_matvec` and `csc_matvec`
     (`csr_matvecs`, `csc_matvecs` for B > 1, which add each column's
-    terms in the same order) on the layout's arrays, each into a buffer
-    allocated once per fit and zeroed before the kernel adds into it.
+    terms in the same order) on the layout's arrays, each into its own
+    view of one buffer allocated once per fit; one fill per step zeroes
+    both views before either kernel adds into its own.
     Rows keep their entries' order, so the product adds the terms of a
     lone fit's `X @ w + b`, the bias last, and the transposed one sums
     each block's gradient in row order, the bias's like every weight's.
@@ -435,8 +437,9 @@ def _train_columns(
     neg_wts = col_wts.T[:, weight_of] * neg_signs
     # x is x_k and x_prev is x_{k-1}
     x_prev = x.copy()
-    scores = np.empty((n, B))
-    grad = np.empty((width, B))
+    # the scores and the gradient, zeroed by one fill per step
+    zeroed = np.empty((n + width) * B)
+    scores, grad = zeroed[: n * B].reshape(n, B), zeroed[n * B :].reshape(width, B)
     product, transposed = _kernels(rows.shape, rows.csr, B)
     for k in range(int(steps)):
         # the extrapolated point y = x + beta * (x - x_prev), built in
@@ -445,12 +448,11 @@ def _train_columns(
         y = np.subtract(x, x_prev, out=x_prev)
         y *= beta
         y += x
-        scores.fill(0.0)
+        zeroed.fill(0.0)
         product(y, scores)
         scores *= neg_signs
         coef = expit(scores, out=scores)
         coef *= neg_wts
-        grad.fill(0.0)
         transposed(coef, grad)
         grad *= step_cols
         y -= grad
@@ -536,33 +538,42 @@ def train_committee(
     K: int,
     rng: np.random.Generator,
     steps: int = COMMITTEE_STEPS,
+    rows=None,
 ) -> Ensemble:
-    """K linear fits on disjoint random splits, combined by majority.
+    """K linear fits on disjoint random shards of data's rows `rows` (all
+    of them if None), combined by majority.
 
-    The splits are `split_disjoint`'s with the same rng, cut from one
-    permutation of the rows, and each member equals `train_erm` on its
-    split bit for bit. The K fits are the blocks of one layout (`_Rows`),
-    cut into parts of contiguous blocks, each part one `_train_columns`
-    fit whose rows are gathered from `data`'s CSR arrays in permuted
-    order; no permuted copy of the rows is made. There is one part, run
-    in the calling thread, unless K > 1, the layout holds at least
-    `_SPLIT_ENTRIES` entries and two CPUs are usable; then there are two,
-    and a worker thread lays out and fits the second while the calling
-    thread does the first. Blocks share no rows, columns or sums, so the
-    cut changes no member. The worker runs `_Rows.of` and
-    `_train_columns` only, is joined before this returns or raises, and
-    its error, if any, is raised here.
+    One permutation of `rows`, drawn from rng, is cut into K shards of
+    `_part_sizes`, larger first, and each member equals `train_erm` on its
+    shard bit for bit; the committee equals that of `data.subset(rows)`
+    with the same rng, and leaves rng in the same state. The K fits are
+    the blocks of one layout (`_Rows`), cut into parts of contiguous
+    blocks, each part one `_train_columns` fit whose rows are gathered
+    from `data`'s CSR arrays in permuted order; no copy of the rows is
+    made. There is one part, run in the calling thread, unless K > 1,
+    the layout holds at least `_SPLIT_ENTRIES` entries and two CPUs are
+    usable; then there are two, and a worker thread lays out and fits the
+    second while the calling thread does the first. Blocks share no rows,
+    columns or sums, so the cut changes no member. The worker runs
+    `_Rows.of` and `_train_columns` only, is joined before this returns or
+    raises, and its error, if any, is raised here.
     """
-    sizes = _part_sizes(len(data), K)
+    rows = np.arange(len(data)) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or rows.size and not (
+        rows.dtype.kind in "iu" and 0 <= rows.min() and rows.max() < len(data)
+    ):
+        raise ValueError(f"rows must be indices of the {len(data)} rows of data")
+    sizes = _part_sizes(len(rows), K)
     if not data.labeled:
         raise ValueError("training data must be labeled")
-    order = rng.permutation(len(data))
-    entries = data.X.nnz + len(data)
+    order = rows[rng.permutation(len(rows))]
+    ptr = data.X.indptr
+    entries = int((ptr[rows + 1] - ptr[rows]).sum()) + len(rows)
     parts = 2 if K > 1 and entries >= _SPLIT_ENTRIES and _usable_cpus() > 1 else 1
 
-    def fit(rows, part):
-        Y = data.y[rows][:, None]
-        return _train_columns(_Rows.of(data.X, rows, part), Y, steps, [None], [None])
+    def fit(idx, part):
+        Y = data.y[idx][:, None]
+        return _train_columns(_Rows.of(data.X, idx, part), Y, steps, [None], [None])
 
     part_sizes = np.array_split(sizes, parts)
     cuts = np.cumsum([part.sum() for part in part_sizes])[:-1]
@@ -658,12 +669,11 @@ def margin_distribution_report(
     perm = rng.permutation(len(data))
     probe_idx, train_idx = perm[:probe_count], perm[probe_count:]
     probes = data.subset(probe_idx)
-    train = data.subset(train_idx)
     votes_a = np.zeros(probe_count)
     votes_b = np.zeros(probe_count)
     for _ in range(reps):
         for goal in (votes_a, votes_b):
-            goal += train_committee(train, K, rng).vote_ones(probes.X)
+            goal += train_committee(data, K, rng, rows=train_idx).vote_ones(probes.X)
     mean_a = votes_a / (K * reps)
     mean_b = votes_b / (K * reps)
     # P(member != y): members vote 1 a fraction mean_b of the time

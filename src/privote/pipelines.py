@@ -78,8 +78,12 @@ class RunReport:
     halted_early: bool = False
 
 
-def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Dataset, K: int) -> None:
-    if len(teacher_data) < max(1, K):
+def _require_pools(
+    teacher_data: Dataset, student_pool: Dataset, test_data: Dataset, K: int,
+    teacher_rows=None,
+) -> None:
+    n_teacher = len(teacher_data if teacher_rows is None else teacher_rows)
+    if n_teacher < max(1, K):
         raise ValueError("teacher pool must hold at least K examples")
     if not teacher_data.labeled:
         raise ValueError("teacher pool must be labeled")
@@ -92,11 +96,14 @@ def _require_pools(teacher_data: Dataset, student_pool: Dataset, test_data: Data
 def _labeler(
     teacher_data: Dataset, student_pool: Dataset, test_data: Dataset,
     K: int, budget: PrivacyBudget | None, ell: int, T: int | None, rng,
+    teacher_rows,
 ):
     """The private front end of both pipelines: the committee's votes on
-    the pool behind one session, sized for ell answers. The rng draws the
-    committee's permutation, then the session's noise. K, T, ell and the
-    pools are checked before the committee trains.
+    the pool behind one session, sized for ell answers. The committee
+    trains on the rows `teacher_rows` of teacher_data (all of them if
+    None). The rng draws the committee's permutation, then the session's
+    noise. K, T, ell and the pools are checked before the committee
+    trains.
 
     Returns `ask(i)`, the session's answer about pool point i, and
     `report(h, queries, bots)`, the student h with its `RunReport`.
@@ -105,12 +112,13 @@ def _labeler(
         raise ValueError("K must be positive")
     if T is not None and (T < 1 or budget is None):
         raise ValueError("stable release needs a positive cutoff T and a budget")
-    _require_pools(teacher_data, student_pool, test_data, K)
+    _require_pools(teacher_data, student_pool, test_data, K, teacher_rows)
     # after the pools: the passive ell is the pool's size, checked above
     if ell < 1:
         raise ValueError("query_budget must be positive")
     rng = make_rng(rng)
-    ones = train_committee(teacher_data, K, rng).vote_ones(student_pool.X)
+    committee = train_committee(teacher_data, K, rng, rows=teacher_rows)
+    ones = committee.vote_ones(student_pool.X)
     if budget is None:
         session = ExactSession()
     elif T is None:
@@ -139,19 +147,23 @@ def pate_psq(
     *,
     T: int | None = None,
     rng: np.random.Generator | int | None = None,
+    teacher_rows=None,
 ) -> tuple[LinearHypothesis, RunReport]:
     """Passive pipeline: pseudo-label the whole pool, then fit a student.
 
-    A committee of K teachers votes on every pool point, and each vote
-    goes through the aggregation session in stream order. budget=None
-    (which must be given) gives every point the exact majority label;
-    otherwise T=None means Gaussian noise, and a cutoff T stable release.
-    A stable-release session may refuse some answers and eventually
-    halt; refused and post-halt points are labeled 0, and the report
-    records how many.
+    A committee of K teachers, trained on the rows `teacher_rows` of
+    teacher_data (all of them if None), votes on every pool point, and
+    each vote goes through the aggregation session in stream order.
+    budget=None (which must be given) gives every point the exact
+    majority label; otherwise T=None means Gaussian noise, and a cutoff
+    T stable release. A stable-release session may refuse some answers
+    and eventually halt; refused and post-halt points are labeled 0, and
+    the report records how many.
     """
     m = len(student_pool)
-    ask, report = _labeler(teacher_data, student_pool, test_data, K, budget, m, T, rng)
+    ask, report = _labeler(
+        teacher_data, student_pool, test_data, K, budget, m, T, rng, teacher_rows
+    )
     answers = []
     with contextlib.suppress(SessionExhausted):  # stable release halted
         for i in range(m):
@@ -439,17 +451,20 @@ def pate_asq(
     budget: PrivacyBudget | None,
     *,
     rng: np.random.Generator | int | None = None,
+    teacher_rows=None,
 ) -> tuple[LinearHypothesis, RunReport]:
     """Active pipeline: spend label queries only where the learner is unsure.
 
-    The committee of K teachers sits behind a noisy-majority session
-    calibrated for `query_budget` answers, so the privacy statement
-    covers the worst case while the reported ex-post loss reflects the
-    queries actually made. With budget=None (which must be given) the
-    committee's exact majority answers.
+    The committee of K teachers, trained on the rows `teacher_rows` of
+    teacher_data (all of them if None), sits behind a noisy-majority
+    session calibrated for `query_budget` answers, so the privacy
+    statement covers the worst case while the reported ex-post loss
+    reflects the queries actually made. With budget=None (which must be
+    given) the committee's exact majority answers.
     """
     ask, report = _labeler(
-        teacher_data, student_pool, test_data, K, budget, query_budget, None, rng
+        teacher_data, student_pool, test_data, K, budget, query_budget, None, rng,
+        teacher_rows,
     )
     state = run_active_learning(
         LinearClassDescriptor(student_pool.X),

@@ -15,7 +15,9 @@ privote's trainer. The two reference pipelines are the non-private
 pipelines as they stood before exact-majority sessions, and they call
 privote's committee trainer, student fit and active loop driver (with the
 reference descriptor); they pin that running the private pipelines with
-no budget changes nothing.
+no budget changes nothing. The copying split is the trial split as it
+was before it returned row indices; it calls privote's rng and
+`Dataset.subset`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import functools
 import itertools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -446,6 +449,36 @@ def _drive_asq(student_pool, query_budget, oracle):
 
 
 # ---------------------------------------------------------------------------
+# The trial split, copying its rows
+
+
+class CopiedSplit(NamedTuple):
+    teacher: object  # Dataset
+    student: object  # Dataset, unlabeled
+    test: object  # Dataset
+    student_labels: np.ndarray
+
+
+def reference_split_protocol(data, rng) -> CopiedSplit:
+    """The split as it stood before it returned row indices: one
+    permutation of the rows, cut into floor(0.8 n) teachers, ceil(0.02 n)
+    pool points and the rest for testing, each part copied out of data by
+    `Dataset.subset` in permuted order, the pool's labels beside it."""
+    from privote.dp_core import make_rng
+
+    n = len(data)
+    n_teacher, n_student = math.floor(0.8 * n), math.ceil(0.02 * n)
+    perm = make_rng(rng).permutation(n)
+    student = data.subset(perm[n_teacher : n_teacher + n_student])
+    return CopiedSplit(
+        data.subset(perm[:n_teacher]),
+        student.without_labels(),
+        data.subset(perm[n_teacher + n_student :]),
+        student.y.copy(),
+    )
+
+
+# ---------------------------------------------------------------------------
 # LIBSVM reading, one token at a time
 
 
@@ -536,10 +569,13 @@ def is_partition(parts: list[list[int]], whole: list[int]) -> bool:
 
 
 def mean_halfwidth(values: list[float]) -> tuple[float, float]:
-    """Mean and the 1.96 * sd / sqrt(n) half-width used by summary reports."""
+    """Mean and the 95% Student-t half-width, t_{n-1, 0.975} * sd / sqrt(n),
+    used by summary reports."""
+    from scipy.stats import t
+
     n = len(values)
     mu = sum(values) / n
     if n < 2:
         return mu, 0.0
     var = sum((v - mu) ** 2 for v in values) / (n - 1)
-    return mu, 1.96 * math.sqrt(var) / math.sqrt(n)
+    return mu, t.ppf(0.975, n - 1) * math.sqrt(var) / math.sqrt(n)

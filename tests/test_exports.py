@@ -98,13 +98,13 @@ def test_config_fields_are_pinned():
 
 
 # the pipelines' parameters, in order, with their kinds: everything after
-# the budget is keyword-only, so a seed cannot land in the cutoff T. A
-# budget has no default, so the non-private baseline is asked for with
-# budget=None
+# the budget is keyword-only, so a seed cannot land in the cutoff T, nor
+# row indices in the rng. A budget has no default, so the non-private
+# baseline is asked for with budget=None
 SPLITS = ["teacher_data", "student_pool", "test_data"]
 PIPELINE_PARAMETERS = {
-    "pate_psq": ([*SPLITS, "K", "budget"], ["T", "rng"]),
-    "pate_asq": ([*SPLITS, "K", "query_budget", "budget"], ["rng"]),
+    "pate_psq": ([*SPLITS, "K", "budget"], ["T", "rng", "teacher_rows"]),
+    "pate_asq": ([*SPLITS, "K", "query_budget", "budget"], ["rng", "teacher_rows"]),
 }
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from privote import (
     TrialReport,
     compute_svt_params,
     emit_report,
+    gen_massart,
     gen_realizable,
     make_rng,
     parse_libsvm,
@@ -462,12 +464,12 @@ def test_split_protocol_sizes_mushroom_shape():
     n = 8124
     data = gen_realizable(2, n, make_rng(0))[0]
     split = split_protocol(data, make_rng(1))
-    teacher, student, test = split.teacher, split.student, split.test
-    assert len(teacher) == 6499
-    assert len(student) == 163
-    assert len(test) == 1462
-    assert not student.labeled
+    assert split.data is data
+    assert len(split.teacher) == 6499
+    assert len(split.pool) == 163
+    assert len(split.test) == 1462
     assert split.student_labels.shape == (163,)
+    assert np.array_equal(split.student_labels, data.y[split.pool])
 
 
 def test_split_protocol_is_a_partition():
@@ -476,11 +478,17 @@ def test_split_protocol_is_a_partition():
     ids = np.arange(n, dtype=float).reshape(-1, 1)
     data = type(data)(ids, data.y)
     split = split_protocol(data, make_rng(3))
+    assert split.data is data
+    indices = [split.teacher, split.pool, split.test]
+    assert all(idx.dtype.kind == "i" for idx in indices)
+    assert oracles.is_partition([list(idx) for idx in indices], list(range(n)))
+    # each part's rows, read through its indices, are the rows it names
     parts = [
-        list(np.asarray(p.X.todense()).ravel().astype(int))
-        for p in (split.teacher, split.student, split.test)
+        list(np.asarray(data.X[idx].todense()).ravel().astype(int))
+        for idx in indices
     ]
     assert [len(part) for part in parts] == [80, 3, 18]
+    assert parts == [list(idx) for idx in indices]
     assert oracles.is_partition(parts, list(range(n)))
 
 
@@ -488,8 +496,10 @@ def test_split_protocol_determinism_and_validation():
     data = gen_realizable(2, 60, make_rng(4))[0]
     a = split_protocol(data, make_rng(9))
     b = split_protocol(data, make_rng(9))
-    assert np.array_equal(a.teacher.y, b.teacher.y)
-    assert np.array_equal(a.test.y, b.test.y)
+    for part in ("teacher", "pool", "test"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert np.array_equal(data.y[a.teacher], data.y[b.teacher])
+    assert np.array_equal(data.y[a.test], data.y[b.test])
     assert np.array_equal(a.student_labels, b.student_labels)
     # 4 rows give 3 teachers, 1 pool point and no test point, 1 row no
     # teacher; 6 rows, 4, 1 and 1, are the fewest that split
@@ -497,9 +507,83 @@ def test_split_protocol_determinism_and_validation():
         with pytest.raises(ValueError, match=f"split of {n} examples leaves an empty"):
             split_protocol(data.subset(np.arange(n)), make_rng(0))
     split = split_protocol(data.subset(np.arange(6)), make_rng(0))
-    assert (len(split.teacher), len(split.student), len(split.test)) == (4, 1, 1)
+    assert (len(split.teacher), len(split.pool), len(split.test)) == (4, 1, 1)
     with pytest.raises(ValueError, match="labeled"):
         split_protocol(data.without_labels(), make_rng(0))
+
+
+def test_split_protocol_draws_what_the_copying_split_draws():
+    # the same permutation cut at the same places: each part's rows and
+    # labels are those the copying reference split copies out, in order
+    data = gen_massart(4, 500, 0.1, make_rng(8))[0]
+    split = split_protocol(data, make_rng(3))
+    ref = oracles.reference_split_protocol(data, make_rng(3))
+    for idx, part in [(split.teacher, ref.teacher), (split.test, ref.test)]:
+        assert (data.X[idx] != part.X).nnz == 0
+        assert np.array_equal(data.y[idx], part.y)
+    assert (data.X[split.pool] != ref.student.X).nnz == 0
+    assert np.array_equal(split.student_labels, ref.student_labels)
+
+
+def _copied_split(data, rng):
+    """The copying reference split, as a `Split` over its copied rows,
+    stacked teacher, pool and test, so that `_run_trial` reads copies."""
+    ref = oracles.reference_split_protocol(data, rng)
+    copied = learners.Dataset(
+        sp.vstack([ref.teacher.X, ref.student.X, ref.test.X], format="csr"),
+        np.concatenate([ref.teacher.y, ref.student_labels, ref.test.y]),
+    )
+    cuts = np.cumsum([len(ref.teacher), len(ref.student)])
+    return harness.Split(copied, *np.split(np.arange(len(copied)), cuts))
+
+
+_TRIAL_SOURCES = [
+    ("realizable", {"n": 400}),
+    ("massart", {"n": 700, "d": 8, "flip": 0.2}),
+    ("tnc", {"n": 500, "tau": 0.5}),
+    (str(Path(__file__).parent / "data" / "mixed.libsvm.gz"), {}),
+]
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(list(harness.METHODS)),
+    st.sampled_from(_TRIAL_SOURCES),
+)
+@example(7, "PsqGaussian", _TRIAL_SOURCES[0])
+@example(7, "PsqSvt", _TRIAL_SOURCES[1])
+@example(7, "Asq", _TRIAL_SOURCES[1])
+@example(7, "PsqNoPrivacy", _TRIAL_SOURCES[2])
+@example(7, "AsqNoPrivacy", _TRIAL_SOURCES[3])
+def test_trials_through_the_indexed_split_equal_trials_through_copies(
+    seed, method, source
+):
+    # the committee reads the teacher rows in place; every trial row must
+    # be what reading them from copies, as the copying split did, gives
+    dataset, params = source
+    config = ExperimentConfig(
+        dataset, method, trials=2, seed=seed, generator_params=params
+    )
+    _, trials = run_experiment(config)
+    with mock.patch.object(harness, "split_protocol", _copied_split):
+        _, copied = run_experiment(config)
+    assert [t.as_row() for t in trials] == [t.as_row() for t in copied]
+
+
+def test_a_trial_copies_out_only_pool_and_test_rows(monkeypatch):
+    data = gen_massart(5, 1000, 0.1, make_rng(2))[0]
+    built = []
+    post_init = learners.Dataset.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(len(self))
+
+    monkeypatch.setattr(learners.Dataset, "__post_init__", counting)
+    for method in harness.METHODS:
+        harness._run_trial(ExperimentConfig("massart", method), data, make_rng(1))
+    # 800 teacher rows, 20 pool rows and 180 test rows
+    assert set(built) == {20, 180}
 
 
 @pytest.mark.parametrize("n", [8124, 12000, 3500])
@@ -513,7 +597,7 @@ def test_split_and_run_sizes_are_what_the_benchmark_assumes(monkeypatch, n):
     assert harness._QUERY_SHARE == workloads.QUERY_FRACTION
     data = gen_realizable(2, n, make_rng(n))[0]
     split = split_protocol(data, make_rng(0))
-    teacher, pool = len(split.teacher), len(split.student)
+    teacher, pool = len(split.teacher), len(split.pool)
     F = workloads.FRACTIONS
     assert (teacher, pool) == (math.floor(F[0] * n), math.ceil(F[1] * n))
     assert len(split.test) == n - teacher - pool and math.isclose(sum(F), 1.0)
@@ -521,13 +605,16 @@ def test_split_and_run_sizes_are_what_the_benchmark_assumes(monkeypatch, n):
         runs = []
 
         def run(student, K, query_budget):
+            assert not student.labeled
             runs.append({"K": K, "pool": len(student), "query_budget": query_budget})
             return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
 
-        def psq(teacher, student, test, K, budget, *, T=None, rng=None):
+        def psq(teacher, student, test, K, budget, *, T=None, rng=None, teacher_rows):
             return run(student, K, len(student))  # psq asks all
 
-        def asq(teacher, student, test, K, query_budget, budget, *, rng=None):
+        def asq(
+            teacher, student, test, K, query_budget, budget, *, rng=None, teacher_rows
+        ):
             return run(student, K, query_budget)
 
         config = ExperimentConfig("realizable", wl.method, epsilon=wl.epsilon)
@@ -716,6 +803,16 @@ def test_run_experiment_summary_matches_oracle():
         assert t.wall_ms == 0
 
 
+@pytest.mark.parametrize("n, factor", [(2, 12.7062), (4, 3.1824), (10, 2.2622)])
+def test_halfwidth_is_the_student_t_interval(n, factor):
+    # the 95% t quantile with n - 1 degrees of freedom, not the normal 1.96
+    values = make_rng(n).random(n)
+    halfwidth = harness._halfwidth(values)
+    sd = values.std(ddof=1)
+    assert halfwidth == pytest.approx(factor * sd / math.sqrt(n), rel=1e-4)
+    assert halfwidth == pytest.approx(oracles.mean_halfwidth(list(values))[1], rel=1e-12)
+
+
 def test_run_experiment_is_deterministic():
     a = run_experiment(_quick_config())[1]
     b = run_experiment(_quick_config())[1]
@@ -752,7 +849,7 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     # sensitive pool: true teacher labels and coin flips get the same T
     cutoffs = []
 
-    def spy(teacher, student, test, K, budget, *, T=None, rng=None):
+    def spy(teacher, student, test, K, budget, *, T=None, rng=None, teacher_rows):
         cutoffs.append(T)
         return None, RunReport(queries=0, bots=0, eps_ex_post=0.0, accuracy=0.5)
 
@@ -768,12 +865,12 @@ def test_psq_svt_cutoff_reads_no_teacher_label(monkeypatch):
     a = split_protocol(data, make_rng(6))
     b = split_protocol(noisy, make_rng(6))
     assert np.array_equal(a.student_labels, b.student_labels)
-    assert np.array_equal(a.test.y, b.test.y)
-    assert not np.array_equal(a.teacher.y, b.teacher.y)
+    assert np.array_equal(data.y[a.test], noisy.y[b.test])
+    assert not np.array_equal(data.y[a.teacher], noisy.y[b.teacher])
     for source in (data, noisy):
         harness._run_trial(config, source, make_rng(6))
     budget = PrivacyBudget(1.0, 1.0 / n_teacher)
-    public, _ = compute_svt_params(len(a.student), budget)
+    public, _ = compute_svt_params(len(a.pool), budget)
     assert cutoffs == [public, public]
     harness._run_trial(_quick_config(method="PsqSvt", svt_T=5), noisy, make_rng(6))
     assert cutoffs[-1] == 5

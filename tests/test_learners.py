@@ -443,9 +443,9 @@ def _split_at(mp, entries, cpus):
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-def _threads_started(mp, *args):
-    """train_committee(*args) and the number of threads it started,
-    having checked that it leaves none running."""
+def _threads_started(mp, *args, **kwargs):
+    """train_committee(*args, **kwargs) and the number of threads it
+    started, having checked that it leaves none running."""
     started = []
     start = threading.Thread.start
 
@@ -455,7 +455,7 @@ def _threads_started(mp, *args):
 
     mp.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    ensemble = train_committee(*args)
+    ensemble = train_committee(*args, **kwargs)
     assert threading.active_count() == before
     return ensemble, len(started)
 
@@ -501,6 +501,55 @@ def test_two_part_committee_equals_one_part_and_lone_fits(n, K, one_hot, seed, s
     for a, b, shard in zip(one.members, two.members, shards):
         lone = train_erm(shard, steps)
         assert _same_bits(a, lone) and _same_bits(b, lone)
+
+
+@given(
+    st.integers(2, 150),
+    st.integers(1, 10),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@example(60, 4, 0.5, True, False, False, 1)  # half the rows, sorted, one part
+@example(60, 4, 0.5, False, True, True, 2)  # half the rows, unsorted, two parts
+@example(41, 2, 1.0, False, True, False, 3)  # every row, permuted, two parts
+@example(30, 5, 0.0, False, False, True, 4)  # K rows, one per member
+def test_committee_on_rows_equals_the_committee_on_their_subset(
+    n, K, share, sort, two, one_hot, seed
+):
+    # train_committee(data, K, rng, rows=idx) gathers its shards from data
+    # through idx; its members, bit for bit, and the rng it leaves must be
+    # those of the committee on the copied rows data.subset(idx)
+    K = min(K, n)
+    rng = make_rng(seed)
+    if one_hot:
+        X = _one_hot_shard(n, _A9A_FIELDS[:4], seed)[0]
+    else:
+        X = rng.normal(size=(n, 6)) * (rng.random((n, 6)) < 0.4)
+        X[rng.random(n) < 0.2] = 0.0
+    data = Dataset(X, rng.integers(0, 2, n))
+    idx = rng.permutation(n)[: max(K, round(share * n))]
+    if sort:
+        idx.sort()
+    got_rng, want_rng = make_rng(seed + 1), make_rng(seed + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        _split_at(mp, 0, 2 if two else 1)
+        got, threads = _threads_started(mp, data, K, got_rng, 7, rows=idx)
+        want, _ = _threads_started(mp, data.subset(idx), K, want_rng, 7)
+    assert threads == int(two and K > 1)
+    assert got.size == want.size == K
+    assert all(_same_bits(a, b) for a, b in zip(got.members, want.members))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "rows", [[-1, 2, 3], [0, 1, 60], [0.0, 1.0, 2.0], [True] * 60, [[0, 1], [2, 3]]]
+)
+def test_committee_rows_must_index_the_data(rows):
+    with pytest.raises(ValueError, match="rows must be indices of the 60 rows"):
+        train_committee(_sparse_data(60, 4, 2), 2, make_rng(0), rows=rows)
 
 
 def _bits(a):
@@ -582,6 +631,8 @@ def test_committee_builds_no_dataset_from_the_teacher_rows(monkeypatch):
     for cpus in (1, 2):
         _split_at(monkeypatch, 0, cpus)
         assert train_committee(data, 3, make_rng(0)).size == 3
+        rows = make_rng(1).permutation(60)[:40]
+        assert train_committee(data, 3, make_rng(0), rows=rows).size == 3
     assert built == []
 
 
@@ -636,16 +687,20 @@ def test_split_committee_runs_no_traced_name_off_the_calling_thread(
 ):
     # the benchmark's Tracer keeps one span stack for one thread, so the
     # worker may run only what it does not trace: `_Rows.of`, which lays
-    # out the worker's part, and `_train_columns`, which fits it
+    # out the worker's part from the parsed rows through the teacher
+    # indices, and `_train_columns`, which fits it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
     threads = defaultdict(set)
+    committee_rows = []
 
     def spy(name, fn):
         @functools.wraps(fn)
         def call(*args, **kwargs):
             threads[name].add(threading.get_ident())
+            if name == "learners.train_committee":
+                committee_rows.append(kwargs["rows"])
             return fn(*args, **kwargs)
 
         return call
@@ -660,6 +715,9 @@ def test_split_committee_runs_no_traced_name_off_the_calling_thread(
     for method in ("PsqGaussian", "Asq"):
         run_experiment(ExperimentConfig(str(path), method, trials=1, seed=5))
     caller = threading.get_ident()
+    # each trial's committee read the parsed rows through its teacher indices
+    assert len(committee_rows) == 2
+    assert all(len(rows) == 960 for rows in committee_rows)  # 80% of 1200
     assert threads.pop("fit") - {caller}, "no committee was split"
     assert threads.pop("of") - {caller}, "the worker laid out no part"
     traced = {"learners.train_committee", "pipelines.LinearClassDescriptor.refit"}
