@@ -34,7 +34,6 @@ from .harness import (
 from .learners import (
     Dataset,
     Ensemble,
-    FiniteHypothesisClass,
     LinearHypothesis,
     empirical_error,
     margin_distribution_report,
@@ -43,7 +42,6 @@ from .learners import (
 )
 from .pipelines import (
     ActiveState,
-    FiniteClassDescriptor,
     LinearClassDescriptor,
     RunReport,
     active_update_version_space,

@@ -1,7 +1,6 @@
 """Hypotheses, ERM training, ensembles, and vote-margin reports.
 
-Linear models with sparse features carry the real-data experiments; an
-explicit finite hypothesis class backs the exact version-space machinery.
+Every hypothesis is a linear model over sparse features.
 
 All linear training is one accelerated-descent loop (Nesterov momentum),
 `_train_columns`, on a `_Rows` layout: rows gathered from a canonical
@@ -50,8 +49,6 @@ __all__ = [
     "Dataset",
     "LinearHypothesis",
     "Ensemble",
-    "FiniteHypothesisClass",
-    "threshold_class",
     "train_erm",
     "empirical_error",
     "train_committee",
@@ -585,61 +582,6 @@ def train_committee(
         for future in later:
             members += future.result()
     return Ensemble(members)
-
-
-@dataclass
-class FiniteHypothesisClass:
-    """Explicit class over a finite domain: one row of labels per member.
-
-    `by_point` holds the same labels domain-major (row x is every
-    member's label of point x), so that reading one point, or a sample
-    of points, reads contiguous memory. It is a view when `labels` is the
-    transpose of a C-ordered array, as `threshold_class` builds it, and a
-    copy otherwise; `labels` must not be modified afterwards.
-    """
-
-    labels: np.ndarray
-    by_point: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels)
-        if self.labels.ndim != 2 or self.labels.shape[0] < 1:
-            raise ValueError("labels must be a nonempty members-by-domain matrix")
-        if not _is_binary(self.labels):
-            raise ValueError("labels must be 0 or 1")
-        self.labels = self.labels.astype(np.int8, copy=False)
-        self.by_point = np.ascontiguousarray(self.labels.T)
-
-    @property
-    def n_members(self) -> int:
-        return self.labels.shape[0]
-
-    def mistake_counts(self, xs, ys) -> np.ndarray:
-        """Per-member number of errors on a sample of (domain index, label);
-        zeros on an empty sample."""
-        xs = np.asarray(xs)
-        if not xs.size:
-            xs = xs.astype(np.intp)  # `[]` reads as floats
-        return (self.by_point[xs].T != np.asarray(ys)).sum(axis=1)
-
-
-def threshold_class(points) -> FiniteHypothesisClass:
-    """All (n+1) threshold classifiers 1(x >= t) restricted to these points.
-
-    Member k predicts 1 exactly on the k-th and later points in sorted
-    order, so member 0 is all-ones and member n is all-zeros. Domain
-    indices follow the input order of `points`.
-    """
-    xs = np.asarray(points, dtype=float)
-    n = len(xs)
-    if n < 1:
-        raise ValueError("need at least one point")
-    ranks = np.argsort(np.argsort(xs, kind="stable"), kind="stable")
-    # member k labels point i with 1 iff rank(i) >= k
-    members = np.arange(n + 1)
-    # built domain-major, so that `by_point` needs no transposing copy
-    by_point = (ranks[:, None] >= members[None, :]).astype(np.int8)
-    return FiniteHypothesisClass(by_point.T)
 
 
 # ---------------------------------------------------------------------------

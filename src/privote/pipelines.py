@@ -39,7 +39,6 @@ from .aggregation import (
 from .dp_core import PrivacyBudget, calibrate_gaussian_sigma, make_rng
 from .learners import (
     Dataset,
-    FiniteHypothesisClass,
     LinearHypothesis,
     _Rows,
     _train_columns,
@@ -52,7 +51,6 @@ __all__ = [
     "ActiveState",
     "RunReport",
     "LinearClassDescriptor",
-    "FiniteClassDescriptor",
     "pate_psq",
     "pate_asq",
     "active_update_version_space",
@@ -93,6 +91,14 @@ def _require_pools(
         raise ValueError("test data must be nonempty and labeled")
 
 
+def _require_query_budget(query_budget) -> None:
+    # a float passes `>= 1` and fails only where Q's rows are laid out
+    if not (isinstance(query_budget, numbers.Integral) and query_budget >= 1):
+        raise ValueError(
+            f"query_budget must be positive and an integer, got {query_budget!r}"
+        )
+
+
 def _labeler(
     teacher_data: Dataset, student_pool: Dataset, test_data: Dataset,
     K: int, budget: PrivacyBudget | None, ell: int, T: int | None, rng,
@@ -114,8 +120,7 @@ def _labeler(
         raise ValueError("stable release needs a positive cutoff T and a budget")
     _require_pools(teacher_data, student_pool, test_data, K, teacher_rows)
     # after the pools: the passive ell is the pool's size, checked above
-    if ell < 1:
-        raise ValueError("query_budget must be positive")
+    _require_query_budget(ell)
     rng = make_rng(rng)
     committee = train_committee(teacher_data, K, rng, rows=teacher_rows)
     ones = committee.vote_ones(student_pool.X)
@@ -178,9 +183,9 @@ def pate_psq(
 # ---------------------------------------------------------------------------
 # Disagreement-based active learning
 #
-# The learner is generic over a hypothesis-class descriptor. Finite classes
-# keep an exact version space; linear classes carry the semantics through a
-# constrained-refit surrogate and keep no explicit member set.
+# The loop drives any descriptor with `init_state`, `disagreement`, `update`
+# and `refit`. Halfspaces carry the semantics through a constrained-refit
+# surrogate and keep no explicit member set.
 
 
 @dataclass
@@ -193,56 +198,13 @@ class ActiveState:
     j: int = 0  # stream position, 1-based
     query_budget: int | None = None  # set by run_active_learning
     hypothesis: Any = None
-    alive: np.ndarray | None = None  # finite classes: version-space mask
-    # linear classes: in `memo`, (start, fits), the reference fits warm
-    # started from the hypothesis `start`, keyed by the (indices, labels)
-    # they were fit on; in `rows`, (indices, their rows, written in place:
-    # a copied state must not share them). Both are kept for the next call
-    # and read only where they match the state
+    # the linear descriptor's: in `memo`, (start, fits), the reference fits
+    # warm started from the hypothesis `start`, keyed by the (indices,
+    # labels) they were fit on; in `rows`, (indices, their rows, written in
+    # place: a copied state must not share them). Both are kept for the
+    # next call and read only where they match the state
     memo: Any = field(default=None, repr=False, compare=False)
     rows: Any = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class FiniteClassDescriptor:
-    """Exact version-space bookkeeping over an explicit finite class.
-
-    At each update a member is dropped once its mistakes on Q exceed the
-    best live member's by more than base + sqrt(best * base), where
-    base = log 2 + log(1/gamma_j): the tolerance for VC dimension 1 with
-    disagreement coefficient 2, at confidence level gamma_j =
-    gamma / log2(2j)^2 for stream position j.
-    """
-
-    hclass: FiniteHypothesisClass
-    gamma: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
-
-    def init_state(self) -> ActiveState:
-        alive = np.ones(self.hclass.n_members, dtype=bool)
-        return ActiveState(descriptor=self, hypothesis=0, alive=alive)
-
-    def disagreement(self, state: ActiveState, x, slack: float) -> bool:
-        col = self.hclass.by_point[int(x)][state.alive]
-        return bool(col.min() != col.max())
-
-    def update(self, state: ActiveState, j: int) -> None:
-        gamma_j = self.gamma / math.log2(2 * j) ** 2
-        mistakes = self.hclass.mistake_counts(state.xs, state.ys)
-        best = int(mistakes[state.alive].min())
-        # log(theta) + log(1/gamma_j) at VC dimension 1 and theta = 2
-        base = math.log(2.0) + math.log(1.0 / gamma_j)
-        tolerance = base + math.sqrt(best * base)
-        state.alive &= mistakes - best <= tolerance
-        self.refit(state)
-
-    def refit(self, state: ActiveState) -> None:
-        mistakes = self.hclass.mistake_counts(state.xs, state.ys).astype(float)
-        mistakes[~state.alive] = np.inf
-        state.hypothesis = int(np.argmin(mistakes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +289,7 @@ class LinearClassDescriptor:
         return rows
 
     def disagreement(self, state: ActiveState, x, slack: float) -> bool:
-        if math.isinf(slack) or not state.xs:
+        if not state.xs:
             return True
         rows = self._rows(state)
         y = np.asarray(state.ys)
@@ -389,12 +351,9 @@ def _on_schedule(j: int) -> bool:
 
 
 def active_update_version_space(state: ActiveState, j: int) -> ActiveState:
-    """Shrink the version space at stream position j (a power of two).
-
-    Finite classes drop every member whose mistake count on Q exceeds the
-    best live member's by more than the confidence tolerance at the
-    descriptor's level gamma_j. Linear classes refresh the hypothesis by
-    retraining on Q.
+    """Update the learner at stream position j (a power of two) with the
+    descriptor's `update`; the linear descriptor retrains the hypothesis
+    on Q.
     """
     if not _on_schedule(j):
         raise ValueError("updates happen on the doubling schedule")
@@ -411,15 +370,14 @@ def run_active_learning(
 ) -> ActiveState:
     """Drive the disagreement learner down a fixed stream.
 
-    Stream elements are indices into the descriptor's domain or pool.
-    oracle(x, i) labels stream element i on request, only where
-    `descriptor.disagreement` finds x ambiguous (with infinite slack,
-    everywhere: passive learning), until the budget is spent. slack=None
-    uses 1/|Q|, refreshed as Q grows. The final hypothesis is refit on
-    everything queried.
+    Stream elements are indices into the descriptor's pool. oracle(x, i)
+    labels stream element i on request until the budget is spent: with
+    infinite slack everywhere (passive learning), otherwise only where
+    `descriptor.disagreement` finds x ambiguous. slack=None uses 1/|Q|,
+    refreshed as Q grows. The final hypothesis is refit on everything
+    queried.
     """
-    if query_budget < 1:
-        raise ValueError("query_budget must be positive")
+    _require_query_budget(query_budget)
     # NaN fails every comparison, so it would pass a plain `slack < 0`
     if slack is not None and not slack >= 0:
         raise ValueError("slack must be nonnegative (or None)")
@@ -431,7 +389,9 @@ def run_active_learning(
         effective_slack = (
             slack if slack is not None else 1.0 / max(1, len(state.xs))
         )
-        if descriptor.disagreement(state, x, effective_slack):
+        if math.isinf(effective_slack) or descriptor.disagreement(
+            state, x, effective_slack
+        ):
             state.ys.append(oracle(x, i))
             state.xs.append(x)
         if _on_schedule(j):

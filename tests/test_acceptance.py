@@ -21,10 +21,10 @@ import pytest
 import scipy.stats
 
 import oracles
+from finite import FiniteClassDescriptor, threshold_class
 from voting import VotingFailsFixture, gen_voting_wins
 from privote import (
     ExperimentConfig,
-    FiniteClassDescriptor,
     PrivacyBudget,
     SvtSession,
     TncGenerator,
@@ -35,7 +35,6 @@ from privote import (
     run_experiment,
 )
 from privote.dp_core import sample_gaussian, sample_laplace
-from privote.learners import threshold_class
 from privote.pipelines import compute_k_for_gaussian
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

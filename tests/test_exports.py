@@ -13,8 +13,6 @@ EXPORTS = [
     "Ensemble",
     "ExactSession",
     "ExperimentConfig",
-    "FiniteClassDescriptor",
-    "FiniteHypothesisClass",
     "GaussianSession",
     "LibsvmParseError",
     "LinearClassDescriptor",
@@ -84,7 +82,6 @@ CONFIG_FIELDS = {
         "j",
         "query_budget",
         "hypothesis",
-        "alive",
         "memo",
         "rows",
     ],

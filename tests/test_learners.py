@@ -16,11 +16,11 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import oracles
+from finite import FiniteHypothesisClass, threshold_class
 from privote import (
     Dataset,
     Ensemble,
     ExperimentConfig,
-    FiniteHypothesisClass,
     LinearHypothesis,
     VoteCount,
     empirical_error,
@@ -41,7 +41,6 @@ from privote.learners import (
     _smoothness_bound,
     _train_columns,
     split_disjoint,
-    threshold_class,
 )
 
 

@@ -10,14 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from finite import FiniteClassDescriptor, FiniteHypothesisClass, threshold_class
 import privote.pipelines
 import privote.learners
-from privote.learners import _Rows, threshold_class
+from privote.learners import _Rows
 from privote.pipelines import compute_k_for_gaussian
 from privote import (
     Dataset,
-    FiniteClassDescriptor,
-    FiniteHypothesisClass,
     LinearClassDescriptor,
     LinearHypothesis,
     PrivacyBudget,
@@ -123,6 +122,9 @@ def test_pipelines_check_their_arguments_before_training(monkeypatch):
         (pate_psq, (5, None), {"T": 3}, "stable release needs .* a budget"),
         (pate_asq, (5, 0, budget), {}, "query_budget must be positive"),
         (pate_asq, (5, -2, None), {}, "query_budget must be positive"),
+        # a budget that is not an integer fails here, not in the row layout
+        (pate_asq, (5, 3.0, budget), {}, "query_budget must be positive"),
+        (pate_asq, (5, 2.5, None), {}, "query_budget must be positive"),
     ]
     for pipeline, args, kwargs, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -148,6 +150,14 @@ def test_asq_rejects_negative_or_nan_slack(slack):
     desc = LinearClassDescriptor(np.zeros((0, 2)))
     with pytest.raises(ValueError, match="slack"):
         run_active_learning(desc, [], lambda x, i: 0, 3, slack=slack)
+
+
+def test_active_loop_takes_only_an_integer_query_budget():
+    desc = LinearClassDescriptor(np.zeros((0, 2)))
+    for budget in (2.5, 3.0):
+        with pytest.raises(ValueError, match="query_budget must be positive"):
+            run_active_learning(desc, [], lambda x, i: 0, budget)
+    assert run_active_learning(desc, [], lambda x, i: 0, np.int64(3)).xs == []
 
 
 def test_asq_accepts_none_zero_and_infinite_slack():
@@ -383,6 +393,15 @@ def test_slack_infinity_queries_everything():
         slack=float("inf"),
     )
     assert len(state.xs) == 30
+    # passive learning whatever the descriptor: the finite one settles
+    # most thresholds from a few labels, yet is asked about every point
+    pts = make_rng(3).random(200)
+    truth = (pts >= 0.5).astype(int)
+    desc = FiniteClassDescriptor(threshold_class(pts))
+    state = run_active_learning(
+        desc, range(200), lambda x, i: int(truth[i]), 200, slack=math.inf
+    )
+    assert state.xs == list(range(200))
 
 
 def test_single_member_class_never_queries():
@@ -509,7 +528,7 @@ def _assert_kept_rows_fresh(state, probed=None):
 class _CheckedDescriptor(LinearClassDescriptor):
     def disagreement(self, state, x, slack):
         answer = super().disagreement(state, x, slack)
-        if not (math.isinf(slack) or not state.xs):
+        if state.xs:
             _assert_kept_rows_fresh(state, probed=x)
         return answer
 
