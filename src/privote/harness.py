@@ -82,14 +82,20 @@ _LABEL_MAP = {1.0: 1, -1.0: 0, 0.0: 0, 2.0: 0}
 # bytes read per block: 256 KB blocks leave freed temporaries that raise
 # the peak RSS by 1.5-2.5 MB, and 16 KB blocks lose the speed
 _BLOCK_BYTES = 1 << 16
-# indices of at most 18 digits are converted with int64 arithmetic, and
-# longer ones by `int`, which also checks them against 2**63 - 1
-_MAX_DIGITS = 18
-# labels and values of at most 7 characters are keyed by their bytes in a
-# uint64, and each distinct one is converted once
+# an index of at most 8 digits is read from the eight bytes before its colon,
+# held in a uint64; a block with a longer one is read by `_read_lines`, where
+# `int` also checks it against 2**63 - 1
+_INDEX_DIGITS = 8
+# labels and values of at most 7 characters are keyed by their bytes, padded
+# with spaces, in a uint64, and each distinct one is converted once
 _SHORT = 7
-# _LOW_BYTES[k] keeps the low k bytes of a uint64
+# a byte repeated in each byte of a uint64 is that byte times _EACH_BYTE
+_EACH_BYTE = 0x0101010101010101
+# _LOW_BYTES[k] keeps the low k bytes of a uint64, _SPACES[k] fills the
+# others with spaces, and _HIGH_BYTES[k] keeps the high k bytes
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_SHORT + 1)], dtype=np.uint64)
+_SPACES = np.uint64(0x20 * _EACH_BYTE) & ~_LOW_BYTES
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], dtype=np.uint64)
 # feature indices become column counts, which scipy keeps in int64
 _MAX_INDEX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -167,131 +173,174 @@ def _blocks(fh):
         yield rest
 
 
-def _shape(labels, counts, indices, values, lines: int):
+def _shape(labels, counts, idx: np.ndarray, values, lines: int):
     """A block's labels (0/1), feature counts, 0-based indices and values,
-    in the dtypes both readers return, and its number of line ends.
-    `indices` are 1-based; `values` is copied, so that no view of a larger
-    array outlives the block."""
-    idx = np.asarray(indices, dtype=np.int64) - 1
-    if idx.max(initial=0) <= _INT32_MAX:
-        idx = idx.astype(np.int32)
+    in the dtypes both readers return, and its number of line ends. `idx`
+    is int32 where every index fits; `values` is a list or a float64 array
+    of its own, never a view of a larger array that would outlive the block."""
     y, n = np.asarray(labels, dtype=np.int_), np.asarray(counts, dtype=np.int32)
-    return y, n, idx, np.array(values, dtype=np.float64), lines
+    return y, n, idx, np.asarray(values, dtype=np.float64), lines
 
 
 def _tokenize(block: bytes):
     """`_read_lines` of an ASCII block whose features are all
-    `digits:value` and which passes every check, with array operations;
-    None for any other block."""
+    `digits:value`, with at most 8 digits, and which passes every check,
+    with array operations; None for any other block."""
     if not block.isascii():
         return None
     c = np.frombuffer(block, dtype=np.uint8)
     n = c.size
     # line k ends at ends[k]: a \n, or a \r that no \n follows
     ends = np.flatnonzero(c == 10)
-    cr = np.flatnonzero(c == 13)
-    if cr.size:
+    if b"\r" in block:
+        cr = np.flatnonzero(c == 13)
         lone = cr[(cr == n - 1) | (c.take(cr + 1, mode="clip") != 10)]
         ends = np.union1d(ends, lone)
-    # str.split's gaps: \t \n \v \f \r, \x1c-\x1f and the space
-    shifted = c - np.uint8(9)  # wraps below 9
-    gaps = (shifted < 5) | ((shifted >= 19) & (shifted <= 23))
-    bounds = np.flatnonzero(np.diff(gaps, prepend=True, append=True))
-    del shifted, gaps  # freed once used: a block's temporaries peak at ~20x its bytes
-    starts, stops = bounds[0::2], bounds[1::2]
-    hashes = np.flatnonzero(c == 35)
-    if hashes.size:
+    # str.split's gaps: \t \n \v \f \r, \x1c-\x1f and the space; framed by
+    # two more, their changes are each token's start and stop
+    gap = np.ones(n + 2, dtype=bool)
+    np.less(c - np.uint8(9), 5, out=gap[1:-1])  # wraps below 9
+    gap[1:-1] |= c - np.uint8(28) < 5
+    tokens = np.flatnonzero(gap[1:] != gap[:-1]).reshape(-1, 2)
+    del gap
+    colons = np.flatnonzero(c == 58)
+    if b"#" in block:
         # a comment runs from the first '#' of a line to the line's end
-        line = np.searchsorted(ends, starts)
+        hashes = np.flatnonzero(c == 35)
         at = np.searchsorted(ends, hashes)
         lead = np.r_[True, at[1:] != at[:-1]]  # each line's first '#'
         comment = np.full(ends.size + 1, n)
         comment[at[lead]] = hashes[lead]
-        stops = np.minimum(stops, comment[line])
-        keep = starts < stops
-        starts, stops = starts[keep], stops[keep]
+        stops = tokens[:, 1]
+        np.minimum(stops, comment[np.searchsorted(ends, tokens[:, 0])], out=stops)
+        tokens = tokens[tokens[:, 0] < stops]
+        colons = colons[colons < comment[np.searchsorted(ends, colons)]]
 
-    # a line's first token is its label, and every other token a feature
-    head = np.zeros(starts.size + 1, dtype=bool)
-    head[np.searchsorted(starts, ends)] = True
-    head[0] = True
-    head = head[:-1]
-    examples = np.flatnonzero(head)
-    feature = np.flatnonzero(~head)
-    fs, fe = starts[feature], stops[feature]
-    colons = np.flatnonzero(c == 58)
-    if colons.size == fs.size and (fs < colons).all() and (colons < fe).all():
-        col, one = colons, True  # one colon in each feature, and no other
-    else:
-        colons = np.append(colons, [n, n])
-        at = np.searchsorted(colons, fs)
-        col, one = colons[at], colons[at + 1] >= fe
-
-    # every feature must be `digits:value`, with up to 18 digits, so that
-    # its index stays below 2**63 - 1 in int64 arithmetic
-    digits = col - fs
-    if not np.all(one & (digits >= 1) & (digits <= _MAX_DIGITS) & (fe - col > 1)):
+    # a line's first token is its label, and every other token a feature;
+    # line k's label is token labels[k], and labels[-1] the token count.
+    # The starts and stops, in turn, increase, so the first token after a
+    # line end follows the starts and stops at or before it
+    head = np.zeros(len(tokens) + 1, dtype=bool)
+    head[np.searchsorted(tokens.ravel(), ends, side="right") // 2] = True
+    head[0] = head[-1] = True
+    labels = np.flatnonzero(head)
+    fs, fe = np.compress(~head[:-1], tokens, axis=0).T
+    # each feature holds the next colon, after 1 to 8 digits and before a
+    # value; so, with as many colons as features, it holds no other
+    if colons.size != fs.size:
         return None
-    idx = np.zeros(fs.size, dtype=np.int64)
-    for k in range(int(digits.max(initial=0))):
-        digit = c.take(fs + k, mode="clip") - np.uint8(48)  # wraps below '0'
-        if not np.all((digits <= k) | (digit <= 9)):
-            return None
-        idx = np.where(digits > k, idx * 10 + digit, idx)
-    begin = np.concatenate([starts[examples], col + 1])
-    end = np.concatenate([stops[examples], fe])
-    del fs, fe, colons, col, digits
+    digits = colons - fs
+    if not np.all((digits >= 1) & (digits <= _INDEX_DIGITS) & (fe - colons > 1)):
+        return None
+    # window[p] holds the 16 bytes c[p - 8 : p + 8]; as two uint64, the
+    # eight bytes before p and the eight from p
+    padded = np.zeros(n + 16, dtype=np.uint8)
+    padded[8:-8] = c
+    window = np.ndarray(n + 1, dtype="V16", buffer=padded, strides=(1,))
+    around = window[colons].view("<u8").reshape(-1, 2)  # take would copy window whole
+    starts, stops = np.take(tokens, labels[:-1], axis=0).T
     try:
-        out = _floats(c, begin, end)
+        value = _floats(c, colons + 1, fe, around[:, 1] >> np.uint64(8))
+        label = _floats(c, starts, stops, window[starts].view("<u8")[1::2])
     except ValueError:
         return None
-    label, value = out[: examples.size], out[examples.size :]
-    bad = ~np.isfinite(value) | (idx < 1)
-    # an index must exceed the one before it on its line
-    bad[1:] |= (idx[1:] <= idx[:-1]) & ~head[feature[1:] - 1]
-    known = (label == 1) | (label == -1) | (label == 0) | (label == 2)
-    if bad.any() or not known.all():
+    idx = _indices(around[:, 0], digits)
+    y = label == 1
+    if idx is None or not np.all(y | (label == -1) | (label == 0) | (label == 2)):
         return None
-    count = np.diff(examples, append=starts.size) - 1
-    return _shape(label == 1, count, idx, value, ends.size)
+    # an index must exceed the one before it on its line, and the first 0;
+    # line k's first feature is feature labels[k] - k
+    floor = np.empty(idx.size + 1, dtype=idx.dtype)
+    floor[0] = 0
+    floor[1:] = idx
+    floor[labels[:-1] - np.arange(labels.size - 1)] = 0
+    if not np.all(idx > floor[:-1]):
+        return None
+    idx -= 1
+    return _shape(y, labels[1:] - labels[:-1] - 1, idx, value, ends.size)
 
 
-def _floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """`float` of each field c[begin:end] of ASCII bytes; ValueError where
-    one fails. Each distinct short field is converted once."""
-    out = np.empty(begin.size)
+# each SWAR step below works on all eight bytes of a uint64 at once
+_ZEROS = np.uint64(0x30 * _EACH_BYTE)
+_SIXES = np.uint64(0x06 * _EACH_BYTE)
+_HIGH_NIBBLES = np.uint64(0xF0 * _EACH_BYTE)
+_PAIRS = np.uint64(0x000000FF000000FF)  # bytes 0 and 4
+_SCALE_EVEN = np.uint64(100 + (10**6 << 32))
+_SCALE_ODD = np.uint64(1 + (10**4 << 32))
+
+
+def _indices(x: np.ndarray, digits: np.ndarray) -> np.ndarray | None:
+    """The int32 value of the `digits`-digit decimal in the high bytes of
+    each uint64 `x` (the bytes before a colon, the last digit in the high
+    byte); None where one of those bytes is not 0-9."""
+    keep = _HIGH_BYTES.take(digits)
+    x &= keep
+    zeros = keep & _ZEROS  # '0' in each digit's byte, and 0 below them
+    del keep
+    # an ASCII byte is 0x30-0x39 iff the high nibble of it AND it plus 6 is
+    # 3: 0x3a-0x3f plus 6 carry into the high nibble, and '+' (0x2b) plus 6
+    # is 0x31, with 0x2b & 0x31 = 0x21; no byte plus 6 carries into the next
+    if not np.all(x & (x + _SIXES) & _HIGH_NIBBLES == zeros):
+        return None
+    x -= zeros  # eight digits d0..d7, d7 last, d0 in the low byte
+    # 10 * d[i] + d[i + 1] in each byte i; the top byte's product wraps off
+    x *= np.uint64(10 * 256 + 1)
+    x >>= np.uint64(8)
+    # the pairs of bytes 0, 2, 4 and 6, weighted by 10**6, 10**4, 100 and 1
+    # in the high half (uint64 products wrap by design)
+    odd = x >> np.uint64(16)
+    odd &= _PAIRS
+    odd *= _SCALE_ODD
+    x &= _PAIRS
+    x *= _SCALE_EVEN
+    x += odd
+    x >>= np.uint64(32)
+    return x.astype(np.int32)
+
+
+def _floats(c: np.ndarray, begin, end, first: np.ndarray) -> np.ndarray:
+    """The `float` of each field c[begin:end] of ASCII bytes, in an array of
+    its own; ValueError where one fails or is not finite. `first` holds each
+    field's first seven bytes or more, the first in the low byte. A field of
+    at most 7 bytes is keyed by its bytes, padded with spaces, and each
+    distinct key is converted once."""
     length = end - begin
-    short = np.flatnonzero(length <= _SHORT)
-    if short.size:
-        # a short field's key holds its length in the low byte and its
-        # bytes above it, read as a uint64 from the eight at its start
-        padded = np.concatenate([c, np.zeros(8, dtype=np.uint8)])
-        eight = np.ndarray(c.shape, dtype="<u8", buffer=padded, strides=(1,))
-        size = length[short]
-        key = eight[begin[short]] & _LOW_BYTES[size]  # take would copy eight whole
-        key = key << np.uint64(8) | size.astype(np.uint64)
-        distinct = np.sort(key)
-        distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
-        inverse = np.searchsorted(distinct, key)
-        one = np.empty(distinct.size, dtype=np.intp)
-        one[inverse] = short  # a field that spells each key
-        out[short] = _split_floats(c, begin[one], end[one])[inverse]
-    rest = np.flatnonzero(length > _SHORT)
-    if rest.size:
-        out[rest] = _split_floats(c, begin[rest], end[rest])
-    return out
+    over = length > _SHORT
+    if over.any():
+        out = np.empty(begin.size)
+        out[over] = _split_floats(c, begin[over], end[over])
+        short = ~over
+        out[short] = _floats(c, begin[short], end[short], first[short])
+        return out
+    if not begin.size:
+        return np.empty(0)
+    key = first & _LOW_BYTES.take(length) | _SPACES.take(length)
+    # one spelling, as in the value column of most binary data sets
+    one = np.all(key == key[0])
+    distinct = key[:1] if one else np.unique(key)
+    words = distinct.astype("<u8").tobytes().split()
+    value = _finite(np.fromiter(map(float, words), dtype=np.float64, count=len(words)))
+    if one:
+        return np.full(begin.size, value[0])
+    return value[np.searchsorted(distinct, key)]
 
 
 def _split_floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
     """`float` of each field, from one bytes.split of the fields gathered
     with a space after each; fields hold no whitespace, so none splits."""
     size = end - begin + 1
-    offset = np.cumsum(size) - size
-    at = np.repeat(begin - offset, size) + np.arange(int(size.sum()))
+    offset = np.cumsum(size)
+    at = np.repeat(begin - offset + size, size) + np.arange(offset[-1])
     gathered = c.take(at, mode="clip")  # a field may end the block
-    gathered[offset + size - 1] = 32
+    gathered[offset - 1] = 32
     words = gathered.tobytes().split()
-    return np.fromiter(map(float, words), dtype=np.float64, count=len(words))
+    return _finite(np.fromiter(map(float, words), dtype=np.float64, count=len(words)))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError("a value is infinite or NaN")
+    return values
 
 
 def _read_lines(block: bytes, lineno: int):
@@ -318,7 +367,10 @@ def _read_lines(block: bytes, lineno: int):
             counts.append(len(idx))
             indices += idx
             values += val
-    return _shape(labels, counts, indices, values, len(lines) - 1)
+    idx = np.asarray(indices, dtype=np.int64) - 1
+    if idx.max(initial=0) <= _INT32_MAX:
+        idx = idx.astype(np.int32)
+    return _shape(labels, counts, idx, values, len(lines) - 1)
 
 
 def _read_label(lineno: int, token: str) -> int:

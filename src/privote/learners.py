@@ -227,8 +227,9 @@ def _smoothness_bound(shape, csr, wts, K: int) -> np.ndarray:
     # Xv, u and ratios, zeroed by one fill per power step: each is then
     # written only by its own kernels or division
     zeroed = np.empty(B * (shape[0] + 2 * shape[1]))
-    Xv, u, ratios = np.split(zeroed, [B * shape[0], B * (shape[0] + shape[1])])
-    Xv, u = Xv.reshape(B, shape[0]), u.reshape(B, shape[1])
+    cut, end = B * shape[0], B * (shape[0] + shape[1])
+    Xv, u = zeroed[:cut].reshape(B, shape[0]), zeroed[cut:end].reshape(B, shape[1])
+    ratios = zeroed[end:]
     v = np.ones((B, shape[1]))
     U, V = u.reshape(B, K, -1), v.reshape(B, K, -1)
     ratios = ratios.reshape(U.shape)
