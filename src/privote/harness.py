@@ -95,7 +95,9 @@ _EACH_BYTE = 0x0101010101010101
 # others with spaces, and _HIGH_BYTES[k] keeps the high k bytes
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(_SHORT + 1)], dtype=np.uint64)
 _SPACES = np.uint64(0x20 * _EACH_BYTE) & ~_LOW_BYTES
-_HIGH_BYTES = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], dtype=np.uint64)
+_HIGH_BYTES = np.array(
+    [(1 << 64) - (1 << 64 - 8 * k) for k in range(_INDEX_DIGITS + 1)], dtype=np.uint64
+)
 # feature indices become column counts, which scipy keeps in int64
 _MAX_INDEX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -114,13 +116,16 @@ def parse_libsvm(path) -> Dataset:
 
     The file is read as bytes, in blocks of about 64 KB (`_BLOCK_BYTES`),
     each cut after a line end. An ASCII block whose features are all
-    `digits:value` is read with array operations by `_tokenize`: indices
-    of up to 18 digits with int64 arithmetic, each distinct label or
-    value of up to 7 characters once with `float`, and longer values by
-    `float` over one bytes.split. Any other block (one with a byte above
-    127, a signed or underscored index, or a line that fails a check) is
-    read line by line by `_read_lines`, with str.split, `int` and
-    `float`, at about a fifth of the speed; it alone names errors.
+    `digits:value`, with at most 8 digits, is read with array operations
+    by `_tokenize`: one 16-byte gather around each colon gives the index,
+    converted eight digits at a time in a uint64, and the value's first
+    bytes; each distinct label or value of up to 7 characters is
+    converted once with `float` (a value column of one spelling once in
+    all), and longer values by `float` over one bytes.split. Any other
+    block (one with a byte above 127, a signed, underscored or 9-digit
+    index, or a line that fails a check) is read line by line by
+    `_read_lines`, with str.split, `int` and `float`, at about a fifth of
+    the speed; it alone names errors.
     """
     # per block: labels, features per example, 0-based indices, values
     labels, counts, indices, values = pieces = [], [], [], []
@@ -276,7 +281,6 @@ def _indices(x: np.ndarray, digits: np.ndarray) -> np.ndarray | None:
     keep = _HIGH_BYTES.take(digits)
     x &= keep
     zeros = keep & _ZEROS  # '0' in each digit's byte, and 0 below them
-    del keep
     # an ASCII byte is 0x30-0x39 iff the high nibble of it AND it plus 6 is
     # 3: 0x3a-0x3f plus 6 carry into the high nibble, and '+' (0x2b) plus 6
     # is 0x31, with 0x2b & 0x31 = 0x21; no byte plus 6 carries into the next
@@ -338,6 +342,7 @@ def _split_floats(c: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarr
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
+    """`values`; ValueError if one is infinite or NaN."""
     if not np.isfinite(values).all():
         raise ValueError("a value is infinite or NaN")
     return values

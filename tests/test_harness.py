@@ -321,7 +321,38 @@ def _first_line(message: str) -> int:
     return int(re.match(r"line (\d+):", message).group(1))
 
 
+def _at_each_block_size(*texts):
+    """An @example of each text with 1-byte, 64-byte and 1 MB blocks."""
+
+    def decorate(test):
+        for text in texts:
+            for block_bytes in (1, 64, 1 << 20):
+                test = example(text, block_bytes)(test)
+        return test
+
+    return decorate
+
+
+# one line of 70 bytes, so that with 64-byte reads it is a block of its own
+_ONE_SPELLING = "1 " + " ".join(f"{j}:1.0" for j in range(1, 12)) + "\n"
+
+
 @given(libsvm_texts(), st.sampled_from([1, 64, 1 << 20]))
+@_at_each_block_size(
+    "1 12345678:1 99999999:2\n-1 00000001:1\n",  # indices of 8 digits
+    "1 5:1 123456789:1\n",  # and of 9, read line by line
+    "1 7:1\n-1 007:1 08:2\n",  # leading zeros
+    # a sign or an underscore at each place of an 8-character index
+    *(
+        f"-1 2:1\n1 {'1234567'[:k]}{ch}{'1234567'[k:]}:1\n"
+        for ch in "+-_"
+        for k in range(8)
+    ),
+    # a block of values of one spelling, then one of values over 7 characters
+    _ONE_SPELLING + "0 1:0.12345678 2:-1.5e-05 3:123456.75\n",
+    "1\n-1 3:1\n0\n",  # lines of a label alone
+    _ONE_SPELLING + "-1 2:1 # c:1\r\n1 3:1\r\n",  # \r and '#' in the second block only
+)
 @example("1 1:1\n-1 2:1\n", 1 << 20)
 @example("1 1:2:3 4\n", 1 << 20)  # colons off by one twice
 @example("1 2:1 1:1\n", 1 << 20)
@@ -387,6 +418,41 @@ def test_only_blocks_the_tokenizer_leaves_are_read_line_by_line(tmp_path):
             got = _outcome(parse_libsvm, path)
         assert reader.call_count == 1
         assert got == _outcome(oracles.reference_parse_libsvm, path)
+
+
+# field sizes of a9a's 14 and mushrooms' 22 one-hot encoded fields
+_A9A_CARDS = (5, 8, 5, 16, 5, 7, 14, 6, 5, 2, 2, 2, 5, 41)
+_MUSHROOM_CARDS = (6, 4, 10, 2, 9, 2, 2, 2, 12, 2, 4, 4, 4, 9, 9, 1, 4, 3, 5, 9, 6, 3)
+
+
+def _benchmark_shaped_line(shape: str, label: str, rng) -> str:
+    if shape == "tf-idf":
+        cols = rng.choice(np.arange(10_000, 100_000), rng.integers(5, 60), replace=False)
+        values = rng.random(cols.size).tolist()
+        return label + "".join(f" {j}:{v!r}" for j, v in zip(sorted(cols.tolist()), values))
+    cards = _A9A_CARDS if shape == "a9a" else _MUSHROOM_CARDS
+    first = np.cumsum((1, *cards[:-1]))
+    cols = first + (rng.random(len(cards)) * cards).astype(int)
+    value = "1" if shape == "a9a" else "1.0"
+    return label + "".join(f" {j}:{value}" for j in cols.tolist())
+
+
+@pytest.mark.parametrize("shape", ["a9a", "mushrooms", "tf-idf"])
+def test_benchmark_shaped_files_are_read_by_the_array_tokenizer_alone(tmp_path, shape):
+    """One-hot rows shaped like a9a's (values 1) and mushrooms' (values
+    1.0), and tf-idf rows with 5-digit indices and values over 7
+    characters, each with labels 0, 1, +1 and -1, never reach the per-line
+    reader. A block sent there keeps every output the same, and so every
+    other test green, but parses about five times slower."""
+    rng = np.random.default_rng(17)
+    labels = rng.choice(["0", "1", "+1", "-1"], 3000).tolist()
+    path = tmp_path / f"{shape}.txt"
+    path.write_text("".join(_benchmark_shaped_line(shape, y, rng) + "\n" for y in labels))
+    assert path.stat().st_size > 2 * harness._BLOCK_BYTES
+    reader = mock.Mock(side_effect=AssertionError("read line by line"))
+    with mock.patch.object(harness, "_read_lines", reader):
+        got = _outcome(parse_libsvm, path)
+    assert got == _outcome(oracles.reference_parse_libsvm, path)
 
 
 def _one_hot_text(rows: int, rng) -> str:
