@@ -342,16 +342,17 @@ _ONE_SPELLING = "1 " + " ".join(f"{j}:1.0" for j in range(1, 12)) + "\n"
     "1 12345678:1 99999999:2\n-1 00000001:1\n",  # indices of 8 digits
     "1 5:1 123456789:1\n",  # and of 9, read line by line
     "1 7:1\n-1 007:1 08:2\n",  # leading zeros
+    "1\n-1 3:1\n0\n",  # lines of a label alone
     # a sign or an underscore at each place of an 8-character index
     *(
         f"-1 2:1\n1 {'1234567'[:k]}{ch}{'1234567'[k:]}:1\n"
         for ch in "+-_"
         for k in range(8)
     ),
-    # a block of values of one spelling, then one of values over 7 characters
+    # with 64-byte reads, a block of values of one spelling, then a block of
+    # values over 7 characters, and \r and '#' in the second block only
     _ONE_SPELLING + "0 1:0.12345678 2:-1.5e-05 3:123456.75\n",
-    "1\n-1 3:1\n0\n",  # lines of a label alone
-    _ONE_SPELLING + "-1 2:1 # c:1\r\n1 3:1\r\n",  # \r and '#' in the second block only
+    _ONE_SPELLING + "-1 2:1 # c:1\r\n1 3:1\r\n",
 )
 @example("1 1:1\n-1 2:1\n", 1 << 20)
 @example("1 1:2:3 4\n", 1 << 20)  # colons off by one twice
@@ -443,7 +444,7 @@ def test_benchmark_shaped_files_are_read_by_the_array_tokenizer_alone(tmp_path, 
     1.0), and tf-idf rows with 5-digit indices and values over 7
     characters, each with labels 0, 1, +1 and -1, never reach the per-line
     reader. A block sent there keeps every output the same, and so every
-    other test green, but parses about five times slower."""
+    other test green, but parses about seven times slower."""
     rng = np.random.default_rng(17)
     labels = rng.choice(["0", "1", "+1", "-1"], 3000).tolist()
     path = tmp_path / f"{shape}.txt"
