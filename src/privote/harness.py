@@ -216,9 +216,9 @@ def _tokenize(block: bytes):
         lead = np.r_[True, at[1:] != at[:-1]]  # each line's first '#'
         comment = np.full(ends.size + 1, n)
         comment[at[lead]] = hashes[lead]
-        stops = tokens[:, 1]
-        np.minimum(stops, comment[np.searchsorted(ends, tokens[:, 0])], out=stops)
-        tokens = tokens[tokens[:, 0] < stops]
+        starts, stops = tokens.T
+        np.minimum(stops, comment[np.searchsorted(ends, starts)], out=stops)
+        tokens = tokens[starts < stops]
         colons = colons[colons < comment[np.searchsorted(ends, colons)]]
 
     # a line's first token is its label, and every other token a feature;
