@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -294,14 +294,13 @@ class _Rows:
     """Canonical rows of d features in blocks of `sizes` rows, as raw CSR
     arrays: block k's rows in columns k*(d+1) on, each ended by a bias
     entry of 1 in column k*(d+1) + d (`_bias_layout`). `row_sq` holds
-    each row's squared norm, bias included."""
+    each row's squared norm, bias included. No method writes into these
+    arrays: `head` views them and `grow` makes new ones."""
 
     shape: tuple[int, int]
     csr: tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, data
     row_sq: np.ndarray
     sizes: np.ndarray
-    # set by `empty`: the buffers csr and row_sq view, which `grow` writes into
-    room: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, X: sp.csr_matrix, order=None, sizes=None) -> "_Rows":
@@ -313,34 +312,26 @@ class _Rows:
         csr, row_sq = _bias_layout(csr, order, sizes, d)
         return cls((len(order), len(sizes) * (d + 1)), csr, row_sq, sizes)
 
-    @classmethod
-    def empty(cls, width: int, rows: int, entries: int) -> "_Rows":
-        """No rows, over buffers with room for `rows` rows of `entries` entries."""
-        cols = np.empty(entries, _index_type(entries, width))
-        room = (np.zeros(rows + 1, cols.dtype), cols, np.empty(entries), np.empty(rows))
-        return cls((rows, width), room[:3], room[3], None, room).head(0)
-
     def head(self, n: int) -> "_Rows":
-        """The first n of these one-block rows, as views."""
+        """The first n of these rows, in one block, as views."""
         ptr, cols, vals = self.csr
         csr = (ptr[: n + 1], cols[: ptr[n]], vals[: ptr[n]])
-        return _Rows((n, self.shape[1]), csr, self.row_sq[:n], np.array([n]), self.room)
+        return _Rows((n, self.shape[1]), csr, self.row_sq[:n], np.array([n]))
 
     def grow(self, other: "_Rows", i: int) -> "_Rows":
-        """These one-block rows, then row i of other, of the same width: the
-        arrays that `of` builds from both stacked, without rebuilding these.
-        The row is written in place, after these rows in the buffers under
-        them, which must have room for it; longer rows over the same
-        buffers lose what follows these."""
-        n, width = self.shape
+        """These one-block rows, then row i of other, of the same width, in
+        new arrays: the arrays that `of` builds from both stacked, without
+        rebuilding these, and of these arrays' dtypes."""
+        ptr, cols, vals = self.csr
         a, b = other.csr[0][i : i + 2]
-        start = self.csr[0][n]
-        end = start + (b - a)
-        ptr, cols, vals, row_sq = self.room
-        ptr[n + 1], row_sq[n] = end, other.row_sq[i]
-        cols[start:end], vals[start:end] = other.csr[1][a:b], other.csr[2][a:b]
-        csr = (ptr[: n + 2], cols[:end], vals[:end])
-        return _Rows((n + 1, width), csr, row_sq[: n + 1], np.array([n + 1]), self.room)
+        csr = (
+            np.concatenate([ptr, ptr[-1:] + (b - a)]),
+            np.concatenate([cols, other.csr[1][a:b]]),
+            np.concatenate([vals, other.csr[2][a:b]]),
+        )
+        row_sq = np.concatenate([self.row_sq, other.row_sq[i : i + 1]])
+        n = self.shape[0] + 1
+        return _Rows((n, self.shape[1]), csr, row_sq, np.array([n]))
 
     def scores(self, h: "LinearHypothesis") -> np.ndarray:
         """h's decision on every row: `X @ h.weights + h.bias` bit for bit,

@@ -200,9 +200,9 @@ class ActiveState:
     hypothesis: Any = None
     # the linear descriptor's: in `memo`, (start, fits), the reference fits
     # warm started from the hypothesis `start`, keyed by the (indices,
-    # labels) they were fit on; in `rows`, (indices, their rows, written in
-    # place: a copied state must not share them). Both are kept for the
-    # next call and read only where they match the state
+    # labels) they were fit on; in `rows`, (indices, their rows), never
+    # written into, so a copied state may share them. Both are kept for
+    # the next call and read only where they match the state
     memo: Any = field(default=None, repr=False, compare=False)
     rows: Any = field(default=None, repr=False, compare=False)
 
@@ -215,8 +215,9 @@ class LinearClassDescriptor:
     accepts, checked and made canonical once, here, and laid out once
     (`_Rows`); an index that is not an integer in [0, len(pool)) raises
     ValueError. The rows of Q and the point probed last are kept in
-    `state.rows` and grown by each queried point's pool row, or laid out
-    again from the pool where Q changed other than by appending.
+    `state.rows` and grown, into new arrays, by each queried point's pool
+    row, or laid out again from the pool where Q changed other than by
+    appending.
 
     No explicit version space exists; a point counts as ambiguous when some
     near-optimal fit on the queried pool Q labels it opposite to the
@@ -272,14 +273,8 @@ class LinearClassDescriptor:
 
     def _rows(self, state: ActiveState) -> _Rows:
         """Q's rows: the kept ones, less a probed point's not queried, grown
-        in place by the points queried since; laid out afresh if Q changed
-        otherwise, or into new buffers if these lack room for Q and a probe
-        (a run's first buffers hold query_budget + 1 rows)."""
-        kept_xs, rows = state.rows or ([], None)
-        if rows is None or len(state.xs) >= len(rows.room[3]):
-            room = max(state.query_budget or 0, 2 * len(state.xs)) + 1
-            longest = int(np.diff(self._layout.csr[0]).max(initial=0))
-            kept_xs, rows = [], _Rows.empty(self._layout.shape[1], room, room * longest)
+        by the points queried since; laid out afresh if Q changed otherwise."""
+        kept_xs, rows = state.rows or ([], self._layout.head(0))
         if state.xs[: len(kept_xs)] != kept_xs:
             n = len(state.xs) if kept_xs[:-1] == state.xs else 0
             kept_xs, rows = kept_xs[:n], rows.head(n)

@@ -469,7 +469,7 @@ def _parse_peak(tmp_path, rows: int, rng):
     the returned arrays, and the returned values' bytes."""
     path = tmp_path / f"{rows}.txt"
     path.write_text(_one_hot_text(rows, rng))
-    assert path.stat().st_size > 8 * harness._BLOCK_BYTES
+    assert path.stat().st_size > 8 * _READ
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -489,17 +489,29 @@ def _parse_peak_over_returned(tmp_path, rows: int, rng) -> int:
     return peak - 2 * returned
 
 
-def test_parse_libsvm_memory_does_not_grow_with_the_file(tmp_path):
-    """The parse holds one block's temporaries at a time. Its peak, less
-    twice the returned arrays, grows by at most a quarter for a file four
-    times as long; a tokenizer over the whole file needs about four times
-    as much. The figure shrinks instead once the returned arrays outgrow
-    one block's temporaries, so the bound is one-sided."""
+def _peak_growth(tmp_path) -> int:
+    """How much the parse's peak, less the returned arrays and the values'
+    pieces joined last, grows from a 6,000-row one-hot file (0.6 MB) to
+    one of 24,000 rows."""
     rng = np.random.default_rng(5)
     small, large = (
-        _parse_peak_over_returned(tmp_path, n, rng) for n in (6_000, 24_000)
+        peak - returned - values
+        for peak, returned, values in (
+            _parse_peak(tmp_path, n, rng) for n in (6_000, 24_000)
+        )
     )
-    assert 0 < small and large <= 1.25 * small, (small, large)
+    return large - small
+
+
+def test_parse_libsvm_memory_does_not_grow_with_the_file(tmp_path):
+    """The parse holds one block's temporaries at a time, so for a file
+    four times as long the figure of `_peak_growth` grows by less than
+    one block's bytes; it falls, in fact, once the values' pieces outgrow
+    one block's temporaries. Read as one block, whose temporaries grow
+    with the file, the figure grows by about 26 MB."""
+    assert _peak_growth(tmp_path) < _READ
+    with mock.patch.object(harness, "_BLOCK_BYTES", 1 << 22):  # the whole file
+        assert _peak_growth(tmp_path) > 100 * _READ
 
 
 def test_parse_libsvm_releases_its_pieces_before_the_labels_copy(tmp_path):

@@ -655,6 +655,33 @@ def test_linear_memo_is_not_reused_after_outside_changes(monkeypatch):
         desc.disagreement(state, 9, 0.1)
 
 
+def test_linear_copied_states_keep_their_own_rows():
+    # two states that share kept rows, as a copy of a state does, each
+    # grow their own: probing one leaves the other's rows, and so its
+    # next refit, as they were
+    pool = sp.csr_matrix(make_rng(3).normal(size=(8, 3)))
+    desc = LinearClassDescriptor(pool)
+    a = desc.init_state()
+    a.xs, a.ys = [0, 1, 2], [0, 1, 1]
+    desc.disagreement(a, 3, 0.1)
+    b = dataclasses.replace(a, xs=list(a.xs), ys=list(a.ys))
+    desc.disagreement(b, 4, 0.1)
+    desc.disagreement(a, 5, 0.1)
+    _assert_kept_rows_fresh(a, probed=5)
+    _assert_kept_rows_fresh(b, probed=4)
+    b.xs.append(4)
+    b.ys.append(0)
+    start = b.hypothesis
+    desc.refit(b)
+    _assert_kept_rows_fresh(b)
+    Q = Dataset(_stacked(pool, [0, 1, 2, 4]), [0, 1, 1, 0])
+    want = train_erm(Q, desc.steps, init=start)
+    assert np.array_equal(b.hypothesis.weights, want.weights)
+    assert np.array_equal(np.signbit(b.hypothesis.weights), np.signbit(want.weights))
+    assert b.hypothesis.bias == want.bias
+    assert np.signbit(b.hypothesis.bias) == np.signbit(want.bias)
+
+
 _EDITS = ("probed", "other", "pop", "replace", "int64", "flip", "copy", "none")
 
 
